@@ -46,8 +46,10 @@ from repro.storage.device import DeviceModel
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.trace import TraceEvent, TraceRecorder
 
-#: Checkpoint format version; bumped on any manifest/state layout change.
-CHECKPOINT_VERSION = 1
+#: Checkpoint format version; bumped on any manifest/state layout change,
+#: and whenever the record cipher changes the bytes a blob decrypts under
+#: (2: records wider than 64 bytes moved to the SHAKE-256 keystream).
+CHECKPOINT_VERSION = 2
 
 _FORMAT = "horam-checkpoint"
 _MANIFEST = "checkpoint.json"

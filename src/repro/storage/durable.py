@@ -36,8 +36,10 @@ from repro.storage.backend import BlockStore
 from repro.storage.device import DeviceModel
 from repro.storage.trace import TraceRecorder
 
-#: On-disk slab format version (bumped on any layout change).
-SLAB_VERSION = 1
+#: On-disk slab format version; bumped on any layout change, and whenever
+#: the record cipher changes the bytes the slots decrypt under (2: records
+#: wider than 64 bytes moved to the SHAKE-256 keystream).
+SLAB_VERSION = 2
 
 _SLAB_MAGIC = "horam-slab"
 

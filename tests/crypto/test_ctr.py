@@ -94,6 +94,33 @@ class TestCtrConstruction:
         with pytest.raises(ValueError):
             StreamCipher(b"")
 
+    def test_stream_rejects_keys_it_would_have_to_truncate(self):
+        # Two keys that differ only past byte 64 must never be one cipher.
+        StreamCipher(b"k" * 64)
+        for tail in (b"a", b"b"):
+            with pytest.raises(ValueError, match="at most 64"):
+                StreamCipher(b"k" * 64 + tail)
+
+    @pytest.mark.parametrize("length", [24, 65])
+    def test_stream_absorbs_the_whole_key(self, length):
+        # Length-prefixed, so a key is not confused with its zero-padding.
+        streams = {
+            StreamCipher(key).keystream(1, length)
+            for key in (b"k" * 63 + b"a", b"k" * 63 + b"b", b"k" * 63, b"k" * 63 + b"\x00")
+        }
+        assert len(streams) == 4
+
+    @pytest.mark.parametrize("cipher_cls", [Speck64, XTEA])
+    def test_ctr_refuses_nonces_past_its_32_bit_field(self, cipher_cls):
+        # The codec counts nonces in 64 bits; wrapping would reuse keystream.
+        cipher = CtrCipher(cipher_cls(bytes(range(16))))
+        assert cipher.keystream(2**32 - 1, 16) != cipher.keystream(0, 16)
+        for nonce in (2**32, 2**32 + 5, 2**63, -1):
+            with pytest.raises(ValueError, match="32-bit"):
+                cipher.keystream(nonce, 16)
+            with pytest.raises(ValueError, match="32-bit"):
+                cipher.encrypt(nonce, b"sixteen byte msg")
+
 
 class TestNullCipher:
     def test_identity(self):
