@@ -14,10 +14,12 @@ request stream through both, then
 * reports wall-clock throughput and the parallel-over-serial speedup.
 
 The speedup is bounded by the host's core count: the workers are
-CPU-bound Python processes, so a 1-CPU container shows ~1.0x while a
-4-core runner approaches the shard count.  The visible CPU count is
-recorded in the JSON so the trajectory stays interpretable across
-machines.
+CPU-bound Python processes, so a 1-CPU container shows ~1.0x, and on two
+vCPUs the coordinator and two workers already share the cores.  The
+visible CPU count is recorded in the JSON so the trajectory stays
+interpretable across machines, and each parallel cell carries the
+executor's round accounting (``rounds_per_step``, ``requests_per_step``)
+beside ``payload_bytes_per_cycle``.
 
 The result is persisted to ``BENCH_parallel.json`` at the repo root,
 mirroring ``BENCH_wallclock.json`` / ``BENCH_sharding.json``.
@@ -97,6 +99,15 @@ def run_executor(
             ipc["payload_bytes_per_cycle"] = (
                 round(payload_total / metrics.cycles, 2) if metrics.cycles else 0.0
             )
+            # One blocking IPC round per step is the contract; the padding
+            # round only counts when the next step had to wait for it.
+            steps = ipc["steps"]
+            ipc["rounds_per_step"] = (
+                round(ipc["blocking_rounds"] / steps, 2) if steps else 0.0
+            )
+            ipc["requests_per_step"] = (
+                round(ipc["requests"] / steps, 1) if steps else 0.0
+            )
         return {
             "build_seconds": round(build_seconds, 4),
             "run_seconds": round(run_seconds, 4),
@@ -104,10 +115,11 @@ def run_executor(
             if run_seconds
             else None,
             "served": metrics.requests_served,
-            # envelope-payload accounting (parallel executor only): how
-            # many request/result bytes crossed process boundaries, and
-            # the per-cycle average after the shared-memory scratch took
-            # payloads out of the pickled envelopes.
+            # IPC accounting (parallel executor only): how many
+            # request/result bytes crossed process boundaries, the
+            # per-cycle average after the shared-memory scratch took
+            # payloads out of the pickled envelopes, and how many rounds
+            # and requests each step put on the critical path.
             "ipc": ipc,
             # observables for the serial/parallel cross-check
             "results": engine.results,
@@ -189,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
             f"({cell['speedup_parallel_vs_serial']}x), "
             + (
                 f"envelope payload {per_cycle} B/cycle, "
+                f"{ipc['rounds_per_step']} blocking round(s)/step, "
                 if per_cycle is not None
                 else ""
             )

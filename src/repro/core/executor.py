@@ -11,11 +11,13 @@ module factors the "run the fleet" concern out of the coordinator into a
 * :class:`ParallelExecutor` -- one dedicated worker **process** per shard
   (a single-worker :class:`~concurrent.futures.ProcessPoolExecutor`
   each, so shard state stays pinned to its process).  The coordinator
-  buffers submitted requests into per-shard envelope batches; a drain
+  buffers submitted requests into per-shard envelope batches; a step
   flushes each batch over IPC, lets every worker retire its own backlog
-  at full speed, then equalizes cycle counts across the fleet so the
-  lockstep contract holds, and merges the retired envelopes back in
-  global submission order.
+  at full speed and merges the retired envelopes back in global
+  submission order.  Equalizing cycle counts across the fleet (the
+  lockstep contract) is a second round the step starts but does not
+  wait for: the idle shards pad while the caller works, and the round
+  is collected before the next batch goes out or a mirror is read.
 
 Determinism contract (what the equivalence tests assert): for the
 batched ``submit*``/``drain`` pattern -- the engine, the benchmarks and
@@ -162,8 +164,30 @@ class ShardInfo:
 # layer's aggregates read (metrics, logs, hierarchy counters), kept in sync
 # from worker snapshots at batch boundaries.
 # --------------------------------------------------------------------------
+class _Settled:
+    """A mirror attribute that is only current once the executor has
+    collected the padding round its last step left running: every read
+    settles first.  Writes (the executor applying a snapshot) go straight
+    to the slot."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._slot = "_" + name
+
+    def __get__(self, mirror, owner=None):
+        if mirror is None:
+            return self
+        mirror._settle()
+        return getattr(mirror, self._slot)
+
+    def __set__(self, mirror, value) -> None:
+        setattr(mirror, self._slot, value)
+
+
 class _MirrorClock:
-    def __init__(self) -> None:
+    now_us = _Settled()
+
+    def __init__(self, settle) -> None:
+        self._settle = settle
         self.now_us = 0.0
 
     @property
@@ -176,7 +200,10 @@ class _MirrorClock:
 
 
 class _MirrorStore:
-    def __init__(self) -> None:
+    counters = _Settled()
+
+    def __init__(self, settle) -> None:
+        self._settle = settle
         self.counters = StoreCounters()
 
     def snapshot(self) -> StoreCounters:
@@ -184,42 +211,59 @@ class _MirrorStore:
 
 
 class _MirrorTrace:
-    def __init__(self) -> None:
+    events = _Settled()
+
+    def __init__(self, settle) -> None:
+        self._settle = settle
         self.events: list[TraceEvent] = []
 
 
 class _MirrorHierarchy:
-    def __init__(self) -> None:
-        self.clock = _MirrorClock()
-        self.storage = _MirrorStore()
-        self.memory = _MirrorStore()
-        self.trace = _MirrorTrace()
+    def __init__(self, settle) -> None:
+        self.clock = _MirrorClock(settle)
+        self.storage = _MirrorStore(settle)
+        self.memory = _MirrorStore(settle)
+        self.trace = _MirrorTrace(settle)
 
 
 class ShardMirror:
-    """Read-only stand-in for a worker-owned :class:`HybridORAM` shard."""
+    """Read-only stand-in for a worker-owned :class:`HybridORAM` shard.
 
-    def __init__(self, info: ShardInfo):
+    ``settle`` is the owning executor's collect-the-padding-round hook;
+    every observable below calls it before answering, so a reader never
+    sees a shard between its batch and its lockstep padding.
+    """
+
+    metrics = _Settled()
+    current_c = _Settled()
+    served_log = _Settled()
+    latency_log = _Settled()
+    fault_stats = _Settled()
+
+    def __init__(self, info: ShardInfo, settle):
+        self._settle = settle
         self.n_blocks = info.n_blocks
         self.period_capacity = info.period_capacity
         self.metrics = Metrics()
         self.current_c = 0
         self.served_log: list[tuple[int, int]] = []
         self.latency_log: list[int] = []
-        self.hierarchy = _MirrorHierarchy()
+        self.hierarchy = _MirrorHierarchy(settle)
         self.fault_stats: FaultStats | None = None
         self.apply(info.snapshot)
 
     def apply(self, snapshot: ShardSnapshot) -> None:
-        self.metrics = snapshot.metrics
-        self.current_c = snapshot.current_c
-        self.served_log.extend(snapshot.served_log_delta)
-        self.latency_log.extend(snapshot.latency_log_delta)
-        self.hierarchy.clock.now_us = snapshot.clock_now_us
-        self.hierarchy.storage.counters = snapshot.storage
-        self.hierarchy.memory.counters = snapshot.memory
-        self.hierarchy.trace.events.extend(snapshot.trace_delta)
-        self.fault_stats = snapshot.fault_stats
+        # Private slots throughout: apply() *is* the settle.
+        hierarchy = self.hierarchy
+        self._metrics = snapshot.metrics
+        self._current_c = snapshot.current_c
+        self._served_log.extend(snapshot.served_log_delta)
+        self._latency_log.extend(snapshot.latency_log_delta)
+        hierarchy.clock._now_us = snapshot.clock_now_us
+        hierarchy.storage._counters = snapshot.storage
+        hierarchy.memory._counters = snapshot.memory
+        hierarchy.trace._events.extend(snapshot.trace_delta)
+        self._fault_stats = snapshot.fault_stats
 
 
 class _InterfaceCodec:
@@ -260,6 +304,10 @@ class ShardExecutor(ABC):
     #: failures surface as :class:`ShardCrashed` (fault containment)
     #: instead of poisoning the fleet.
     monitored: bool = False
+    #: whether one ``step`` runs everything submitted to retirement (a
+    #: whole batch per IPC round) instead of one scheduler cycle per shard;
+    #: the coordinator's feed quantum follows from it.
+    step_drains: bool = False
 
     @abstractmethod
     def submit(self, shard_index: int, request: Request) -> RobEntry:
@@ -621,14 +669,29 @@ def _worker_close() -> None:
 class ParallelExecutor(ShardExecutor):
     """One worker process per shard, batched envelopes over IPC.
 
-    Requests buffer locally until the next ``step``; a step is two
-    synchronized rounds across the fleet:
+    Requests buffer locally until the next ``step``; a step is two rounds
+    across the fleet, of which it waits for one:
 
     1. *run* -- each worker submits its envelope batch and drains its own
-       backlog at full speed, reporting its absolute cycle count;
+       backlog at full speed, reporting its absolute cycle count.  The
+       step blocks on this round, rebinds the retired envelopes and
+       returns.
     2. *finish* -- each worker pads to the fleet's maximum cycle count
        (lockstep only; the padded cycles do the same dummy work the
-       serial loop interleaves) and ships back a state snapshot.
+       serial loop interleaves) and ships back a state snapshot.  The
+       step only *starts* this round.  It is **settled** -- snapshots
+       applied to the mirrors, failures queued -- at the top of the next
+       ``step`` and before anything else that reads a mirror or talks to
+       a worker, so the idle shards pad beside whatever the caller does
+       with the results, not in front of it.
+
+    Every pool has one worker and is FIFO, so each shard still executes
+    ``[batch k][pad to T_k][batch k+1]`` in exactly the serial order:
+    simulated state cannot tell the rounds were overlapped.  A worker
+    that fails while padding is found by the next settle; under
+    supervision that is a failure at the start of the next step (the
+    delivered requests are already the journal's retired prefix and are
+    replayed), otherwise it poisons the fleet like any worker error.
 
     Retired envelopes rebind to the coordinator-side proxy entries the
     caller holds, so ``submit(...)`` keeps returning an object whose
@@ -636,6 +699,7 @@ class ParallelExecutor(ShardExecutor):
     """
 
     kind = "parallel"
+    step_drains = True
 
     def __init__(
         self,
@@ -661,6 +725,15 @@ class ParallelExecutor(ShardExecutor):
         #: scratch vs. inline inside the pickled envelopes.
         self.ipc_shm_bytes = 0
         self.ipc_inline_bytes = 0
+        #: round accounting: steps that reached the workers, requests they
+        #: carried, and rounds a step had to wait on (the run round, plus
+        #: the previous padding round when it was still going).
+        self.ipc_steps = 0
+        self.ipc_requests = 0
+        self.ipc_blocking_rounds = 0
+        #: shard index -> the ``_worker_finish`` future of the padding
+        #: round the last step left running (see :meth:`_settle`).
+        self._finishing: dict[int, object] = {}
         #: per-shard coordinator-owned scratch segments for envelope
         #: payloads (``None`` entries fall back to inline bytes).
         self._scratch: list = [self._create_scratch(spec.index) for spec in specs]
@@ -687,7 +760,7 @@ class ParallelExecutor(ShardExecutor):
         except Exception:
             self.close()
             raise
-        self.shards = [ShardMirror(info) for info in infos]
+        self.shards = [ShardMirror(info, self._settle) for info in infos]
         self._codec = _InterfaceCodec(infos[0].payload_bytes, infos[0].slot_bytes)
         self._pending: list[list] = [[] for _ in specs]
         self._proxies: list[dict[int, RobEntry]] = [{} for _ in specs]
@@ -806,6 +879,9 @@ class ParallelExecutor(ShardExecutor):
             "inline_payload_bytes": self.ipc_inline_bytes,
             "scratch_segments": sum(1 for s in self._scratch if s is not None),
             "scratch_bytes_each": _SCRATCH_BYTES,
+            "steps": self.ipc_steps,
+            "requests": self.ipc_requests,
+            "blocking_rounds": self.ipc_blocking_rounds,
         }
 
     # ------------------------------------------------------------- plumbing
@@ -842,32 +918,46 @@ class ParallelExecutor(ShardExecutor):
         return entry
 
     def step(self, lockstep: bool) -> list[RobEntry]:
+        """Flush every buffered batch, wait for the workers to retire it,
+        start the lockstep padding round and return the retired entries.
+
+        Per-shard fault containment under supervision: one worker failing
+        does not poison the fleet.  The failed shard's outstanding proxies
+        are dropped and the failure raised as :class:`ShardCrashed` (one
+        per step; the rest wait in ``_pending_failures``); the
+        coordinator (``ShardedHORAM.requeue_shard``) re-enters those
+        requests after the supervisor restores the shard.  Unsupervised,
+        the worker's own error is raised and the fleet is unusable.
+        """
         self._check_usable()
-        if self._pending_failures:
-            # Surface one leftover failure from a multi-failure step; the
-            # supervisor recovers shards one incident at a time.
-            raise self._pending_failures.pop(0)
+        if not all(future.done() for future in self._finishing.values()):
+            self.ipc_blocking_rounds += 1
+        self._sync()
         if not self.has_work():
             return []
         batches, self._pending = self._pending, [[] for _ in self._pools]
-        if self.monitored:
-            return self._monitored_step(batches, lockstep)
-        try:
-            runs = self._broadcast_zip(
-                _worker_run,
-                [self._pack_batch(index, batch) for index, batch in enumerate(batches)],
-            )
-            target = max(cycles for cycles, _ in runs) if lockstep else None
-            snapshots = self._broadcast(_worker_finish, target)
-        except Exception:
-            # The batch is already flushed and partially executed; the
-            # coordinator's proxies can no longer reconcile with worker
-            # state, so poison the fleet (a later drain() would otherwise
-            # spin on has_work() forever) and surface the worker's error.
-            self._broken = True
-            raise
+        live = [index for index in range(len(self._pools)) if index not in self.fenced]
+        self.ipc_steps += 1
+        self.ipc_requests += sum(len(batches[index]) for index in live)
+        self.ipc_blocking_rounds += 1
+        runs, failures = self._gather(
+            {
+                index: self._pools[index].submit(
+                    _worker_run, self._pack_batch(index, batches[index])
+                )
+                for index in live
+            }
+        )
+        # The padding round only starts here; _settle() collects it.
+        target = None
+        if lockstep and runs:
+            target = max(cycles for cycles, _ in runs.values())
+        self._finishing = {
+            index: self._pools[index].submit(_worker_finish, target) for index in runs
+        }
         retired: list[RobEntry] = []
-        for index, (proxies, (_, envelopes)) in enumerate(zip(self._proxies, runs)):
+        for index, (_, envelopes) in runs.items():
+            proxies = self._proxies[index]
             for seq, result, submit_cycle, served_cycle in self._unpack_results(
                 index, envelopes
             ):
@@ -877,9 +967,11 @@ class ParallelExecutor(ShardExecutor):
                 entry.served_cycle = served_cycle
                 entry.state = EntryState.SERVED
                 retired.append(entry)
-                self._outstanding -= 1
-        for mirror, snapshot in zip(self.shards, snapshots):
-            mirror.apply(snapshot)
+            self._outstanding -= len(envelopes)
+        if failures:
+            self._orphaned.extend(retired)
+            self._fail(failures)
+            raise self._pending_failures.pop(0)
         return retired
 
     def _gather(self, futures: "dict[int, object]", kill_on_timeout: bool = True):
@@ -903,61 +995,49 @@ class ParallelExecutor(ShardExecutor):
                 failures.append(ShardCrashed(index, _failure_kind(error), error))
         return results, failures
 
-    def _monitored_step(self, batches: list, lockstep: bool) -> list[RobEntry]:
-        """Per-shard fault containment: one worker failing does not poison
-        the fleet.
+    def _settle(self) -> None:
+        """Collect the padding round the last step left running.
 
-        A failed shard's batch is *not* delivered even if its run phase
-        succeeded: recovery rolls the shard back to its checkpoint, so
-        delivering results whose state is about to be discarded would let
-        the caller observe writes the restored shard never saw.  The
-        failed shard's outstanding proxies are dropped; the coordinator
-        (``ShardedHORAM.requeue_shard``) re-enters those requests after
-        the supervisor restores the shard.
+        Applies each worker's snapshot to its mirror.  A shard found dead
+        here failed *after* its batch was delivered, so to recovery it is
+        a failure at the start of the next step: its buffered-but-unsent
+        envelopes go with its proxies (``requeue_shard`` re-enters them
+        from the coordinator's own table, once) and the failure waits in
+        ``_pending_failures`` for the next :meth:`_sync`.
         """
-        live = [index for index in range(len(self._pools)) if index not in self.fenced]
-        runs, failures = self._gather(
-            {
-                index: self._pools[index].submit(
-                    _worker_run, self._pack_batch(index, batches[index])
-                )
-                for index in live
-            }
-        )
-        target = None
-        if lockstep and runs:
-            target = max(cycles for cycles, _ in runs.values())
-        finishes, finish_failures = self._gather(
-            {index: self._pools[index].submit(_worker_finish, target) for index in runs}
-        )
-        failures.extend(finish_failures)
-        failed = {failure.shard_index for failure in failures}
-        retired: list[RobEntry] = []
-        for index, (_, envelopes) in runs.items():
-            if index in failed:
-                continue
-            proxies = self._proxies[index]
-            for seq, result, submit_cycle, served_cycle in self._unpack_results(
-                index, envelopes
-            ):
-                entry = proxies.pop(seq)
-                entry.result = result
-                entry.submit_cycle = submit_cycle
-                entry.served_cycle = served_cycle
-                entry.state = EntryState.SERVED
-                retired.append(entry)
-                self._outstanding -= 1
-        for index, snapshot in finishes.items():
-            if index not in failed:
-                self.shards[index].apply(snapshot)
-        for index in failed:
-            self._outstanding -= len(self._proxies[index])
-            self._proxies[index].clear()
+        if not self._finishing:
+            return
+        finishing, self._finishing = self._finishing, {}
+        snapshots, failures = self._gather(finishing)
+        for index, snapshot in snapshots.items():
+            self.shards[index].apply(snapshot)
         if failures:
-            self._orphaned.extend(retired)
-            self._pending_failures.extend(failures[1:])
-            raise failures[0]
-        return retired
+            self._fail(failures)
+
+    def _sync(self) -> None:
+        """Settle, then surface one queued shard failure; the supervisor
+        recovers shards one incident at a time."""
+        self._settle()
+        if self._pending_failures:
+            raise self._pending_failures.pop(0)
+
+    def _fail(self, failures: "list[ShardCrashed]") -> None:
+        """Contain shard failures under supervision; otherwise poison the
+        fleet -- flushed batches and half-collected retirements can no
+        longer reconcile with worker state, and a later drain() would
+        spin on has_work() forever -- and raise the worker's own error."""
+        if not self.monitored:
+            self._broken = True
+            raise failures[0].cause
+        for failure in failures:
+            self._drop_shard_work(failure.shard_index)
+        self._pending_failures.extend(failures)
+
+    def _drop_shard_work(self, index: int) -> None:
+        """Forget a failed or fenced shard's buffered and in-flight work."""
+        self._outstanding -= len(self._proxies[index])
+        self._proxies[index].clear()
+        self._pending[index].clear()
 
     def has_work(self) -> bool:
         return self._outstanding > 0 or bool(self._pending_failures)
@@ -970,6 +1050,7 @@ class ParallelExecutor(ShardExecutor):
 
     def force_shuffle(self) -> None:
         self._check_usable()
+        self._sync()
         try:
             snapshots = self._broadcast(_worker_force_shuffle)
         except Exception:
@@ -990,6 +1071,7 @@ class ParallelExecutor(ShardExecutor):
         decorrelated; recoverable faults perturb only timing, so results
         remain bit-identical to a fault-free (or serial) run.
         """
+        self._sync()
         plans = [
             replace(plan, seed=plan.seed + index) for index in range(len(self._pools))
         ]
@@ -1022,6 +1104,7 @@ class ParallelExecutor(ShardExecutor):
             raise RuntimeError(
                 "parallel fleets snapshot at quiescent points only; drain() first"
             )
+        self._sync()
         return self._broadcast(_worker_state)
 
     def load_states(self, payloads: "list[tuple[dict, dict[str, bytes]]]") -> None:
@@ -1031,8 +1114,9 @@ class ParallelExecutor(ShardExecutor):
             raise ValueError(
                 f"{len(payloads)} shard states for {len(self._pools)} workers"
             )
+        self._settle()
         infos: list[ShardInfo] = self._broadcast_zip(_worker_load_state, payloads)
-        self.shards = [ShardMirror(info) for info in infos]
+        self.shards = [ShardMirror(info, self._settle) for info in infos]
 
     # ------------------------------------------------------------ supervision
     def shard_state(self, index: int) -> "tuple[dict, dict[str, bytes]]":
@@ -1042,6 +1126,7 @@ class ParallelExecutor(ShardExecutor):
             raise RuntimeError(
                 f"shard {index} snapshots at quiescent points only; drain() first"
             )
+        self._sync()
         return self._pools[index].submit(_worker_state).result(
             timeout=self.heartbeat_timeout_s
         )
@@ -1052,9 +1137,9 @@ class ParallelExecutor(ShardExecutor):
         if index in self.fenced:
             return
         self.fenced.add(index)
-        self._outstanding -= len(self._proxies[index])
-        self._proxies[index].clear()
-        self._pending[index].clear()
+        # Its padding round dies with the worker: dropped, never awaited.
+        self._finishing.pop(index, None)
+        self._drop_shard_work(index)
         self._pending_failures = [
             failure
             for failure in self._pending_failures
@@ -1067,6 +1152,7 @@ class ParallelExecutor(ShardExecutor):
     def heartbeats(self) -> "dict[int, float]":
         """Ping every live worker over IPC (timeout ⇒ ShardCrashed)."""
         self._check_usable()
+        self._sync()
         beats, failures = self._gather(
             {
                 index: self._pools[index].submit(_worker_ping)
@@ -1088,6 +1174,8 @@ class ParallelExecutor(ShardExecutor):
         old process still answers -- keeps one recovery path for every
         failure kind.
         """
+        # The old worker's padding round dies with it: dropped, never awaited.
+        self._finishing.pop(index, None)
         self._shutdown_pool(index)
         # The dead worker never closed: reap its slab segment so the fresh
         # worker creates a clean one instead of attaching stale pages.
@@ -1105,7 +1193,7 @@ class ParallelExecutor(ShardExecutor):
         info = self._pools[index].submit(_worker_describe).result(
             timeout=self.heartbeat_timeout_s
         )
-        self.shards[index] = ShardMirror(info)
+        self.shards[index] = ShardMirror(info, self._settle)
         self.fenced.discard(index)
         self.worker_plans.pop(index, None)
 
@@ -1114,7 +1202,7 @@ class ParallelExecutor(ShardExecutor):
         info = self._pools[index].submit(_worker_load_state, payload).result(
             timeout=self.heartbeat_timeout_s
         )
-        self.shards[index] = ShardMirror(info)
+        self.shards[index] = ShardMirror(info, self._settle)
 
     def replay_shard(self, index: int, envelopes: list) -> None:
         """Re-execute journaled requests on a restored worker, then sync
@@ -1170,6 +1258,15 @@ class ParallelExecutor(ShardExecutor):
                 future.result(timeout=self.close_timeout_s)
             except Exception:
                 self._kill_worker(index)
+        # Pools are FIFO: a worker that answered _worker_close has answered
+        # its padding round, so the last snapshot is there for the taking;
+        # a killed worker's future is dropped (the shutdown below fails it).
+        finishing, self._finishing = self._finishing, {}
+        for index, future in finishing.items():
+            try:
+                self.shards[index].apply(future.result(timeout=0))
+            except Exception:
+                pass
         for pool in self._pools:
             pool.shutdown(wait=True, cancel_futures=True)
         # With every worker gone, reap whatever shm the fleet still owns:

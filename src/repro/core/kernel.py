@@ -285,6 +285,11 @@ class EngineKernel(ProtocolBackend, ORAMProtocol):
         """Whether any submitted request has not yet been served."""
         return self.rob.has_work()
 
+    def feed_quantum(self) -> int:
+        """How many queued requests one ``step`` can look across: the
+        scheduler's lookahead window at the current stage."""
+        return max(2, self.config.window_for(self.current_c))
+
     def retire(self) -> list[RobEntry]:
         """Pop served entries waiting at the ROB head (in program order)."""
         return self.rob.retire()

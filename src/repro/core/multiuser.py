@@ -18,8 +18,13 @@ The front end is back-end agnostic: anything implementing the batched
 :class:`~repro.core.horam.HybridORAM` and the sharded
 :class:`~repro.core.sharding.ShardedHORAM`.  When the back end also
 exposes ``step``/``has_work``/``retire`` (both of the above do), the
-front end interleaves feeding with cycle execution; otherwise it falls
-back to feed-everything-then-drain.
+front end interleaves feeding with execution one ``step`` at a time;
+otherwise each round ends in a ``drain``.  How much to feed per round is
+the back end's statement (``feed_quantum()``): a kernel its lookahead
+window, a serially stepped fleet one window per shard, and a back end
+whose quantum is a whole drain (workers behind IPC, anything supervised)
+``None`` -- everything queued, which the caller's admission bound caps.
+A back end that states nothing is fed everything queued as well.
 """
 
 from __future__ import annotations
@@ -84,9 +89,6 @@ class _UserQueue:
 
 class MultiUserFrontEnd:
     """Round-robin, ACL-checked multiplexer over one oblivious back end."""
-
-    #: fallback feed batch when the back end exposes no window sizing.
-    _DEFAULT_BATCH = 8
 
     def __init__(self, oram):
         if not (hasattr(oram, "submit") and hasattr(oram, "drain")):
@@ -168,10 +170,13 @@ class MultiUserFrontEnd:
         return False
 
     def pump(self, max_cycles: int | None = None) -> list[RobEntry]:
-        """Feed queued requests round-robin and run scheduler cycles.
+        """Feed queued requests round-robin and run the back end.
 
+        Each round moves one ``feed_quantum()`` of requests into the back
+        end -- the whole backlog when the back end drains per call -- and
+        runs one ``step`` (``drain`` where the back end hides ``step``).
         Returns all entries retired.  Stops when every user queue and the
-        back end have drained (or after ``max_cycles`` cycles).
+        back end have drained (or after ``max_cycles`` rounds).
         """
         retired: list[RobEntry] = []
         cycles = 0
@@ -220,22 +225,15 @@ class MultiUserFrontEnd:
     def _has_queued(self) -> bool:
         return any(entry.queue for entry in self._users.values())
 
-    def _feed_batch(self) -> int:
-        config = getattr(self.oram, "config", None)
-        current_c = getattr(self.oram, "current_c", None)
-        if config is not None and current_c is not None and hasattr(config, "window_for"):
-            return max(2, config.window_for(current_c))
-        return self._DEFAULT_BATCH
-
-    def _feed_round_robin(self, batch: int | None = None) -> None:
-        """Move up to one window's worth of requests into the shared ROB."""
+    def _feed_round_robin(self) -> None:
+        """Move one back-end feed quantum of requests into the shared ROB."""
         if not self._round_robin:
             return
-        if batch is None:
-            batch = self._feed_batch()
+        quantum = getattr(self.oram, "feed_quantum", None)
+        batch = quantum() if quantum is not None else None
         moved = 0
         idle_passes = 0
-        while moved < batch and idle_passes < len(self._round_robin):
+        while (batch is None or moved < batch) and idle_passes < len(self._round_robin):
             user = self._round_robin[self._cursor]
             self._cursor = (self._cursor + 1) % len(self._round_robin)
             queue = self._users[user].queue

@@ -278,6 +278,13 @@ class ShardedHORAM(ORAMProtocol):
     def has_work(self) -> bool:
         return self.executor.has_work()
 
+    def feed_quantum(self) -> int | None:
+        """One kernel window per shard when a ``step`` is one cycle on every
+        shard; ``None`` (everything queued) when a ``step`` drains."""
+        if self.executor.step_drains:
+            return None
+        return self.n_shards * max(2, self.config.window_for(self.current_c))
+
     def retire(self) -> list[RobEntry]:
         """Collect served entries waiting at every shard's ROB head."""
         return self._restore(self.executor.retire())

@@ -231,22 +231,34 @@ class FleetSupervisor:
         ``entry.result`` None); callers that index results by the entry
         objects they hold are unaffected.
         """
+        return self._drain(every_shard=False)[0]
+
+    def _drain(self, every_shard: bool) -> "tuple[list[RobEntry], int]":
+        """Drain, then checkpoint the shards that are due (or all of them).
+
+        The checkpoint sits inside the recovery loop: a parallel worker
+        that died while padding after its last batch is only found when
+        the checkpoint next talks to it, and is recovered like any other
+        incident before the save is retried.
+        """
         out: list[RobEntry] = []
         while True:
             try:
                 while self.fleet.has_work():
                     out.extend(self.fleet.step())
                 out.extend(self.fleet.retire())
-                break
+                return out, self._save_checkpoints(every_shard)
             except ShardCrashed as failure:
                 # Survivors' retirements from the aborted step first.
                 out.extend(self.fleet.retire())
                 out.extend(self._handle_failure(failure))
-        self._maybe_checkpoint()
-        return out
 
     def has_work(self) -> bool:
         return self.fleet.has_work()
+
+    def feed_quantum(self) -> None:
+        """Everything queued: recovery lives in :meth:`drain`, not ``step``."""
+        return None
 
     def retire(self) -> list[RobEntry]:
         return self.fleet.retire()
@@ -428,24 +440,20 @@ class FleetSupervisor:
         and fenced shards are skipped (there is nothing live to save).
         Returns the number of shards checkpointed.
         """
-        self.drain()
+        return self._drain(every_shard=True)[1]
+
+    def _save_checkpoints(self, every_shard: bool) -> int:
+        """At a quiescent drain boundary: save each live shard whose
+        cadence is due, or every live shard."""
+        cadence = self.config.checkpoint_every_ops
         saved = 0
         for index in range(self.fleet.n_shards):
             if index in self.fleet.fenced:
                 continue
-            self._checkpoint(index)
-            saved += 1
-        return saved
-
-    def _maybe_checkpoint(self) -> None:
-        """Cadence check at a quiescent drain boundary."""
-        if self.config.checkpoint_every_ops <= 0:
-            return
-        for index in range(self.fleet.n_shards):
-            if index in self.fleet.fenced:
-                continue
-            if self._ops_since_ckpt[index] >= self.config.checkpoint_every_ops:
+            if every_shard or 0 < cadence <= self._ops_since_ckpt[index]:
                 self._checkpoint(index)
+                saved += 1
+        return saved
 
     def _checkpoint(self, index: int) -> None:
         store = self.stores[index]

@@ -260,7 +260,10 @@ class _JournalingBackend:
     ``step`` is exposed only for stacks that step safely; a
     :class:`~repro.core.supervisor.FleetSupervisor` recovers crashes
     inside ``drain``, so hiding ``step`` makes the front end fall back
-    to the supervised drain path.
+    to the supervised drain path.  How much the front end feeds per
+    round is the stack's own ``feed_quantum()``, forwarded untouched: a
+    kernel's window, or -- for a stack that drains per call -- the whole
+    admitted backlog, which ``max_inflight`` already bounds.
     """
 
     def __init__(self, stack, journal: list[JournalRecord], idem_of: dict):
@@ -306,13 +309,8 @@ class _JournalingBackend:
     def retire(self):
         return self._stack.retire()
 
-    @property
-    def config(self):
-        return getattr(self._stack, "config", None)
-
-    @property
-    def current_c(self):
-        return getattr(self._stack, "current_c", None)
+    def feed_quantum(self):
+        return self._stack.feed_quantum()
 
 
 @dataclass

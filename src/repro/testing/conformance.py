@@ -223,6 +223,15 @@ def default_matrix(scale: str = "quick") -> list[ScenarioSpec]:
             n_blocks=1024, n_shards=2, executor="parallel", supervised=True,
             storm=StormSpec(crash_ops=[120]),
         ),
+        # Every request aliases onto shard 0, so each cycle shard 1 runs is
+        # lockstep padding: its crash point fires inside the overlapped
+        # padding round, after that step's results were already delivered.
+        _spec(
+            "sharded2-parallel-supervised-padding-storm-hdd", "sharded", "stride", 200 * m,
+            n_blocks=1024, n_shards=2, executor="parallel", supervised=True,
+            write_ratio=0.25, params={"step": 2},
+            storm=StormSpec(crash_ops=[60]),
+        ),
         # -- the asyncio serving front door (socket stream vs direct twin)
         _spec(
             "serve-sharded2-hotspot-hdd", "sharded", "hotspot", 220 * m,

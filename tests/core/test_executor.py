@@ -153,6 +153,78 @@ class TestParallelEquivalence:
             sharded.close()
 
 
+def _step_view(sharded) -> dict:
+    """Everything a reader can see of a fleet between two steps."""
+    hierarchy = sharded.hierarchy
+    return {
+        "metrics": sharded.metrics.to_dict(),
+        "served_log": sharded.served_log,
+        "shard_metrics": [m.to_dict() for m in sharded.shard_metrics()],
+        "storage": hierarchy.storage.snapshot(),
+        "memory": hierarchy.memory.snapshot(),
+        "clock_us": hierarchy.clock.now_us,
+        "shard_stores": [
+            (s.hierarchy.storage.snapshot(), s.hierarchy.memory.snapshot())
+            for s in sharded.shards
+        ],
+    }
+
+
+class TestOverlappedPadding:
+    """A step returns before the idle shards have padded; whoever reads
+    the fleet next must still see the padded state, every time."""
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_every_step_reads_like_serial(self, n_shards):
+        serial = _build("serial", n_shards)
+        parallel = _build("parallel", n_shards)
+        try:
+            stream = _stream(serial.n_blocks, 260)
+            sizes = [1, 1, 3, 32, 7, 64, 2, 50, 100]
+            assert sum(sizes) == len(stream)
+            start = 0
+            for size in sizes:
+                batch = stream[start : start + size]
+                start += size
+                for fleet in (serial, parallel):
+                    for request in batch:
+                        fleet.submit(request)
+                got = parallel.step()  # one step is the whole batch
+                want = serial.drain()
+                assert [e.result for e in got] == [e.result for e in want]
+                assert not parallel.has_work()
+                assert _step_view(parallel) == _step_view(serial), (
+                    f"diverged after the batch ending at request {start}"
+                )
+            stats = parallel.executor.ipc_stats()
+            assert stats["steps"] == len(sizes)
+            assert stats["requests"] == len(stream)
+            # One round per step on the critical path, plus at most the
+            # previous padding round when the next step caught it running.
+            assert stats["steps"] <= stats["blocking_rounds"] <= 2 * stats["steps"] - 1
+        finally:
+            serial.close()
+            parallel.close()
+
+    def test_back_to_back_steps_keep_the_fifo_order(self):
+        """No read between steps: batch k+1 queues behind padding k in
+        each worker, and the end state is still the serial one."""
+        serial = _build("serial", 2, trace=True)
+        parallel = _build("parallel", 2, trace=True)
+        try:
+            stream = _stream(serial.n_blocks, 200)
+            for start in range(0, 200, 8):
+                for fleet in (serial, parallel):
+                    for request in stream[start : start + 8]:
+                        fleet.submit(request)
+                    fleet.drain()
+            assert _step_view(parallel) == _step_view(serial)
+            assert _trace_digest(parallel) == _trace_digest(serial)
+        finally:
+            serial.close()
+            parallel.close()
+
+
 class TestParallelFaults:
     def test_fault_scenario_through_parallel_executor(self):
         """Recoverable faults in the workers leave results oracle-exact."""

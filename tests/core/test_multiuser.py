@@ -160,3 +160,93 @@ class TestServiceAndFairness:
         lat1 = front.stats(1).mean_latency_cycles
         assert lat0 > 0 and lat1 > 0
         assert max(lat0, lat1) / min(lat0, lat1) < 2.5
+
+
+# Every stack shape repro.testing.stacks can build that takes a front end.
+_SHAPES = {
+    "kernel": dict(protocol="horam"),
+    "sharded-serial": dict(protocol="sharded", n_shards=2),
+    "sharded-parallel": dict(protocol="sharded", n_shards=2, executor="parallel"),
+    "supervised-serial": dict(protocol="sharded", n_shards=2, supervised=True),
+    "supervised-parallel": dict(
+        protocol="sharded", n_shards=2, executor="parallel", supervised=True
+    ),
+}
+
+
+class TestFeedQuantum:
+    """How much one pump round feeds is the back end's statement."""
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_every_stack_states_at_least_a_window_per_shard(self, shape):
+        from repro.testing.stacks import StackSpec, build_stack
+
+        built = build_stack(StackSpec(n_blocks=512, mem_blocks=128, **_SHAPES[shape]))
+        try:
+            kernel = built.protocol  # the fleet's template config when sharded
+            window = kernel.config.window_for(kernel.current_c)
+            stated = built.driver.feed_quantum()
+            # None is "everything queued": no bound at all.
+            assert stated is None or stated >= built.spec.n_shards * window
+            whole_drain = built.spec.executor == "parallel" or built.spec.supervised
+            assert (stated is None) == whole_drain
+        finally:
+            built.cleanup()
+
+    def test_single_kernel_feeds_exactly_its_window_each_cycle(self, front):
+        oram = front.oram
+
+        def window():
+            return max(2, oram.config.window_for(oram.current_c))
+
+        submit, step = oram.submit, oram.step
+        fed_per_cycle, windows, fed = [], [window()], [0]
+
+        def counting_submit(request):
+            fed[0] += 1
+            return submit(request)
+
+        def counting_step():
+            fed_per_cycle.append(fed[0])
+            fed[0] = 0
+            retired = step()
+            windows.append(window())  # what the *next* feed will see
+            return retired
+
+        oram.submit, oram.step = counting_submit, counting_step
+        for i in range(60):
+            front.submit(0, Request.read(i))
+            front.submit(1, Request.read(256 + i))
+        assert len(front.pump()) == 120
+        remaining = 120
+        for got, want in zip(fed_per_cycle, windows):
+            assert got == min(want, remaining)
+            remaining -= got
+        assert remaining == 0 and len(fed_per_cycle) > 120 // max(windows)
+
+    def test_a_back_end_that_states_nothing_gets_everything_queued(self):
+        class Drainer:
+            """submit()/drain() only: no step, no feed_quantum."""
+
+            def __init__(self):
+                self.batches, self._queued = [], []
+
+            def submit(self, request):
+                self._queued.append(request)
+
+            def drain(self):
+                from repro.core.rob import RobEntry
+
+                self.batches.append(len(self._queued))
+                retired = [RobEntry(request=request) for request in self._queued]
+                self._queued = []
+                return retired
+
+        backend = Drainer()
+        front = MultiUserFrontEnd(backend)
+        for user in range(3):
+            front.register_user(user)
+        for i in range(30):
+            front.submit(i % 3, Request.read(i))
+        assert len(front.pump()) == 30
+        assert backend.batches == [30]

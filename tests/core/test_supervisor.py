@@ -337,3 +337,87 @@ class TestParallelSupervision:
             assert results == twin
         finally:
             supervisor.close()
+
+
+class TestCrashWhilePadding:
+    """A worker that dies inside ``_worker_finish`` -- after its step's
+    results were already handed out -- is recovered as a failure at the
+    start of whatever talks to it next."""
+
+    def _run(self, ckpt_dir, cadence):
+        from repro.oram.base import Request
+
+        supervisor = _supervised(
+            ckpt_dir, n_shards=2, executor="parallel", checkpoint_every_ops=cadence
+        )
+        try:
+            # Shard 1 alone, and only even addresses in the first batch:
+            # every cycle it runs there is padding, so its third physical
+            # access -- the crash point -- is inside the padding round.
+            supervisor.executor.install_fault_plan_shard(
+                1, FaultPlan(seed=0, crash_schedule=[3], crash_op_kind="any")
+            )
+            first = [
+                Request.write(addr, b"w%d" % addr) if addr % 8 == 0 else Request.read(addr)
+                for addr in range(0, 48, 2)
+            ]
+            second = [Request.read(addr) for addr in (0, 1, 8, 3, 16, 5, 7, 9)]
+            entries = [supervisor.submit(request) for request in first]
+            delivered = supervisor.drain()
+            after_first = supervisor.event_trace()
+            first_results = [entry.result for entry in entries]
+            entries += [supervisor.submit(request) for request in second]
+            delivered += supervisor.drain()
+            return {
+                "after_first": after_first,
+                "first_results": first_results,
+                "results": [entry.result for entry in entries],
+                "delivered": [id(entry) for entry in delivered],
+                "entries": [id(entry) for entry in entries],
+                "journaled": list(supervisor._ops_journaled),
+                "trace": supervisor.event_trace(),
+                "report": supervisor.recovery_report(),
+                "twin": _twin_results(first + second, 2),
+            }
+        finally:
+            supervisor.close()
+
+    def test_found_by_the_next_step_and_recovered_exactly_once(self, ckpt_dir):
+        run = self._run(ckpt_dir, cadence=0)
+        # The first drain returned before anyone looked at shard 1 again.
+        assert not [e for e in run["after_first"] if e[0] == "crash_detected"]
+        assert all(result is not None for result in run["first_results"])
+        # Already-delivered results are kept, each entry retired once.
+        assert run["results"][: len(run["first_results"])] == run["first_results"]
+        assert run["delivered"] == run["entries"]
+        assert run["results"] == run["twin"]
+        # One journal entry per request: the requeue after recovery did
+        # not journal (or send) the buffered second batch twice.
+        assert run["journaled"] == [24 + 3, 5]
+        incidents = run["report"]["incidents"]
+        assert [(i["shard"], i["kind"], i["outcome"]) for i in incidents] == [
+            (1, "crash", "restored")
+        ]
+
+    def test_found_by_a_cadence_checkpoint_at_the_drain_boundary(self, ckpt_dir):
+        run = self._run(ckpt_dir, cadence=8)
+        # Shard 0's checkpoint came due after the first drain; talking to
+        # the workers for it settled the padding round and found the crash.
+        kinds = [kind for kind, _shard, _attempt in run["after_first"]]
+        assert kinds.count("crash_detected") == 1
+        assert kinds.index("crash_detected") < kinds.index("restored")
+        assert ("checkpoint", 0, 0) in run["after_first"][kinds.index("restored") :]
+        assert run["results"] == run["twin"]
+        assert run["report"]["restores"] == 1 and run["report"]["fences"] == 0
+
+    @pytest.mark.parametrize("cadence", [0, 8])
+    def test_recovery_trace_is_seed_deterministic(self, cadence):
+        traces = []
+        for _ in range(2):
+            path = tempfile.mkdtemp(prefix="horam-sup-test-")
+            try:
+                traces.append(self._run(path, cadence)["trace"])
+            finally:
+                shutil.rmtree(path, ignore_errors=True)
+        assert traces[0] == traces[1]
+        assert ("crash_detected", 1, 0) in traces[0]

@@ -311,6 +311,77 @@ class TestShardedServing:
         assert diff_served(server.journal, server.served_by_seq, twin).identical
 
 
+class TestFeedQuantum:
+    """The pump hands the back end its own quantum, not a guess."""
+
+    def test_backend_shim_forwards_the_stacks_statement(self):
+        stack = _horam()
+        backend = ORAMServer(stack)._backend
+        assert backend.feed_quantum() == stack.feed_quantum()
+        # The old sniffing surface is gone, not kept beside the contract.
+        assert not hasattr(backend, "config")
+        assert not hasattr(backend, "current_c")
+
+    def test_supervised_parallel_fleet_gets_the_whole_backlog(self, run):
+        """32 queued requests from 3 bursty tenants: one executor step,
+        journaled in tenant round-robin order, twin-identical."""
+        tenants = [0] * 16 + [1] * 10 + [2] * 6
+        addrs = [(7 * i) % 256 for i in range(32)]
+
+        async def scenario():
+            built = build_stack(
+                StackSpec(
+                    protocol="sharded", n_blocks=256, mem_blocks=64, n_shards=2,
+                    seed=9, executor="parallel", supervised=True,
+                )
+            )
+            try:
+                executor = built.protocol.executor
+                step, batches = executor.step, []
+
+                def counting_step(lockstep):
+                    retired = step(lockstep)
+                    batches.append(len(retired))
+                    return retired
+
+                executor.step = counting_step
+                server = ORAMServer(built.driver)
+                for tenant in range(3):
+                    server.add_tenant(tenant)
+                server.ensure_pump()
+                futures = [
+                    server._admit(
+                        {"id": i, "op": "read", "addr": addr, "tenant": tenant}
+                    )[1]
+                    for i, (addr, tenant) in enumerate(zip(addrs, tenants))
+                ]
+                responses = await asyncio.gather(*futures)
+                await server.close()
+                return server, responses, batches
+            finally:
+                built.cleanup()
+
+        server, responses, batches = run(scenario())
+        assert all(r["ok"] for r in responses)
+        assert len(batches) <= 2 and sum(batches) == 32
+        # Round-robin over the tenant FIFOs, exactly as before the feed
+        # quantum grew: 0,1,2,0,1,2,... until a tenant runs dry.
+        fifos = {t: [i for i in range(32) if tenants[i] == t] for t in range(3)}
+        expected = []
+        while any(fifos.values()):
+            for tenant in range(3):
+                if fifos[tenant]:
+                    expected.append(fifos[tenant].pop(0))
+        assert [(r.tenant, r.addr) for r in server.journal] == [
+            (tenants[i], addrs[i]) for i in expected
+        ]
+        twin = replay_direct(
+            server.journal,
+            build_sharded_horam(n_blocks=256, mem_tree_blocks=64, n_shards=2, seed=9),
+        )
+        assert diff_served(server.journal, server.served_by_seq, twin).identical
+
+
 class TestTransportLifecycle:
     def test_tcp_round_trip(self, run):
         async def scenario():

@@ -25,9 +25,11 @@ from repro.workload.generators import WorkloadSpec, hotspot
 @pytest.fixture
 def segments_before():
     before = set(active_segments())
+    children = set(multiprocessing.active_children())
     yield before
     leaked = set(active_segments()) - before
     assert not leaked, f"leaked shm segments: {sorted(leaked)}"
+    assert not (set(multiprocessing.active_children()) - children), "live child"
 
 
 def _fleet(n_shards=2, executor="parallel"):
@@ -69,6 +71,34 @@ class TestExecutorTeardown:
         for request in _requests(8):
             fleet.submit(request)
         fleet.step()  # leave retirements unharvested
+        fleet.close()
+
+    @pytest.mark.parametrize("teardown", ["close", "kill-close", "fence", "respawn"])
+    def test_teardown_mid_padding(self, segments_before, teardown):
+        """A padding round still running on an idle shard (every request
+        goes to shard 0; shard 1 stalls inside its third padded access)
+        must not keep a segment or a child alive on any way down."""
+        fleet = _fleet()
+        executor = fleet.executor
+        executor.monitored = True
+        executor.install_fault_plan_shard(
+            1,
+            FaultPlan(
+                seed=0, hang_at_op=3, hang_wall_s=0.3 if teardown == "close" else 60.0
+            ),
+        )
+        for request in _requests(12):
+            if request.addr % 2 == 0:
+                fleet.submit(request)
+        assert fleet.step()
+        assert not executor._finishing[1].done()
+        if teardown == "kill-close":
+            executor._kill_worker(1)
+        elif teardown == "fence":
+            executor.fence_shard(1)
+        elif teardown == "respawn":
+            executor.respawn_shard(1)
+            _drive(fleet, 4)
         fleet.close()
 
     def test_fence_reaps_the_fenced_shards_slab(self, segments_before):

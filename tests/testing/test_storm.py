@@ -18,7 +18,7 @@ from repro.testing.scenario import (
     StormSpec,
 )
 from repro.testing.stacks import StackSpec
-from repro.workload.generators import WorkloadSpec
+from repro.workload.generators import WorkloadSpec, make_workload
 
 _RUNNER = ScenarioRunner()
 
@@ -72,6 +72,27 @@ class TestStormScenarios:
         assert result.ok, "\n".join(result.failures)
         assert result.crash_info["crashes"] >= 1
         assert result.crash_info["restores"] == result.crash_info["crashes"]
+
+    def test_crash_inside_the_padding_round_conforms(self):
+        """The conformance matrix's padding storm: shard 1 serves nothing
+        (every address is even), so its crash fires while it pads -- after
+        the step that started the padding had delivered its results."""
+        from repro.testing.conformance import default_matrix
+
+        (spec,) = [
+            s for s in default_matrix("quick") if "padding-storm" in s.name
+        ]
+        assert all(r.addr % 2 == 0 for r in make_workload(spec.workload))
+        first = _RUNNER.run(spec)
+        assert first.ok, "\n".join(first.failures)
+        assert first.mismatches == 0
+        info = first.crash_info
+        assert info["fenced"] == [] and info["failed_fast"] == 0
+        crashed = sorted(shard for kind, shard, _ in info["trace"] if kind == "crash_detected")
+        assert crashed == [0, 1]  # the idle shard's crash was found and recovered
+        assert info["restores"] == 2
+        again = _RUNNER.run(spec)
+        assert again.crash_info["trace"] == info["trace"]
 
     def test_expected_fencing_degrades_gracefully(self):
         result = _RUNNER.run(
