@@ -21,6 +21,13 @@ interpretable across machines, and each parallel cell carries the
 executor's round accounting (``rounds_per_step``, ``requests_per_step``)
 beside ``payload_bytes_per_cycle``.
 
+One big batch hides the per-step cost of the transport, so a second
+section (``small_batches``) times what a served fleet actually issues:
+the median wall time of one *supervised* submit + drain at 1, 8 and 32
+requests on two shards, serial vs parallel, with the number of threads
+the coordinator runs once the fleet is built and stepping (the parallel
+transport is one pipe per worker and must add none).
+
 The result is persisted to ``BENCH_parallel.json`` at the repo root,
 mirroring ``BENCH_wallclock.json`` / ``BENCH_sharding.json``.
 
@@ -36,7 +43,10 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
+import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -48,6 +58,7 @@ except ImportError:  # pragma: no cover - convenience for direct invocation
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.sharding import build_sharded_horam
+from repro.core.supervisor import FleetSupervisor, SupervisorConfig
 from repro.crypto.random import DeterministicRandom
 from repro.sim.engine import SimulationEngine
 from repro.workload.generators import hotspot
@@ -57,6 +68,13 @@ SMOKE_SHARDS = (1, 2)
 
 FULL_CONFIG = {"n_blocks": 8192, "mem_tree_blocks": 1024, "requests": 4000}
 SMOKE_CONFIG = {"n_blocks": 1024, "mem_tree_blocks": 256, "requests": 300}
+
+#: the small-batch cells: fleet width, requests per supervised drain, and
+#: how many drains of each size a run times.
+DRAIN_SHARDS = 2
+DRAIN_SIZES = (1, 8, 32)
+FULL_DRAINS = 200
+SMOKE_DRAINS = 10
 
 
 def _stream(n_blocks: int, count: int):
@@ -163,6 +181,70 @@ def run_cell(n_shards: int, config: dict, trials: int = 1) -> dict:
     }
 
 
+def run_small_batches(executor: str, config: dict, drains: int) -> dict:
+    """Median ms per supervised submit + drain at each of ``DRAIN_SIZES``
+    on a ``DRAIN_SHARDS``-wide fleet (cadence checkpoints off: the drain
+    alone)."""
+    fleet = build_sharded_horam(
+        n_blocks=config["n_blocks"],
+        mem_tree_blocks=config["mem_tree_blocks"],
+        n_shards=DRAIN_SHARDS,
+        seed=0,
+        executor=executor,
+    )
+    with tempfile.TemporaryDirectory(prefix="horam-bench-parallel-") as ckpt_dir:
+        supervisor = FleetSupervisor(
+            fleet, ckpt_dir, SupervisorConfig(checkpoint_every_ops=0)
+        )
+        try:
+            stream = iter(_stream(config["n_blocks"], drains * sum(DRAIN_SIZES)))
+            drain_ms, results = {}, []
+            for size in DRAIN_SIZES:
+                times = []
+                for _ in range(drains):
+                    batch = [next(stream) for _ in range(size)]
+                    start = time.perf_counter()
+                    entries = [supervisor.submit(request) for request in batch]
+                    supervisor.drain()
+                    times.append(time.perf_counter() - start)
+                    results.extend(entry.result for entry in entries)
+                drain_ms[size] = round(statistics.median(times) * 1e3, 3)
+            return {
+                "drain_ms": drain_ms,
+                "coordinator_threads": threading.active_count(),
+                "results": results,
+            }
+        finally:
+            supervisor.close()
+
+
+def small_batch_section(config: dict, drains: int) -> dict:
+    serial = run_small_batches("serial", config, drains)
+    parallel = run_small_batches("parallel", config, drains)
+    return {
+        "shards": DRAIN_SHARDS,
+        "supervised": True,
+        "checkpoint_every_ops": 0,
+        "drains_per_size": drains,
+        "cells": [
+            {
+                "requests_per_drain": size,
+                "serial_drain_ms": serial["drain_ms"][size],
+                "parallel_drain_ms": parallel["drain_ms"][size],
+                "speedup_parallel_vs_serial": round(
+                    serial["drain_ms"][size] / parallel["drain_ms"][size], 2
+                ),
+            }
+            for size in DRAIN_SIZES
+        ],
+        "coordinator_threads": {
+            "serial": serial["coordinator_threads"],
+            "parallel": parallel["coordinator_threads"],
+        },
+        "identical": serial["results"] == parallel["results"],
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -208,6 +290,20 @@ def main(argv: list[str] | None = None) -> int:
             + ("bit-identical" if cell["identical"] else f"DIVERGED: {cell['divergences']}")
         )
 
+    small = small_batch_section(config, SMOKE_DRAINS if args.smoke else FULL_DRAINS)
+    diverged |= not small["identical"]
+    for cell in small["cells"]:
+        print(
+            f"supervised drain of {cell['requests_per_drain']:>2} request(s), {small['shards']} shards: "
+            f"serial {cell['serial_drain_ms']} ms, parallel {cell['parallel_drain_ms']} ms "
+            f"({cell['speedup_parallel_vs_serial']}x)"
+        )
+    print(
+        f"coordinator threads: serial {small['coordinator_threads']['serial']}, "
+        f"parallel {small['coordinator_threads']['parallel']}; "
+        + ("same served bytes" if small["identical"] else "DIVERGED: small-batch results")
+    )
+
     report = {
         "benchmark": "bench_parallel",
         "mode": "smoke" if args.smoke else "full",
@@ -226,6 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         # the flag clears as soon as the host is genuinely multicore.
         "hardware_limited": cpus < 2,
         "cells": cells,
+        "small_batches": small,
         "all_identical": not diverged,
     }
 

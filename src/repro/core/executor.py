@@ -9,8 +9,10 @@ module factors the "run the fleet" concern out of the coordinator into a
 * :class:`SerialExecutor` -- the original in-process lockstep loop; the
   default, and the reference the golden fingerprints pin.
 * :class:`ParallelExecutor` -- one dedicated worker **process** per shard
-  (a single-worker :class:`~concurrent.futures.ProcessPoolExecutor`
-  each, so shard state stays pinned to its process).  The coordinator
+  on one duplex pipe (a :class:`~repro.core.worker_channel.WorkerChannel`
+  each: shard state stays pinned to its process, calls are pickled
+  from the calling thread and answered in order, and the coordinator
+  runs no helper thread for any of it).  The coordinator
   buffers submitted requests into per-shard envelope batches; a step
   flushes each batch over IPC, lets every worker retire its own backlog
   at full speed and merges the retired envelopes back in global
@@ -45,11 +47,10 @@ from __future__ import annotations
 
 import multiprocessing
 from abc import ABC, abstractmethod
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field, fields, replace
 
 from repro.core.rob import EntryState, RobEntry
+from repro.core.worker_channel import FuturesTimeout, WorkerChannel, WorkerLost
 from repro.oram.base import OpKind, Request
 from repro.sim.metrics import Metrics
 from repro.storage.backend import StoreCounters
@@ -96,7 +97,7 @@ def _failure_kind(error: BaseException) -> str:
         return "hung"
     if isinstance(error, CrashFault):
         return "crash"
-    if isinstance(error, BrokenExecutor):
+    if isinstance(error, WorkerLost):
         return "dead"
     return "error"
 
@@ -482,8 +483,8 @@ class SerialExecutor(ShardExecutor):
 
 
 # --------------------------------------------------------------------------
-# Worker-process side.  Each process owns exactly one shard (every pool is
-# max_workers=1), kept in this module-global between calls.
+# Worker-process side.  Each process owns exactly one shard (one worker per
+# channel), kept in this module-global between calls.
 # --------------------------------------------------------------------------
 _WORKER: dict = {}
 
@@ -498,7 +499,7 @@ def _worker_init(spec: ShardBuildSpec, scratch_name: str | None = None) -> None:
 
         # The coordinator created this segment before spawning us; an
         # attach failure means the transport contract is already broken,
-        # so fail the pool loudly instead of silently disagreeing about
+        # so fail the worker loudly instead of silently disagreeing about
         # where payload bytes live.
         scratch = shared_memory.SharedMemory(name=scratch_name)
     shard = shard_builder(spec.protocol)(
@@ -685,13 +686,14 @@ class ParallelExecutor(ShardExecutor):
        a worker, so the idle shards pad beside whatever the caller does
        with the results, not in front of it.
 
-    Every pool has one worker and is FIFO, so each shard still executes
-    ``[batch k][pad to T_k][batch k+1]`` in exactly the serial order:
-    simulated state cannot tell the rounds were overlapped.  A worker
-    that fails while padding is found by the next settle; under
-    supervision that is a failure at the start of the next step (the
-    delivered requests are already the journal's retired prefix and are
-    replayed), otherwise it poisons the fleet like any worker error.
+    Every channel has one worker and answers in order, so each shard
+    still executes ``[batch k][pad to T_k][batch k+1]`` in exactly the
+    serial order: simulated state cannot tell the rounds were
+    overlapped.  A worker that fails while padding is found by the next
+    settle; under supervision that is a failure at the start of the next
+    step (the delivered requests are already the journal's retired
+    prefix and are replayed), otherwise it poisons the fleet like any
+    worker error.
 
     Retired envelopes rebind to the coordinator-side proxy entries the
     caller holds, so ``submit(...)`` keeps returning an object whose
@@ -731,31 +733,22 @@ class ParallelExecutor(ShardExecutor):
         self.ipc_steps = 0
         self.ipc_requests = 0
         self.ipc_blocking_rounds = 0
-        #: shard index -> the ``_worker_finish`` future of the padding
+        #: shard index -> the ``_worker_finish`` reply of the padding
         #: round the last step left running (see :meth:`_settle`).
         self._finishing: dict[int, object] = {}
         #: per-shard coordinator-owned scratch segments for envelope
         #: payloads (``None`` entries fall back to inline bytes).
         self._scratch: list = [self._create_scratch(spec.index) for spec in specs]
-        try:
-            self._pools: list[ProcessPoolExecutor] = [
-                ProcessPoolExecutor(
-                    max_workers=1,
-                    mp_context=self._context,
-                    initializer=_worker_init,
-                    initargs=(spec, scratch.name if scratch is not None else None),
-                )
-                for spec, scratch in zip(specs, self._scratch)
-            ]
-        except Exception:
-            self._release_scratch()
-            raise
+        #: one worker process per shard, forked here (not on first use).
+        self._workers: list[WorkerChannel] = []
         self._closed = False
         #: shard indexes taken out of service by a supervisor.  (Defined
         #: before the worker handshake: the failure path below runs
         #: ``close()``, which consults it.)
         self.fenced: set[int] = set()
         try:
+            for index in range(len(specs)):
+                self._workers.append(self._spawn_worker(index))
             infos: list[ShardInfo] = self._broadcast(_worker_describe)
         except Exception:
             self.close()
@@ -885,15 +878,34 @@ class ParallelExecutor(ShardExecutor):
         }
 
     # ------------------------------------------------------------- plumbing
+    def _spawn_worker(self, index: int) -> WorkerChannel:
+        scratch = self._scratch[index]
+        return WorkerChannel(
+            self._context,
+            _worker_init,
+            (self.specs[index], scratch.name if scratch is not None else None),
+        )
+
     def _broadcast(self, fn, *args) -> list:
-        futures = [pool.submit(fn, *args) for pool in self._pools]
-        return [future.result() for future in futures]
+        replies = [worker.submit(fn, *args) for worker in self._workers]
+        return [reply.result() for reply in replies]
 
     def _broadcast_zip(self, fn, per_shard_args: list) -> list:
-        futures = [
-            pool.submit(fn, arg) for pool, arg in zip(self._pools, per_shard_args)
+        replies = [
+            worker.submit(fn, arg)
+            for worker, arg in zip(self._workers, per_shard_args)
         ]
-        return [future.result() for future in futures]
+        return [reply.result() for reply in replies]
+
+    def _call(self, index: int, fn, *args):
+        """One call to one worker under the heartbeat timeout, its failure
+        classified (and a wedged worker killed) exactly like a step's:
+        :class:`ShardCrashed` under supervision, the worker's own error
+        otherwise."""
+        results, failures = self._gather({index: self._workers[index].submit(fn, *args)})
+        if not failures:
+            return results[index]
+        raise failures[0] if self.monitored else failures[0].cause
 
     def _check_usable(self) -> None:
         if self._broken:
@@ -930,19 +942,19 @@ class ParallelExecutor(ShardExecutor):
         the worker's own error is raised and the fleet is unusable.
         """
         self._check_usable()
-        if not all(future.done() for future in self._finishing.values()):
+        if not all(reply.done() for reply in self._finishing.values()):
             self.ipc_blocking_rounds += 1
         self._sync()
         if not self.has_work():
             return []
-        batches, self._pending = self._pending, [[] for _ in self._pools]
-        live = [index for index in range(len(self._pools)) if index not in self.fenced]
+        batches, self._pending = self._pending, [[] for _ in self._workers]
+        live = [index for index in range(len(self._workers)) if index not in self.fenced]
         self.ipc_steps += 1
         self.ipc_requests += sum(len(batches[index]) for index in live)
         self.ipc_blocking_rounds += 1
         runs, failures = self._gather(
             {
-                index: self._pools[index].submit(
+                index: self._workers[index].submit(
                     _worker_run, self._pack_batch(index, batches[index])
                 )
                 for index in live
@@ -953,7 +965,7 @@ class ParallelExecutor(ShardExecutor):
         if lockstep and runs:
             target = max(cycles for cycles, _ in runs.values())
         self._finishing = {
-            index: self._pools[index].submit(_worker_finish, target) for index in runs
+            index: self._workers[index].submit(_worker_finish, target) for index in runs
         }
         retired: list[RobEntry] = []
         for index, (_, envelopes) in runs.items():
@@ -974,8 +986,8 @@ class ParallelExecutor(ShardExecutor):
             raise self._pending_failures.pop(0)
         return retired
 
-    def _gather(self, futures: "dict[int, object]", kill_on_timeout: bool = True):
-        """Await per-shard futures with the heartbeat timeout.
+    def _gather(self, replies: "dict[int, object]"):
+        """Await per-shard replies with the heartbeat timeout.
 
         Returns ``(results, failures)`` where ``failures`` is a list of
         :class:`ShardCrashed` (one per failed shard).  A worker that
@@ -984,12 +996,11 @@ class ParallelExecutor(ShardExecutor):
         """
         results: dict[int, object] = {}
         failures: list[ShardCrashed] = []
-        for index, future in futures.items():
+        for index, reply in replies.items():
             try:
-                results[index] = future.result(timeout=self.heartbeat_timeout_s)
+                results[index] = reply.result(timeout=self.heartbeat_timeout_s)
             except FuturesTimeout as error:
-                if kill_on_timeout:
-                    self._kill_worker(index)
+                self._kill_worker(index)
                 failures.append(ShardCrashed(index, "hung", error))
             except Exception as error:  # noqa: BLE001 -- classified below
                 failures.append(ShardCrashed(index, _failure_kind(error), error))
@@ -1073,7 +1084,7 @@ class ParallelExecutor(ShardExecutor):
         """
         self._sync()
         plans = [
-            replace(plan, seed=plan.seed + index) for index in range(len(self._pools))
+            replace(plan, seed=plan.seed + index) for index in range(len(self._workers))
         ]
         self._broadcast_zip(_worker_install_faults, plans)
         self.worker_plans = dict(enumerate(plans))
@@ -1081,9 +1092,7 @@ class ParallelExecutor(ShardExecutor):
     def install_fault_plan_shard(self, index: int, plan: FaultPlan) -> None:
         """(Re)install one worker's injector -- after a respawn, its
         predecessor's plan and op counters died with the old process."""
-        self._pools[index].submit(_worker_install_faults, plan).result(
-            timeout=self.heartbeat_timeout_s
-        )
+        self._call(index, _worker_install_faults, plan)
         self.worker_plans[index] = plan
 
     def fault_stats(self) -> FaultStats | None:
@@ -1110,9 +1119,9 @@ class ParallelExecutor(ShardExecutor):
     def load_states(self, payloads: "list[tuple[dict, dict[str, bytes]]]") -> None:
         """Rehydrate every worker's shard and rebuild the coordinator mirrors."""
         self._check_usable()
-        if len(payloads) != len(self._pools):
+        if len(payloads) != len(self._workers):
             raise ValueError(
-                f"{len(payloads)} shard states for {len(self._pools)} workers"
+                f"{len(payloads)} shard states for {len(self._workers)} workers"
             )
         self._settle()
         infos: list[ShardInfo] = self._broadcast_zip(_worker_load_state, payloads)
@@ -1127,9 +1136,7 @@ class ParallelExecutor(ShardExecutor):
                 f"shard {index} snapshots at quiescent points only; drain() first"
             )
         self._sync()
-        return self._pools[index].submit(_worker_state).result(
-            timeout=self.heartbeat_timeout_s
-        )
+        return self._call(index, _worker_state)
 
     def fence_shard(self, index: int) -> None:
         """Take a worker out of service permanently: drop its queued work
@@ -1145,7 +1152,7 @@ class ParallelExecutor(ShardExecutor):
             for failure in self._pending_failures
             if failure.shard_index != index
         ]
-        self._shutdown_pool(index)
+        self._shutdown_worker(index)
         self._reap_segments(index)
         self._release_scratch(index)
 
@@ -1155,8 +1162,8 @@ class ParallelExecutor(ShardExecutor):
         self._sync()
         beats, failures = self._gather(
             {
-                index: self._pools[index].submit(_worker_ping)
-                for index in range(len(self._pools))
+                index: self._workers[index].submit(_worker_ping)
+                for index in range(len(self._workers))
                 if index not in self.fenced
             }
         )
@@ -1176,59 +1183,37 @@ class ParallelExecutor(ShardExecutor):
         """
         # The old worker's padding round dies with it: dropped, never awaited.
         self._finishing.pop(index, None)
-        self._shutdown_pool(index)
+        self._shutdown_worker(index)
         # The dead worker never closed: reap its slab segment so the fresh
         # worker creates a clean one instead of attaching stale pages.
         self._reap_segments(index)
-        scratch = self._scratch[index]
-        self._pools[index] = ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=self._context,
-            initializer=_worker_init,
-            initargs=(
-                self.specs[index],
-                scratch.name if scratch is not None else None,
-            ),
-        )
-        info = self._pools[index].submit(_worker_describe).result(
-            timeout=self.heartbeat_timeout_s
-        )
+        self._workers[index] = self._spawn_worker(index)
+        info = self._call(index, _worker_describe)
         self.shards[index] = ShardMirror(info, self._settle)
         self.fenced.discard(index)
         self.worker_plans.pop(index, None)
 
     def load_shard_state(self, index: int, payload: "tuple[dict, dict[str, bytes]]") -> None:
         """Roll one worker's shard to a checkpoint payload."""
-        info = self._pools[index].submit(_worker_load_state, payload).result(
-            timeout=self.heartbeat_timeout_s
-        )
+        info = self._call(index, _worker_load_state, payload)
         self.shards[index] = ShardMirror(info, self._settle)
 
     def replay_shard(self, index: int, envelopes: list) -> None:
         """Re-execute journaled requests on a restored worker, then sync
         its mirror.  Results are discarded -- the originals were already
         delivered before the crash; replay only rebuilds state."""
-        pool = self._pools[index]
         if envelopes:
-            pool.submit(_worker_run, envelopes).result(timeout=self.heartbeat_timeout_s)
-        snapshot = pool.submit(_worker_finish, None).result(
-            timeout=self.heartbeat_timeout_s
-        )
-        self.shards[index].apply(snapshot)
+            self._call(index, _worker_run, envelopes)
+        self.shards[index].apply(self._call(index, _worker_finish, None))
 
     # --------------------------------------------------------------- teardown
     def _kill_worker(self, index: int) -> None:
-        """Terminate a wedged worker's process (it will not answer IPC)."""
-        processes = getattr(self._pools[index], "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except Exception:  # already gone
-                pass
+        """Kill a wedged worker's process (it will not answer IPC)."""
+        self._workers[index].kill()
 
-    def _shutdown_pool(self, index: int) -> None:
+    def _shutdown_worker(self, index: int) -> None:
         self._kill_worker(index)
-        self._pools[index].shutdown(wait=True, cancel_futures=True)
+        self._workers[index].shutdown()
 
     def close(self) -> None:
         """Shut the worker processes down and wait for them to exit.
@@ -1240,35 +1225,32 @@ class ParallelExecutor(ShardExecutor):
         a worker that cannot answer within ``close_timeout_s`` (wedged in
         an injected hang, say) is terminated instead of waited on, so
         ``close()`` cannot itself hang.  Idempotent, including after a
-        failed or in-flight drain: queued futures are cancelled.
+        failed or in-flight drain: unanswered calls are dropped.
         """
         if self._closed:
             return
         self._closed = True
-        flushes = []
-        for index, pool in enumerate(self._pools):
-            if index in self.fenced:
-                continue  # fenced pools are already shut down
+        flushes = [
+            (index, worker.submit(_worker_close))
+            for index, worker in enumerate(self._workers)
+            if index not in self.fenced  # fenced workers are already shut down
+        ]
+        for index, reply in flushes:
             try:
-                flushes.append((index, pool.submit(_worker_close)))
-            except Exception:  # broken/shut pool: nothing left to flush
-                pass
-        for index, future in flushes:
-            try:
-                future.result(timeout=self.close_timeout_s)
+                reply.result(timeout=self.close_timeout_s)
             except Exception:
                 self._kill_worker(index)
-        # Pools are FIFO: a worker that answered _worker_close has answered
-        # its padding round, so the last snapshot is there for the taking;
-        # a killed worker's future is dropped (the shutdown below fails it).
+        # Channels answer in order: a worker that answered _worker_close has
+        # answered its padding round, so the last snapshot is there for the
+        # taking; a killed worker's reply is dropped (it fails at once).
         finishing, self._finishing = self._finishing, {}
-        for index, future in finishing.items():
+        for index, reply in finishing.items():
             try:
-                self.shards[index].apply(future.result(timeout=0))
+                self.shards[index].apply(reply.result(timeout=0))
             except Exception:
                 pass
-        for pool in self._pools:
-            pool.shutdown(wait=True, cancel_futures=True)
+        for worker in self._workers:
+            worker.shutdown()
         # With every worker gone, reap whatever shm the fleet still owns:
         # the envelope scratch segments (coordinator-owned) and any worker
         # slab a killed process left behind.

@@ -12,7 +12,7 @@ hangs and dead worker processes:
   checkpoint, never the previous recovery point.
 * **health monitoring** -- serial shards report simulated-clock
   heartbeats in-process; parallel workers answer a real IPC ping under a
-  receive timeout, so both dead processes (broken pool) and wedged ones
+  receive timeout, so both dead processes (lost pipe) and wedged ones
   (injected ``hang_wall_s`` stalls) are detected.  During a drain the
   same timeout bounds every batch round-trip.
 * **automatic restart** -- a failed shard is rolled back to its newest

@@ -414,7 +414,7 @@ class ScenarioRunner:
             return self._run_built(spec, stack, requests, failures)
         finally:
             # Failed comparisons, raising scenarios and crash phases all
-            # end here: worker pools shut down, durable slabs removed.
+            # end here: worker processes shut down, durable slabs removed.
             stack.cleanup()
 
     def _run_built(self, spec, stack, requests, failures) -> ScenarioResult:

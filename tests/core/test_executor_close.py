@@ -29,11 +29,7 @@ def _requests(count, seed=11):
 
 
 def _worker_pids(executor):
-    return [
-        pid
-        for pool in executor._pools
-        for pid in list(getattr(pool, "_processes", {}) or {})
-    ]
+    return [worker.pid for worker in executor._workers]
 
 
 def _alive(pids):
@@ -117,7 +113,7 @@ class TestCloseDuringInflightDrain:
         fleet.executor.monitored = True
         pids = _worker_pids(fleet.executor)
         fleet.executor.fence_shard(0)
-        fleet.close()  # fenced pool already shut; must skip, not raise
+        fleet.close()  # fenced worker already shut; must skip, not raise
         assert not _alive(pids)
 
 

@@ -338,6 +338,41 @@ class TestParallelSupervision:
         finally:
             supervisor.close()
 
+    @pytest.mark.parametrize("wedged", [False, True], ids=["dead", "hung"])
+    def test_idle_worker_failure_found_by_a_checkpoint_is_recovered(self, ckpt_dir, wedged):
+        """A settled worker that dies (or stops answering) is first touched
+        by the checkpoint's single-shard state read: that must be an
+        incident the drain loop recovers, not a raw transport error."""
+        import os
+        import signal
+
+        requests = _workload(40)
+        twin = _twin_results(requests, 2)
+        supervisor = _supervised(
+            ckpt_dir, n_shards=2, executor="parallel", checkpoint_every_ops=0,
+            heartbeat_timeout_s=0.5,
+        )
+        try:
+            results = _drive(supervisor, requests[:20])
+            supervisor.executor._settle()  # both workers idle in recv()
+            mark = len(supervisor.events)
+            pid = supervisor.executor._workers[0].pid
+            os.kill(pid, signal.SIGSTOP if wedged else signal.SIGKILL)
+            assert supervisor.checkpoint_now() == 2
+            assert supervisor.events[mark].detail == ("hung" if wedged else "dead")
+            assert supervisor.event_trace()[mark:] == [
+                ("crash_detected", 0, 0),
+                ("restore_started", 0, 1),
+                ("restored", 0, 1),
+                ("checkpoint", 0, 0),
+                ("checkpoint", 1, 0),
+            ]
+            assert supervisor.executor._workers[0].pid != pid
+            results += _drive(supervisor, requests[20:])
+            assert results == twin
+        finally:
+            supervisor.close()
+
 
 class TestCrashWhilePadding:
     """A worker that dies inside ``_worker_finish`` -- after its step's

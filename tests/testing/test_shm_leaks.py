@@ -133,6 +133,17 @@ class TestExecutorTeardown:
             _drive(fleet, 30)
         fleet.close()
 
+    def test_sigkilled_idle_worker_then_close(self, segments_before):
+        """Nothing ever talks to the dead worker again before close():
+        its slab is reaped by name and its process is still joined."""
+        import os
+        import signal
+
+        fleet = _fleet()
+        _drive(fleet, 4)
+        os.kill(fleet.executor._workers[0].pid, signal.SIGKILL)
+        fleet.close()
+
     def test_serial_shm_fleet_closes_clean(self, segments_before):
         fleet = _fleet(executor="serial")
         _drive(fleet, 4)
