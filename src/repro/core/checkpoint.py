@@ -48,8 +48,9 @@ from repro.storage.trace import TraceEvent, TraceRecorder
 
 #: Checkpoint format version; bumped on any manifest/state layout change,
 #: and whenever the record cipher changes the bytes a blob decrypts under
-#: (2: records wider than 64 bytes moved to the SHAKE-256 keystream).
-CHECKPOINT_VERSION = 2
+#: (2: records wider than 64 bytes moved to the SHAKE-256 keystream;
+#: 3: one shard-checkpoint shape and one fleet layout for both executors).
+CHECKPOINT_VERSION = 3
 
 _FORMAT = "horam-checkpoint"
 _MANIFEST = "checkpoint.json"
@@ -356,38 +357,34 @@ def _snapshot_sharded(fleet) -> Checkpoint:
     from repro.core.executor import ParallelExecutor
 
     _require_quiesced(fleet)
-    common = {
-        "n_blocks": fleet.n_blocks,
-        "lockstep": fleet.lockstep,
-        "template_config": _config_to_dict(fleet.config),
-    }
-    if isinstance(fleet.executor, ParallelExecutor):
-        specs = []
-        for spec in fleet.executor.specs:
+    executor = fleet.executor
+    # The one place that must know the runtime: what it takes to construct
+    # the executor again (worker build specs, or each kernel's geometry).
+    if isinstance(executor, ParallelExecutor):
+        kind = "sharded-parallel"
+        rebuild = []
+        for spec in executor.specs:
             data = asdict(spec)
             data["storage_device"] = _device_to_dict(spec.storage_device)
             data["memory_device"] = _device_to_dict(spec.memory_device)
-            specs.append(data)
-        state = dict(common, specs=specs, shards=[])
-        blobs: dict = {}
-        for index, (shard_state, shard_blobs) in enumerate(
-            fleet.executor.snapshot_states()
-        ):
-            state["shards"].append(shard_state)
-            for name, blob in shard_blobs.items():
-                blobs[f"shard{index}.{name}"] = blob
-        return Checkpoint(kind="sharded-parallel", state=state, blobs=blobs)
-
-    state = dict(common, shards=[])
-    blobs = {}
-    for index, shard in enumerate(fleet.shards):
-        shard_state, shard_blobs = shard.state_dict()
-        state["shards"].append(
-            {"rebuild": _kernel_rebuild_info(shard), "stack": shard_state}
-        )
+            rebuild.append(data)
+    else:
+        kind = "sharded"
+        rebuild = [_kernel_rebuild_info(shard) for shard in executor.shards]
+    state = {
+        "n_blocks": fleet.n_blocks,
+        "lockstep": fleet.lockstep,
+        "template_config": _config_to_dict(fleet.config),
+        "rebuild": rebuild,
+        "shards": [],
+    }
+    blobs: dict = {}
+    for index in range(fleet.n_shards):
+        shard_state, shard_blobs = executor.shard_state(index)
+        state["shards"].append(shard_state)
         for name, blob in shard_blobs.items():
             blobs[f"shard{index}.{name}"] = blob
-    return Checkpoint(kind="sharded", state=state, blobs=blobs)
+    return Checkpoint(kind=kind, state=state, blobs=blobs)
 
 
 def _shard_blobs(checkpoint: Checkpoint, index: int) -> "dict[str, bytes]":
@@ -399,47 +396,34 @@ def _shard_blobs(checkpoint: Checkpoint, index: int) -> "dict[str, bytes]":
     }
 
 
-def _restore_sharded(checkpoint: Checkpoint, mp_context=None):
-    from repro.core.executor import ParallelExecutor, ShardBuildSpec
+def _restore_sharded(checkpoint: Checkpoint):
+    from repro.core.executor import ParallelExecutor, SerialExecutor, ShardBuildSpec
     from repro.core.sharding import ShardedHORAM
 
     state = checkpoint.state
-    template = _config_from_dict(state["template_config"])
     if checkpoint.kind == "sharded-parallel":
         specs = []
-        for data in state["specs"]:
+        for data in state["rebuild"]:
             data = dict(data)
             data["storage_device"] = _device_from_dict(data["storage_device"])
             data["memory_device"] = _device_from_dict(data["memory_device"])
             specs.append(ShardBuildSpec(**data))
-        executor = ParallelExecutor(specs, mp_context=mp_context)
-        try:
-            executor.load_states(
-                [
-                    (shard_state, _shard_blobs(checkpoint, index))
-                    for index, shard_state in enumerate(state["shards"])
-                ]
+        executor = ParallelExecutor(specs)
+    else:
+        executor = SerialExecutor([_rebuild_kernel(info) for info in state["rebuild"]])
+    try:
+        for index, shard_state in enumerate(state["shards"]):
+            executor.load_shard_state(
+                index, (shard_state, _shard_blobs(checkpoint, index))
             )
-        except Exception:
-            executor.close()
-            raise
-        return ShardedHORAM(
-            n_blocks=state["n_blocks"],
-            config=template,
-            lockstep=state["lockstep"],
-            executor=executor,
-        )
-
-    shards = []
-    for index, shard_state in enumerate(state["shards"]):
-        shard = _rebuild_kernel(shard_state["rebuild"])
-        shard.load_state(shard_state["stack"], _shard_blobs(checkpoint, index))
-        shards.append(shard)
+    except Exception:
+        executor.close()
+        raise
     return ShardedHORAM(
-        shards,
         n_blocks=state["n_blocks"],
-        config=template,
+        config=_config_from_dict(state["template_config"]),
         lockstep=state["lockstep"],
+        executor=executor,
     )
 
 
@@ -451,59 +435,18 @@ def snapshot_shard(fleet, index: int) -> Checkpoint:
 
     Fleet-level snapshots capture every shard at once; the supervisor
     instead checkpoints shards independently on an op-count cadence, so
-    recovering one crashed shard never touches the survivors.  Serial
-    fleets record the shard's rebuild recipe (it is restored to a
-    standalone :class:`~repro.core.horam.HybridORAM` first, replayed,
-    then swapped in); parallel fleets record the worker's build spec and
-    roll the respawned worker to the payload over IPC.
+    recovering one crashed shard never touches the survivors.  The
+    checkpoint is the shard's state payload and nothing else: the
+    executor that takes it back
+    (:meth:`~repro.core.executor.ShardExecutor.recover_shard`) knows how
+    to build the blank shard it is loaded into.
     """
-    from repro.core.executor import ParallelExecutor
-
-    if isinstance(fleet.executor, ParallelExecutor):
-        spec = asdict(fleet.executor.specs[index])
-        spec["storage_device"] = _device_to_dict(fleet.executor.specs[index].storage_device)
-        spec["memory_device"] = _device_to_dict(fleet.executor.specs[index].memory_device)
-        state, blobs = fleet.executor.shard_state(index)
-        return Checkpoint(
-            kind="shard",
-            state={"mode": "parallel", "index": index, "spec": spec, "stack": state},
-            blobs=blobs,
-        )
-    shard = fleet.shards[index]
-    state, blobs = shard.state_dict()
-    return Checkpoint(
-        kind="shard",
-        state={
-            "mode": "serial",
-            "index": index,
-            "rebuild": _kernel_rebuild_info(shard),
-            "stack": state,
-        },
-        blobs=blobs,
-    )
-
-
-def restore_shard_instance(checkpoint: Checkpoint):
-    """Rebuild a serial-mode shard checkpoint as a standalone instance.
-
-    The supervisor replays the shard's journal on this instance (no
-    injector attached, so replay cannot re-crash) before swapping it
-    into the fleet with ``executor.restore_shard``.
-    """
-    if checkpoint.kind != "shard":
-        raise CheckpointError(f"expected a shard checkpoint, got {checkpoint.kind!r}")
-    if checkpoint.state["mode"] != "serial":
-        raise CheckpointError(
-            "parallel shard checkpoints restore via load_shard_state, not "
-            "a standalone instance"
-        )
-    shard = _rebuild_kernel(checkpoint.state["rebuild"])
-    shard.load_state(checkpoint.state["stack"], checkpoint.blobs)
-    return shard
+    state, blobs = fleet.executor.shard_state(index)
+    return Checkpoint(kind="shard", state={"index": index, "stack": state}, blobs=blobs)
 
 
 def shard_state_payload(checkpoint: Checkpoint) -> "tuple[dict, dict[str, bytes]]":
-    """The ``(state, blobs)`` payload ``load_shard_state`` ships to a worker."""
+    """The ``(state, blobs)`` payload ``recover_shard`` rolls a shard to."""
     if checkpoint.kind != "shard":
         raise CheckpointError(f"expected a shard checkpoint, got {checkpoint.kind!r}")
     return checkpoint.state["stack"], checkpoint.blobs
@@ -724,7 +667,7 @@ def snapshot_stack(protocol) -> Checkpoint:
     return _snapshot_baseline(protocol)
 
 
-def restore_stack(checkpoint: Checkpoint, mp_context=None):
+def restore_stack(checkpoint: Checkpoint):
     """Rebuild + rehydrate the stack a checkpoint describes.
 
     For durable (file-backed) stacks this reopens the recorded slab and
@@ -736,7 +679,7 @@ def restore_stack(checkpoint: Checkpoint, mp_context=None):
     if checkpoint.kind in KERNEL_PROTOCOLS:
         return _restore_kernel(checkpoint)
     if checkpoint.kind in ("sharded", "sharded-parallel"):
-        return _restore_sharded(checkpoint, mp_context=mp_context)
+        return _restore_sharded(checkpoint)
     if checkpoint.kind.startswith("baseline-"):
         return _restore_baseline(checkpoint)
     raise CheckpointError(f"unknown checkpoint kind {checkpoint.kind!r}")
@@ -752,7 +695,7 @@ def load_checkpoint(directory) -> Checkpoint:
     return Checkpoint.load(directory)
 
 
-def recover(directory, mp_context=None):
+def recover(directory):
     """Crash recovery: validate the checkpoint on disk and resume from it.
 
     This is the restart path after a :class:`~repro.storage.faults.CrashFault`
@@ -761,4 +704,4 @@ def recover(directory, mp_context=None):
     the checkpoint, and hand back a protocol ready to serve the rest of
     the workload bit-identically to an uninterrupted run.
     """
-    return restore_stack(load_checkpoint(directory), mp_context=mp_context)
+    return restore_stack(load_checkpoint(directory))

@@ -52,10 +52,6 @@ class HORAMConfig:
     seed: int = 0
     #: overlap the per-cycle I/O load with the c in-memory reads.
     overlap_io: bool = True
-    #: count shuffle time in the reported total (False models the
-    #: client/server setting of Figure 5-2 where the server shuffles
-    #: off the critical path).
-    count_shuffle_time: bool = True
     #: hard bound on cache-tree stash entries (None = unbounded, tracked).
     stash_limit: int | None = None
 

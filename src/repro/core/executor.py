@@ -4,7 +4,9 @@ The sharded serving layer treats its shards as parallel devices in
 *simulated* time (the fleet clock is the slowest shard's clock), but the
 original implementation executed them sequentially on one thread.  This
 module factors the "run the fleet" concern out of the coordinator into a
-:class:`ShardExecutor` with two implementations:
+:class:`ShardExecutor` -- one surface its callers (the coordinator, the
+supervisor, the checkpointer) use without knowing which runtime they
+hold -- with two implementations:
 
 * :class:`SerialExecutor` -- the original in-process lockstep loop; the
   default, and the reference the golden fingerprints pin.
@@ -57,6 +59,10 @@ from repro.storage.backend import StoreCounters
 from repro.storage.faults import CrashFault, FaultInjector, FaultPlan, FaultStats, HangFault
 from repro.storage.trace import TraceEvent
 
+#: one shard's ``state_dict()``: ``(state, blobs)``, what a shard
+#: checkpoint stores and :meth:`ShardExecutor.load_shard_state` takes back.
+ShardPayload = "tuple[dict, dict[str, bytes]]"
+
 #: (seq, op, local addr, data) -- one buffered request on its way to a worker.
 #: ``data`` is payload bytes inline, or an ``int`` byte length consuming the
 #: shard's shared-memory scratch segment sequentially in envelope order.
@@ -69,6 +75,10 @@ RetiredEnvelope = "tuple[int, bytes | int | None, int, int]"
 #: bytes, so this covers hundreds of thousands of buffered requests; a
 #: batch that still overflows it degrades per-envelope to inline bytes.
 _SCRATCH_BYTES = 1 << 20
+
+#: Cap on the per-worker durable flush inside ``ParallelExecutor.close``; a
+#: worker that cannot flush in time is terminated instead.
+_CLOSE_TIMEOUT_S = 10.0
 
 
 class ShardCrashed(RuntimeError):
@@ -295,8 +305,12 @@ class ShardExecutor(ABC):
     """Runs a shard fleet on behalf of :class:`ShardedHORAM`.
 
     ``shards`` exposes shard-like objects (live instances or mirrors) for
-    the coordinator's aggregate views; the five verbs below carry the
-    actual execution.
+    the coordinator's aggregate views.  Everything else goes through the
+    methods below, the same set on both runtimes, so no caller has to
+    know which one it holds: the execution verbs, and per-shard
+    primitives for the checkpointer (a fleet snapshot or restore is a
+    loop over ``shard_state``/``load_shard_state``) and the supervisor
+    (recovery is one ``recover_shard`` call).
     """
 
     kind: str = "abstract"
@@ -309,6 +323,19 @@ class ShardExecutor(ABC):
     #: whole batch per IPC round) instead of one scheduler cycle per shard;
     #: the coordinator's feed quantum follows from it.
     step_drains: bool = False
+    #: cap on any single IPC round-trip (a supervisor sets it); a worker
+    #: that does not answer within it is classified as hung.  ``None``
+    #: waits forever; an in-process fleet has no round-trip to cap.
+    heartbeat_timeout_s: float | None = None
+
+    def __init__(self) -> None:
+        #: shard indexes taken out of service by a supervisor.
+        self.fenced: set[int] = set()
+        # Retirements collected before a shard failure aborted the step:
+        # they were already popped from their ROBs, so dropping them would
+        # wedge the coordinator's in-order release.  Delivered by the next
+        # retire() call.
+        self._orphaned: list[RobEntry] = []
 
     @abstractmethod
     def submit(self, shard_index: int, request: Request) -> RobEntry:
@@ -335,37 +362,50 @@ class ShardExecutor(ABC):
     def codec(self):
         """The record codec facade (shard 0's geometry)."""
 
+    @abstractmethod
     def install_fault_plan(self, plan: FaultPlan) -> None:
-        raise NotImplementedError
+        """Attach fault injection to every shard's storage store."""
 
+    @abstractmethod
     def fault_stats(self) -> FaultStats | None:
-        return None
+        """Fleet-wide injector counters; ``None`` with no plan installed."""
 
-    def snapshot_states(self) -> "list[tuple[dict, dict[str, bytes]]]":
-        """Per-shard ``HybridORAM.state_dict()`` payloads, in shard order."""
-        raise NotImplementedError
+    # ------------------------------------------------------------- per shard
+    @abstractmethod
+    def shard_state(self, index: int) -> ShardPayload:
+        """One (idle) shard's ``state_dict()`` payload."""
 
-    def load_states(self, payloads: "list[tuple[dict, dict[str, bytes]]]") -> None:
-        """Rehydrate every shard from :meth:`snapshot_states` payloads."""
-        raise NotImplementedError
+    @abstractmethod
+    def load_shard_state(self, index: int, payload: ShardPayload) -> None:
+        """Roll one shard to a :meth:`shard_state` payload."""
 
-    # ------------------------------------------------------------ supervision
-    def shard_state(self, index: int) -> "tuple[dict, dict[str, bytes]]":
-        """One shard's ``state_dict()`` payload (incremental checkpoints)."""
-        raise NotImplementedError
+    @abstractmethod
+    def recover_shard(
+        self, index: int, payload: ShardPayload, replay: list, failure: ShardCrashed
+    ) -> None:
+        """Put a failed (or fenced) shard back in service.
 
+        A blank shard of the same build replaces it, is rolled to
+        ``payload`` and re-executes ``replay`` (journaled
+        ``(op, local addr, data)`` requests already answered before the
+        failure; results discarded) with no fault injector attached, so
+        recovery cannot re-crash.  The fault plan goes back on afterwards,
+        moved past whatever ``failure`` says fired.
+        """
+
+    @abstractmethod
     def fence_shard(self, index: int) -> None:
         """Stop running ``index``: skip it in step/has_work/retire."""
-        raise NotImplementedError
 
+    @abstractmethod
     def heartbeats(self) -> "dict[int, float]":
         """Per-live-shard liveness signal: the shard's simulated clock.
 
         Serial fleets read it in-process; parallel fleets round-trip a
         ping over IPC, so a dead or wedged worker fails the read.
         """
-        raise NotImplementedError
 
+    @abstractmethod
     def close(self) -> None:
         """Release runtime resources (worker processes); idempotent."""
 
@@ -378,15 +418,9 @@ class SerialExecutor(ShardExecutor):
     def __init__(self, shards: list):
         if not shards:
             raise ValueError("need at least one shard")
+        super().__init__()
         self.shards = list(shards)
         self._injector: FaultInjector | None = None
-        #: shard indexes taken out of service by a supervisor.
-        self.fenced: set[int] = set()
-        # Retirements collected before a shard failure aborted the step:
-        # they were already popped from their ROBs, so dropping them would
-        # wedge the coordinator's in-order release.  Delivered by the next
-        # retire() call.
-        self._orphaned: list[RobEntry] = []
 
     def submit(self, shard_index: int, request: Request) -> RobEntry:
         return self.shards[shard_index].submit(request)
@@ -439,20 +473,35 @@ class SerialExecutor(ShardExecutor):
     def fault_stats(self) -> FaultStats | None:
         return self._injector.stats if self._injector else None
 
-    def snapshot_states(self) -> "list[tuple[dict, dict[str, bytes]]]":
-        return [shard.state_dict() for shard in self.shards]
-
-    def load_states(self, payloads: "list[tuple[dict, dict[str, bytes]]]") -> None:
-        if len(payloads) != len(self.shards):
-            raise ValueError(
-                f"{len(payloads)} shard states for {len(self.shards)} shards"
-            )
-        for shard, (state, blobs) in zip(self.shards, payloads):
-            shard.load_state(state, blobs)
-
-    # ------------------------------------------------------------ supervision
-    def shard_state(self, index: int) -> "tuple[dict, dict[str, bytes]]":
+    # ------------------------------------------------------------- per shard
+    def shard_state(self, index: int) -> ShardPayload:
         return self.shards[index].state_dict()
+
+    def load_shard_state(self, index: int, payload: ShardPayload) -> None:
+        self.shards[index].load_state(*payload)
+
+    def recover_shard(
+        self, index: int, payload: ShardPayload, replay: list, failure: ShardCrashed
+    ) -> None:
+        """The blank comes from the failed instance's own (immutable)
+        config and geometry.  It is swapped into ``self.shards`` in place
+        (the coordinator aliases the list) once it has caught up, and only
+        then re-attached to the fleet's one fault injector, whose shared
+        counters keep running across the restore (``failure`` has nothing
+        to move)."""
+        from repro.core.checkpoint import _kernel_rebuild_info, _rebuild_kernel
+
+        shard = _rebuild_kernel(_kernel_rebuild_info(self.shards[index]))
+        shard.load_state(*payload)
+        for op, addr, data in replay:
+            shard.submit(Request(op=op, addr=addr, data=data))
+        while shard.rob.has_work():
+            shard.step()
+        shard.rob.retire()
+        self.shards[index] = shard
+        self.fenced.discard(index)
+        if self._injector is not None:
+            self._injector.attach(shard.hierarchy.storage)
 
     def fence_shard(self, index: int) -> None:
         self.fenced.add(index)
@@ -463,19 +512,6 @@ class SerialExecutor(ShardExecutor):
             for index, shard in enumerate(self.shards)
             if index not in self.fenced
         }
-
-    def restore_shard(self, index: int, shard) -> None:
-        """Swap a freshly restored instance in for a failed shard.
-
-        Mutates ``self.shards`` in place (the coordinator aliases the
-        list) and re-attaches the fleet's fault injector to the new
-        instance's storage store, so the injector's shared crash/fault
-        counters keep running across the restore.
-        """
-        self.shards[index] = shard
-        self.fenced.discard(index)
-        if self._injector is not None:
-            self._injector.attach(shard.hierarchy.storage)
 
     def close(self) -> None:
         for shard in self.shards:
@@ -625,12 +661,55 @@ def _worker_install_faults(plan: FaultPlan) -> None:
     _WORKER["injector"] = injector
 
 
-def _worker_state() -> "tuple[dict, dict]":
+def _rebase_plan(plan: FaultPlan, failure: ShardCrashed) -> FaultPlan:
+    """Shift a worker's fault plan past the fault that just fired.
+
+    A respawned worker gets a fresh injector whose op counters start at
+    zero, so re-installing the old plan verbatim would refire the same
+    crash forever.  Scheduled points at or before the fired op are
+    dropped; later ones shift down by the fired count, preserving "each
+    scheduled fault fires exactly once" across restarts.  (The serial
+    executor needs none of this: its injector outlives the shard and its
+    shared counters keep running.)
+
+    The crash and hang counters are tracked separately in the injector;
+    when both kinds are scheduled and the op-kind filters differ, the
+    non-firing kind's offset is unknowable here and is left unshifted --
+    a documented approximation for combined plans.
+    """
+    if failure.kind == "hung" or plan.hang_at_op and failure.kind != "crash":
+        fired = plan.hang_at_op
+        hang_at_op = 0
+    elif isinstance(failure.cause, CrashFault):
+        fired = failure.cause.op_index
+        hang_at_op = (
+            max(0, plan.hang_at_op - fired)
+            if plan.hang_at_op and plan.crash_op_kind == "any"
+            else plan.hang_at_op
+        )
+    else:
+        # Nothing scheduled fired (process death, unexpected error):
+        # the plan carries over unchanged.
+        return plan
+    crash_schedule = [op - fired for op in plan.crash_schedule if op > fired]
+    crash_at_op = plan.crash_at_op - fired if plan.crash_at_op > fired else 0
+    if failure.kind == "hung" and plan.crash_op_kind != "any":
+        crash_schedule = list(plan.crash_schedule)
+        crash_at_op = plan.crash_at_op
+    return replace(
+        plan,
+        crash_schedule=crash_schedule,
+        crash_at_op=crash_at_op,
+        hang_at_op=hang_at_op,
+    )
+
+
+def _worker_state() -> ShardPayload:
     """Checkpoint payload of this worker's shard (state dict + blobs)."""
     return _WORKER["shard"].state_dict()
 
 
-def _worker_load_state(payload: "tuple[dict, dict]") -> ShardInfo:
+def _worker_load_state(payload: ShardPayload) -> ShardInfo:
     """Rehydrate the shard from a checkpoint payload; reset delta marks.
 
     The marks go back to zero so the next snapshot ships the *full*
@@ -703,25 +782,15 @@ class ParallelExecutor(ShardExecutor):
     kind = "parallel"
     step_drains = True
 
-    def __init__(
-        self,
-        specs: list[ShardBuildSpec],
-        mp_context=None,
-        heartbeat_timeout_s: float | None = None,
-        close_timeout_s: float = 10.0,
-    ):
+    def __init__(self, specs: list[ShardBuildSpec]):
         if not specs:
             raise ValueError("need at least one shard spec")
+        # Before the worker handshake: its failure path runs ``close()``,
+        # which consults ``fenced``.
+        super().__init__()
         #: the build recipes, kept for checkpoint manifests.
         self.specs = list(specs)
-        self._context = mp_context or _default_context()
-        #: cap on any single IPC round-trip under supervision; a worker
-        #: that does not answer within it is classified as hung.  ``None``
-        #: (default) waits forever -- the pre-supervision behavior.
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        #: cap on the per-worker durable flush inside :meth:`close`; a
-        #: worker that cannot flush in time is terminated instead.
-        self.close_timeout_s = close_timeout_s
+        self._context = _default_context()
         #: payload-byte accounting for the envelope transport: how many
         #: request/result payload bytes crossed via the shared-memory
         #: scratch vs. inline inside the pickled envelopes.
@@ -742,10 +811,6 @@ class ParallelExecutor(ShardExecutor):
         #: one worker process per shard, forked here (not on first use).
         self._workers: list[WorkerChannel] = []
         self._closed = False
-        #: shard indexes taken out of service by a supervisor.  (Defined
-        #: before the worker handshake: the failure path below runs
-        #: ``close()``, which consults it.)
-        self.fenced: set[int] = set()
         try:
             for index in range(len(specs)):
                 self._workers.append(self._spawn_worker(index))
@@ -764,14 +829,12 @@ class ParallelExecutor(ShardExecutor):
         # fleet is then unusable and every further call must fail loudly
         # instead of spinning in drain().
         self._broken = False
-        # Survivors' retirements from a step a shard failure aborted.
-        self._orphaned: list[RobEntry] = []
         # Additional per-shard failures from a multi-failure step; each
         # subsequent step() raises one until the supervisor has recovered
         # them all.
         self._pending_failures: list[ShardCrashed] = []
-        #: per-worker fault plans as installed (supervisors consult these
-        #: to re-install a rebased plan after a worker respawn).
+        #: per-worker fault plans as installed (:meth:`recover_shard`
+        #: re-installs a rebased one on the respawned worker).
         self.worker_plans: dict[int, FaultPlan] = {}
 
     # ----------------------------------------------------- envelope transport
@@ -888,13 +951,6 @@ class ParallelExecutor(ShardExecutor):
 
     def _broadcast(self, fn, *args) -> list:
         replies = [worker.submit(fn, *args) for worker in self._workers]
-        return [reply.result() for reply in replies]
-
-    def _broadcast_zip(self, fn, per_shard_args: list) -> list:
-        replies = [
-            worker.submit(fn, arg)
-            for worker, arg in zip(self._workers, per_shard_args)
-        ]
         return [reply.result() for reply in replies]
 
     def _call(self, index: int, fn, *args):
@@ -1083,15 +1139,13 @@ class ParallelExecutor(ShardExecutor):
         remain bit-identical to a fault-free (or serial) run.
         """
         self._sync()
-        plans = [
-            replace(plan, seed=plan.seed + index) for index in range(len(self._workers))
-        ]
-        self._broadcast_zip(_worker_install_faults, plans)
-        self.worker_plans = dict(enumerate(plans))
+        for index in range(len(self._workers)):
+            self.install_fault_plan_shard(index, replace(plan, seed=plan.seed + index))
 
     def install_fault_plan_shard(self, index: int, plan: FaultPlan) -> None:
-        """(Re)install one worker's injector -- after a respawn, its
-        predecessor's plan and op counters died with the old process."""
+        """(Re)install one worker's injector: a single-worker fault for a
+        test to aim, or the plan a respawned worker's predecessor took
+        with it (along with its op counters)."""
         self._call(index, _worker_install_faults, plan)
         self.worker_plans[index] = plan
 
@@ -1105,30 +1159,8 @@ class ParallelExecutor(ShardExecutor):
                 setattr(total, f.name, getattr(total, f.name) + getattr(s, f.name))
         return total
 
-    # -------------------------------------------------------------- checkpoint
-    def snapshot_states(self) -> "list[tuple[dict, dict[str, bytes]]]":
-        """Collect every worker's shard state over IPC (fleet must be idle)."""
-        self._check_usable()
-        if self._outstanding or any(self._pending):
-            raise RuntimeError(
-                "parallel fleets snapshot at quiescent points only; drain() first"
-            )
-        self._sync()
-        return self._broadcast(_worker_state)
-
-    def load_states(self, payloads: "list[tuple[dict, dict[str, bytes]]]") -> None:
-        """Rehydrate every worker's shard and rebuild the coordinator mirrors."""
-        self._check_usable()
-        if len(payloads) != len(self._workers):
-            raise ValueError(
-                f"{len(payloads)} shard states for {len(self._workers)} workers"
-            )
-        self._settle()
-        infos: list[ShardInfo] = self._broadcast_zip(_worker_load_state, payloads)
-        self.shards = [ShardMirror(info, self._settle) for info in infos]
-
-    # ------------------------------------------------------------ supervision
-    def shard_state(self, index: int) -> "tuple[dict, dict[str, bytes]]":
+    # ------------------------------------------------------------- per shard
+    def shard_state(self, index: int) -> ShardPayload:
         """One worker's checkpoint payload over IPC (shard must be idle)."""
         self._check_usable()
         if self._proxies[index] or self._pending[index]:
@@ -1172,39 +1204,37 @@ class ParallelExecutor(ShardExecutor):
             raise failures[0]
         return beats
 
-    def respawn_shard(self, index: int) -> None:
-        """Replace a dead/hung/crashed worker with a fresh process.
-
-        The new worker rebuilds its shard from the original build spec
-        (blank state); callers follow up with :meth:`load_shard_state`
-        to roll it to a checkpoint.  Always respawning -- even when the
-        old process still answers -- keeps one recovery path for every
-        failure kind.
-        """
-        # The old worker's padding round dies with it: dropped, never awaited.
-        self._finishing.pop(index, None)
+    def recover_shard(
+        self, index: int, payload: ShardPayload, replay: list, failure: ShardCrashed
+    ) -> None:
+        """Replace the worker with a fresh process built from the original
+        spec.  Always respawning -- even when the old process still
+        answers -- keeps one recovery path for every failure kind."""
         self._shutdown_worker(index)
         # The dead worker never closed: reap its slab segment so the fresh
         # worker creates a clean one instead of attaching stale pages.
         self._reap_segments(index)
         self._workers[index] = self._spawn_worker(index)
-        info = self._call(index, _worker_describe)
-        self.shards[index] = ShardMirror(info, self._settle)
         self.fenced.discard(index)
-        self.worker_plans.pop(index, None)
+        self.load_shard_state(index, payload)
+        if replay:
+            self._call(
+                index,
+                _worker_run,
+                [(seq, op, addr, data) for seq, (op, addr, data) in enumerate(replay)],
+            )
+            self.shards[index].apply(self._call(index, _worker_finish, None))
+        plan = self.worker_plans.get(index)
+        if plan is not None:
+            self.install_fault_plan_shard(index, _rebase_plan(plan, failure))
 
-    def load_shard_state(self, index: int, payload: "tuple[dict, dict[str, bytes]]") -> None:
-        """Roll one worker's shard to a checkpoint payload."""
+    def load_shard_state(self, index: int, payload: ShardPayload) -> None:
+        """Roll one worker's shard to a checkpoint payload and rebuild its
+        mirror.  Only this shard's padding round is dropped (superseded,
+        or dead with the old worker); the others' stay for the settle."""
+        self._finishing.pop(index, None)
         info = self._call(index, _worker_load_state, payload)
         self.shards[index] = ShardMirror(info, self._settle)
-
-    def replay_shard(self, index: int, envelopes: list) -> None:
-        """Re-execute journaled requests on a restored worker, then sync
-        its mirror.  Results are discarded -- the originals were already
-        delivered before the crash; replay only rebuilds state."""
-        if envelopes:
-            self._call(index, _worker_run, envelopes)
-        self.shards[index].apply(self._call(index, _worker_finish, None))
 
     # --------------------------------------------------------------- teardown
     def _kill_worker(self, index: int) -> None:
@@ -1222,7 +1252,7 @@ class ParallelExecutor(ShardExecutor):
         processes alive briefly after a failed scenario, which is exactly
         the leak the harness' regression tests look for.  Workers flush
         durable slabs first (best-effort -- a crashed fleet skips it), but
-        a worker that cannot answer within ``close_timeout_s`` (wedged in
+        a worker that cannot answer within ``_CLOSE_TIMEOUT_S`` (wedged in
         an injected hang, say) is terminated instead of waited on, so
         ``close()`` cannot itself hang.  Idempotent, including after a
         failed or in-flight drain: unanswered calls are dropped.
@@ -1237,7 +1267,7 @@ class ParallelExecutor(ShardExecutor):
         ]
         for index, reply in flushes:
             try:
-                reply.result(timeout=self.close_timeout_s)
+                reply.result(timeout=_CLOSE_TIMEOUT_S)
             except Exception:
                 self._kill_worker(index)
         # Channels answer in order: a worker that answered _worker_close has

@@ -74,15 +74,18 @@ class ShardUnavailableError(RuntimeError):
 
 
 class _SummedStores:
-    """Read-only facade summing :class:`StoreCounters` across shard stores."""
+    """Read-only facade summing one tier's :class:`StoreCounters` across
+    the shards.  It holds the executor's live shard list and resolves the
+    stores on every read: recovery puts a new object in a shard's slot."""
 
-    def __init__(self, stores):
-        self._stores = list(stores)
+    def __init__(self, shards: list, tier: str):
+        self._shards = shards
+        self._tier = tier
 
     def snapshot(self) -> StoreCounters:
         total = StoreCounters()
-        for store in self._stores:
-            counters = store.snapshot()
+        for shard in self._shards:
+            counters = getattr(shard.hierarchy, self._tier).snapshot()
             total.reads += counters.reads
             total.writes += counters.writes
             total.bytes_read += counters.bytes_read
@@ -92,14 +95,15 @@ class _SummedStores:
 
 
 class _MaxClock:
-    """Aggregate clock of a parallel deployment: the slowest shard's time."""
+    """Aggregate clock of a parallel deployment: the slowest shard's time
+    (over the live shard list, like :class:`_SummedStores`)."""
 
-    def __init__(self, clocks):
-        self._clocks = list(clocks)
+    def __init__(self, shards: list):
+        self._shards = shards
 
     @property
     def now_us(self) -> float:
-        return max(clock.now_us for clock in self._clocks)
+        return max(shard.hierarchy.clock.now_us for shard in self._shards)
 
     @property
     def now_ms(self) -> float:
@@ -111,15 +115,17 @@ class _MaxClock:
 
 
 class _ShardedHierarchy:
-    """The hierarchy facade the engine's accounting reads."""
+    """The hierarchy facade the engine's accounting reads (the engine
+    keeps ``clock`` for a whole run, so these objects never change)."""
 
-    def __init__(self, shards):
-        self.clock = _MaxClock([s.hierarchy.clock for s in shards])
-        self.storage = _SummedStores([s.hierarchy.storage for s in shards])
-        self.memory = _SummedStores([s.hierarchy.memory for s in shards])
+    def __init__(self, shards: list):
+        self._shards = shards
+        self.clock = _MaxClock(shards)
+        self.storage = _SummedStores(shards, "storage")
+        self.memory = _SummedStores(shards, "memory")
 
     def describe(self) -> dict:
-        return {"shards": len(self.storage._stores)}
+        return {"shards": len(self._shards)}
 
 
 class ShardedHORAM(ORAMProtocol):
@@ -227,7 +233,7 @@ class ShardedHORAM(ORAMProtocol):
     @property
     def fenced(self) -> set[int]:
         """Shard indexes taken out of service by a supervisor."""
-        return getattr(self.executor, "fenced", set())
+        return self.executor.fenced
 
     # -------------------------------------------------------------- routing
     def shard_of(self, addr: int) -> int:
@@ -484,7 +490,6 @@ def build_sharded_horam(
     storage_device=None,
     memory_device=None,
     executor: str = "serial",
-    mp_context=None,
     storage_backend: str = "memory",
     storage_dir=None,
     protocol: str = "horam",
@@ -590,7 +595,7 @@ def build_sharded_horam(
             )
             for index in range(n_shards)
         ]
-        runtime = ParallelExecutor(specs, mp_context=mp_context)
+        runtime = ParallelExecutor(specs)
         return ShardedHORAM(
             n_blocks=n_blocks, config=template, lockstep=lockstep, executor=runtime
         )

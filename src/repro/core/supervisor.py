@@ -19,8 +19,7 @@ hangs and dead worker processes:
   *valid* checkpoint (falling back past torn/corrupt newer ones), its
   journal of since-checkpoint retired requests is replayed injector-free,
   and its lost in-flight requests are requeued through the normal path.
-  Retries are bounded (``max_restarts`` per incident) with exponential
-  backoff between attempts.
+  Retries are bounded (``max_restarts`` per incident).
 * **graceful degradation** -- when retries are exhausted the shard is
   *fenced*: its in-flight requests fail fast with
   :class:`~repro.core.sharding.ShardUnavailableError`, new submissions
@@ -44,20 +43,14 @@ fleets that have been through a restore.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
-from repro.core.checkpoint import (
-    CheckpointError,
-    CheckpointStore,
-    restore_shard_instance,
-    shard_state_payload,
-    snapshot_shard,
-)
-from repro.core.executor import ParallelExecutor, ShardCrashed
+from repro.core.checkpoint import CheckpointStore, shard_state_payload, snapshot_shard
+from repro.core.executor import ShardCrashed
 from repro.core.rob import RobEntry
 from repro.oram.base import Request
 from repro.sim.metrics import Metrics
-from repro.storage.faults import CrashFault, FaultPlan
+from repro.storage.faults import FaultPlan
 
 
 @dataclass
@@ -73,12 +66,8 @@ class SupervisorConfig:
     #: restore attempts per incident before the shard is fenced;
     #: 0 fences immediately on the first failure.
     max_restarts: int = 2
-    #: first retry sleeps this long, doubling per attempt; 0 (default)
-    #: retries immediately -- tests and benchmarks stay fast.
-    backoff_base_s: float = 0.0
-    backoff_factor: float = 2.0
     #: IPC receive timeout for parallel fleets (batch round-trips and
-    #: heartbeat pings); None keeps the executor's wait-forever default.
+    #: heartbeat pings); None waits forever.
     heartbeat_timeout_s: float | None = 30.0
 
     def __post_init__(self) -> None:
@@ -88,10 +77,6 @@ class SupervisorConfig:
             raise ValueError("keep_checkpoints must be >= 1")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be >= 0")
-        if self.backoff_factor < 1:
-            raise ValueError("backoff_factor must be >= 1")
 
 
 @dataclass
@@ -126,11 +111,7 @@ class FleetSupervisor:
         self.executor = fleet.executor
         self.config = config or SupervisorConfig()
         self.executor.monitored = True
-        if (
-            isinstance(self.executor, ParallelExecutor)
-            and self.config.heartbeat_timeout_s is not None
-        ):
-            self.executor.heartbeat_timeout_s = self.config.heartbeat_timeout_s
+        self.executor.heartbeat_timeout_s = self.config.heartbeat_timeout_s
         n = fleet.n_shards
         #: per-shard rotating checkpoint stores.
         self.stores = [
@@ -160,7 +141,6 @@ class FleetSupervisor:
         #: entries that failed fast when their shard was fenced (each
         #: carries a ShardUnavailableError on ``entry.error``).
         self.failed_entries: list[RobEntry] = []
-        self._last_beats: dict[int, float] = {}
         self._t0 = time.monotonic()
         for index in range(n):
             self._checkpoint(index)
@@ -285,35 +265,18 @@ class FleetSupervisor:
         return self.executor.fault_stats()
 
     # -------------------------------------------------------------- health
-    def check_health(self, expect_progress: bool = False) -> dict:
+    def check_health(self) -> dict:
         """One heartbeat round; recovers any failure it uncovers.
 
         Parallel fleets ping every live worker over IPC (a worker that
         misses ``heartbeat_timeout_s`` is treated as hung and recovered);
-        serial fleets read the shards' simulated clocks in-process.  With
-        ``expect_progress=True`` a serial shard whose clock has not
-        advanced since the previous round while it still holds work is
-        flagged as hung too -- the simulated-clock analogue of a missed
-        heartbeat.
+        serial fleets read the shards' simulated clocks in-process.
         """
-        try:
-            beats = self.executor.heartbeats()
-        except ShardCrashed as failure:
-            self._handle_failure(failure)
-            return self.check_health(expect_progress=expect_progress)
-        if expect_progress and not isinstance(self.executor, ParallelExecutor):
-            for index, now_us in beats.items():
-                stalled = (
-                    index in self._last_beats
-                    and now_us == self._last_beats[index]
-                    and self.executor.shards[index].rob.has_work()
-                )
-                if stalled:
-                    self._last_beats = beats
-                    self._handle_failure(ShardCrashed(index, "hung", None))
-                    return self.check_health(expect_progress=False)
-        self._last_beats = beats
-        return beats
+        while True:
+            try:
+                return self.executor.heartbeats()
+            except ShardCrashed as failure:
+                self._handle_failure(failure)
 
     # ------------------------------------------------------------ reporting
     def event_trace(self) -> "list[tuple[str, int, int]]":
@@ -371,11 +334,6 @@ class FleetSupervisor:
         index = failure.shard_index
         self._event("crash_detected", index, detail=failure.kind)
         for attempt in range(1, self.config.max_restarts + 1):
-            if self.config.backoff_base_s > 0 and attempt > 1:
-                time.sleep(
-                    self.config.backoff_base_s
-                    * self.config.backoff_factor ** (attempt - 2)
-                )
             self._event("restore_started", index, attempt)
             try:
                 self._restore(index, failure)
@@ -399,35 +357,19 @@ class FleetSupervisor:
         checkpoint picks an older offset, and the journal reaches back to
         the oldest retained one) and the shard's still-in-flight suffix
         (per-shard ROBs retire in program order, so the journal is always
-        prefix-retired).  Replay runs with no injector attached --
-        recovery itself cannot re-crash on the same scheduled fault; the
-        requeued suffix goes back through the normal (injected) path.
+        prefix-retired).  The executor replays it with no injector
+        attached -- recovery itself cannot re-crash on the same scheduled
+        fault; the requeued suffix goes back through the normal
+        (injected) path.
         """
         checkpoint, path = self.stores[index].load_latest_valid()
         journal = self.journals[index]
         offset = self._ckpt_offsets[index].get(path.name, self._journal_base[index])
         start = offset - self._journal_base[index]
         replay = journal[start : len(journal) - self.fleet.inflight_count(index)]
-        if isinstance(self.executor, ParallelExecutor):
-            plan = self.executor.worker_plans.get(index)
-            self.executor.respawn_shard(index)
-            self.executor.load_shard_state(index, shard_state_payload(checkpoint))
-            self.executor.replay_shard(
-                index,
-                [(seq, op, addr, data) for seq, (op, addr, data) in enumerate(replay)],
-            )
-            if plan is not None:
-                self.executor.install_fault_plan_shard(
-                    index, _rebase_plan(plan, failure)
-                )
-            return
-        shard = restore_shard_instance(checkpoint)
-        for op, addr, data in replay:
-            shard.submit(Request(op=op, addr=addr, data=data))
-        while shard.rob.has_work():
-            shard.step()
-        shard.rob.retire()
-        self.executor.restore_shard(index, shard)
+        self.executor.recover_shard(
+            index, shard_state_payload(checkpoint), replay, failure
+        )
 
     # ----------------------------------------------------------- checkpoints
     def checkpoint_now(self) -> int:
@@ -489,46 +431,3 @@ class FleetSupervisor:
 
     def _count(self, kind: str) -> int:
         return sum(1 for e in self.events if e.kind == kind)
-
-
-def _rebase_plan(plan: FaultPlan, failure: ShardCrashed) -> FaultPlan:
-    """Shift a worker's fault plan past the fault that just fired.
-
-    A respawned worker gets a fresh injector whose op counters start at
-    zero, so re-installing the old plan verbatim would refire the same
-    crash forever.  Scheduled points at or before the fired op are
-    dropped; later ones shift down by the fired count, preserving "each
-    scheduled fault fires exactly once" across restarts.  (The serial
-    executor needs none of this: its injector outlives the shard and its
-    shared counters keep running.)
-
-    The crash and hang counters are tracked separately in the injector;
-    when both kinds are scheduled and the op-kind filters differ, the
-    non-firing kind's offset is unknowable here and is left unshifted --
-    a documented approximation for combined plans.
-    """
-    if failure.kind == "hung" or plan.hang_at_op and failure.kind != "crash":
-        fired = plan.hang_at_op
-        hang_at_op = 0
-    elif isinstance(failure.cause, CrashFault):
-        fired = failure.cause.op_index
-        hang_at_op = (
-            max(0, plan.hang_at_op - fired)
-            if plan.hang_at_op and plan.crash_op_kind == "any"
-            else plan.hang_at_op
-        )
-    else:
-        # Nothing scheduled fired (process death, unexpected error):
-        # the plan carries over unchanged.
-        return plan
-    crash_schedule = [op - fired for op in plan.crash_schedule if op > fired]
-    crash_at_op = plan.crash_at_op - fired if plan.crash_at_op > fired else 0
-    if failure.kind == "hung" and plan.crash_op_kind != "any":
-        crash_schedule = list(plan.crash_schedule)
-        crash_at_op = plan.crash_at_op
-    return replace(
-        plan,
-        crash_schedule=crash_schedule,
-        crash_at_op=crash_at_op,
-        hang_at_op=hang_at_op,
-    )

@@ -17,7 +17,8 @@ import hashlib
 
 import pytest
 
-from repro.core.executor import ParallelExecutor, SerialExecutor
+from repro.core.checkpoint import snapshot_shard
+from repro.core.executor import ParallelExecutor, SerialExecutor, ShardExecutor
 from repro.core.sharding import build_sharded_horam
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import initial_payload
@@ -338,3 +339,47 @@ class TestExecutorPlumbing:
     def test_empty_parallel_executor_rejected(self):
         with pytest.raises(ValueError, match="at least one shard"):
             ParallelExecutor([])
+
+
+def _public_callables(cls) -> set:
+    return {
+        name
+        for name in dir(cls)
+        if not name.startswith("_") and callable(getattr(cls, name))
+    }
+
+
+class TestOneSurface:
+    """Callers never need to know which runtime they hold."""
+
+    #: parallel-only, by design: transport accounting for the benchmarks,
+    #: and the per-worker injector hook tests aim single-worker faults with.
+    PARALLEL_ONLY = {"ipc_stats", "install_fault_plan_shard"}
+
+    def test_both_executors_have_the_same_public_callables(self):
+        serial = _public_callables(SerialExecutor)
+        parallel = _public_callables(ParallelExecutor)
+        assert parallel - serial == self.PARALLEL_ONLY
+        assert serial - parallel == set()
+
+    def test_the_base_class_has_no_unimplemented_stubs(self):
+        """Every method is abstract (so both runtimes must define it) or
+        really implemented -- never a ``raise NotImplementedError`` body
+        one runtime forgot to override."""
+        for name in _public_callables(ShardExecutor):
+            method = getattr(ShardExecutor, name)
+            if getattr(method, "__isabstractmethod__", False):
+                continue
+            assert "NotImplementedError" not in method.__code__.co_names, name
+        assert not SerialExecutor.__abstractmethods__
+        assert not ParallelExecutor.__abstractmethods__
+
+    def test_shard_checkpoints_have_one_shape(self):
+        checkpoints = []
+        for executor in ("serial", "parallel"):
+            with _build(executor, 2) as sharded:
+                checkpoints.append(snapshot_shard(sharded, 1))
+        serial, parallel = checkpoints
+        assert set(serial.state) == set(parallel.state) == {"index", "stack"}
+        assert serial.kind == parallel.kind == "shard"
+        assert set(serial.blobs) == set(parallel.blobs)

@@ -193,9 +193,10 @@ class TestTeardownWithPaddingInFlight:
     def test_respawn_discards_the_old_workers_round(self):
         fleet = _fleet()
         fleet.executor.monitored = True
+        blank = fleet.executor.shard_state(1)
         _start_padding(fleet, stall_s=60.0)
         began = time.monotonic()
-        fleet.executor.respawn_shard(1)
+        fleet.executor.recover_shard(1, blank, [], ShardCrashed(1, "hung", None))
         assert time.monotonic() - began < 5.0
         assert set(fleet.executor._finishing) == {0}
         pids = _worker_pids(fleet.executor)
@@ -210,6 +211,7 @@ class TestTeardownWithPaddingInFlight:
         fleet = _fleet()
         fleet.executor.monitored = True
         try:
+            blank = fleet.executor.shard_state(1)
             delivered = _start_padding(fleet, crash_at=3)
             assert all(entry.result is not None for entry in delivered)
             queued = [fleet.submit(Request.read(addr)) for addr in (1, 3, 5, 7, 9)]
@@ -219,7 +221,7 @@ class TestTeardownWithPaddingInFlight:
             assert (failure.value.shard_index, failure.value.kind) == (1, "crash")
             assert fleet.executor._pending[1] == []
             assert not fleet.executor._proxies[1]
-            fleet.executor.respawn_shard(1)
+            fleet.executor.recover_shard(1, blank, [], failure.value)
             assert fleet.requeue_shard(1) == 5
             assert len(fleet.executor._pending[1]) == 5
             assert len(fleet.drain()) == 5

@@ -284,8 +284,31 @@ class TestCheckpointCadence:
             SupervisorConfig(keep_checkpoints=0)
         with pytest.raises(ValueError):
             SupervisorConfig(max_restarts=-1)
-        with pytest.raises(ValueError):
-            SupervisorConfig(backoff_factor=0.5)
+
+
+class TestFacadeFollowsRecovery:
+    @pytest.mark.parametrize("executor", ["serial", "parallel"])
+    def test_hierarchy_facade_reads_the_live_shards(self, ckpt_dir, executor):
+        """Recovery puts a new object in the shard's slot; the facade the
+        engine reads for simulated time and I/O must follow it, not keep
+        summing the dead one."""
+        supervisor = _supervised(ckpt_dir, executor=executor)
+        try:
+            supervisor.install_fault_plan(FaultPlan(seed=0, crash_schedule=[40]))
+            _drive(supervisor, _workload(200))
+            assert supervisor.recovery_report()["restores"] >= 1
+            fleet = supervisor.fleet
+            for tier in ("storage", "memory"):
+                total = getattr(fleet.hierarchy, tier).snapshot()
+                live = [getattr(s.hierarchy, tier).snapshot() for s in fleet.shards]
+                assert total.reads == sum(c.reads for c in live)
+                assert total.bytes_written == sum(c.bytes_written for c in live)
+                assert total.busy_us == sum(c.busy_us for c in live)
+            assert fleet.hierarchy.clock.now_us == max(
+                s.hierarchy.clock.now_us for s in fleet.shards
+            )
+        finally:
+            supervisor.close()
 
 
 class TestSerialHealth:

@@ -30,6 +30,13 @@ def _raise(error):
     raise error
 
 
+def _late_bytes(size: int) -> bytes:
+    """A large reply the worker cannot have written by the time ``submit``
+    returns (``submit`` takes any reply that is already there)."""
+    time.sleep(0.2)
+    return bytes(size)
+
+
 @contextmanager
 def _within(seconds):
     """Fail (instead of hanging the suite) if the body blocks."""
@@ -138,7 +145,7 @@ class TestFailures:
 class TestShutdown:
     def test_shutdown_waits_for_the_running_call_and_is_idempotent(self):
         channel = WorkerChannel(_default_context(), _nothing)
-        dropped = channel.submit(bytes, 2 * MIB)  # nobody will read this reply
+        dropped = channel.submit(_late_bytes, 2 * MIB)  # nobody will read this reply
         with _within(10):
             channel.shutdown()
             channel.shutdown()

@@ -13,6 +13,7 @@ import multiprocessing
 
 import pytest
 
+from repro.core.executor import ShardCrashed
 from repro.core.sharding import build_sharded_horam
 from repro.crypto.random import DeterministicRandom
 from repro.storage.faults import FaultPlan
@@ -81,6 +82,7 @@ class TestExecutorTeardown:
         fleet = _fleet()
         executor = fleet.executor
         executor.monitored = True
+        blank = executor.shard_state(1)
         executor.install_fault_plan_shard(
             1,
             FaultPlan(
@@ -97,7 +99,7 @@ class TestExecutorTeardown:
         elif teardown == "fence":
             executor.fence_shard(1)
         elif teardown == "respawn":
-            executor.respawn_shard(1)
+            executor.recover_shard(1, blank, [], ShardCrashed(1, "hung", None))
             _drive(fleet, 4)
         fleet.close()
 
@@ -115,15 +117,14 @@ class TestExecutorTeardown:
         fleet = _fleet()
         fleet.executor.monitored = True
         _drive(fleet, 4)
+        state = fleet.executor.shard_state(1)
         fleet.executor.fence_shard(1)
-        fleet.executor.respawn_shard(1)
+        fleet.executor.recover_shard(1, state, [], ShardCrashed(1, "hung", None))
         _drive(fleet, 4)
         fleet.close()
 
     def test_crashed_worker_slab_reaped_on_close(self, segments_before):
         """A killed worker cannot close() its store; the coordinator must."""
-        from repro.core.executor import ShardCrashed
-
         fleet = _fleet()
         fleet.executor.monitored = True
         fleet.executor.install_fault_plan(
