@@ -27,7 +27,7 @@ setup(
         ],
     },
     extras_require={
-        "test": ["pytest", "hypothesis", "pytest-benchmark"],
+        "test": ["pytest", "hypothesis"],
     },
     classifiers=[
         "Development Status :: 4 - Beta",

@@ -14,8 +14,8 @@ Quickstart::
     oram.write(7, b"secret")
     assert oram.read(7).rstrip(b"\\x00") == b"secret"
 
-See README.md for the architecture tour, DESIGN.md for the system
-inventory, and EXPERIMENTS.md for paper-vs-measured results.
+See README.md for the architecture tour; ``horam-bench all`` prints the
+paper-vs-measured results.
 """
 
 from repro.core import (

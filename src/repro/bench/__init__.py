@@ -1,18 +1,20 @@
 """Experiment harness: one function per paper table/figure.
 
-* :mod:`repro.bench.tables` -- plain-text table rendering (the benches and
-  the CLI print paper-style tables).
+* :mod:`repro.bench.tables` -- plain-text table rendering (the CLI prints
+  paper-style tables).
 * :mod:`repro.bench.experiments` -- experiment definitions; each returns
-  an :class:`~repro.bench.experiments.ExperimentResult` with raw rows and
-  a rendered table.
-* :mod:`repro.bench.runner` -- the ``horam-bench`` CLI entry point.
+  an :class:`~repro.bench.experiments.ExperimentResult` with raw rows, a
+  rendered table and the checks that hold it to the paper's shape.
+* :mod:`repro.bench.runner` -- the ``horam-bench`` CLI, the one entry
+  point beside the spine (``benchmarks/spine/``).
 
 Every experiment accepts a ``scale`` ("quick", "medium", "full"): quick
-runs in seconds and drives the pytest benchmarks; full matches the paper's
-dataset sizes and is meant for the CLI.
+runs in seconds and is what CI gates on; full matches the paper's dataset
+sizes.
 """
 
 from repro.bench.experiments import (
+    Check,
     ExperimentResult,
     EXPERIMENTS,
     get_experiment,
@@ -20,6 +22,7 @@ from repro.bench.experiments import (
 from repro.bench.tables import render_kv, render_table
 
 __all__ = [
+    "Check",
     "ExperimentResult",
     "EXPERIMENTS",
     "get_experiment",

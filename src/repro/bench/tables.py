@@ -2,7 +2,7 @@
 
 Tables render in the paper's row-oriented style: a header row, a rule, and
 one row per metric, padded to column widths.  No external dependencies --
-the output goes straight into EXPERIMENTS.md and CLI logs.
+the output goes straight into CLI logs.
 """
 
 from __future__ import annotations

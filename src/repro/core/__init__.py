@@ -42,13 +42,7 @@ from repro.core.checkpoint import (
     save_checkpoint,
     snapshot_stack,
 )
-from repro.core.profiler import (
-    HotspotReport,
-    ProfileResult,
-    RatioProfile,
-    profile_hotspots,
-    profile_shuffle_ratio,
-)
+from repro.core.profiler import ProfileResult, RatioProfile, profile_shuffle_ratio
 from repro.core import analysis
 
 __all__ = [
@@ -79,10 +73,8 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "recover",
-    "HotspotReport",
     "ProfileResult",
     "RatioProfile",
-    "profile_hotspots",
     "profile_shuffle_ratio",
     "analysis",
 ]

@@ -8,8 +8,8 @@ the device (the paper's HDD writes at roughly half its read speed, so the
 evaluation uses weight ~2 for writes).
 
 These functions regenerate Table 5-1 and the Figure 5-1 sweep, and give
-the per-experiment theoretical expectations that EXPERIMENTS.md compares
-simulated results against.
+the per-experiment theoretical expectations that :mod:`repro.bench`
+prints beside the simulated results.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""System profiling: shuffle-ratio tuning and wall-clock phase accounting.
+"""System profiling: shuffle-ratio tuning (Section 5.3.1).
 
 The paper: "Through this method, we can compute a proper shuffle ratio
 with a system profiling, which balances the shuffle overhead and the I/O
@@ -10,59 +10,16 @@ together with the full sweep so callers can inspect the trade-off curve.
 The profiling runs are cheap (the sample defaults to a few thousand
 requests at the instance's own geometry) and fully deterministic, so the
 recommendation is reproducible.
-
-:class:`PhaseProfiler` is the wall-clock side: a tiny named-phase timer
-the throughput benchmarks (``benchmarks/bench_wallclock.py``) use to
-split real elapsed time into build / access / shuffle phases, so perf
-regressions point at the layer that caused them.
 """
 
 from __future__ import annotations
 
-import cProfile
-import pstats
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import HORAMConfig
 from repro.core.horam import build_horam
 from repro.oram.base import Request
 from repro.sim.engine import SimulationEngine
-from repro.sim.metrics import Metrics
-from repro.workload.generators import WorkloadSpec, make_workload
-
-
-class PhaseProfiler:
-    """Accumulates real (wall-clock) seconds per named phase.
-
-    Phases may nest or repeat; each ``with profiler.phase(name):`` block
-    adds its elapsed time to that phase's total and bumps its call count.
-    """
-
-    def __init__(self) -> None:
-        self.seconds: dict[str, float] = {}
-        self.calls: dict[str, int] = {}
-
-    @contextmanager
-    def phase(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield self
-        finally:
-            elapsed = time.perf_counter() - start
-            self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
-            self.calls[name] = self.calls.get(name, 0) + 1
-
-    def total(self, name: str) -> float:
-        return self.seconds.get(name, 0.0)
-
-    def report(self) -> dict[str, dict[str, float]]:
-        """JSON-friendly {phase: {seconds, calls}} summary."""
-        return {
-            name: {"seconds": self.seconds[name], "calls": self.calls[name]}
-            for name in self.seconds
-        }
 
 
 @dataclass(frozen=True)
@@ -139,141 +96,3 @@ def profile_shuffle_ratio(
 
     best = min(profiles, key=lambda p: p.total_time_us)
     return ProfileResult(best_ratio=best.ratio, profiles=tuple(profiles))
-
-
-# --------------------------------------------------------------------- hotspots
-@dataclass(frozen=True)
-class HotspotEntry:
-    """One function in the wall-clock profile."""
-
-    where: str  # "module:line(function)"
-    calls: int
-    own_seconds: float
-    cumulative_seconds: float
-
-
-@dataclass
-class HotspotReport:
-    """Per-phase / per-tier / per-function wall-clock breakdown of one run.
-
-    ``phases`` are real elapsed seconds (build, access, shuffle, run);
-    ``tiers`` are the *simulated* time split the device models charged, so
-    a wall-clock hot spot can be matched against the modeled cost it
-    simulates; ``functions`` are the cProfile top entries.
-    """
-
-    requests: int
-    wall_seconds: float
-    phases: dict = field(default_factory=dict)
-    tiers: dict = field(default_factory=dict)
-    functions: list[HotspotEntry] = field(default_factory=list)
-    metrics: Metrics | None = None
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.requests / self.wall_seconds if self.wall_seconds else 0.0
-
-
-def _format_frame(frame: tuple, repo_marker: str = "repro") -> str:
-    filename, line, name = frame
-    if filename == "~":
-        return f"<builtin>({name})"
-    marker = filename.rfind(repo_marker)
-    short = filename[marker:] if marker >= 0 else filename.rsplit("/", 1)[-1]
-    return f"{short}:{line}({name})"
-
-
-def profile_hotspots(
-    n_blocks: int,
-    mem_tree_blocks: int,
-    requests: int,
-    kind: str = "hotspot",
-    seed: int = 0,
-    workload_seed: int = 7,
-    write_ratio: float = 0.25,
-    top: int = 14,
-    storage_device=None,
-    **config_kwargs,
-) -> HotspotReport:
-    """Run one workload under the profiler; return the hot-spot breakdown.
-
-    This is the measurement step every perf PR should start from: it
-    splits real elapsed time into build / access / shuffle phases, lists
-    the functions that dominate the run, and pairs them with the
-    simulated per-tier times so "slow in the simulator" and "slow in the
-    modeled system" stay distinguishable.
-    """
-    profiler = PhaseProfiler()
-    with profiler.phase("build"):
-        oram = build_horam(
-            n_blocks=n_blocks,
-            mem_tree_blocks=mem_tree_blocks,
-            seed=seed,
-            storage_device=storage_device,
-            **config_kwargs,
-        )
-        params = {}
-        if kind == "hotspot":
-            params = {"hot_blocks": max(16, int(0.35 * oram.period_capacity))}
-        stream = make_workload(
-            WorkloadSpec(
-                kind=kind,
-                n_blocks=n_blocks,
-                count=requests,
-                seed=workload_seed,
-                write_ratio=write_ratio,
-                params=params,
-            )
-        )
-
-    inner_shuffle = oram._run_shuffle_period
-
-    def timed_shuffle():
-        with profiler.phase("shuffle"):
-            inner_shuffle()
-
-    oram._run_shuffle_period = timed_shuffle
-
-    wall_profile = cProfile.Profile()
-    start = time.perf_counter()
-    wall_profile.enable()
-    with profiler.phase("run"):
-        metrics = SimulationEngine(oram).run(stream)
-    wall_profile.disable()
-    wall_seconds = time.perf_counter() - start
-
-    stats = pstats.Stats(wall_profile)
-    entries = [
-        HotspotEntry(
-            where=_format_frame(frame),
-            calls=int(nc),
-            own_seconds=tt,
-            cumulative_seconds=ct,
-        )
-        for frame, (cc, nc, tt, ct, callers) in stats.stats.items()
-    ]
-    entries.sort(key=lambda e: e.own_seconds, reverse=True)
-
-    run_s = profiler.total("run")
-    shuffle_s = profiler.total("shuffle")
-    phases = {
-        "build": profiler.total("build"),
-        "access": run_s - shuffle_s,
-        "shuffle": shuffle_s,
-        "run": run_s,
-    }
-    tiers = {
-        "io_time_us": metrics.io_time_us,
-        "mem_time_us": metrics.mem_time_us,
-        "shuffle_io_time_us": metrics.shuffle_io_time_us,
-        "shuffle_mem_time_us": metrics.shuffle_mem_time_us,
-        "total_time_us": metrics.total_time_us,
-    }
-    return HotspotReport(
-        requests=metrics.requests_served,
-        wall_seconds=wall_seconds,
-        phases=phases,
-        tiers=tiers,
-        functions=entries[: max(1, top)],
-        metrics=metrics,
-    )

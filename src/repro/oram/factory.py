@@ -57,7 +57,6 @@ def _make_hierarchy(
 
 
 def _build_common(
-    baseline: str,
     memory_slots: int,
     storage_slots: int,
     *,
@@ -67,15 +66,14 @@ def _build_common(
     memory_device,
     storage_device,
     trace: bool,
-    args: dict,
     storage_backend: str = "memory",
     storage_path=None,
 ):
-    """The boilerplate every builder shares: codec, hierarchy, build info.
+    """The boilerplate every builder shares: ``(codec, hierarchy)``.
 
-    Returns ``(codec, hierarchy, build_info)``; the caller constructs its
-    protocol, then attaches ``hierarchy`` and ``_build_info`` (the
-    checkpoint layer's rebuild recipe) to the instance.
+    The four legacy baselines also attach ``_build_info`` -- the recipe
+    ``core.checkpoint`` rebuilds them from; kernel protocols checkpoint
+    through their own config and need none.
     """
     codec = _make_codec(payload_bytes, seed)
     hierarchy = _make_hierarchy(
@@ -89,7 +87,7 @@ def _build_common(
         storage_backend=storage_backend,
         storage_path=storage_path,
     )
-    return codec, hierarchy, {"baseline": baseline, "args": dict(args)}
+    return codec, hierarchy
 
 
 def build_path_oram(
@@ -107,8 +105,7 @@ def build_path_oram(
     geometry = TreeGeometry.for_real_blocks(n_blocks, bucket_size)
     mem_levels = PathORAM._mem_levels_for_budget(geometry, memory_blocks)
     mem_buckets = (1 << mem_levels) - 1
-    codec, hierarchy, info = _build_common(
-        "path",
+    codec, hierarchy = _build_common(
         memory_slots=mem_buckets * bucket_size,
         storage_slots=max(1, (geometry.buckets - mem_buckets) * bucket_size),
         payload_bytes=payload_bytes,
@@ -117,17 +114,6 @@ def build_path_oram(
         memory_device=memory_device,
         storage_device=storage_device,
         trace=trace,
-        args=dict(
-            n_blocks=n_blocks,
-            memory_blocks=memory_blocks,
-            payload_bytes=payload_bytes,
-            modeled_block_bytes=modeled_block_bytes,
-            bucket_size=bucket_size,
-            seed=seed,
-            memory_device=memory_device,
-            storage_device=storage_device,
-            trace=trace,
-        ),
     )
     oram = PathORAM(
         n_blocks=n_blocks,
@@ -140,7 +126,20 @@ def build_path_oram(
         rng=DeterministicRandom(seed).spawn("path-oram"),
     )
     oram.hierarchy = hierarchy
-    oram._build_info = info
+    oram._build_info = {
+        "baseline": "path",
+        "args": dict(
+            n_blocks=n_blocks,
+            memory_blocks=memory_blocks,
+            payload_bytes=payload_bytes,
+            modeled_block_bytes=modeled_block_bytes,
+            bucket_size=bucket_size,
+            seed=seed,
+            memory_device=memory_device,
+            storage_device=storage_device,
+            trace=trace,
+        ),
+    }
     return oram
 
 
@@ -155,8 +154,7 @@ def build_square_root(
 ) -> SquareRootORAM:
     """The classic sqrt(N) scheme on its own hierarchy."""
     memory_slots, storage_slots = SquareRootORAM.required_slots(n_blocks)
-    codec, hierarchy, info = _build_common(
-        "sqrt",
+    codec, hierarchy = _build_common(
         memory_slots=memory_slots,
         storage_slots=storage_slots,
         payload_bytes=payload_bytes,
@@ -165,15 +163,6 @@ def build_square_root(
         memory_device=memory_device,
         storage_device=storage_device,
         trace=trace,
-        args=dict(
-            n_blocks=n_blocks,
-            payload_bytes=payload_bytes,
-            modeled_block_bytes=modeled_block_bytes,
-            seed=seed,
-            memory_device=memory_device,
-            storage_device=storage_device,
-            trace=trace,
-        ),
     )
     oram = SquareRootORAM(
         n_blocks=n_blocks,
@@ -184,7 +173,18 @@ def build_square_root(
         rng=DeterministicRandom(seed).spawn("sqrt-oram"),
     )
     oram.hierarchy = hierarchy
-    oram._build_info = info
+    oram._build_info = {
+        "baseline": "sqrt",
+        "args": dict(
+            n_blocks=n_blocks,
+            payload_bytes=payload_bytes,
+            modeled_block_bytes=modeled_block_bytes,
+            seed=seed,
+            memory_device=memory_device,
+            storage_device=storage_device,
+            trace=trace,
+        ),
+    }
     return oram
 
 
@@ -198,8 +198,7 @@ def build_plain(
     trace: bool = False,
 ) -> PlainStore:
     """The unprotected baseline (encrypted, pattern-leaking)."""
-    codec, hierarchy, info = _build_common(
-        "plain",
+    codec, hierarchy = _build_common(
         memory_slots=1,
         storage_slots=n_blocks,
         payload_bytes=payload_bytes,
@@ -208,15 +207,6 @@ def build_plain(
         memory_device=memory_device,
         storage_device=storage_device,
         trace=trace,
-        args=dict(
-            n_blocks=n_blocks,
-            payload_bytes=payload_bytes,
-            modeled_block_bytes=modeled_block_bytes,
-            seed=seed,
-            memory_device=memory_device,
-            storage_device=storage_device,
-            trace=trace,
-        ),
     )
     store = PlainStore(
         n_blocks=n_blocks,
@@ -225,7 +215,18 @@ def build_plain(
         clock=hierarchy.clock,
     )
     store.hierarchy = hierarchy
-    store._build_info = info
+    store._build_info = {
+        "baseline": "plain",
+        "args": dict(
+            n_blocks=n_blocks,
+            payload_bytes=payload_bytes,
+            modeled_block_bytes=modeled_block_bytes,
+            seed=seed,
+            memory_device=memory_device,
+            storage_device=storage_device,
+            trace=trace,
+        ),
+    }
     return store
 
 
@@ -241,8 +242,7 @@ def build_partition(
 ) -> PartitionORAM:
     """The partition-ORAM baseline on its own hierarchy."""
     storage_slots = PartitionORAM.required_slots(n_blocks, evict_rate=evict_rate)
-    codec, hierarchy, info = _build_common(
-        "partition",
+    codec, hierarchy = _build_common(
         memory_slots=max(1, storage_slots // max(1, n_blocks)),  # shuffle buffer only
         storage_slots=storage_slots,
         payload_bytes=payload_bytes,
@@ -251,16 +251,6 @@ def build_partition(
         memory_device=memory_device,
         storage_device=storage_device,
         trace=trace,
-        args=dict(
-            n_blocks=n_blocks,
-            payload_bytes=payload_bytes,
-            modeled_block_bytes=modeled_block_bytes,
-            seed=seed,
-            evict_rate=evict_rate,
-            memory_device=memory_device,
-            storage_device=storage_device,
-            trace=trace,
-        ),
     )
     oram = PartitionORAM(
         n_blocks=n_blocks,
@@ -272,7 +262,19 @@ def build_partition(
         memory_store=hierarchy.memory,
     )
     oram.hierarchy = hierarchy
-    oram._build_info = info
+    oram._build_info = {
+        "baseline": "partition",
+        "args": dict(
+            n_blocks=n_blocks,
+            payload_bytes=payload_bytes,
+            modeled_block_bytes=modeled_block_bytes,
+            seed=seed,
+            evict_rate=evict_rate,
+            memory_device=memory_device,
+            storage_device=storage_device,
+            trace=trace,
+        ),
+    }
     return oram
 
 
@@ -299,8 +301,7 @@ def build_succinct_hier(
         seed=seed,
         **config_kwargs,
     )
-    codec, hierarchy, info = _build_common(
-        "succinct",
+    codec, hierarchy = _build_common(
         memory_slots=memory_blocks,
         storage_slots=SuccinctHierORAM.required_storage_slots(config),
         payload_bytes=payload_bytes,
@@ -311,22 +312,10 @@ def build_succinct_hier(
         trace=trace,
         storage_backend=storage_backend,
         storage_path=storage_path,
-        args=dict(
-            n_blocks=n_blocks,
-            memory_blocks=memory_blocks,
-            payload_bytes=payload_bytes,
-            modeled_block_bytes=modeled_block_bytes,
-            seed=seed,
-            memory_device=memory_device,
-            storage_device=storage_device,
-            trace=trace,
-        ),
     )
-    oram = SuccinctHierORAM(
+    return SuccinctHierORAM(
         config, hierarchy, codec=codec, initial_addr_map=initial_addr_map
     )
-    oram._build_info = info
-    return oram
 
 
 def build_bios(
@@ -354,8 +343,7 @@ def build_bios(
         seed=seed,
         **config_kwargs,
     )
-    codec, hierarchy, info = _build_common(
-        "bios",
+    codec, hierarchy = _build_common(
         memory_slots=memory_blocks,
         storage_slots=BiosORAM.required_storage_slots(
             config, bucket_slots=bucket_slots, ways=ways
@@ -368,20 +356,8 @@ def build_bios(
         trace=trace,
         storage_backend=storage_backend,
         storage_path=storage_path,
-        args=dict(
-            n_blocks=n_blocks,
-            memory_blocks=memory_blocks,
-            payload_bytes=payload_bytes,
-            modeled_block_bytes=modeled_block_bytes,
-            seed=seed,
-            bucket_slots=bucket_slots,
-            ways=ways,
-            memory_device=memory_device,
-            storage_device=storage_device,
-            trace=trace,
-        ),
     )
-    oram = BiosORAM(
+    return BiosORAM(
         config,
         hierarchy,
         codec=codec,
@@ -389,8 +365,6 @@ def build_bios(
         bucket_slots=bucket_slots,
         ways=ways,
     )
-    oram._build_info = info
-    return oram
 
 
 #: Baseline protocols by short name (the conformance matrix iterates this).

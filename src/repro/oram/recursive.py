@@ -13,8 +13,8 @@ the same obliviousness argument as for data accesses.
 tier block stores, charging simulated time for every path it touches.  It
 exposes the cost trade-off the paper alludes to: controller state drops
 from O(N) to O(threshold) at the price of ``levels`` extra in-memory tree
-accesses per lookup.  The component benchmark
-(``benchmarks/bench_recursive_posmap.py``) quantifies both sides.
+accesses per lookup.  ``horam-bench recursive_posmap`` quantifies both
+sides.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ seed, which is what lets the chaos soak gate demand bit-identical
 outcome counts across runs.
 
 :func:`drive_through_chaos` is the canonical soak driver shared by the
-conformance harness and ``bench_chaos``: N logical clients, each with
+conformance harness and ``horam-bench chaos``: N logical clients, each with
 its own chaotic endpoint and :class:`~repro.serve.client.RetryingClient`
 (idempotency keys on), closed-loop over a message slice, optionally
 triggering a mid-stream graceful :meth:`~repro.serve.server.ORAMServer.

@@ -97,9 +97,7 @@ def encode_frame(message: dict) -> bytes:
     return _LEN.pack(len(body)) + body
 
 
-async def read_frame(
-    reader: asyncio.StreamReader, max_frame_bytes: int = MAX_FRAME_BYTES
-) -> dict | None:
+async def read_frame(reader: asyncio.StreamReader) -> dict | None:
     """Read one frame; ``None`` on clean EOF (peer closed between frames)."""
     try:
         header = await reader.readexactly(_LEN.size)
@@ -108,9 +106,9 @@ async def read_frame(
             return None  # clean close
         raise ProtocolError("connection closed mid-header") from None
     (length,) = _LEN.unpack(header)
-    if length > max_frame_bytes:
+    if length > MAX_FRAME_BYTES:
         raise ProtocolError(
-            f"peer announced a {length}-byte frame (cap {max_frame_bytes})"
+            f"peer announced a {length}-byte frame (cap {MAX_FRAME_BYTES})"
         )
     try:
         body = await reader.readexactly(length)

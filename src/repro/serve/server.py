@@ -30,7 +30,7 @@ Every request the backend accepts is journaled in backend program order
 *direct-submit twin* -- a fresh identical stack driven ``submit``/
 ``drain`` straight from the journal -- must serve bit-identical bytes
 (:mod:`repro.serve.twin`).  The conformance harness and
-``bench_serving`` both gate on that diff; rejections never enter the
+``horam-bench serving`` both gate on that diff; rejections never enter the
 journal and are excluded from the comparison by design (but counted).
 """
 
@@ -45,7 +45,6 @@ from repro.core.multiuser import AccessDenied, MultiUserFrontEnd, UnknownUserErr
 from repro.core.sharding import ShardUnavailableError
 from repro.oram.base import ORAMError, Request
 from repro.serve.protocol import (
-    MAX_FRAME_BYTES,
     ProtocolError,
     encode_frame,
     from_hex,
@@ -137,6 +136,14 @@ class Draining(ServeRejection):
         super().__init__("server is draining; no new work is admitted")
 
 
+#: scheduler cycles per pump quantum before yielding to the loop, so
+#: admission and response writes interleave with long drains.
+PUMP_MAX_CYCLES = 32
+#: default hard deadline for :meth:`ORAMServer.drain` (seconds); past it,
+#: still-pending work is failed with ``shutting_down``.
+DRAIN_TIMEOUT_S = 30.0
+
+
 @dataclass
 class ServeConfig:
     """Operator knobs for one server instance."""
@@ -144,11 +151,6 @@ class ServeConfig:
     #: admission bound: admitted-but-unanswered requests (front-end FIFOs
     #: plus backend ROB occupancy).  At the bound, ``Overloaded``.
     max_inflight: int = 64
-    #: scheduler cycles per pump quantum before yielding to the loop, so
-    #: admission and response writes interleave with long drains.
-    pump_max_cycles: int = 32
-    #: per-frame body cap forwarded to the protocol layer.
-    max_frame_bytes: int = MAX_FRAME_BYTES
     #: deadline applied to requests that carry none (ms; None = no
     #: deadline -- requests wait as long as the backend takes).
     default_deadline_ms: float | None = None
@@ -157,21 +159,14 @@ class ServeConfig:
     #: after its key was evicted re-executes; size this above the
     #: client-side retry horizon.
     idem_cache_size: int = 1024
-    #: default hard deadline for :meth:`ORAMServer.drain` (seconds);
-    #: past it, still-pending work is failed with ``shutting_down``.
-    drain_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        if self.pump_max_cycles < 1:
-            raise ValueError("pump_max_cycles must be >= 1")
         if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
             raise ValueError("default_deadline_ms must be positive")
         if self.idem_cache_size < 1:
             raise ValueError("idem_cache_size must be >= 1")
-        if self.drain_timeout_s < 0:
-            raise ValueError("drain_timeout_s must be >= 0")
 
 
 @dataclass
@@ -421,13 +416,13 @@ class ORAMServer:
         task.add_done_callback(self._conn_tasks.discard)
         return task
 
-    async def drain(self, timeout_s: float | None = None) -> dict:
+    async def drain(self, timeout_s: float = DRAIN_TIMEOUT_S) -> dict:
         """Graceful drain: admit nothing new, finish everything admitted.
 
         From the first await onward every new read/write is rejected with
         a typed ``draining`` error while the pump keeps running until all
         admitted work has retired and responded.  Past the hard deadline
-        (``timeout_s``, default ``config.drain_timeout_s``) the remainder
+        (``timeout_s``, default :data:`DRAIN_TIMEOUT_S`) the remainder
         is failed with ``shutting_down`` instead of waiting forever on a
         wedged backend.  The TCP listener (if any) stops accepting, and a
         supervised backend exposing ``checkpoint_now`` is checkpointed at
@@ -435,8 +430,7 @@ class ORAMServer:
         here.  Returns a report; connections stay open for final
         responses until :meth:`close`.
         """
-        budget = self.config.drain_timeout_s if timeout_s is None else timeout_s
-        deadline = self.clock() + budget
+        deadline = self.clock() + timeout_s
         self._draining = True
         self.ensure_pump()
         self._work.set()
@@ -708,7 +702,7 @@ class ORAMServer:
             self._work.clear()
             while self._pending and not self._closing:
                 self._cancel_expired()
-                retired = self.front.pump(max_cycles=self.config.pump_max_cycles)
+                retired = self.front.pump(max_cycles=PUMP_MAX_CYCLES)
                 self._resolve(retired)
                 self._fail_unsubmittable()
                 if not retired and not self._work_left():
@@ -890,7 +884,7 @@ class ORAMServer:
         loop = asyncio.get_running_loop()
         try:
             while True:
-                message = await read_frame(reader, self.config.max_frame_bytes)
+                message = await read_frame(reader)
                 if message is None:
                     break
                 op = message.get("op")

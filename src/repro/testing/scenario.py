@@ -163,7 +163,6 @@ class ServeSpec:
     tenants: int = 2
     #: admission bound handed to :class:`~repro.serve.server.ServeConfig`.
     max_inflight: int = 64
-    pump_max_cycles: int = 32
     #: per-tenant lifetime ops budget (None = unmetered).
     quota: int | None = None
     #: the scenario must provoke at least one Overloaded rejection; the
@@ -756,10 +755,7 @@ class ScenarioRunner:
 
         server = ORAMServer(
             stack.driver,
-            ServeConfig(
-                max_inflight=serve.max_inflight,
-                pump_max_cycles=serve.pump_max_cycles,
-            ),
+            ServeConfig(max_inflight=serve.max_inflight),
         )
         for tenant in range(serve.tenants):
             server.add_tenant(tenant, TenantPolicy(quota=serve.quota))
@@ -827,10 +823,7 @@ class ScenarioRunner:
 
         server = ORAMServer(
             stack.driver,
-            ServeConfig(
-                max_inflight=serve.max_inflight,
-                pump_max_cycles=serve.pump_max_cycles,
-            ),
+            ServeConfig(max_inflight=serve.max_inflight),
         )
         for tenant in range(serve.tenants):
             server.add_tenant(tenant, TenantPolicy(quota=serve.quota))

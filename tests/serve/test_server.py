@@ -1,6 +1,10 @@
 """ORAMServer tests: admission, tenancy, pump, health, twin fidelity."""
 
 import asyncio
+import dataclasses
+import inspect
+import socket
+import struct
 
 import pytest
 
@@ -8,6 +12,7 @@ from repro.core.horam import build_horam
 from repro.core.sharding import build_sharded_horam
 from repro.oram.base import initial_payload
 from repro.serve import (
+    MAX_FRAME_BYTES,
     ORAMServer,
     ServeClient,
     ServeConfig,
@@ -15,6 +20,7 @@ from repro.serve import (
     diff_served,
     replay_direct,
 )
+from repro.serve import server as server_mod
 from repro.testing.stacks import StackSpec, build_stack
 
 
@@ -416,3 +422,30 @@ class TestTransportLifecycle:
             TenantPolicy(rate_per_s=0)
         with pytest.raises(ValueError):
             TenantPolicy(quota=-1)
+
+    def test_knobs_nothing_set_are_constants_at_the_old_defaults(self, run):
+        assert server_mod.PUMP_MAX_CYCLES == 32
+        assert server_mod.DRAIN_TIMEOUT_S == 30.0
+        assert inspect.signature(ORAMServer.drain).parameters["timeout_s"].default == 30.0
+        assert [f.name for f in dataclasses.fields(ServeConfig)] == [
+            "max_inflight", "default_deadline_ms", "idem_cache_size",
+        ]
+
+        async def announce(length, body):
+            """What comes back: EOF (connection dropped) or a reply header."""
+            server = ORAMServer(_horam())
+            server_end, peer = socket.socketpair()
+            await server.attach(server_end)
+            reader, writer = await asyncio.open_connection(sock=peer)
+            try:
+                writer.write(struct.pack(">I", length) + body)
+                await writer.drain()
+                return await asyncio.wait_for(reader.read(4), timeout=5)
+            finally:
+                writer.close()
+                await server.close()
+
+        # The server's frame cap is the protocol's: one byte over is abuse.
+        health = b'{"op":"health","id":1}'.ljust(MAX_FRAME_BYTES)
+        assert len(run(announce(MAX_FRAME_BYTES, health))) == 4
+        assert run(announce(MAX_FRAME_BYTES + 1, b"")) == b""
