@@ -2,11 +2,12 @@
 
 The hot-path batch kernels (record sealing/opening in
 :class:`~repro.oram.base.BlockCodec`, counter-block keystreams in
-:mod:`repro.crypto.cipher`, the permuted-layout scatter in
-:mod:`repro.core.storage_layer`) are written twice: a vectorized numpy
-form and a pure-Python fallback.  Both produce bit-identical bytes --
-the golden-fingerprint tests pin that -- so which one runs is purely a
-wall-clock concern.
+:mod:`repro.crypto.cipher`, batched rejection sampling in
+:mod:`repro.crypto.random`, the partition survivor scan and relocation
+in :mod:`repro.core.storage_layer`) are written twice: a vectorized
+numpy form and a pure-Python fallback.  Both produce bit-identical
+results -- the golden-fingerprint and parity tests pin that -- so which
+one runs is purely a wall-clock concern.
 
 Consumers look up :data:`np` through this module *at call time*, which
 gives one switch with three positions:

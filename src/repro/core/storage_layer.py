@@ -139,14 +139,20 @@ class PermutedStorage:
             for i in range(self.partition_count)
         ]
 
-        # Control-layer state (the paper's permutation list).
-        self.location: list[int] = [0] * n_blocks  # addr -> slot | IN_MEMORY
-        self.slot_addr: list[int] = [DUMMY_ADDR] * self.total_slots
+        # Control-layer state (the paper's permutation list), as flat
+        # machine-word tables: ``location`` (int64, addr -> slot, or
+        # IN_MEMORY) and ``slot_addr`` (uint64, slot -> addr, or
+        # DUMMY_ADDR).  They index like lists, serialize to the same JSON
+        # lists, and expose their buffers so the partition shuffle can scan
+        # and relocate a whole partition with zero-copy numpy views.
+        self.location = array("q", [0]) * n_blocks
+        self.slot_addr = array("Q", [DUMMY_ADDR]) * self.total_slots
         self.consumed = bytearray(self.total_slots)  # read since partition's last shuffle
         self._occupied = bytearray(self.total_slots)  # holds a record (base always, overflow when used)
 
         self._unread: list[int] = []
-        self._unread_pos: dict[int, int] = {}
+        #: slot -> its index in ``_unread``, -1 when it is not there
+        self._unread_pos = array("q", [-1]) * self.total_slots
         # Per-partition epoch bookkeeping: each partition's unconsumed
         # occupied slots as an insertion-ordered dict (ascending inserts,
         # O(1) delete on consume), so end_period concatenates live pools
@@ -167,33 +173,33 @@ class PermutedStorage:
             base_slots.extend(range(partition.base, partition.base + partition.size))
         order = list(base_slots)
         self.rng.shuffle(order)
-        slot_bytes = self.codec.slot_bytes
-        pad = self.codec.pad
+        codec = self.codec
+        pad = codec.pad
         rename = self._initial_addr_map or (lambda addr: addr)
+        slot_addr = self.slot_addr
+        self.location[:] = array("q", order[: self.n_blocks])
         for addr, slot in enumerate(order[: self.n_blocks]):
-            self.location[addr] = slot
-            self.slot_addr[slot] = addr
-        for slot in order[self.n_blocks :]:
-            self.slot_addr[slot] = DUMMY_ADDR
-        # Seal every record in one batch (same nonce order as the old
-        # per-slot loop: reals in address order, then the dummies), then
-        # scatter the flat run onto the permuted slots.
-        records = self.codec.seal_many(
-            [(addr, pad(initial_payload(rename(addr)))) for addr in range(self.n_blocks)],
-            dummy_tail=len(order) - self.n_blocks,
+            slot_addr[slot] = addr
+        # Seal in ascending slot order, dummies included, so the clear
+        # nonces rise with the slot and say nothing about which block (or
+        # whether any block) sits where.
+        dummy = (DUMMY_ADDR, bytes(codec.payload_bytes))
+        records = codec.seal_many(
+            [
+                dummy if addr == DUMMY_ADDR else (addr, pad(initial_payload(rename(addr))))
+                for addr in (slot_addr[slot] for slot in base_slots)
+            ]
         )
-        buffer = bytearray(self.total_slots * slot_bytes)
-        np = _accel.np
-        if np is not None:
-            np.frombuffer(buffer, dtype=np.uint8).reshape(self.total_slots, slot_bytes)[
-                np.asarray(order, dtype=np.intp)
-            ] = np.frombuffer(records, dtype=np.uint8).reshape(len(order), slot_bytes)
-        else:
-            for index, slot in enumerate(order):
-                buffer[slot * slot_bytes : (slot + 1) * slot_bytes] = records[
-                    index * slot_bytes : (index + 1) * slot_bytes
-                ]
-        self.storage.poke_run(0, buffer)
+        if self.overflow_cap:
+            # The base regions sit between (empty) overflow regions.
+            slot_bytes = codec.slot_bytes
+            run = self.partition_size * slot_bytes
+            buffer = bytearray(self.total_slots * slot_bytes)
+            for index, partition in enumerate(self._partitions):
+                start = partition.base * slot_bytes
+                buffer[start : start + run] = records[index * run : (index + 1) * run]
+            records = buffer
+        self.storage.poke_run(0, records)
         for index, partition in enumerate(self._partitions):
             self._occupied[partition.base : partition.base + partition.size] = (
                 b"\x01" * partition.size
@@ -215,22 +221,37 @@ class PermutedStorage:
         unread: list[int] = []
         for slots in self._partition_unread:
             unread.extend(slots)
+        self._set_unread(unread)
+
+    def _set_unread(self, unread: list[int]) -> None:
+        """Install ``unread`` as the dummy-load pool and index its slots."""
         self._unread = unread
-        self._unread_pos = {slot: index for index, slot in enumerate(unread)}
+        positions = self._unread_pos
+        np = _accel.np
+        if np is not None:
+            view = np.frombuffer(positions, dtype=np.int64)
+            view.fill(-1)
+            view[np.frombuffer(array("q", unread), dtype=np.int64)] = np.arange(len(unread))
+        else:
+            positions[:] = array("q", [-1]) * len(positions)
+            for index, slot in enumerate(unread):
+                positions[slot] = index
 
     def _consume(self, slot: int) -> None:
         if self.consumed[slot]:
             raise CapacityError(f"slot {slot} fetched twice before a shuffle")
         self.consumed[slot] = 1
         self._partition_unread[self._partition_of(slot)].pop(slot, None)
-        index = self._unread_pos.pop(slot, None)
-        if index is not None:
-            last = self._unread[-1]
-            self._unread[index] = last
-            self._unread_pos[last] = index
-            self._unread.pop()
-            if last == slot:
-                self._unread_pos.pop(slot, None)
+        positions = self._unread_pos
+        index = positions[slot]
+        if index >= 0:
+            # Swap-remove: the pool's last slot takes the consumed one's place.
+            unread = self._unread
+            last = unread.pop()
+            if last != slot:
+                unread[index] = last
+                positions[last] = index
+            positions[slot] = -1
 
     def _partition_of(self, slot: int) -> int:
         return self._slot_partition[slot]
@@ -339,23 +360,21 @@ class PermutedStorage:
         stats.times.io_us += read_us
 
         # Survivors: blocks whose permutation-list entry still points here.
-        # The control layer already knows which slots are live, so only
-        # those records are opened (zero-copy slices of the run view,
-        # batch-decrypted in one open_many pass).
-        slot_bytes = self.codec.slot_bytes
-        slot_addr = self.slot_addr
-        location = self.location
-        live_addrs: list[int] = []
-        live_records: list[memoryview] = []
-        for offset in range(span):
-            addr = slot_addr[base + offset]
-            if addr != DUMMY_ADDR and location[addr] == base + offset:
-                live_addrs.append(addr)
-                live_records.append(view[offset * slot_bytes : (offset + 1) * slot_bytes])
-        survivors = [
-            (addr, payload)
-            for addr, (_, payload) in zip(live_addrs, self.codec.open_many(live_records))
-        ]
+        offsets, addrs = self._survivors(base, span)
+        codec = self.codec
+        if codec.mac_key is None:
+            # One open over the whole run; records that are not survivors
+            # decrypt to values nobody reads.
+            opened = codec.open_run(view)
+            survivors = [(addr, opened[offset][1]) for offset, addr in zip(offsets, addrs)]
+        else:
+            # MACed records are verified one by one, survivors only, so a
+            # corrupt record nobody needs never raises.
+            slot_bytes = codec.slot_bytes
+            opened = codec.open_many(
+                [view[offset * slot_bytes : (offset + 1) * slot_bytes] for offset in offsets]
+            )
+            survivors = [(addr, payload) for addr, (_, payload) in zip(addrs, opened)]
 
         # Take the next chunk of evicted data that fits the base region.
         # (With partial shuffle, survivors from the overflow region can
@@ -374,12 +393,8 @@ class PermutedStorage:
         base_items = result.items[:size]
         requeued = result.items[size:]
 
-        buffer = self.codec.seal_many(base_items, dummy_tail=size - len(base_items))
-        for offset, (addr, _) in enumerate(base_items):
-            location[addr] = base + offset
-            slot_addr[base + offset] = addr
-        for offset in range(len(base_items), size):
-            slot_addr[base + offset] = DUMMY_ADDR
+        buffer = codec.seal_many(base_items, dummy_tail=size - len(base_items))
+        self._place(base, [addr for addr, _ in base_items], dummies=size - len(base_items))
 
         stats.times.io_us += self.storage.write_run(base, buffer)
 
@@ -394,6 +409,44 @@ class PermutedStorage:
         self._partition_unread[index] = dict.fromkeys(range(base, base + size))
         stats.partitions_shuffled += 1
         return requeued + pending
+
+    def _survivors(self, base: int, span: int) -> tuple[list[int], list[int]]:
+        """``(offsets, addrs)`` of the live records in slots ``[base, base+span)``.
+
+        A record is live when its permutation-list entry still points at
+        its slot; stale overflow copies and dummies are not.
+        """
+        np = _accel.np
+        if np is not None:
+            held = np.frombuffer(self.slot_addr, dtype=np.uint64)[base : base + span]
+            offsets = np.flatnonzero(held != DUMMY_ADDR)
+            addrs = held[offsets].astype(np.intp)
+            live = np.frombuffer(self.location, dtype=np.int64)[addrs] == offsets + base
+            return offsets[live].tolist(), addrs[live].tolist()
+        slot_addr = self.slot_addr
+        location = self.location
+        offsets, addrs = [], []
+        for offset in range(span):
+            addr = slot_addr[base + offset]
+            if addr != DUMMY_ADDR and location[addr] == base + offset:
+                offsets.append(offset)
+                addrs.append(addr)
+        return offsets, addrs
+
+    def _place(self, start: int, addrs: list[int], dummies: int = 0) -> None:
+        """Record ``addrs`` at slots ``start, start+1, ...``, then ``dummies`` dummies."""
+        placed = array("Q", addrs)
+        end = start + len(placed)
+        self.slot_addr[start : end + dummies] = placed + array("Q", [DUMMY_ADDR]) * dummies
+        np = _accel.np
+        if np is not None:
+            np.frombuffer(self.location, dtype=np.int64)[
+                np.frombuffer(placed, dtype=np.uint64).astype(np.intp)
+            ] = np.arange(start, end)
+        else:
+            location = self.location
+            for slot, addr in enumerate(placed, start):
+                location[addr] = slot
 
     def _append_overflow(
         self, pending: list[tuple[int, bytes]], stats: ShuffleStats
@@ -414,10 +467,7 @@ class PermutedStorage:
             group, remaining = remaining[:take], remaining[take:]
             start = partition.overflow_base + partition.overflow_used
             buffer = self.codec.seal_many(group)
-            for offset, (addr, _) in enumerate(group):
-                slot = start + offset
-                self.location[addr] = slot
-                self.slot_addr[slot] = addr
+            self._place(start, [addr for addr, _ in group])
             count = len(group)
             self._occupied[start : start + count] = b"\x01" * count
             self.consumed[start : start + count] = bytes(count)
@@ -456,8 +506,8 @@ class PermutedStorage:
     def load_state(self, state: dict) -> None:
         from base64 import b64decode
 
-        self.location[:] = state["location"]
-        self.slot_addr[:] = state["slot_addr"]
+        self.location[:] = array("q", state["location"])
+        self.slot_addr[:] = array("Q", state["slot_addr"])
         self.consumed[:] = b64decode(state["consumed"])
         self._occupied[:] = b64decode(state["occupied"])
         for partition, used in zip(self._partitions, state["overflow_used"]):
@@ -473,14 +523,13 @@ class PermutedStorage:
             )
             for index, slots in enumerate(state["partition_unread"])
         ]
-        self._unread = list(state["unread"])
-        self._unread_pos = {slot: index for index, slot in enumerate(self._unread)}
+        self._set_unread(list(state["unread"]))
         self.dummy_pool_exhausted = state["dummy_pool_exhausted"]
         self.rng.load_state(state["rng"])
 
     # ------------------------------------------------------------- queries
     def resident_blocks(self) -> int:
-        return sum(1 for loc in self.location if loc != IN_MEMORY)
+        return len(self.location) - self.location.count(IN_MEMORY)
 
     def describe(self) -> dict:
         return {

@@ -479,12 +479,14 @@ class BlockCodec:
         ).reshape(n, -1)[:, :length]
         plain = records[:, _NONCE_BYTES:] ^ stream
         addrs = plain[:, :_ADDR_BYTES].copy().view("<u8").ravel().tolist()
-        payload_bytes = self.payload_bytes
-        payloads = plain[:, _ADDR_BYTES:].tobytes()
-        return [
-            (addrs[index], payloads[index * payload_bytes : (index + 1) * payload_bytes])
-            for index in range(n)
-        ]
+        # A void view turns each row into one bytes object in C.
+        payloads = (
+            np.ascontiguousarray(plain[:, _ADDR_BYTES:])
+            .view(f"V{self.payload_bytes}")
+            .ravel()
+            .tolist()
+        )
+        return list(zip(addrs, payloads))
 
     def _open_batch_bytes(self, view: memoryview, n: int) -> list[tuple[int, bytes]]:
         """Big-integer :meth:`open_run` batch (keystream codecs, no MAC).

@@ -29,7 +29,16 @@ from repro.shuffle.base import ShuffleAlgorithm, ShuffleResult
 
 
 class CacheShuffle(ShuffleAlgorithm):
-    """Spray-then-permute K-oblivious shuffle; ~3n moves."""
+    """Spray-then-permute K-oblivious shuffle; ~3n moves.
+
+    Randomness, in draw order: one ``randrange(K)`` spray target per item
+    (one ``randrange_many(K, n)`` batch), then ``permutation(K)`` for the
+    bucket order, then one Fisher-Yates shuffle per bucket in that order
+    (one ``shuffle_each`` call).  This is exactly the stream a loop of
+    scalar ``randrange`` calls would draw.  The items themselves are never
+    inspected, so the output is a pure function of the input order and
+    that stream.
+    """
 
     name = "cache"
     oblivious = True
@@ -49,19 +58,18 @@ class CacheShuffle(ShuffleAlgorithm):
 
         bucket_count = self._bucket_count(n)
         buckets: list[list[Any]] = [[] for _ in range(bucket_count)]
-        for item in items:
-            buckets[rng.randrange(bucket_count)].append(item)
+        for item, target in zip(items, rng.randrange_many(bucket_count, n)):
+            buckets[target].append(item)
         moves = n  # spray pass
 
         # Visit buckets in a random order so concatenation order is also
         # secret, then permute each inside the cache.
-        order = rng.permutation(bucket_count)
+        ordered = [buckets[index] for index in rng.permutation(bucket_count)]
+        rng.shuffle_each(ordered)
         output: list[Any] = []
-        for bucket_index in order:
-            bucket = buckets[bucket_index]
-            rng.shuffle(bucket)
+        for bucket in ordered:
             output.extend(bucket)
-            moves += 2 * len(bucket)  # load into cache + store out
+        moves += 2 * n  # load each bucket into the cache + store it out
         return ShuffleResult(items=output, moves=moves)
 
     def expected_moves(self, n: int) -> int:

@@ -52,7 +52,7 @@ class MelbourneShuffle(ShuffleAlgorithm):
 
         retries = 0
         while True:
-            assignment = [rng.randrange(bucket_count) for _ in range(n)]
+            assignment = rng.randrange_many(bucket_count, n)
             counts = [0] * bucket_count
             for target in assignment:
                 counts[target] += 1

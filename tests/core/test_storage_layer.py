@@ -1,14 +1,41 @@
 """Permuted storage layer tests: fetch, dummies, shuffles, read-once."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro import accel
+from repro.core.horam import build_horam
 from repro.core.storage_layer import IN_MEMORY, PermutedStorage
 from repro.crypto.ctr import StreamCipher
 from repro.crypto.random import DeterministicRandom
-from repro.oram.base import BlockCodec, CapacityError, initial_payload
+from repro.oram.base import DUMMY_ADDR, BlockCodec, CapacityError, IntegrityError, initial_payload
 from repro.shuffle import get_shuffle
+from repro.sim.engine import SimulationEngine
 from repro.storage.backend import BlockStore
 from repro.storage.device import ddr4_2133, hdd_paper
+from repro.workload.generators import uniform
+
+#: sha256 of ``PermutedStorage.state_dict()`` JSON after
+#: :func:`control_state_digest`'s seeded run, per shuffle-period ratio.
+#: Captured while the permutation list was still Python lists and dicts,
+#: so the flat control tables are pinned to the same bytes.
+CONTROL_STATE = {
+    1: "8316e7d474b22a468e6fe54e9c748840aa6f3bb885f7419dfd79b95fd5527de6",
+    4: "727e6f403d7d785b827160c5923c1c4c7886058c97b30c61b620eaf066708631",
+}
+
+
+@pytest.fixture(params=["numpy", "loop"])
+def backend(request, monkeypatch):
+    """Run the test once per kernel: vectorized, then the pure-Python loop."""
+    if request.param == "numpy":
+        if accel.np is None:
+            pytest.skip("numpy unavailable; the loop is the only kernel")
+    else:
+        monkeypatch.setattr(accel, "np", None)
+    return request.param
 
 
 def make_layer(n_blocks=100, ratio=1, period_capacity=32):
@@ -133,8 +160,7 @@ class TestDummyFetch:
         from repro.core.horam import build_horam
 
         oram = build_horam(n_blocks=256, mem_tree_blocks=64, seed=3)
-        oram.storage._unread.clear()
-        oram.storage._unread_pos.clear()
+        oram.storage._set_unread([])
         oram.step()  # no queued work: the cycle's load is a dummy fetch
         oram.step()
         assert oram.storage.dummy_pool_exhausted == 2
@@ -266,3 +292,107 @@ class TestPartialShuffle:
             layer.end_period()
             shuffled += stats.partitions_shuffled
         assert shuffled == layer.partition_count
+
+
+def clear_nonces(oram):
+    """The clear nonce of every slot of the storage slab, in slot order."""
+    size = oram.codec.slot_bytes
+    data = oram.hierarchy.storage.peek_run(0, oram.storage.total_slots)
+    return [
+        int.from_bytes(data[offset : offset + 8], "little")
+        for offset in range(0, len(data), size)
+    ]
+
+
+class TestSlotOrderSeal:
+    """The initial image must not give away the permutation or the dummies."""
+
+    @pytest.mark.parametrize("n_blocks,dummies", [(512, 16), (8192, 88)])
+    def test_clear_nonces_rise_with_the_slot(self, backend, n_blocks, dummies):
+        oram = build_horam(n_blocks=n_blocks, mem_tree_blocks=64, seed=3)
+        assert oram.storage.slot_addr.count(DUMMY_ADDR) == dummies
+        nonces = clear_nonces(oram)
+        assert all(a < b for a, b in zip(nonces, nonces[1:]))
+
+    def test_overflow_regions_stay_empty(self, backend):
+        oram = build_horam(n_blocks=512, mem_tree_blocks=64, seed=3, shuffle_period_ratio=4)
+        layer = oram.storage
+        nonces = clear_nonces(oram)
+        base = [
+            nonces[slot]
+            for partition in layer._partitions
+            for slot in range(partition.base, partition.base + partition.size)
+        ]
+        assert all(a < b for a, b in zip(base, base[1:]))
+        assert sum(nonces) == sum(base)  # every overflow slot is still zero
+
+
+def control_state_digest(ratio):
+    """Seeded run over a 90 x 92-slot layout (88 dummies) with 5 shuffles."""
+    oram = build_horam(n_blocks=8192, mem_tree_blocks=256, seed=42, shuffle_period_ratio=ratio)
+    stream = list(uniform(8192, 700, DeterministicRandom(7), write_ratio=0.25))
+    metrics = SimulationEngine(oram, verify=True).run(stream)
+    assert metrics.shuffle_count == 5
+    state = json.dumps(oram.storage.state_dict(), sort_keys=True)
+    return hashlib.sha256(state.encode()).hexdigest()
+
+
+class TestControlStatePin:
+    @pytest.mark.parametrize("ratio", [1, 4])
+    def test_state_dict_bytes_are_pinned(self, backend, ratio):
+        assert control_state_digest(ratio) == CONTROL_STATE[ratio]
+
+    def test_state_round_trip_keeps_the_tables(self, backend):
+        layer, _ = make_layer(n_blocks=100, ratio=4, period_capacity=16)
+        evicted = []
+        for addr in range(12):
+            payload, _ = layer.fetch(addr)
+            evicted.append((addr, payload))
+        layer.shuffle_into(evicted, period_index=0)
+        layer.end_period()
+        layer.dummy_fetch()
+        state = json.loads(json.dumps(layer.state_dict()))
+        twin, _ = make_layer(n_blocks=100, ratio=4, period_capacity=16)
+        twin.storage.import_data(layer.storage.export_data())  # slot bytes travel apart
+        twin.load_state(state)
+        assert twin.state_dict() == layer.state_dict()
+        assert [twin.dummy_fetch()[0] for _ in range(5)] == [layer.dummy_fetch()[0] for _ in range(5)]
+
+
+def corrupt_slot(oram, slot):
+    store = oram.hierarchy.storage
+    record = bytearray(store.peek_slot(slot))
+    record[10] ^= 0xFF
+    store.poke_slot(slot, bytes(record))
+
+
+class TestIntegrityThroughShuffle:
+    """MACed records are verified one by one: survivors only."""
+
+    def build(self):
+        oram = build_horam(n_blocks=1024, mem_tree_blocks=64, seed=4, integrity=True)
+        count = 2 * oram.period_capacity + 5
+        stream = list(uniform(1024, count, DeterministicRandom(3), write_ratio=0.3))
+        metrics = SimulationEngine(oram, verify=True).run(stream)
+        assert metrics.shuffle_count == 2
+        return oram
+
+    def test_corrupt_survivor_raises_inside_the_shuffle(self):
+        oram = self.build()
+        layer = oram.storage
+        addr = next(a for a in range(1024) if layer.location[a] != IN_MEMORY)
+        corrupt_slot(oram, layer.location[addr])
+        with pytest.raises(IntegrityError) as excinfo:
+            oram.force_shuffle()
+        assert any(entry.name == "_shuffle_partition" for entry in excinfo.traceback)
+
+    def test_corrupt_record_nobody_needs_is_not_opened(self):
+        oram = self.build()
+        layer = oram.storage
+        addr = next(a for a in range(1024) if layer.location[a] != IN_MEMORY)
+        slot = layer.location[addr]
+        payload = oram.read(addr)  # the block moves to the cache; its slot is dead
+        assert layer.location[addr] == IN_MEMORY
+        corrupt_slot(oram, slot)
+        oram.force_shuffle()
+        assert oram.read(addr) == payload
