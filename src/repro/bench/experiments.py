@@ -819,7 +819,7 @@ def parallel(scale: str = "quick") -> ExperimentResult:
     (cadence checkpoints off: the drain alone), with the number of
     threads the coordinator runs once the fleet is built and stepping.
 
-    ``ok`` is the lockstep-equivalence gate: retired results, served logs
+    ``ok`` is the lockstep-equivalence gate: retired results, served digests
     and merged metrics bit-identical between executors (and across
     repeated runs) in every cell, the small-batch drains included.
     Speedups are bounded by the host's core count and are not gated.
@@ -874,7 +874,7 @@ def parallel(scale: str = "quick") -> ExperimentResult:
                         "wall_seconds": wall,
                         "throughput_rps": metrics.requests_served / wall if wall else 0.0,
                         "ipc": ipc,
-                        "observed": (engine.results, fleet.served_log, metrics.to_dict()),
+                        "observed": (engine.results, fleet.served_digest, metrics.to_dict()),
                     }
                 )
             finally:
@@ -987,7 +987,7 @@ def parallel(scale: str = "quick") -> ExperimentResult:
         data=data,
         checks=[
             Check(
-                "serial and parallel retire bit-identical results, served logs and "
+                "serial and parallel retire bit-identical results, served digests and "
                 "merged metrics at every shard count",
                 "identical" if cells_identical else "DIVERGED",
                 cells_identical,
@@ -1318,8 +1318,8 @@ def durability(scale: str = "quick") -> ExperimentResult:
     checkpoint's on-disk size, and *restart warmth*: how much cheaper
     resuming from the checkpoint is than replaying the whole workload
     from a cold start.  The recovered run must be bit-identical (served
-    results, served log, metrics, simulated clock) to an uninterrupted
-    twin; any divergence fails the experiment.
+    results, served-order digest, metrics, simulated clock) to an
+    uninterrupted twin; any divergence fails the experiment.
     """
     import os
     import shutil
@@ -1366,7 +1366,7 @@ def durability(scale: str = "quick") -> ExperimentResult:
                 # H-ORAM config); every config serves the same stream.
                 requests = _workload(n_blocks, request_count, _hot_blocks(twin), seed=29)
             twin_results = _drive(twin, requests)
-            twin_log = list(twin.served_log)
+            twin_digest = twin.served_digest
             twin_metrics = twin.metrics.to_dict()
             twin_clock = twin.hierarchy.clock.now_us
             twin.close()
@@ -1387,7 +1387,7 @@ def durability(scale: str = "quick") -> ExperimentResult:
 
             identical = (
                 results == twin_results
-                and list(restored.served_log) == twin_log
+                and restored.served_digest == twin_digest
                 and restored.metrics.to_dict() == twin_metrics
                 and restored.hierarchy.clock.now_us == twin_clock
             )
@@ -1439,12 +1439,128 @@ def durability(scale: str = "quick") -> ExperimentResult:
         notes=[
             f"{request_count} hotspot requests, checkpoint at request {cut}; "
             "warm restart = restore + finish, cold replay = rebuild + full run",
-            "bit-identical compares served results, served log, metrics and "
+            "bit-identical compares served results, served-order digest, metrics and "
             "simulated clock of the recovered run against an uninterrupted twin",
         ],
         data=data,
         ok=ok,
     )
+
+
+#: requests in the resilience experiment's long-horizon row, per scale.
+_SOAK_REQUESTS = {"quick": 20_000, "medium": 100_000, "full": 1_000_000}
+#: the long-horizon row's checkpoint cadence (ops per shard), the storm
+#: row's: it also bounds each recovery's replay, and with it the replayed
+#: requests' latencies.
+_SOAK_CADENCE = 64
+#: drains sampled before each long-horizon point (over one access period
+#: of every shard at every scale).
+_SOAK_WINDOW = 32
+
+
+def _rss_mb() -> float:
+    """This process's resident set now (its peak where /proc is absent)."""
+    import os
+
+    try:
+        with open("/proc/self/statm") as statm:
+            pages = int(statm.read().split()[1])
+        return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+    except (OSError, ValueError, AttributeError):
+        import resource
+
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _long_horizon(build, n_blocks: int, hot_blocks: int, request_count: int) -> dict:
+    """The supervised fleet through a crash storm spread over a long run.
+
+    Requests go in 32-request drains (a server's queue depth), every read
+    is checked against the block's initial payload, and a crash is
+    scheduled every ``request_count // 6`` storage ops (the first one
+    early) -- about a dozen over the run.  The last ``_SOAK_WINDOW``
+    drains before 10 % and before 100 % of the run each end with a
+    checkpoint of every shard; a window spans more than one access period
+    of every shard, so its mean manifest bytes do not depend on where in
+    a period the run stopped (the cache's position map fills as a period
+    goes).  Each point records that mean, the mean save time per shard,
+    MTTR so far and the process's RSS.  The stream is generated lazily,
+    so memory is the fleet's own.
+    """
+    import shutil
+    import statistics
+    import tempfile
+    import time as _time
+
+    from repro.core.supervisor import FleetSupervisor, SupervisorConfig
+    from repro.oram.base import initial_payload
+    from repro.storage.faults import FaultPlan
+
+    stride = max(2, request_count // 6)
+    crash_schedule = list(range(stride // 3, 2 * request_count, stride))
+    drain = 32
+    ckpt_dir = tempfile.mkdtemp(prefix="horam-soak-")
+    points = {}
+    wrong = 0
+    try:
+        fleet = build()
+        supervisor = FleetSupervisor(
+            fleet, ckpt_dir,
+            SupervisorConfig(checkpoint_every_ops=_SOAK_CADENCE, max_restarts=2),
+        )
+        try:
+            supervisor.install_fault_plan(
+                FaultPlan(seed=0, crash_schedule=crash_schedule, crash_op_kind="any")
+            )
+            pad = fleet.codec.pad
+            requests = hotspot(
+                n_blocks, request_count, DeterministicRandom(31), hot_blocks=hot_blocks
+            )
+            served = 0
+            for label, mark in (("10%", request_count // 10), ("100%", request_count)):
+                manifest_bytes, save_ms = [], []
+                while served < mark:
+                    batch = [next(requests) for _ in range(min(drain, mark - served))]
+                    entries = [supervisor.submit(request) for request in batch]
+                    supervisor.drain()
+                    wrong += sum(
+                        entry.result != pad(initial_payload(entry.addr)) for entry in entries
+                    )
+                    served += len(batch)
+                    if mark - served < drain * _SOAK_WINDOW:
+                        started = _time.perf_counter()
+                        saved = supervisor.checkpoint_now()
+                        save_ms.append((_time.perf_counter() - started) * 1000 / saved)
+                        manifest_bytes.append(
+                            sum(
+                                (store.paths()[-1] / "checkpoint.json").stat().st_size
+                                for store in supervisor.stores
+                            )
+                        )
+                report = supervisor.recovery_report()
+                points[label] = {
+                    "requests": served,
+                    "manifest_bytes": round(statistics.mean(manifest_bytes)),
+                    "manifest_bytes_range": [min(manifest_bytes), max(manifest_bytes)],
+                    "save_ms": statistics.mean(save_ms),
+                    "crashes_detected": report["crashes_detected"],
+                    "restores": report["restores"],
+                    "fences": report["fences"],
+                    "mttr_seconds": report["mttr_s"],
+                    "availability": report["availability"],
+                    "rss_mb": _rss_mb(),
+                }
+        finally:
+            supervisor.close()
+    finally:
+        shutil.rmtree(ckpt_dir, ignore_errors=True)
+    return {
+        "requests": request_count,
+        "cadence": _SOAK_CADENCE,
+        "crash_stride_ops": stride,
+        "wrong_results": wrong,
+        "points": points,
+    }
 
 
 def resilience(scale: str = "quick") -> ExperimentResult:
@@ -1458,9 +1574,12 @@ def resilience(scale: str = "quick") -> ExperimentResult:
     runs of the same seed + schedule (the determinism criterion).  A
     second sweep reruns the same workload fault-free at several
     checkpoint cadences to price the supervision overhead against the
-    bare fleet.  Any divergence, unexpected fence, or unrepaired crash
-    fails the experiment (``ok=False``), which the CI resilience job
-    gates on.
+    bare fleet.  A long-horizon row runs the same supervised fleet through
+    a crash storm for 20k (quick) to 1M (full) requests and checks that
+    the shards' checkpoint manifests at the end of the run are within 2 %
+    of their size at 10 % of it.  Any divergence, unexpected fence, unrepaired crash or
+    growing manifest fails the experiment (``ok=False``), which the CI
+    resilience job gates on.
     """
     import shutil
     import tempfile
@@ -1584,6 +1703,47 @@ def resilience(scale: str = "quick") -> ExperimentResult:
             "bit_identical": cad_identical,
         }
 
+    # -- long horizon: the same fleet, a storm spread over a long run
+    soak = _long_horizon(
+        build, n_blocks, _hot_blocks(twin.shards[0]) * n_shards, _SOAK_REQUESTS[scale]
+    )
+    data["long_horizon"] = soak
+    early, late = soak["points"]["10%"], soak["points"]["100%"]
+    for label, point in (("10%", early), ("100%", late)):
+        rows.append(
+            [
+                f"long horizon @{label} ({point['requests']} req)",
+                point["crashes_detected"],
+                point["restores"],
+                point["fences"],
+                f"{point['mttr_seconds'] * 1000:.1f} ms",
+                f"{point['availability'] * 100:.2f}%",
+                f"manifest {format_bytes(point['manifest_bytes'])}, "
+                f"save {point['save_ms']:.1f} ms, RSS {point['rss_mb']:.0f} MB",
+                "yes" if soak["wrong_results"] == 0 else "NO",
+            ]
+        )
+    soak_repaired = (
+        late["crashes_detected"] > early["crashes_detected"] > 0
+        and late["restores"] == late["crashes_detected"]
+        and late["fences"] == 0
+        and soak["wrong_results"] == 0
+    )
+    growth = late["manifest_bytes"] / early["manifest_bytes"] - 1.0
+    checks = [
+        Check(
+            "long horizon: every storm crash restored, every read correct",
+            f"{late['crashes_detected']} crashes, {late['restores']} restores, "
+            f"{soak['wrong_results']} wrong reads",
+            soak_repaired,
+        ),
+        Check(
+            "long horizon: shard manifests at 100% of the run within 2% of 10%",
+            f"{early['manifest_bytes']} -> {late['manifest_bytes']} B ({growth:+.2%})",
+            abs(growth) <= 0.02,
+        ),
+    ]
+
     return ExperimentResult(
         experiment_id="resilience",
         title="Resilience: supervised fleet MTTR, availability, cadence cost",
@@ -1602,8 +1762,13 @@ def resilience(scale: str = "quick") -> ExperimentResult:
             "is supervised wall-clock over the bare fleet's",
             "parallel (process-per-shard) storms are exercised by the "
             "conformance matrix and tests/core/test_supervisor.py",
+            f"long horizon: {soak['requests']} requests in 32-request drains, cadence "
+            f"{soak['cadence']} ops, a crash every {soak['crash_stride_ops']} storage ops; "
+            f"manifest bytes (gated) and save time are means over the last "
+            f"{_SOAK_WINDOW} drains before 10% and 100%; MTTR and RSS (reported) at each",
         ],
         data=data,
+        checks=checks,
         ok=ok,
     )
 

@@ -78,8 +78,9 @@ class CacheTree:
         return len(self.position_map)
 
     @property
-    def leaf_log(self) -> list[int]:
-        return self.tree.leaf_log
+    def leaf_counts(self) -> list[int]:
+        """Path accesses per leaf since the tree was built."""
+        return self.tree.leaf_counts
 
     def contains(self, addr: int) -> bool:
         """The permutation list's "loaded into memory" bit."""
@@ -181,7 +182,7 @@ class CacheTree:
             ],
             "stash_peak": self.stash.peak,
             "real": b64encode(self.tree._real).decode("ascii"),
-            "leaf_log": list(self.tree.leaf_log),
+            "leaf_counts": list(self.tree.leaf_counts),
             "rng": self.rng.state_dict(),
         }
 
@@ -196,7 +197,7 @@ class CacheTree:
             self.stash.put(addr, leaf, b64decode(payload))
         self.stash.peak = state["stash_peak"]
         self.tree._real[:] = b64decode(state["real"])
-        self.tree.leaf_log[:] = state["leaf_log"]
+        self.tree.leaf_counts[:] = state["leaf_counts"]
         self.rng.load_state(state["rng"])
 
     # -------------------------------------------------------------- evict

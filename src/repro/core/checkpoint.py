@@ -2,11 +2,13 @@
 
 A *checkpoint* captures everything a stack needs to resume bit-identical
 to the moment it was taken: store contents, control-layer bookkeeping,
-RNG stream positions, codec nonce counters, clocks, channels, metrics
-and logs.  Restoring builds a fresh stack from the recorded geometry and
-overwrites its mutable state, so the restored instance serves the rest
-of a workload exactly as the uninterrupted original would -- the
-property the crash-recovery test tier pins.
+RNG stream positions, codec nonce counters, clocks, channels, metrics,
+the latency histogram and the served-order digest.  None of it grows
+with the number of requests served (the bus trace, off by default, is
+the one opt-in exception).  Restoring builds a fresh stack from the
+recorded geometry and overwrites its mutable state, so the restored
+instance serves the rest of a workload exactly as the uninterrupted
+original would -- the property the crash-recovery test tier pins.
 
 On-disk format (version :data:`CHECKPOINT_VERSION`)::
 
@@ -49,8 +51,11 @@ from repro.storage.trace import TraceEvent, TraceRecorder
 #: Checkpoint format version; bumped on any manifest/state layout change,
 #: and whenever the record cipher changes the bytes a blob decrypts under
 #: (2: records wider than 64 bytes moved to the SHAKE-256 keystream;
-#: 3: one shard-checkpoint shape and one fleet layout for both executors).
-CHECKPOINT_VERSION = 3
+#: 3: one shard-checkpoint shape and one fleet layout for both executors;
+#: 4: fixed-size kernel state -- ``served_digest``, ``latency_histogram``
+#: and per-leaf ``leaf_counts`` replace the per-request logs, and the
+#: storage layer's per-partition pools are rebuilt instead of stored).
+CHECKPOINT_VERSION = 4
 
 _FORMAT = "horam-checkpoint"
 _MANIFEST = "checkpoint.json"
@@ -565,7 +570,7 @@ def _snapshot_baseline(protocol) -> Checkpoint:
             ],
             stash_peak=protocol.stash.peak,
             real=b64encode(protocol.tree._real).decode("ascii"),
-            leaf_log=list(protocol.tree.leaf_log),
+            leaf_counts=list(protocol.tree.leaf_counts),
         )
     elif kind == "sqrt":
         state.update(
@@ -624,7 +629,7 @@ def _restore_baseline(checkpoint: Checkpoint):
             protocol.stash.put(addr, leaf, b64decode(payload))
         protocol.stash.peak = state["stash_peak"]
         protocol.tree._real[:] = b64decode(state["real"])
-        protocol.tree.leaf_log[:] = state["leaf_log"]
+        protocol.tree.leaf_counts[:] = state["leaf_counts"]
     elif kind == "sqrt":
         protocol.rng.load_state(state["rng"])
         protocol.permutation._forward[:] = state["perm_forward"]

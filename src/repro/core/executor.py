@@ -26,7 +26,7 @@ hold -- with two implementations:
 Determinism contract (what the equivalence tests assert): for the
 batched ``submit*``/``drain`` pattern -- the engine, the benchmarks and
 the conformance harness -- a parallel fleet produces **bit-identical**
-retired results, ``served_log``, per-shard metrics and bus traces to a
+retired results, served digests, per-shard metrics and bus traces to a
 serial fleet built from the same ``(seed, n_shards)``:
 
 * each worker builds its shard from the same spawn-derived seed the
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field, fields, replace
 from repro.core.rob import EntryState, RobEntry
 from repro.core.worker_channel import FuturesTimeout, WorkerChannel, WorkerLost
 from repro.oram.base import OpKind, Request
-from repro.sim.metrics import Metrics
+from repro.sim.metrics import Histogram, Metrics
 from repro.storage.backend import StoreCounters
 from repro.storage.faults import CrashFault, FaultInjector, FaultPlan, FaultStats, HangFault
 from repro.storage.trace import TraceEvent
@@ -153,8 +153,9 @@ class ShardSnapshot:
     storage: StoreCounters
     memory: StoreCounters
     current_c: int
-    served_log_delta: "list[tuple[int, int]]" = field(default_factory=list)
-    latency_log_delta: "list[int]" = field(default_factory=list)
+    served_digest: bytes = bytes(16)
+    #: latency samples recorded since the previous snapshot
+    latency_delta: Histogram = field(default_factory=Histogram)
     trace_delta: "list[TraceEvent]" = field(default_factory=list)
     fault_stats: FaultStats | None = None
 
@@ -172,8 +173,9 @@ class ShardInfo:
 
 # --------------------------------------------------------------------------
 # Coordinator-side mirrors: the minimal HybridORAM surface the sharding
-# layer's aggregates read (metrics, logs, hierarchy counters), kept in sync
-# from worker snapshots at batch boundaries.
+# layer's aggregates read (metrics, served digest, latency histogram,
+# hierarchy counters), kept in sync from worker snapshots at batch
+# boundaries.
 # --------------------------------------------------------------------------
 class _Settled:
     """A mirror attribute that is only current once the executor has
@@ -247,8 +249,8 @@ class ShardMirror:
 
     metrics = _Settled()
     current_c = _Settled()
-    served_log = _Settled()
-    latency_log = _Settled()
+    served_digest = _Settled()
+    latency_histogram = _Settled()
     fault_stats = _Settled()
 
     def __init__(self, info: ShardInfo, settle):
@@ -257,8 +259,8 @@ class ShardMirror:
         self.period_capacity = info.period_capacity
         self.metrics = Metrics()
         self.current_c = 0
-        self.served_log: list[tuple[int, int]] = []
-        self.latency_log: list[int] = []
+        self.served_digest = bytes(16)
+        self.latency_histogram = Histogram()
         self.hierarchy = _MirrorHierarchy(settle)
         self.fault_stats: FaultStats | None = None
         self.apply(info.snapshot)
@@ -268,8 +270,8 @@ class ShardMirror:
         hierarchy = self.hierarchy
         self._metrics = snapshot.metrics
         self._current_c = snapshot.current_c
-        self._served_log.extend(snapshot.served_log_delta)
-        self._latency_log.extend(snapshot.latency_log_delta)
+        self._served_digest = snapshot.served_digest
+        self._latency_histogram.merge(snapshot.latency_delta)
         hierarchy.clock._now_us = snapshot.clock_now_us
         hierarchy.storage._counters = snapshot.storage
         hierarchy.memory._counters = snapshot.memory
@@ -556,8 +558,7 @@ def _worker_init(spec: ShardBuildSpec, scratch_name: str | None = None) -> None:
     _WORKER.update(
         shard=shard,
         inflight={},
-        served_mark=0,
-        latency_mark=0,
+        latency_mark=Histogram(),
         trace_mark=0,
         injector=None,
         scratch=scratch,
@@ -566,8 +567,7 @@ def _worker_init(spec: ShardBuildSpec, scratch_name: str | None = None) -> None:
 
 def _worker_snapshot() -> ShardSnapshot:
     shard = _WORKER["shard"]
-    served = shard.served_log
-    latency = shard.latency_log
+    latency = shard.latency_histogram
     events = shard.hierarchy.trace.events
     injector = _WORKER["injector"]
     snapshot = ShardSnapshot(
@@ -576,13 +576,13 @@ def _worker_snapshot() -> ShardSnapshot:
         storage=shard.hierarchy.storage.snapshot(),
         memory=shard.hierarchy.memory.snapshot(),
         current_c=shard.current_c,
-        served_log_delta=served[_WORKER["served_mark"] :],
-        latency_log_delta=latency[_WORKER["latency_mark"] :],
+        served_digest=shard.served_digest,
+        latency_delta=latency.since(_WORKER["latency_mark"]),
         trace_delta=events[_WORKER["trace_mark"] :],
         fault_stats=injector.stats if injector else None,
     )
-    _WORKER["served_mark"] = len(served)
-    _WORKER["latency_mark"] = len(latency)
+    if snapshot.latency_delta.total:
+        _WORKER["latency_mark"] = latency.copy()
     _WORKER["trace_mark"] = len(events)
     return snapshot
 
@@ -712,15 +712,14 @@ def _worker_state() -> ShardPayload:
 def _worker_load_state(payload: ShardPayload) -> ShardInfo:
     """Rehydrate the shard from a checkpoint payload; reset delta marks.
 
-    The marks go back to zero so the next snapshot ships the *full*
-    served/latency/trace logs -- the coordinator rebuilds its mirrors
+    The marks go back to empty so the next snapshot ships the *full*
+    latency histogram and trace -- the coordinator rebuilds its mirrors
     from scratch after a restore.
     """
     state, blobs = payload
     shard = _WORKER["shard"]
     shard.load_state(state, blobs)
-    _WORKER["served_mark"] = 0
-    _WORKER["latency_mark"] = 0
+    _WORKER["latency_mark"] = Histogram()
     _WORKER["trace_mark"] = 0
     return _worker_describe()
 

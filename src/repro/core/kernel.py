@@ -20,8 +20,10 @@ contract.
 
 from __future__ import annotations
 
+import struct
 from abc import abstractmethod
 from dataclasses import dataclass, field
+from hashlib import blake2b
 
 from repro.core.config import HORAMConfig
 from repro.core.rob import EntryState, RobEntry, RobTable
@@ -29,7 +31,7 @@ from repro.core.scheduler import SecureScheduler
 from repro.crypto.ctr import StreamCipher
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import BlockCodec, OpKind, ORAMProtocol, Request
-from repro.sim.metrics import Metrics, TierTimes, percentile
+from repro.sim.metrics import Histogram, Metrics, TierTimes
 from repro.storage.hierarchy import StorageHierarchy
 
 #: ``protocol_name`` -> EngineKernel subclass; populated by
@@ -71,10 +73,11 @@ class ProtocolBackend:
     """The hook surface a protocol implements under :class:`EngineKernel`.
 
     The kernel calls these -- and only these -- protocol-specific
-    operations; everything else (ROB, scheduler, clock, metrics, logs,
-    checkpoint manifest layout) is shared.  Implementations must be
-    deterministic under :class:`~repro.crypto.random.DeterministicRandom`
-    and must capture every mutable bit in :meth:`backend_state_dict`.
+    operations; everything else (ROB, scheduler, clock, metrics, latency
+    histogram, served digest, checkpoint manifest layout) is shared.
+    Implementations must be deterministic under
+    :class:`~repro.crypto.random.DeterministicRandom` and must capture
+    every mutable bit in :meth:`backend_state_dict`.
     """
 
     # ------------------------------------------------------- memory side
@@ -187,10 +190,12 @@ class EngineKernel(ProtocolBackend, ORAMProtocol):
         self._cycle_index = 0
         self._loads_this_period = 0
         self._period_index = 0
-        #: secret-side log (addr, cycle) of served requests, for analyzers
-        self.served_log: list[tuple[int, int]] = []
+        #: secret-side digest of the serve order: 16-byte BLAKE2b chained
+        #: once per cycle over that cycle's ``(addr, cycle)`` pairs (see
+        #: :meth:`_serve_hits`); equal digests mean equal served sequences.
+        self.served_digest = bytes(16)
         #: per-request service latency in cycles, for percentile reporting
-        self.latency_log: list[int] = []
+        self.latency_histogram = Histogram()
 
     # ----------------------------------------------------------- properties
     @property
@@ -325,7 +330,7 @@ class EngineKernel(ProtocolBackend, ORAMProtocol):
 
         Restoring this state into a freshly built instance with the same
         config and hierarchy geometry makes it bit-identical -- results,
-        logs, metrics, timing, randomness -- to the snapshotted one, from
+        digest, metrics, timing, randomness -- to the snapshotted one, from
         this point forward.
         """
         from repro.core.checkpoint import _hierarchy_state
@@ -343,8 +348,8 @@ class EngineKernel(ProtocolBackend, ORAMProtocol):
             cycle_index=self._cycle_index,
             loads_this_period=self._loads_this_period,
             period_index=self._period_index,
-            served_log=[list(item) for item in self.served_log],
-            latency_log=list(self.latency_log),
+            served_digest=self.served_digest.hex(),
+            latency_histogram=self.latency_histogram.to_list(),
         )
         return state, blobs
 
@@ -362,8 +367,8 @@ class EngineKernel(ProtocolBackend, ORAMProtocol):
         self._cycle_index = state["cycle_index"]
         self._loads_this_period = state["loads_this_period"]
         self._period_index = state["period_index"]
-        self.served_log[:] = [tuple(item) for item in state["served_log"]]
-        self.latency_log[:] = state["latency_log"]
+        self.served_digest = bytes.fromhex(state["served_digest"])
+        self.latency_histogram = Histogram.from_list(state["latency_histogram"])
 
     def latency_percentiles(self, quantiles=(50, 90, 99)) -> dict[int, float]:
         """Service-latency percentiles in scheduler cycles.
@@ -372,17 +377,18 @@ class EngineKernel(ProtocolBackend, ORAMProtocol):
         requests wait: misses take at least one extra cycle (load, then
         serve), and ROB backlog adds more under bursts.
         """
-        if not self.latency_log:
-            return {int(q): 0.0 for q in quantiles}
-        return {int(q): percentile(self.latency_log, q) for q in quantiles}
+        return {int(q): v for q, v in self.latency_histogram.percentiles(quantiles).items()}
 
     # ------------------------------------------------------------- internals
     def _serve_hits(self, entries: list[RobEntry], times: TierTimes) -> None:
         """Serve a cycle's hit group with batched bookkeeping.
 
         The memory-tier accesses themselves belong to the backend (one
-        per entry, same order); the per-entry metric increments and log
-        appends are folded into one pass over the group.
+        per entry, same order); the per-entry metric increments, latency
+        samples and the served digest are folded into one pass over the
+        group, and the digest is chained once for the whole cycle:
+        ``BLAKE2b-128(previous digest || addr, cycle, addr, cycle, ...)``
+        with each number a little-endian int64, in service order.
         """
         write = OpKind.WRITE
         served = EntryState.SERVED
@@ -398,14 +404,19 @@ class EngineKernel(ProtocolBackend, ORAMProtocol):
                 items.append((request.op, entry.addr, None))
         payloads, batch_times = self.serve_hits(items)
         times.add(batch_times)
-        latency_log = self.latency_log
-        served_log = self.served_log
+        latencies = []
+        pairs = []
         for entry, payload in zip(entries, payloads):
             entry.result = payload
             entry.state = served
             entry.served_cycle = cycle
-            latency_log.append(entry.latency_cycles)
-            served_log.append((entry.addr, cycle))
+            latencies.append(cycle - entry.submit_cycle)
+            pairs.append(entry.addr)
+            pairs.append(cycle)
+        self.latency_histogram.add_many(latencies)
+        self.served_digest = blake2b(
+            self.served_digest + struct.pack(f"<{len(pairs)}q", *pairs), digest_size=16
+        ).digest()
         self.metrics.requests_served += len(entries)
         self.metrics.read_requests += len(entries) - writes
         self.metrics.write_requests += writes

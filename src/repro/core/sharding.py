@@ -53,7 +53,7 @@ from repro.core.horam import HybridORAM, build_horam
 from repro.core.rob import RobEntry
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import ORAMProtocol, Request
-from repro.sim.metrics import Metrics, percentile
+from repro.sim.metrics import Histogram, Metrics
 from repro.storage.backend import StoreCounters
 
 
@@ -217,18 +217,14 @@ class ShardedHORAM(ORAMProtocol):
         return max(shard.current_c for shard in self.shards)
 
     @property
-    def served_log(self) -> list[tuple[int, int, int]]:
-        """Fleet-wide served log: ``(shard, global_addr, shard_cycle)``.
+    def served_digest(self) -> "tuple[bytes, ...]":
+        """Every shard's served-order digest, in shard order.
 
-        Cycle indexes are per-shard counters (aligned across shards in
-        lockstep mode); analyzers and the golden-fingerprint tests read
-        this instead of poking shard internals.
+        Each covers that shard's ``(local addr, shard cycle)`` serve
+        sequence (see :attr:`EngineKernel.served_digest`); two fleets
+        served the same sequences exactly when these compare equal.
         """
-        log: list[tuple[int, int, int]] = []
-        for index, shard in enumerate(self.shards):
-            for local, cycle in shard.served_log:
-                log.append((index, self.global_addr(index, local), cycle))
-        return log
+        return tuple(shard.served_digest for shard in self.shards)
 
     @property
     def fenced(self) -> set[int]:
@@ -338,18 +334,15 @@ class ShardedHORAM(ORAMProtocol):
     def latency_percentiles(self, quantiles=(50, 90, 99)) -> dict[int, float]:
         """Fleet-wide latency percentiles over live (non-fenced) shards.
 
-        A fenced shard's latency log is a dead mirror frozen at the moment
+        A fenced shard's histogram is a dead mirror frozen at the moment
         supervision gave up on it; merging it would skew the live
         distribution with stale samples.
         """
-        merged: list[int] = []
+        merged = Histogram()
         for index, shard in enumerate(self.shards):
-            if index in self.fenced:
-                continue
-            merged.extend(shard.latency_log)
-        if not merged:
-            return {int(q): 0.0 for q in quantiles}
-        return {int(q): percentile(merged, q) for q in quantiles}
+            if index not in self.fenced:
+                merged.merge(shard.latency_histogram)
+        return {int(q): v for q, v in merged.percentiles(quantiles).items()}
 
     def load_balance(self) -> dict:
         """How evenly real work spread across the live fleet.

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable
 
 from repro import accel as _accel
@@ -494,10 +495,6 @@ class PermutedStorage:
             "consumed": b64encode(self.consumed).decode("ascii"),
             "occupied": b64encode(self._occupied).decode("ascii"),
             "overflow_used": [p.overflow_used for p in self._partitions],
-            "partition_unread": [list(slots) for slots in self._partition_unread],
-            # The pools are maintained incrementally, so they are never
-            # dirty; the key survives for checkpoint-format compatibility.
-            "partition_dirty": b64encode(bytes(self.partition_count)).decode("ascii"),
             "unread": list(self._unread),
             "dummy_pool_exhausted": self.dummy_pool_exhausted,
             "rng": self.rng.state_dict(),
@@ -512,20 +509,30 @@ class PermutedStorage:
         self._occupied[:] = b64decode(state["occupied"])
         for partition, used in zip(self._partitions, state["overflow_used"]):
             partition.overflow_used = used
-        # Checkpoints written before the pools went incremental may carry
-        # stale (consumed) slots in dirty partitions; filtering them here
-        # is exactly the re-filter the old code deferred to end_period.
-        dirty = b64decode(state["partition_dirty"])
-        consumed = self.consumed
-        self._partition_unread = [
-            dict.fromkeys(
-                slots if not dirty[index] else (s for s in slots if not consumed[s])
-            )
-            for index, slots in enumerate(state["partition_unread"])
-        ]
+        self._partition_unread = self._derive_partition_pools()
         self._set_unread(list(state["unread"]))
         self.dummy_pool_exhausted = state["dummy_pool_exhausted"]
         self.rng.load_state(state["rng"])
+
+    def _derive_partition_pools(self) -> "list[dict[int, None]]":
+        """Each partition's pool from the slot bitmaps alone.
+
+        A pool holds the partition's occupied, unconsumed slots in
+        ascending order: the base region first, then the overflow region
+        (which sits above it).  That is the order the incremental
+        maintenance keeps -- a shuffle inserts the base region in order,
+        overflow appends extend it in order, and consumes only delete --
+        so the pools need not be checkpointed.
+        """
+        width = len(self._occupied)
+        live = (
+            int.from_bytes(self._occupied, "little") & ~int.from_bytes(self.consumed, "little")
+        ).to_bytes(width, "little")
+        span = self.partition_size + self.overflow_cap
+        return [
+            dict.fromkeys(compress(range(base, base + span), live[base : base + span]))
+            for base in (partition.base for partition in self._partitions)
+        ]
 
     # ------------------------------------------------------------- queries
     def resident_blocks(self) -> int:

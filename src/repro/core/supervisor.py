@@ -177,7 +177,7 @@ class FleetSupervisor:
         return self.fleet.fenced
 
     def __getattr__(self, name):
-        # Protocol odds and ends (served_log, shard_metrics, describe...)
+        # Protocol odds and ends (served_digest, shard_metrics, describe...)
         # pass straight through to the wrapped fleet.
         return getattr(self.fleet, name)
 

@@ -74,8 +74,8 @@ class PathOramTree:
         # geometry; every access walks one twice (read + write-back), so
         # they are memoized per leaf.
         self._path_cache: dict[int, list[int]] = {}
-        #: leaves of every path access, for the security analyzers
-        self.leaf_log: list[int] = []
+        #: path accesses per leaf, for the security analyzers
+        self.leaf_counts: list[int] = [0] * geometry.leaves
 
     def _path(self, leaf: int) -> list[int]:
         path = self._path_cache.get(leaf)
@@ -141,7 +141,7 @@ class PathOramTree:
         opening a dummy would just confirm what the controller already
         knows.
         """
-        self.leaf_log.append(leaf)
+        self.leaf_counts[leaf] += 1
         z = self.geometry.bucket_size
         slot_bytes = self.codec.slot_bytes
         real = self._real

@@ -27,6 +27,7 @@ from repro.security.statistics import (
     UniformTestResult,
     binned_histogram,
     chi_square_uniform_test,
+    fold_histogram,
 )
 from repro.storage.trace import TraceRecorder
 
@@ -57,15 +58,11 @@ class PatternAnalyzer:
         counts = binned_histogram(slots, total_slots, bins)
         return chi_square_uniform_test(counts)
 
-    def leaf_uniformity(self, leaf_log: list[int], leaves: int, bins: int = 16) -> UniformTestResult:
-        """Chi-square test over the tree's accessed-leaf log."""
-        if not leaf_log:
-            raise ValueError("empty leaf log")
-        if leaves <= bins:
-            counts = binned_histogram(leaf_log, leaves, leaves)
-        else:
-            counts = binned_histogram(leaf_log, leaves, bins)
-        return chi_square_uniform_test(counts)
+    def leaf_uniformity(self, leaf_counts: list[int], bins: int = 16) -> UniformTestResult:
+        """Chi-square test over the tree's per-leaf access counts."""
+        if not any(leaf_counts):
+            raise ValueError("no leaf accesses recorded")
+        return chi_square_uniform_test(fold_histogram(leaf_counts, min(bins, len(leaf_counts))))
 
     # --------------------------------------------------------------- linkage
     def repeat_slot_linkage(self) -> float:

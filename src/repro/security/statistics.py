@@ -151,3 +151,15 @@ def binned_histogram(values: Sequence[int], domain: int, bins: int) -> list[int]
             raise ValueError(f"value {value} outside [0, {domain})")
         counts[min(bins - 1, value * bins // domain)] += 1
     return counts
+
+
+def fold_histogram(counts: Sequence[int], bins: int) -> list[int]:
+    """Per-value counts over [0, len(counts)) folded into ``bins`` buckets
+    (what :func:`binned_histogram` gives for the values themselves)."""
+    domain = len(counts)
+    if bins <= 0 or domain <= 0:
+        raise ValueError("domain and bins must be positive")
+    folded = [0] * bins
+    for value, count in enumerate(counts):
+        folded[min(bins - 1, value * bins // domain)] += count
+    return folded

@@ -25,6 +25,126 @@ def percentile(values: list, q: float) -> float:
     return float(ordered[int(rank) - 1])
 
 
+class Histogram:
+    """Counts of non-negative integer samples; mergeable, bounded in size.
+
+    A value below ``2**PRECISION_BITS`` (4096) has a bucket of its own, so
+    :meth:`percentiles` returns exactly what :func:`percentile` returns on
+    the samples themselves.  A larger value shares a bucket with the
+    values that agree with it on their top ``PRECISION_BITS`` bits and
+    reads back as the bucket's smallest value (relative error under
+    ``2**-(PRECISION_BITS - 1)``, 0.05 %).  The bucket count therefore
+    depends on the range of the values, never on how many were recorded:
+    at most 4096 plus 2048 per octave above it.  Two histograms merge by
+    adding counts.
+    """
+
+    PRECISION_BITS = 12
+    _EXACT_BELOW = 1 << PRECISION_BITS
+
+    def __init__(self) -> None:
+        #: bucket floor -> samples in the bucket
+        self.counts: dict[int, int] = {}
+        self.total = 0
+
+    @classmethod
+    def bucket(cls, value: int) -> int:
+        """The floor of the bucket ``value`` is counted in."""
+        if value < cls._EXACT_BELOW:
+            if value < 0:
+                raise ValueError(f"histogram samples must be >= 0, got {value}")
+            return value
+        shift = value.bit_length() - cls.PRECISION_BITS
+        return value >> shift << shift
+
+    def add(self, value: int) -> None:
+        self.add_many((value,))
+
+    def add_many(self, values) -> None:
+        counts = self.counts
+        exact_below = self._EXACT_BELOW
+        added = 0
+        for value in values:
+            key = value if 0 <= value < exact_below else self.bucket(value)
+            counts[key] = counts.get(key, 0) + 1
+            added += 1
+        self.total += added
+
+    def merge(self, other: "Histogram") -> "Histogram":
+        """Add ``other``'s counts into this histogram; returns ``self``."""
+        counts = self.counts
+        for key, count in other.counts.items():
+            counts[key] = counts.get(key, 0) + count
+        self.total += other.total
+        return self
+
+    def since(self, earlier: "Histogram") -> "Histogram":
+        """The samples added after ``earlier`` (a :meth:`copy` of this one)."""
+        delta = Histogram()
+        if self.total == earlier.total:
+            return delta
+        before = earlier.counts
+        delta.counts = {
+            key: count - before.get(key, 0)
+            for key, count in self.counts.items()
+            if count != before.get(key, 0)
+        }
+        delta.total = self.total - earlier.total
+        return delta
+
+    def copy(self) -> "Histogram":
+        clone = Histogram()
+        clone.counts = dict(self.counts)
+        clone.total = self.total
+        return clone
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Histogram) and self.counts == other.counts
+
+    def percentiles(self, quantiles) -> "dict":
+        """Nearest-rank percentiles, one ordered pass for all quantiles.
+
+        Zero for every quantile while the histogram is empty.
+        """
+        if not self.total:
+            return {q: 0.0 for q in quantiles}
+        ranks = []
+        for q in quantiles:
+            if not 0 <= q <= 100:
+                raise ValueError("q must be in [0, 100]")
+            ranks.append((max(1, -(-self.total * q // 100)), q))  # ceil(n*q/100)
+        ranks.sort()
+        result = {}
+        pending = iter(ranks)
+        rank, q = next(pending)
+        seen = 0
+        for key in sorted(self.counts):
+            seen += self.counts[key]
+            while seen >= rank:
+                result[q] = float(key)
+                try:
+                    rank, q = next(pending)
+                except StopIteration:
+                    return result
+        raise AssertionError("histogram total disagrees with its counts")
+
+    def to_list(self) -> "list[int]":
+        """``[bucket, count, bucket, count, ...]`` in bucket order: the JSON
+        form, one flat array, so saving and restoring build no object per
+        bucket."""
+        flat: list[int] = []
+        for key in sorted(self.counts):
+            flat += (key, self.counts[key])
+        return flat
+
+    @classmethod
+    def from_list(cls, flat: "list[int]") -> "Histogram":
+        histogram = cls()
+        histogram.counts = dict(zip(flat[::2], flat[1::2]))
+        histogram.total = sum(histogram.counts.values())
+        return histogram
+
+
 @dataclass
 class TierTimes:
     """Durations split by tier, before the protocol decides what overlaps."""

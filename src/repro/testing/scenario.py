@@ -45,8 +45,8 @@ class CrashSpec:
     disk, keeps going until the injected :class:`CrashFault` kills it,
     then recovers from the checkpoint and serves the rest of the
     workload on the restored stack.  With ``compare_uninterrupted`` the
-    run is also held bit-identical (served results, served log, metrics,
-    simulated clock) to a crash-free twin.
+    run is also held bit-identical (served results, served-order digest,
+    metrics, simulated clock) to a crash-free twin.
     """
 
     #: request index at which the checkpoint is taken (a quiesced point).
@@ -942,7 +942,7 @@ class ScenarioRunner:
                 )
             if crash.compare_uninterrupted:
                 # Before the final-state readback: those reads advance the
-                # restored stack's clock and logs, which the twin never sees.
+                # restored stack's clock and digest, which the twin never sees.
                 self._compare_with_twin(spec, requests, results, restored, failures)
             checked = self._check_final_state(
                 restored, stack.spec.n_blocks, oracle, spec, failures
@@ -983,8 +983,8 @@ class ScenarioRunner:
                     f"recovered run diverges from the uninterrupted twin on "
                     f"{diverged} served results"
                 )
-            if list(restored.served_log) != list(twin.protocol.served_log):
-                failures.append("recovered served_log diverges from the twin's")
+            if restored.served_digest != twin.protocol.served_digest:
+                failures.append("recovered served-order digest diverges from the twin's")
             if restored.metrics.to_dict() != twin.protocol.metrics.to_dict():
                 failures.append("recovered metrics diverge from the twin's")
             restored_clock = restored.hierarchy.clock.now_us
@@ -1132,7 +1132,7 @@ class ScenarioRunner:
 
         Recovery is value-level (replay may batch what the original run
         interleaved), so unlike :meth:`_compare_with_twin` this compares
-        served bytes only -- not cycle counts, clocks or served logs.
+        served bytes only -- not cycle counts, clocks or served digests.
         """
         from dataclasses import replace as dc_replace
 

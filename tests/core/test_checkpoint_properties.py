@@ -110,8 +110,8 @@ def test_checkpoint_round_trip_is_observationally_equal(
             got_original = drive(original, tail)
             got_restored = drive(restored, tail)
             assert got_restored == got_original
-            assert list(getattr(restored, "served_log", [])) == list(
-                getattr(original, "served_log", [])
+            assert getattr(restored, "served_digest", None) == getattr(
+                original, "served_digest", None
             )
             assert restored.metrics.to_dict() == original.metrics.to_dict()
             assert (

@@ -2,7 +2,7 @@
 
 The batched fast path (vectorized record crypto, bulk store I/O,
 incremental shuffle bookkeeping) must be *observationally identical* to
-the original single-record implementation: same seed -> same served_log,
+the original single-record implementation: same seed -> same serve order,
 same Metrics, same bus trace.  The GOLDEN fingerprints below were
 captured on the pre-batching tree (the parent of the PR that introduced
 the batch APIs), so matching them proves the old single-record path and
@@ -50,10 +50,44 @@ GOLDEN_SHARDED = {
 }
 
 
-def fingerprint(oram: HybridORAM, metrics: Metrics) -> str:
-    """Digest of everything observable: served log, metrics, bus trace."""
+class Recorder:
+    """Passes a stack through, keeping every entry ``submit`` returned."""
+
+    def __init__(self, stack):
+        self.stack = stack
+        self.entries = []
+
+    def submit(self, request):
+        entry = self.stack.submit(request)
+        self.entries.append(entry)
+        return entry
+
+    def __getattr__(self, name):
+        return getattr(self.stack, name)
+
+
+def serve_order(entries) -> "list[tuple[int, int]]":
+    """``(addr, served cycle)`` in the order the kernel served them.
+
+    A stable sort by cycle is enough: within a cycle the scheduler takes
+    hits in ROB order, which is submission order.
+    """
+    return [(e.addr, e.served_cycle) for e in sorted(entries, key=lambda e: e.served_cycle)]
+
+
+def fleet_serve_order(entries, n_shards: int) -> "list[tuple[int, int, int]]":
+    """``(shard, global addr, shard cycle)``: each shard's serve order, by shard."""
+    return [
+        (shard, addr, cycle)
+        for shard in range(n_shards)
+        for addr, cycle in serve_order(e for e in entries if e.addr % n_shards == shard)
+    ]
+
+
+def fingerprint(oram: HybridORAM, metrics: Metrics, entries) -> str:
+    """Digest of everything observable: serve order, metrics, bus trace."""
     h = hashlib.blake2b(digest_size=16)
-    for addr, cycle in oram.served_log:
+    for addr, cycle in serve_order(entries):
         h.update(f"s:{addr}:{cycle};".encode())
     md = metrics.to_dict()
     for key in sorted(md):
@@ -84,8 +118,9 @@ def run_case(n_blocks, mem_tree_blocks, requests, ratio=1, write_ratio=0.25):
             write_ratio=write_ratio,
         )
     )
-    metrics = SimulationEngine(oram, verify=True).run(stream)
-    return fingerprint(oram, metrics)
+    recorder = Recorder(oram)
+    metrics = SimulationEngine(recorder, verify=True).run(stream)
+    return fingerprint(oram, metrics, recorder.entries)
 
 
 def run_kernel_case(protocol, n_blocks=512, mem=128, requests=500, write_ratio=0.25):
@@ -105,14 +140,15 @@ def run_kernel_case(protocol, n_blocks=512, mem=128, requests=500, write_ratio=0
             write_ratio=write_ratio,
         )
     )
-    metrics = SimulationEngine(oram, verify=True).run(stream)
-    return fingerprint(oram, metrics)
+    recorder = Recorder(oram)
+    metrics = SimulationEngine(recorder, verify=True).run(stream)
+    return fingerprint(oram, metrics, recorder.entries)
 
 
-def sharded_fingerprint(sharded: ShardedHORAM, metrics: Metrics) -> str:
-    """Digest of the fleet's observables: per-shard logs, metrics, traces."""
+def sharded_fingerprint(sharded: ShardedHORAM, metrics: Metrics, entries) -> str:
+    """Digest of the fleet's observables: per-shard serve order, metrics, traces."""
     h = hashlib.blake2b(digest_size=16)
-    for shard_index, addr, cycle in sharded.served_log:
+    for shard_index, addr, cycle in fleet_serve_order(entries, sharded.n_shards):
         h.update(f"s{shard_index}:{addr}:{cycle};".encode())
     md = metrics.to_dict()
     for key in sorted(md):
@@ -146,8 +182,9 @@ def run_sharded_case(n_shards, n_blocks=1024, mem=128, requests=400):
             write_ratio=0.25,
         )
     )
-    metrics = SimulationEngine(sharded, verify=True).run(stream)
-    return sharded_fingerprint(sharded, metrics)
+    recorder = Recorder(sharded)
+    metrics = SimulationEngine(recorder, verify=True).run(stream)
+    return sharded_fingerprint(sharded, metrics, recorder.entries)
 
 
 class TestGoldenFingerprints:

@@ -66,10 +66,10 @@ def _trace_digest(sharded) -> str:
 def _observables(sharded, engine, metrics):
     return {
         "results": list(engine.results),
-        "served_log": sharded.served_log,
+        "served_digest": sharded.served_digest,
         "merged_metrics": metrics.to_dict(),
         "shard_metrics": [m.to_dict() for m in sharded.shard_metrics()],
-        "latency_logs": [list(s.latency_log) for s in sharded.shards],
+        "latency_histograms": [s.latency_histogram.to_list() for s in sharded.shards],
         "percentiles": sharded.latency_percentiles(),
         "load_balance": sharded.load_balance(),
         "trace": _trace_digest(sharded),
@@ -89,7 +89,7 @@ def _run_fleet(executor, n_shards, requests=350, trace=True, lockstep=True):
 class TestParallelEquivalence:
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_bit_identical_to_serial(self, n_shards):
-        """Retired results, served_log, metrics and traces all match."""
+        """Retired results, served digests, metrics and traces all match."""
         serial = _run_fleet("serial", n_shards)
         parallel = _run_fleet("parallel", n_shards)
         for key in serial:
@@ -159,7 +159,8 @@ def _step_view(sharded) -> dict:
     hierarchy = sharded.hierarchy
     return {
         "metrics": sharded.metrics.to_dict(),
-        "served_log": sharded.served_log,
+        "served_digest": sharded.served_digest,
+        "latency": [s.latency_histogram.to_list() for s in sharded.shards],
         "shard_metrics": [m.to_dict() for m in sharded.shard_metrics()],
         "storage": hierarchy.storage.snapshot(),
         "memory": hierarchy.memory.snapshot(),
@@ -262,7 +263,7 @@ class TestParallelFaults:
                 engine.run(_stream(1024, 200, seed=9))
                 outcomes[executor] = (
                     list(engine.results),
-                    stack.protocol.served_log,
+                    stack.protocol.served_digest,
                 )
             finally:
                 stack.close()

@@ -173,13 +173,14 @@ class TestFencedAggregation:
 
     def test_latency_percentiles_skip_fenced_shard(self):
         sharded = build(2)
-        self._drain_some(sharded)
-        shard0_log = list(sharded.shards[0].latency_log)
+        entries = [sharded.submit(r) for r in uniform(1024, 60, DeterministicRandom(9))]
+        sharded.drain()
+        shard0 = [entry.latency_cycles for entry in entries if entry.addr % 2 == 0]
         sharded.fence_shard(1)
         pct = sharded.latency_percentiles()
         from repro.sim.metrics import percentile
 
-        assert pct == {int(q): percentile(shard0_log, q) for q in (50, 90, 99)}
+        assert pct == {int(q): percentile(shard0, q) for q in (50, 90, 99)}
 
     def test_parallel_executor_fenced_mirror_excluded(self):
         from repro.core.sharding import build_sharded_horam
@@ -303,8 +304,8 @@ class TestEdgeCases:
         plain_entries = [plain.submit(r) for r in stream]
         plain.drain()
         assert [e.result for e in sharded_entries] == [e.result for e in plain_entries]
-        assert sharded.shards[0].served_log == plain.served_log
-        assert sharded.served_log == [(0, a, c) for a, c in plain.served_log]
+        assert sharded.shards[0].served_digest == plain.served_digest
+        assert sharded.served_digest == (plain.served_digest,)
         assert sharded.metrics.to_dict() == plain.metrics.to_dict()
         assert sharded.hierarchy.clock.now_us == plain.hierarchy.clock.now_us
 
@@ -318,15 +319,16 @@ class TestEdgeCases:
         assert sharded.metrics.cycles == 0
         assert sharded.hierarchy.clock.now_us == 0.0
 
-    def test_served_log_uses_global_addresses(self):
+    def test_served_digests_follow_routing(self):
         sharded = build(4)
         addrs = [3, 514, 1021]
-        for addr in addrs:
-            sharded.submit(Request.read(addr))
+        entries = [sharded.submit(Request.read(addr)) for addr in addrs]
         sharded.drain()
-        # entries come per shard, in shard order
-        logged = [(shard, addr) for shard, addr, _cycle in sharded.served_log]
-        assert logged == sorted((addr % 4, addr) for addr in addrs)
+        # Callers get their global addresses back; each digest moved only
+        # on the shard that served (shard 0 only padded).
+        assert [entry.addr for entry in entries] == addrs
+        moved = [digest != bytes(16) for digest in sharded.served_digest]
+        assert moved == [False, True, True, True]
 
 
 class TestFrontEndIntegration:

@@ -19,11 +19,14 @@ from repro.workload.generators import uniform
 
 #: sha256 of ``PermutedStorage.state_dict()`` JSON after
 #: :func:`control_state_digest`'s seeded run, per shuffle-period ratio.
-#: Captured while the permutation list was still Python lists and dicts,
-#: so the flat control tables are pinned to the same bytes.
+#: First captured while the permutation list was still Python lists and
+#: dicts, so the flat control tables are pinned to the same bytes; taken
+#: again when checkpoint format 4 stopped storing the per-partition pools
+#: (the earlier state minus ``partition_unread`` / ``partition_dirty``
+#: hashes to these same values).
 CONTROL_STATE = {
-    1: "8316e7d474b22a468e6fe54e9c748840aa6f3bb885f7419dfd79b95fd5527de6",
-    4: "727e6f403d7d785b827160c5923c1c4c7886058c97b30c61b620eaf066708631",
+    1: "21519d4a344a901904341b500751ae9a249ec75e09f50383479b1864cd9d8f5c",
+    4: "ed6703c57bed28b80e72d331d88ca0a09ea786114b917bb1ff56d01b3be3331f",
 }
 
 

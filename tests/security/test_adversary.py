@@ -34,9 +34,7 @@ class TestUniformity:
 
     def test_tree_leaves_uniform(self, analyzed):
         oram, analyzer = analyzed
-        result = analyzer.leaf_uniformity(
-            oram.cache.leaf_log, oram.cache.geometry.leaves, bins=8
-        )
+        result = analyzer.leaf_uniformity(oram.cache.leaf_counts, bins=8)
         assert result.p_value > 0.001
 
     def test_no_loads_raises(self):

@@ -10,7 +10,6 @@ from repro.security.attacks import (
     frequency_attack,
     repeat_access_attack,
 )
-from repro.sim.engine import SimulationEngine
 from repro.workload.generators import hotspot, sequential_scan
 
 N = 512
@@ -25,9 +24,15 @@ def run_plain(requests):
 
 
 def run_horam(requests):
+    return run_horam_entries(requests)[0]
+
+
+def run_horam_entries(requests):
+    """The stack after serving ``requests`` as one batch, and their entries."""
     oram = build_horam(n_blocks=N, mem_tree_blocks=128, seed=1, trace=True)
-    SimulationEngine(oram).run(list(requests))
-    return oram
+    entries = [oram.submit(request) for request in requests]
+    oram.drain()
+    return oram, entries
 
 
 @pytest.fixture(scope="module")
@@ -62,11 +67,12 @@ class TestRepeatAccessAttack:
         assert outcome.score == 1.0  # every repeat hits the same slot
 
     def test_unlinked_on_horam(self, hot_workload):
-        oram = run_horam(hot_workload)
+        oram, entries = run_horam_entries(hot_workload)
         # H-ORAM's loads do not align 1:1 with requests (that is the
         # cache's whole point), so feed the attack the load-aligned view:
-        # repeated logical fetches across epochs.
-        log = [addr for addr, _ in oram.served_log]
+        # repeated logical fetches across epochs, in serve order (a stable
+        # sort by served cycle: within a cycle hits go in ROB order).
+        log = [entry.addr for entry in sorted(entries, key=lambda e: e.served_cycle)]
         outcome = repeat_access_attack(oram.hierarchy.trace, log)
         assert outcome.score < 0.2
 

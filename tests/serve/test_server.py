@@ -248,6 +248,32 @@ class TestHealthAndMetrics:
         assert health["fenced_shards"] == []
         assert health["tenants"]["0"]["served"] == 6
 
+    def test_bookkeeping_stays_bounded_over_many_requests(self, run, make_pair):
+        """2000 requests later the seq map holds only what is in flight,
+        and the wall latencies are one histogram of every served request."""
+
+        async def scenario():
+            server, client = await make_pair(_horam(), ServeConfig(max_inflight=64))
+            server.add_tenant(0)
+            for start in range(0, 2000, 50):
+                await asyncio.gather(
+                    *(client.read(addr % 256, tenant=0) for addr in range(start, start + 50))
+                )
+                assert len(server._seq_of_request) <= server.inflight()
+            counts = (len(server._seq_of_request), server.inflight())
+            histogram = server.wall_latency_us
+            health = server.health()
+            await client.close()
+            await server.close()
+            return counts, histogram, health
+
+        (mapped, inflight), histogram, health = run(scenario())
+        assert mapped == inflight == 0
+        assert histogram.total == health["requests"]["served"] == 2000
+        assert 0 < health["latency_percentiles"]["wall_ms"]["p50"]
+        wall = health["latency_percentiles"]["wall_ms"]
+        assert wall["p50"] <= wall["p99"] <= wall["p999"]
+
     def test_metrics_op_returns_backend_metrics(self, run, make_pair):
         async def scenario():
             server, client = await make_pair(_horam())
