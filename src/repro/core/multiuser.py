@@ -139,9 +139,11 @@ class MultiUserFrontEnd:
     def submit(self, user: int, request: Request) -> None:
         """Queue a request on the user's FIFO (ACL-checked here).
 
-        The caller's ``Request`` is never mutated: the queued entry is a
-        tagged copy, so one request object can safely be templated across
-        users without silently re-tagging earlier queued entries.
+        The caller's ``Request`` is never mutated: a request tagged for
+        another user (or untagged) is queued as a tagged copy, so one
+        request object can safely be templated across users without
+        silently re-tagging earlier queued entries.  A request already
+        tagged ``user`` is queued as it is.
         """
         entry = self._user(user)
         if entry.allowed is not None and request.addr not in entry.allowed:
@@ -149,7 +151,9 @@ class MultiUserFrontEnd:
                 f"user {user} may not touch address {request.addr} "
                 f"(allowed {entry.allowed})"
             )
-        entry.queue.append(replace(request, user=user))
+        if request.user != user:
+            request = replace(request, user=user)
+        entry.queue.append(request)
         entry.stats.submitted += 1
 
     def cancel(self, user: int, request_id: int) -> bool:

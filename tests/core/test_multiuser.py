@@ -120,6 +120,13 @@ class TestServiceAndFairness:
         assert front.stats(0).served == 1
         assert front.stats(2).served == 1
 
+    def test_already_tagged_request_is_queued_without_a_copy(self, front):
+        tagged = Request.read(10, user=0)
+        front.submit(0, tagged)
+        retired = front.pump()
+        assert [entry.request for entry in retired] == [tagged]
+        assert retired[0].request is tagged
+
     def test_unregistered_and_untagged_retirees_bucketed(self, front):
         # Requests submitted directly to the back end (before/around the
         # front end) retire with an unknown or absent user tag; pump must

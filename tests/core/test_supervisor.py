@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+from collections import Counter
 
 import pytest
 
@@ -83,6 +84,30 @@ class TestSerialStorm:
             assert all(i["outcome"] == "restored" for i in report["incidents"])
             assert not supervisor.fenced
             assert results == twin
+        finally:
+            supervisor.close()
+
+    def test_event_counts_match_a_scan_of_the_events(self, ckpt_dir):
+        supervisor = _supervised(ckpt_dir)
+        try:
+            supervisor.install_fault_plan(
+                FaultPlan(seed=0, crash_schedule=[20, 50, 80], crash_op_kind="any")
+            )
+            _drive(supervisor, _workload(120))
+            scanned = Counter(event.kind for event in supervisor.events)
+            assert scanned["crash_detected"] == 3
+            for kind in (*scanned, "fenced", "gave_up"):
+                assert supervisor._count(kind) == scanned[kind]
+            report = supervisor.recovery_report()
+            extra = supervisor.metrics.extra
+            assert report["crashes_detected"] == extra["supervisor_crashes"] == 3
+            assert report["restores"] == extra["supervisor_restores"] == scanned["restored"]
+            assert report["checkpoints"] == extra["supervisor_checkpoints"] == scanned["checkpoint"]
+            assert report["fences"] == extra["supervisor_fenced"] == 0
+            # Counting reads the events, never rewrites them.
+            assert supervisor.event_trace() == [
+                (event.kind, event.shard, event.attempt) for event in supervisor.events
+            ]
         finally:
             supervisor.close()
 

@@ -22,6 +22,29 @@ class ManualClock:
         self.t += dt
 
 
+class RecordingConnection:
+    """Stand-in for a server connection: records what the server sends.
+
+    For tests that drive ``ORAMServer._admit`` with no socket: the
+    server answers an admitted request through ``send`` once it retires.
+    """
+
+    def __init__(self):
+        self.sent: list[dict] = []
+        self._arrived = asyncio.Event()
+
+    def send(self, message: dict) -> None:
+        self.sent.append(message)
+        self._arrived.set()
+
+    async def responses(self, count: int) -> "list[dict]":
+        """Wait until ``count`` responses have arrived; return them."""
+        while len(self.sent) < count:
+            self._arrived.clear()
+            await self._arrived.wait()
+        return self.sent[:count]
+
+
 async def _make_pair(stack, config=None, clock=time.monotonic):
     """An ORAMServer and a connected ServeClient over a socketpair."""
     server = ORAMServer(stack, config, clock=clock)
@@ -39,6 +62,11 @@ def make_pair():
 @pytest.fixture
 def manual_clock():
     return ManualClock
+
+
+@pytest.fixture
+def recording_connection():
+    return RecordingConnection
 
 
 @pytest.fixture

@@ -75,7 +75,9 @@ class TestDeadlines:
         assert bad["ok"] is False
         assert bad["error"] == "bad_request"
 
-    def test_queued_request_cancelled_at_deadline(self, run, manual_clock):
+    def test_queued_request_cancelled_at_deadline(
+        self, run, manual_clock, recording_connection
+    ):
         """A request still queued when its deadline lapses is withdrawn:
         never journaled, never executed, answered with a typed error."""
 
@@ -83,14 +85,16 @@ class TestDeadlines:
             clock = manual_clock()
             server = ORAMServer(_horam(), ServeConfig(), clock=clock)
             server.add_tenant(0)
+            connection = recording_connection()
             # Admit directly (no pump running): the request sits queued.
-            rejection, future = server._admit(
-                {"op": "read", "addr": 3, "tenant": 0, "deadline_ms": 5.0}
+            rejection = server._admit(
+                {"op": "read", "addr": 3, "tenant": 0, "deadline_ms": 5.0},
+                connection,
             )
             assert rejection is None
             clock.advance(1.0)
             cancelled = server._cancel_expired()
-            response = await asyncio.wait_for(future, timeout=5)
+            [response] = await asyncio.wait_for(connection.responses(1), timeout=5)
             await server.close()
             return server, cancelled, response
 
@@ -159,18 +163,23 @@ class TestDeadlines:
         diff = diff_served(server.journal, server.served_by_seq, twin)
         assert diff.identical and diff.compared == 1
 
-    def test_default_deadline_from_config(self, run, manual_clock):
+    def test_default_deadline_from_config(
+        self, run, manual_clock, recording_connection
+    ):
         async def scenario():
             clock = manual_clock()
             server = ORAMServer(
                 _horam(), ServeConfig(default_deadline_ms=5.0), clock=clock
             )
             server.add_tenant(0)
-            rejection, future = server._admit({"op": "read", "addr": 1, "tenant": 0})
+            connection = recording_connection()
+            rejection = server._admit(
+                {"op": "read", "addr": 1, "tenant": 0}, connection
+            )
             assert rejection is None
             clock.advance(1.0)
             cancelled = server._cancel_expired()
-            await asyncio.wait_for(future, timeout=5)
+            await asyncio.wait_for(connection.responses(1), timeout=5)
             await server.close()
             return cancelled
 
@@ -345,15 +354,20 @@ class TestGracefulDrain:
         diff = diff_served(server.journal, server.served_by_seq, twin)
         assert diff.identical and not diff.unserved
 
-    def test_drain_escalates_past_hard_deadline(self, run, manual_clock):
+    def test_drain_escalates_past_hard_deadline(
+        self, run, manual_clock, recording_connection
+    ):
         async def scenario():
             clock = manual_clock()
             server = ORAMServer(_horam(), ServeConfig(), clock=clock)
             server.add_tenant(0)
-            rejection, future = server._admit({"op": "read", "addr": 1, "tenant": 0})
+            connection = recording_connection()
+            rejection = server._admit(
+                {"op": "read", "addr": 1, "tenant": 0}, connection
+            )
             assert rejection is None
             report = await server.drain(timeout_s=0.0)
-            response = await asyncio.wait_for(future, timeout=5)
+            [response] = await asyncio.wait_for(connection.responses(1), timeout=5)
             await server.close()
             return report, response
 

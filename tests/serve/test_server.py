@@ -354,7 +354,9 @@ class TestFeedQuantum:
         assert not hasattr(backend, "config")
         assert not hasattr(backend, "current_c")
 
-    def test_supervised_parallel_fleet_gets_the_whole_backlog(self, run):
+    def test_supervised_parallel_fleet_gets_the_whole_backlog(
+        self, run, recording_connection
+    ):
         """32 queued requests from 3 bursty tenants: one executor step,
         journaled in tenant round-robin order, twin-identical."""
         tenants = [0] * 16 + [1] * 10 + [2] * 6
@@ -381,13 +383,14 @@ class TestFeedQuantum:
                 for tenant in range(3):
                     server.add_tenant(tenant)
                 server.ensure_pump()
-                futures = [
-                    server._admit(
-                        {"id": i, "op": "read", "addr": addr, "tenant": tenant}
-                    )[1]
-                    for i, (addr, tenant) in enumerate(zip(addrs, tenants))
-                ]
-                responses = await asyncio.gather(*futures)
+                connection = recording_connection()
+                for i, (addr, tenant) in enumerate(zip(addrs, tenants)):
+                    rejection = server._admit(
+                        {"id": i, "op": "read", "addr": addr, "tenant": tenant},
+                        connection,
+                    )
+                    assert rejection is None
+                responses = await asyncio.wait_for(connection.responses(32), 30)
                 await server.close()
                 return server, responses, batches
             finally:
