@@ -59,7 +59,9 @@ class CacheTree:
             )
         self.position_map = DictPositionMap(self.geometry.leaves)
         self.stash = Stash(limit=stash_limit)
-        self.tree.fill_empty()
+        # The tree's slots are written by the owning kernel's one image
+        # step: ``tree.fill_empty()`` on a fresh build, a checkpoint's
+        # memory blob on a restore.
 
     # ----------------------------------------------------------- capacity
     @property

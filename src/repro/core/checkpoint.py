@@ -5,24 +5,41 @@ to the moment it was taken: store contents, control-layer bookkeeping,
 RNG stream positions, codec nonce counters, clocks, channels, metrics,
 the latency histogram and the served-order digest.  None of it grows
 with the number of requests served (the bus trace, off by default, is
-the one opt-in exception).  Restoring builds a fresh stack from the
-recorded geometry and overwrites its mutable state, so the restored
-instance serves the rest of a workload exactly as the uninterrupted
-original would -- the property the crash-recovery test tier pins.
+the one opt-in exception), and nothing is stored that a restore can
+derive.  A kernel stack is restored by its ordinary constructor with
+the checkpoint as its ``image``: the one step that writes a fresh
+stack's initial image (initial permutation, sealed slab and tree) loads
+the checkpoint in its place, so a restore seals nothing and draws no
+initial permutation.  The restored instance serves the rest of a
+workload exactly as the uninterrupted original would -- the property
+the crash-recovery test tier pins.
 
 On-disk format (version :data:`CHECKPOINT_VERSION`)::
 
     <directory>/
-        checkpoint.json     # manifest: format, version, kind, state,
-                            # blob index (file name, size, sha256)
-        <blob>.bin          # one binary file per store's slot array
+        checkpoint.json         # manifest: format, version, kind, state,
+                                # blob index (file name, size, sha256)
+        memory.bin              # the memory store's slot array
+        storage.bin             # the storage store's slot array
+        control.location.bin    # H-ORAM permutation list: addr -> slot
+        control.unread.bin      # H-ORAM dummy-load pool, in pool order
+        control.consumed.bin    # H-ORAM read-once flags, one bit per slot
 
-The manifest's ``state`` is pure JSON (small byte strings are base64
-inline); bulk slot arrays ship as sidecar ``.bin`` blobs whose size and
-SHA-256 are pinned in the manifest.  :meth:`Checkpoint.load` re-verifies
-all of it -- version, blob presence, sizes, digests -- and raises
-:class:`CheckpointError` on any mismatch, which is what makes
-:func:`recover` safe to point at a slab that died mid-write.
+(a sharded fleet prefixes each shard's blobs with ``shard<i>.``).  The
+manifest's ``state`` is pure JSON and holds no per-slot integer list
+(small byte strings are base64 inline).  ``control.location`` and
+``control.unread`` are little-endian fixed-width tables in the narrowest
+integer type the layout's slot count allows; ``control.consumed`` is
+packed little-endian, slot ``i`` at bit ``i % 8`` of byte ``i // 8``.
+Derived on load and never stored: the slot -> address table (the
+inverse of ``location``, dummies elsewhere), slot occupancy (base
+regions plus each overflow region's used prefix, from the manifest's
+``overflow_used``) and the per-partition dummy pools (occupied slots
+not yet ``consumed``).  Every blob's size and SHA-256 are pinned in the
+manifest.  :meth:`Checkpoint.load` re-verifies all of it -- version,
+blob presence, sizes, digests -- and raises :class:`CheckpointError` on
+any mismatch, which is what makes :func:`recover` safe to point at a
+slab that died mid-write.
 
 Supported stacks: every :class:`~repro.core.kernel.EngineKernel`
 protocol (H-ORAM, the succinct hierarchical and BIOS variants),
@@ -54,8 +71,10 @@ from repro.storage.trace import TraceEvent, TraceRecorder
 #: 3: one shard-checkpoint shape and one fleet layout for both executors;
 #: 4: fixed-size kernel state -- ``served_digest``, ``latency_histogram``
 #: and per-leaf ``leaf_counts`` replace the per-request logs, and the
-#: storage layer's per-partition pools are rebuilt instead of stored).
-CHECKPOINT_VERSION = 4
+#: storage layer's per-partition pools are rebuilt instead of stored;
+#: 5: the storage layer's control tables move to binary ``control.*``
+#: blobs, and ``slot_addr`` / ``occupied`` are derived on load).
+CHECKPOINT_VERSION = 5
 
 _FORMAT = "horam-checkpoint"
 _MANIFEST = "checkpoint.json"
@@ -305,7 +324,9 @@ def _kernel_rebuild_info(oram) -> dict:
     }
 
 
-def _rebuild_kernel(rebuild: dict):
+def _rebuild_kernel(rebuild: dict, image: "tuple[dict, dict[str, bytes]]"):
+    """The kernel a rebuild recipe describes, built straight from ``image``
+    (a ``state_dict()`` payload): no initial image is written."""
     # Importing these registers every bundled protocol in KERNEL_PROTOCOLS.
     import repro.core.horam  # noqa: F401
     import repro.oram.factory  # noqa: F401
@@ -329,7 +350,7 @@ def _rebuild_kernel(rebuild: dict):
             StreamCipher(rng.spawn("record-key").token(32)),
             mac_key=rng.spawn("mac-key").token(32),
         )
-    return cls(config, hierarchy, codec=codec, **rebuild.get("params", {}))
+    return cls(config, hierarchy, codec=codec, image=image, **rebuild.get("params", {}))
 
 
 def _snapshot_kernel(oram) -> Checkpoint:
@@ -342,9 +363,8 @@ def _snapshot_kernel(oram) -> Checkpoint:
 
 
 def _restore_kernel(checkpoint: Checkpoint):
-    oram = _rebuild_kernel(checkpoint.state["rebuild"])
-    oram.load_state(checkpoint.state["stack"], checkpoint.blobs)
-    return oram
+    state = checkpoint.state
+    return _rebuild_kernel(state["rebuild"], (state["stack"], checkpoint.blobs))
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +426,10 @@ def _restore_sharded(checkpoint: Checkpoint):
     from repro.core.sharding import ShardedHORAM
 
     state = checkpoint.state
+    images = [
+        (shard_state, _shard_blobs(checkpoint, index))
+        for index, shard_state in enumerate(state["shards"])
+    ]
     if checkpoint.kind == "sharded-parallel":
         specs = []
         for data in state["rebuild"]:
@@ -413,17 +437,17 @@ def _restore_sharded(checkpoint: Checkpoint):
             data["storage_device"] = _device_from_dict(data["storage_device"])
             data["memory_device"] = _device_from_dict(data["memory_device"])
             specs.append(ShardBuildSpec(**data))
-        executor = ParallelExecutor(specs)
+        executor = ParallelExecutor(specs, images)
     else:
-        executor = SerialExecutor([_rebuild_kernel(info) for info in state["rebuild"]])
-    try:
-        for index, shard_state in enumerate(state["shards"]):
-            executor.load_shard_state(
-                index, (shard_state, _shard_blobs(checkpoint, index))
-            )
-    except Exception:
-        executor.close()
-        raise
+        shards = []
+        try:
+            for info, image in zip(state["rebuild"], images):
+                shards.append(_rebuild_kernel(info, image))
+        except Exception:
+            for shard in shards:
+                shard.close()
+            raise
+        executor = SerialExecutor(shards)
     return ShardedHORAM(
         n_blocks=state["n_blocks"],
         config=_config_from_dict(state["template_config"]),

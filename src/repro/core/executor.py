@@ -60,7 +60,8 @@ from repro.storage.faults import CrashFault, FaultInjector, FaultPlan, FaultStat
 from repro.storage.trace import TraceEvent
 
 #: one shard's ``state_dict()``: ``(state, blobs)``, what a shard
-#: checkpoint stores and :meth:`ShardExecutor.load_shard_state` takes back.
+#: checkpoint stores and a shard is built back from (the kernel's
+#: ``image``: :meth:`ShardExecutor.recover_shard`, a fleet restore).
 ShardPayload = "tuple[dict, dict[str, bytes]]"
 
 #: (seq, op, local addr, data) -- one buffered request on its way to a worker.
@@ -310,9 +311,10 @@ class ShardExecutor(ABC):
     the coordinator's aggregate views.  Everything else goes through the
     methods below, the same set on both runtimes, so no caller has to
     know which one it holds: the execution verbs, and per-shard
-    primitives for the checkpointer (a fleet snapshot or restore is a
-    loop over ``shard_state``/``load_shard_state``) and the supervisor
-    (recovery is one ``recover_shard`` call).
+    primitives for the checkpointer (a fleet snapshot is a loop over
+    ``shard_state``; a restore builds each runtime straight from the
+    payloads) and the supervisor (recovery is one ``recover_shard``
+    call).
     """
 
     kind: str = "abstract"
@@ -378,21 +380,17 @@ class ShardExecutor(ABC):
         """One (idle) shard's ``state_dict()`` payload."""
 
     @abstractmethod
-    def load_shard_state(self, index: int, payload: ShardPayload) -> None:
-        """Roll one shard to a :meth:`shard_state` payload."""
-
-    @abstractmethod
     def recover_shard(
         self, index: int, payload: ShardPayload, replay: list, failure: ShardCrashed
     ) -> None:
         """Put a failed (or fenced) shard back in service.
 
-        A blank shard of the same build replaces it, is rolled to
-        ``payload`` and re-executes ``replay`` (journaled
-        ``(op, local addr, data)`` requests already answered before the
-        failure; results discarded) with no fault injector attached, so
-        recovery cannot re-crash.  The fault plan goes back on afterwards,
-        moved past whatever ``failure`` says fired.
+        A shard of the same build, built straight from ``payload`` (no
+        initial image is written), replaces it and re-executes ``replay``
+        (journaled ``(op, local addr, data)`` requests already answered
+        before the failure; results discarded) with no fault injector
+        attached, so recovery cannot re-crash.  The fault plan goes back
+        on afterwards, moved past whatever ``failure`` says fired.
         """
 
     @abstractmethod
@@ -479,13 +477,10 @@ class SerialExecutor(ShardExecutor):
     def shard_state(self, index: int) -> ShardPayload:
         return self.shards[index].state_dict()
 
-    def load_shard_state(self, index: int, payload: ShardPayload) -> None:
-        self.shards[index].load_state(*payload)
-
     def recover_shard(
         self, index: int, payload: ShardPayload, replay: list, failure: ShardCrashed
     ) -> None:
-        """The blank comes from the failed instance's own (immutable)
+        """The new shard comes from the failed instance's own (immutable)
         config and geometry.  It is swapped into ``self.shards`` in place
         (the coordinator aliases the list) once it has caught up, and only
         then re-attached to the fleet's one fault injector, whose shared
@@ -493,8 +488,7 @@ class SerialExecutor(ShardExecutor):
         to move)."""
         from repro.core.checkpoint import _kernel_rebuild_info, _rebuild_kernel
 
-        shard = _rebuild_kernel(_kernel_rebuild_info(self.shards[index]))
-        shard.load_state(*payload)
+        shard = _rebuild_kernel(_kernel_rebuild_info(self.shards[index]), payload)
         for op, addr, data in replay:
             shard.submit(Request(op=op, addr=addr, data=data))
         while shard.rob.has_work():
@@ -527,7 +521,13 @@ class SerialExecutor(ShardExecutor):
 _WORKER: dict = {}
 
 
-def _worker_init(spec: ShardBuildSpec, scratch_name: str | None = None) -> None:
+def _worker_init(
+    spec: ShardBuildSpec,
+    scratch_name: str | None = None,
+    image: ShardPayload | None = None,
+) -> None:
+    """Build this worker's shard: fresh, or straight from a checkpoint
+    payload ``image`` (a respawned or restored worker)."""
     from repro.oram.factory import shard_builder
 
     n_shards, index = spec.n_shards, spec.index
@@ -552,6 +552,7 @@ def _worker_init(spec: ShardBuildSpec, scratch_name: str | None = None) -> None:
         initial_addr_map=lambda local: local * n_shards + index,
         storage_backend=spec.storage_backend,
         storage_path=spec.storage_path,
+        image=image,
         **spec.config_kwargs,
     )
     _WORKER.clear()
@@ -709,21 +710,6 @@ def _worker_state() -> ShardPayload:
     return _WORKER["shard"].state_dict()
 
 
-def _worker_load_state(payload: ShardPayload) -> ShardInfo:
-    """Rehydrate the shard from a checkpoint payload; reset delta marks.
-
-    The marks go back to empty so the next snapshot ships the *full*
-    latency histogram and trace -- the coordinator rebuilds its mirrors
-    from scratch after a restore.
-    """
-    state, blobs = payload
-    shard = _WORKER["shard"]
-    shard.load_state(state, blobs)
-    _WORKER["latency_mark"] = Histogram()
-    _WORKER["trace_mark"] = 0
-    return _worker_describe()
-
-
 def _worker_ping() -> float:
     """IPC heartbeat: prove the worker is responsive; report its clock."""
     return _WORKER["shard"].hierarchy.clock.now_us
@@ -781,7 +767,13 @@ class ParallelExecutor(ShardExecutor):
     kind = "parallel"
     step_drains = True
 
-    def __init__(self, specs: list[ShardBuildSpec]):
+    def __init__(
+        self,
+        specs: list[ShardBuildSpec],
+        images: "list[ShardPayload] | None" = None,
+    ):
+        """Fork one worker per spec; ``images`` (one checkpoint payload per
+        shard) builds each worker's shard from it instead of fresh."""
         if not specs:
             raise ValueError("need at least one shard spec")
         # Before the worker handshake: its failure path runs ``close()``,
@@ -812,7 +804,9 @@ class ParallelExecutor(ShardExecutor):
         self._closed = False
         try:
             for index in range(len(specs)):
-                self._workers.append(self._spawn_worker(index))
+                self._workers.append(
+                    self._spawn_worker(index, images[index] if images else None)
+                )
             infos: list[ShardInfo] = self._broadcast(_worker_describe)
         except Exception:
             self.close()
@@ -940,12 +934,12 @@ class ParallelExecutor(ShardExecutor):
         }
 
     # ------------------------------------------------------------- plumbing
-    def _spawn_worker(self, index: int) -> WorkerChannel:
+    def _spawn_worker(self, index: int, image: ShardPayload | None = None) -> WorkerChannel:
         scratch = self._scratch[index]
         return WorkerChannel(
             self._context,
             _worker_init,
-            (self.specs[index], scratch.name if scratch is not None else None),
+            (self.specs[index], scratch.name if scratch is not None else None, image),
         )
 
     def _broadcast(self, fn, *args) -> list:
@@ -1206,16 +1200,19 @@ class ParallelExecutor(ShardExecutor):
     def recover_shard(
         self, index: int, payload: ShardPayload, replay: list, failure: ShardCrashed
     ) -> None:
-        """Replace the worker with a fresh process built from the original
-        spec.  Always respawning -- even when the old process still
-        answers -- keeps one recovery path for every failure kind."""
+        """Replace the worker with a fresh process that builds its shard
+        from the original spec and ``payload``.  Always respawning -- even
+        when the old process still answers -- keeps one recovery path for
+        every failure kind.  The old worker's padding round, if any, dies
+        with it; the other shards' rounds stay for the settle."""
         self._shutdown_worker(index)
+        self._finishing.pop(index, None)
         # The dead worker never closed: reap its slab segment so the fresh
         # worker creates a clean one instead of attaching stale pages.
         self._reap_segments(index)
-        self._workers[index] = self._spawn_worker(index)
+        self._workers[index] = self._spawn_worker(index, payload)
         self.fenced.discard(index)
-        self.load_shard_state(index, payload)
+        self.shards[index] = ShardMirror(self._call(index, _worker_describe), self._settle)
         if replay:
             self._call(
                 index,
@@ -1226,14 +1223,6 @@ class ParallelExecutor(ShardExecutor):
         plan = self.worker_plans.get(index)
         if plan is not None:
             self.install_fault_plan_shard(index, _rebase_plan(plan, failure))
-
-    def load_shard_state(self, index: int, payload: ShardPayload) -> None:
-        """Roll one worker's shard to a checkpoint payload and rebuild its
-        mirror.  Only this shard's padding round is dropped (superseded,
-        or dead with the old worker); the others' stay for the settle."""
-        self._finishing.pop(index, None)
-        info = self._call(index, _worker_load_state, payload)
-        self.shards[index] = ShardMirror(info, self._settle)
 
     # --------------------------------------------------------------- teardown
     def _kill_worker(self, index: int) -> None:

@@ -48,14 +48,8 @@ class HybridORAM(EngineKernel):
 
     protocol_name = "horam"
 
-    def __init__(
-        self,
-        config: HORAMConfig,
-        hierarchy: StorageHierarchy,
-        codec: BlockCodec | None = None,
-        initial_addr_map=None,
-    ):
-        super().__init__(config, hierarchy, codec=codec)
+    def build_backend(self) -> None:
+        config, hierarchy = self.config, self.hierarchy
         self.cache = CacheTree(
             mem_blocks_budget=config.mem_tree_blocks,
             bucket_size=config.bucket_size,
@@ -74,8 +68,11 @@ class HybridORAM(EngineKernel):
             shuffle=get_shuffle(config.shuffle_algorithm),
             shuffle_period_ratio=config.shuffle_period_ratio,
             period_capacity=self.cache.period_capacity,
-            initial_addr_map=initial_addr_map,
         )
+
+    def write_initial_image(self, initial_addr_map) -> None:
+        self.cache.tree.fill_empty()
+        self.storage._initialize(initial_addr_map)
 
     # ---------------------------------------------------- ProtocolBackend
     @property
@@ -132,15 +129,13 @@ class HybridORAM(EngineKernel):
     def cached_real_blocks(self) -> int:
         return self.cache.real_blocks
 
-    def backend_state_dict(self) -> dict:
-        return {
-            "cache": self.cache.state_dict(),
-            "storage": self.storage.state_dict(),
-        }
+    def backend_state_dict(self) -> "tuple[dict, dict[str, bytes]]":
+        storage_state, tables = self.storage.state_dict()
+        return {"cache": self.cache.state_dict(), "storage": storage_state}, tables
 
-    def load_backend_state(self, state: dict) -> None:
+    def load_backend_state(self, state: dict, blobs: "dict[str, bytes]") -> None:
         self.cache.load_state(state["cache"])
-        self.storage.load_state(state["storage"])
+        self.storage.load_state(state["storage"], blobs)
 
     # kept for callers that predate the kernel's public hook name
     def _is_cached(self, addr: int) -> bool:
@@ -160,6 +155,7 @@ def build_horam(
     initial_addr_map=None,
     storage_backend: str = "memory",
     storage_path=None,
+    image=None,
     **config_kwargs,
 ) -> HybridORAM:
     """Convenience factory: config + hierarchy + protocol in one call.
@@ -213,4 +209,6 @@ def build_horam(
         storage_backend=storage_backend,
         storage_path=storage_path,
     )
-    return HybridORAM(config, hierarchy, codec=codec, initial_addr_map=initial_addr_map)
+    return HybridORAM(
+        config, hierarchy, codec=codec, initial_addr_map=initial_addr_map, image=image
+    )

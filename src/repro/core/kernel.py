@@ -128,13 +128,30 @@ class ProtocolBackend:
     def period_capacity(self) -> int:
         """I/O loads per access period (the paper's n/2)."""
 
-    # ------------------------------------------------------ snapshot hooks
+    # ------------------------------------------------------ image hooks
     @abstractmethod
-    def backend_state_dict(self) -> dict:
-        """Every mutable backend bit, as JSON-able manifest keys."""
+    def build_backend(self) -> None:
+        """Construct the protocol's structures, blank: nothing is written
+        to a store yet (the kernel then writes the initial image or loads
+        a checkpoint's)."""
 
     @abstractmethod
-    def load_backend_state(self, state: dict) -> None:
+    def write_initial_image(self, initial_addr_map) -> None:
+        """Write a fresh stack's image: initial placement, sealed stores.
+
+        ``initial_addr_map`` renames local block ``i`` to the global
+        identity whose initial content it holds (sharded fleets), or is
+        None.  Never runs on a restore.
+        """
+
+    # ------------------------------------------------------ snapshot hooks
+    @abstractmethod
+    def backend_state_dict(self) -> "tuple[dict, dict[str, bytes]]":
+        """Every mutable backend bit: JSON-able manifest keys, plus binary
+        tables that ship as checkpoint blobs beside the store blobs."""
+
+    @abstractmethod
+    def load_backend_state(self, state: dict, blobs: "dict[str, bytes]") -> None:
         """Overwrite backend state with a checkpoint's."""
 
     def backend_params(self) -> dict:
@@ -169,7 +186,16 @@ class EngineKernel(ProtocolBackend, ORAMProtocol):
         config: HORAMConfig,
         hierarchy: StorageHierarchy,
         codec: BlockCodec | None = None,
+        initial_addr_map=None,
+        image: "tuple[dict, dict[str, bytes]] | None" = None,
     ):
+        """Build the stack; ``image`` is a :meth:`state_dict` payload.
+
+        Exactly one step writes the stack's image: a fresh build writes
+        the initial one (:meth:`write_initial_image`), a restore loads
+        ``image`` in its place, so restoring seals nothing and draws no
+        initial permutation.
+        """
         self.config = config
         self.hierarchy = hierarchy
         self.rng = DeterministicRandom(config.seed)
@@ -196,6 +222,12 @@ class EngineKernel(ProtocolBackend, ORAMProtocol):
         self.served_digest = bytes(16)
         #: per-request service latency in cycles, for percentile reporting
         self.latency_histogram = Histogram()
+
+        self.build_backend()
+        if image is None:
+            self.write_initial_image(initial_addr_map)
+        else:
+            self.load_state(*image)
 
     # ----------------------------------------------------------- properties
     @property
@@ -340,7 +372,9 @@ class EngineKernel(ProtocolBackend, ORAMProtocol):
             codec_nonce=self.codec._nonce_counter,
             rng=self.rng.state_dict(),
         )
-        state.update(self.backend_state_dict())
+        backend_state, backend_blobs = self.backend_state_dict()
+        state.update(backend_state)
+        blobs.update(backend_blobs)
         state.update(
             rob=self.rob.state_dict(),
             scheduler_cycles_planned=self.scheduler.cycles_planned,
@@ -360,7 +394,7 @@ class EngineKernel(ProtocolBackend, ORAMProtocol):
         _load_hierarchy_state(self.hierarchy, state, blobs)
         self.codec._nonce_counter = state["codec_nonce"]
         self.rng.load_state(state["rng"])
-        self.load_backend_state(state)
+        self.load_backend_state(state, blobs)
         self.rob.load_state(state["rob"])
         self.scheduler.cycles_planned = state["scheduler_cycles_planned"]
         self.metrics = Metrics.from_dict(state["metrics"])

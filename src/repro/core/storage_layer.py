@@ -33,6 +33,7 @@ their partition's turn comes.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import compress
@@ -48,6 +49,57 @@ from repro.storage.backend import BlockStore
 
 #: permutation-list value meaning "block is cached in the memory layer".
 IN_MEMORY = -1
+
+#: swaps the 0/1 bytes of a flag table
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+#: flag bytes to and from ASCII binary digits (for bit packing)
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _narrowest(typecodes: str, low: int, high: int) -> str:
+    """The first array typecode in ``typecodes`` that holds ``[low, high]``."""
+    for code in typecodes:
+        bits = 8 * array(code).itemsize
+        if code.islower():
+            fits = -(1 << (bits - 1)) <= low and high < 1 << (bits - 1)
+        else:
+            fits = 0 <= low and high < 1 << bits
+        if fits:
+            return code
+    raise ValueError(f"no array type holds [{low}, {high}]")
+
+
+def _pack_table(typecode: str, values) -> bytes:
+    """``values`` as a little-endian fixed-width table."""
+    table = array(typecode, values)
+    if sys.byteorder == "big":
+        table.byteswap()
+    return table.tobytes()
+
+
+def _unpack_table(typecode: str, blob: bytes) -> array:
+    table = array(typecode)
+    table.frombytes(blob)
+    if sys.byteorder == "big":
+        table.byteswap()
+    return table
+
+
+def _pack_bits(flags: bytearray) -> bytes:
+    """0/1 flag bytes packed one bit each, flag ``i`` at bit ``i % 8`` of
+    byte ``i // 8``."""
+    digits = flags.translate(_TO_DIGITS)[::-1]
+    return int(digits or b"0", 2).to_bytes((len(flags) + 7) // 8, "little")
+
+
+def _unpack_bits(blob: bytes, count: int) -> bytearray:
+    """Inverse of :func:`_pack_bits` for ``count`` flags."""
+    value = int.from_bytes(blob, "little")
+    if len(blob) != (count + 7) // 8 or value >> count:
+        raise ValueError(f"bit table of {len(blob)} bytes does not hold {count} flags")
+    digits = format(value, "b").zfill(count)[::-1]
+    return bytearray(digits.encode("ascii").translate(_FROM_DIGITS))
 
 
 @dataclass
@@ -89,7 +141,6 @@ class PermutedStorage:
         shuffle: ShuffleAlgorithm,
         shuffle_period_ratio: int = 1,
         period_capacity: int | None = None,
-        initial_addr_map: Callable[[int], int] | None = None,
     ):
         if n_blocks <= 0:
             raise ValueError("n_blocks must be positive")
@@ -100,12 +151,6 @@ class PermutedStorage:
         self.rng = rng
         self.shuffle_algorithm = shuffle
         self.ratio = shuffle_period_ratio
-        # Sharded deployments stripe a global address space across
-        # instances; the map renames local block i to its global identity
-        # so the *initial content* of block i is initial_payload(global i).
-        # Everything else (permutation list, sealed headers, shuffles)
-        # stays in local coordinates.
-        self._initial_addr_map = initial_addr_map
 
         self.partition_count = max(1, math.isqrt(n_blocks))
         self.partition_size = math.ceil(n_blocks / self.partition_count)
@@ -143,13 +188,14 @@ class PermutedStorage:
         # Control-layer state (the paper's permutation list), as flat
         # machine-word tables: ``location`` (int64, addr -> slot, or
         # IN_MEMORY) and ``slot_addr`` (uint64, slot -> addr, or
-        # DUMMY_ADDR).  They index like lists, serialize to the same JSON
-        # lists, and expose their buffers so the partition shuffle can scan
-        # and relocate a whole partition with zero-copy numpy views.
+        # DUMMY_ADDR).  They index like lists and expose their buffers so
+        # the partition shuffle can scan and relocate a whole partition
+        # with zero-copy numpy views.  A slot holds a record when it is in
+        # a base region or in the used prefix of an overflow region, so
+        # occupancy is never stored.
         self.location = array("q", [0]) * n_blocks
         self.slot_addr = array("Q", [DUMMY_ADDR]) * self.total_slots
         self.consumed = bytearray(self.total_slots)  # read since partition's last shuffle
-        self._occupied = bytearray(self.total_slots)  # holds a record (base always, overflow when used)
 
         self._unread: list[int] = []
         #: slot -> its index in ``_unread``, -1 when it is not there
@@ -164,11 +210,19 @@ class PermutedStorage:
         #: surfaced as ``metrics.extra["dummy_pool_exhausted"]`` by H-ORAM.
         self.dummy_pool_exhausted = 0
 
-        self._initialize()
-
     # ----------------------------------------------------------- plumbing
-    def _initialize(self) -> None:
-        """Permute all N blocks over the base regions (setup, no charge)."""
+    def _initialize(self, initial_addr_map: Callable[[int], int] | None = None) -> None:
+        """Write the initial image: permute all N blocks over the base
+        regions and seal the slab (setup, no charge).
+
+        A new layer is blank until either this or :meth:`load_state` runs;
+        the owning kernel calls exactly one of them.  Sharded deployments
+        stripe a global address space across instances: the map renames
+        local block i to its global identity so the *initial content* of
+        block i is ``initial_payload(global i)``.  Everything else
+        (permutation list, sealed headers, shuffles) stays in local
+        coordinates.
+        """
         base_slots: list[int] = []
         for partition in self._partitions:
             base_slots.extend(range(partition.base, partition.base + partition.size))
@@ -176,7 +230,7 @@ class PermutedStorage:
         self.rng.shuffle(order)
         codec = self.codec
         pad = codec.pad
-        rename = self._initial_addr_map or (lambda addr: addr)
+        rename = initial_addr_map or (lambda addr: addr)
         slot_addr = self.slot_addr
         self.location[:] = array("q", order[: self.n_blocks])
         for addr, slot in enumerate(order[: self.n_blocks]):
@@ -202,9 +256,6 @@ class PermutedStorage:
             records = buffer
         self.storage.poke_run(0, records)
         for index, partition in enumerate(self._partitions):
-            self._occupied[partition.base : partition.base + partition.size] = (
-                b"\x01" * partition.size
-            )
             self._partition_unread[index] = dict.fromkeys(
                 range(partition.base, partition.base + partition.size)
             )
@@ -401,11 +452,9 @@ class PermutedStorage:
 
         # Fresh epoch for the whole span: base rewritten, overflow released.
         self.consumed[base : base + size] = bytes(size)
-        self._occupied[base : base + size] = b"\x01" * size
         overflow_base = partition.overflow_base
         overflow_cap = partition.overflow_cap
         self.consumed[overflow_base : overflow_base + overflow_cap] = bytes(overflow_cap)
-        self._occupied[overflow_base : overflow_base + overflow_cap] = bytes(overflow_cap)
         partition.overflow_used = 0
         self._partition_unread[index] = dict.fromkeys(range(base, base + size))
         stats.partitions_shuffled += 1
@@ -470,7 +519,6 @@ class PermutedStorage:
             buffer = self.codec.seal_many(group)
             self._place(start, [addr for addr, _ in group])
             count = len(group)
-            self._occupied[start : start + count] = b"\x01" * count
             self.consumed[start : start + count] = bytes(count)
             # Appended slots are fresh unconsumed candidates; they extend
             # the partition's pool in ascending order.
@@ -485,54 +533,90 @@ class PermutedStorage:
         self._rebuild_unread()
 
     # ---------------------------------------------------------- checkpoint
-    def state_dict(self) -> dict:
-        """JSON-able control-layer state (slot *bytes* live in the store blob)."""
-        from base64 import b64encode
+    def state_dict(self) -> "tuple[dict, dict[str, bytes]]":
+        """``(JSON-able state, binary tables)`` of the control layer; the
+        tables ship as ``control.*`` checkpoint blobs.
 
-        return {
-            "location": list(self.location),
-            "slot_addr": list(self.slot_addr),
-            "consumed": b64encode(self.consumed).decode("ascii"),
-            "occupied": b64encode(self._occupied).decode("ascii"),
+        Only what cannot be derived is kept: ``location`` and the ordered
+        dummy-load pool ``unread`` as fixed-width little-endian tables in
+        the narrowest type the geometry allows, and ``consumed`` packed one
+        bit per slot.  ``slot_addr`` (the inverse of ``location``), slot
+        occupancy (base regions plus each overflow region's used prefix)
+        and the per-partition pools are rebuilt by :meth:`load_state`.
+        Slot *bytes* live in the store blob.
+        """
+        location_type, unread_type = self._table_types()
+        state = {
             "overflow_used": [p.overflow_used for p in self._partitions],
-            "unread": list(self._unread),
             "dummy_pool_exhausted": self.dummy_pool_exhausted,
             "rng": self.rng.state_dict(),
         }
+        blobs = {
+            "control.location": _pack_table(location_type, self.location),
+            "control.unread": _pack_table(unread_type, self._unread),
+            "control.consumed": _pack_bits(self.consumed),
+        }
+        return state, blobs
 
-    def load_state(self, state: dict) -> None:
-        from base64 import b64decode
-
-        self.location[:] = array("q", state["location"])
-        self.slot_addr[:] = array("Q", state["slot_addr"])
-        self.consumed[:] = b64decode(state["consumed"])
-        self._occupied[:] = b64decode(state["occupied"])
+    def load_state(self, state: dict, blobs: "dict[str, bytes]") -> None:
+        location_type, unread_type = self._table_types()
+        location = _unpack_table(location_type, blobs["control.location"])
+        if len(location) != self.n_blocks:
+            raise ValueError(
+                f"location table holds {len(location)} entries, layout has "
+                f"{self.n_blocks} blocks"
+            )
+        self.location[:] = array("q", location)
+        self.consumed[:] = _unpack_bits(blobs["control.consumed"], self.total_slots)
         for partition, used in zip(self._partitions, state["overflow_used"]):
             partition.overflow_used = used
+        self._derive_slot_addr()
         self._partition_unread = self._derive_partition_pools()
-        self._set_unread(list(state["unread"]))
+        self._set_unread(_unpack_table(unread_type, blobs["control.unread"]).tolist())
         self.dummy_pool_exhausted = state["dummy_pool_exhausted"]
         self.rng.load_state(state["rng"])
 
+    def _table_types(self) -> "tuple[str, str]":
+        """Array typecodes of the ``location`` and ``unread`` tables."""
+        top = self.total_slots - 1
+        return _narrowest("bhiq", IN_MEMORY, top), _narrowest("BHIQ", 0, top)
+
+    def _derive_slot_addr(self) -> None:
+        """``slot_addr`` as the inverse of ``location``, dummies elsewhere.
+
+        Slots whose record is a stale copy read as dummies; every reader
+        ignores an entry unless ``location`` points back at its slot, so
+        the two are interchangeable.
+        """
+        slot_addr = self.slot_addr
+        slot_addr[:] = array("Q", [DUMMY_ADDR]) * self.total_slots
+        np = _accel.np
+        if np is not None:
+            location = np.frombuffer(self.location, dtype=np.int64)
+            stored = np.flatnonzero(location != IN_MEMORY)
+            np.frombuffer(slot_addr, dtype=np.uint64)[location[stored]] = stored
+            return
+        for addr, slot in enumerate(self.location):
+            if slot != IN_MEMORY:
+                slot_addr[slot] = addr
+
     def _derive_partition_pools(self) -> "list[dict[int, None]]":
-        """Each partition's pool from the slot bitmaps alone.
+        """Each partition's pool from ``consumed`` and the overflow fill.
 
         A pool holds the partition's occupied, unconsumed slots in
-        ascending order: the base region first, then the overflow region
-        (which sits above it).  That is the order the incremental
-        maintenance keeps -- a shuffle inserts the base region in order,
-        overflow appends extend it in order, and consumes only delete --
-        so the pools need not be checkpointed.
+        ascending order: the base region, then the used prefix of the
+        overflow region right above it.  That is the order the
+        incremental maintenance keeps -- a shuffle inserts the base region
+        in order, overflow appends extend it in order, and consumes only
+        delete -- so the pools need not be checkpointed.
         """
-        width = len(self._occupied)
-        live = (
-            int.from_bytes(self._occupied, "little") & ~int.from_bytes(self.consumed, "little")
-        ).to_bytes(width, "little")
-        span = self.partition_size + self.overflow_cap
-        return [
-            dict.fromkeys(compress(range(base, base + span), live[base : base + span]))
-            for base in (partition.base for partition in self._partitions)
-        ]
+        unconsumed = self.consumed.translate(_FLIP)
+        pools = []
+        for partition in self._partitions:
+            base = partition.base
+            end = partition.overflow_base + partition.overflow_used
+            pools.append(dict.fromkeys(compress(range(base, end), unconsumed[base:end])))
+        return pools
 
     # ------------------------------------------------------------- queries
     def resident_blocks(self) -> int:

@@ -25,13 +25,15 @@ hangs and dead worker processes:
   :class:`~repro.core.sharding.ShardUnavailableError`, new submissions
   to its stripe raise the same, and the surviving shards keep serving.
 
-Every transition lands in an event log (``crash_detected``,
-``restore_started``, ``restored``, ``fenced``, ``gave_up``, plus
-``checkpoint`` markers); :meth:`FleetSupervisor.event_trace` projects the
-wall-clock-free view the determinism tests pin -- for a fixed
+Every incident transition (``crash_detected``, ``restore_started``,
+``restore_failed``, ``restored``, ``gave_up``, ``fenced``) lands in a
+bounded ring of the last :data:`INCIDENT_RING` events; cadence
+checkpoints are only counted, so nothing the supervisor keeps grows with
+the requests served.  :meth:`FleetSupervisor.event_trace` projects the
+ring's wall-clock-free view the determinism tests pin -- for a fixed
 ``(seed, fault plan)`` the trace and every served result are
-bit-identical across runs -- and :meth:`recovery_report` derives MTTR
-and availability for the resilience benchmark.
+bit-identical across runs -- and :meth:`recovery_report` reads MTTR and
+availability off running sums for the resilience benchmark.
 
 Recovery is *value-level*: a recovered shard serves the same bytes for
 the same requests as an uninterrupted twin, but its scheduler cycle
@@ -43,7 +45,7 @@ fleets that have been through a restore.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from repro.core.checkpoint import CheckpointStore, shard_state_payload, snapshot_shard
@@ -52,6 +54,12 @@ from repro.core.rob import RobEntry
 from repro.oram.base import Request
 from repro.sim.metrics import Metrics
 from repro.storage.faults import FaultPlan
+
+
+#: incident events (and incidents) kept for :meth:`FleetSupervisor.event_trace`
+#: and :meth:`FleetSupervisor.recovery_report`; older ones are dropped,
+#: their counts and repair times stay in the running totals.
+INCIDENT_RING = 256
 
 
 @dataclass
@@ -138,9 +146,17 @@ class FleetSupervisor:
         self._ckpt_offsets: list[dict] = [{} for _ in range(n)]
         self._ops_since_ckpt = [0] * n
         self._ops_submitted = 0
-        self.events: list[SupervisorEvent] = []
+        #: the last INCIDENT_RING incident events (checkpoints are counted,
+        #: not logged).
+        self.events: deque[SupervisorEvent] = deque(maxlen=INCIDENT_RING)
         #: events by kind, kept by ``_event`` so counters never rescan.
         self._event_counts: Counter = Counter()
+        #: the last INCIDENT_RING incidents, each updated in place when it
+        #: is repaired; repairs and their downtime as running sums.
+        self._incidents: deque[dict] = deque(maxlen=INCIDENT_RING)
+        self._open_incident: dict | None = None
+        self._repairs = 0
+        self._downtime_s = 0.0
         #: entries that failed fast when their shard was fenced (each
         #: carries a ShardUnavailableError on ``entry.error``).
         self.failed_entries: list[RobEntry] = []
@@ -283,7 +299,8 @@ class FleetSupervisor:
 
     # ------------------------------------------------------------ reporting
     def event_trace(self) -> "list[tuple[str, int, int]]":
-        """Wall-clock-free event view: ``(kind, shard, attempt)`` tuples.
+        """Wall-clock-free view of the incident ring: ``(kind, shard,
+        attempt)`` tuples.
 
         This is the recovery trace the determinism criterion pins: a pure
         function of the seed and the fault plan.
@@ -291,33 +308,16 @@ class FleetSupervisor:
         return [(e.kind, e.shard, e.attempt) for e in self.events]
 
     def recovery_report(self) -> dict:
-        """MTTR / availability inputs derived from the event log."""
-        incidents = []
-        open_incident: dict | None = None
-        for event in self.events:
-            if event.kind == "crash_detected":
-                open_incident = {
-                    "shard": event.shard,
-                    "kind": event.detail,
-                    "detected_wall_s": event.wall_s,
-                    "outcome": None,
-                    "repair_wall_s": None,
-                }
-                incidents.append(open_incident)
-            elif event.kind in ("restored", "fenced") and open_incident is not None:
-                open_incident["outcome"] = event.kind
-                open_incident["repair_wall_s"] = event.wall_s - open_incident["detected_wall_s"]
-                open_incident = None
-        repairs = [i["repair_wall_s"] for i in incidents if i["repair_wall_s"] is not None]
+        """MTTR / availability from the running sums, plus the incident ring."""
         total_wall_s = time.monotonic() - self._t0
-        downtime_s = sum(repairs)
+        downtime_s = self._downtime_s
         return {
-            "incidents": incidents,
+            "incidents": [dict(incident) for incident in self._incidents],
             "crashes_detected": self._count("crash_detected"),
             "restores": self._count("restored"),
             "fences": self._count("fenced"),
             "checkpoints": self._count("checkpoint"),
-            "mttr_s": (downtime_s / len(repairs)) if repairs else 0.0,
+            "mttr_s": (downtime_s / self._repairs) if self._repairs else 0.0,
             "recovery_wall_s": downtime_s,
             "total_wall_s": total_wall_s,
             "availability": (
@@ -417,21 +417,37 @@ class FleetSupervisor:
             del self.journals[index][:cut]
             self._journal_base[index] = floor
         self._ops_since_ckpt[index] = 0
-        self._event("checkpoint", index, detail=path.name)
+        self._event("checkpoint", index)
 
     # -------------------------------------------------------------- plumbing
     def _event(self, kind: str, shard: int, attempt: int = 0, detail: str = "") -> None:
         self._event_counts[kind] += 1
-        self.events.append(
-            SupervisorEvent(
-                kind=kind,
-                shard=shard,
-                attempt=attempt,
-                detail=detail,
-                wall_s=time.monotonic() - self._t0,
-                op_count=self._ops_submitted,
-            )
+        if kind == "checkpoint":
+            return
+        event = SupervisorEvent(
+            kind=kind,
+            shard=shard,
+            attempt=attempt,
+            detail=detail,
+            wall_s=time.monotonic() - self._t0,
+            op_count=self._ops_submitted,
         )
+        self.events.append(event)
+        if kind == "crash_detected":
+            self._open_incident = {
+                "shard": shard,
+                "kind": detail,
+                "detected_wall_s": event.wall_s,
+                "outcome": None,
+                "repair_wall_s": None,
+            }
+            self._incidents.append(self._open_incident)
+        elif kind in ("restored", "fenced") and self._open_incident is not None:
+            repair_s = event.wall_s - self._open_incident["detected_wall_s"]
+            self._open_incident.update(outcome=kind, repair_wall_s=repair_s)
+            self._open_incident = None
+            self._repairs += 1
+            self._downtime_s += repair_s
 
     def _count(self, kind: str) -> int:
         return self._event_counts[kind]

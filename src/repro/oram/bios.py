@@ -50,10 +50,10 @@ class BiosORAM(EngineKernel):
         hierarchy: StorageHierarchy,
         codec: BlockCodec | None = None,
         initial_addr_map=None,
+        image=None,
         bucket_slots: int = 4,
         ways: int = 2,
     ):
-        super().__init__(config, hierarchy, codec=codec)
         if bucket_slots < 1:
             raise ValueError("bucket_slots must be >= 1")
         if ways < 1:
@@ -66,11 +66,17 @@ class BiosORAM(EngineKernel):
                 f"storage store has {hierarchy.storage.slots} slots, BIOS "
                 f"needs {self.n_buckets * bucket_slots}"
             )
+        super().__init__(
+            config, hierarchy, codec=codec, initial_addr_map=initial_addr_map, image=image
+        )
+
+    def build_backend(self) -> None:
+        config = self.config
         self.cache = CacheTree(
             mem_blocks_budget=config.mem_tree_blocks,
             bucket_size=config.bucket_size,
             codec=self.codec,
-            memory_store=hierarchy.memory,
+            memory_store=self.hierarchy.memory,
             rng=self.rng.spawn("cache-tree"),
             shuffle=get_shuffle(config.shuffle_algorithm),
             stash_limit=config.stash_limit,
@@ -84,7 +90,6 @@ class BiosORAM(EngineKernel):
         #: draws for padded loads (stateful, checkpointed)
         self._arng = self.rng.spawn("bios-access")
         self._sweep = 0
-        self._initialize(initial_addr_map)
 
     @staticmethod
     def required_buckets(n_blocks: int, bucket_slots: int, ways: int) -> int:
@@ -127,6 +132,10 @@ class BiosORAM(EngineKernel):
         self._members[bucket][slot] = addr
         self._position[addr] = (bucket, slot)
         return slot
+
+    def write_initial_image(self, initial_addr_map) -> None:
+        self.cache.tree.fill_empty()
+        self._initialize(initial_addr_map)
 
     def _initialize(self, initial_addr_map) -> None:
         rename = initial_addr_map if initial_addr_map is not None else lambda a: a
@@ -265,8 +274,8 @@ class BiosORAM(EngineKernel):
     def backend_params(self) -> dict:
         return {"bucket_slots": self.bucket_slots, "ways": self.ways}
 
-    def backend_state_dict(self) -> dict:
-        return {
+    def backend_state_dict(self) -> "tuple[dict, dict[str, bytes]]":
+        state = {
             "cache": self.cache.state_dict(),
             "bios": {
                 "arng": self._arng.state_dict(),
@@ -277,8 +286,9 @@ class BiosORAM(EngineKernel):
                 "sweep": self._sweep,
             },
         }
+        return state, {}
 
-    def load_backend_state(self, state: dict) -> None:
+    def load_backend_state(self, state: dict, blobs: "dict[str, bytes]") -> None:
         self.cache.load_state(state["cache"])
         data = state["bios"]
         self._arng.load_state(data["arng"])

@@ -290,6 +290,7 @@ def build_succinct_hier(
     initial_addr_map=None,
     storage_backend: str = "memory",
     storage_path=None,
+    image=None,
     **config_kwargs,
 ) -> SuccinctHierORAM:
     """Single-round-trip hierarchical ORAM on the engine kernel."""
@@ -314,7 +315,7 @@ def build_succinct_hier(
         storage_path=storage_path,
     )
     return SuccinctHierORAM(
-        config, hierarchy, codec=codec, initial_addr_map=initial_addr_map
+        config, hierarchy, codec=codec, initial_addr_map=initial_addr_map, image=image
     )
 
 
@@ -332,6 +333,7 @@ def build_bios(
     initial_addr_map=None,
     storage_backend: str = "memory",
     storage_path=None,
+    image=None,
     **config_kwargs,
 ) -> BiosORAM:
     """BIOS-style parameterized outsourced storage on the engine kernel."""
@@ -362,6 +364,7 @@ def build_bios(
         hierarchy,
         codec=codec,
         initial_addr_map=initial_addr_map,
+        image=image,
         bucket_slots=bucket_slots,
         ways=ways,
     )

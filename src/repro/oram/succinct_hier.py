@@ -35,11 +35,10 @@ from __future__ import annotations
 from repro.core.cache_tree import CacheTree
 from repro.core.config import HORAMConfig
 from repro.core.kernel import DummyLoad, EngineKernel, ShuffleReport
-from repro.oram.base import BlockCodec, initial_payload
+from repro.oram.base import initial_payload
 from repro.oram.tree import TreeGeometry
 from repro.shuffle import get_shuffle
 from repro.sim.metrics import TierTimes
-from repro.storage.hierarchy import StorageHierarchy
 
 
 def _level_caps(n_blocks: int, base: int) -> list[int]:
@@ -55,14 +54,8 @@ class SuccinctHierORAM(EngineKernel):
 
     protocol_name = "succinct"
 
-    def __init__(
-        self,
-        config: HORAMConfig,
-        hierarchy: StorageHierarchy,
-        codec: BlockCodec | None = None,
-        initial_addr_map=None,
-    ):
-        super().__init__(config, hierarchy, codec=codec)
+    def build_backend(self) -> None:
+        config, hierarchy = self.config, self.hierarchy
         self.cache = CacheTree(
             mem_blocks_budget=config.mem_tree_blocks,
             bucket_size=config.bucket_size,
@@ -90,13 +83,16 @@ class SuccinctHierORAM(EngineKernel):
         #: per-level unread dummy slots, consumed from the tail
         self._dummy_pools: list[list[int]] = [[] for _ in self._caps]
         self._srng = self.rng.spawn("succinct-storage")
-        self._initialize(initial_addr_map)
 
     @classmethod
     def required_storage_slots(cls, config: HORAMConfig) -> int:
         geometry = TreeGeometry.for_capacity(config.mem_tree_blocks, config.bucket_size)
         base = geometry.slots // 2
         return sum(cap + base for cap in _level_caps(config.n_blocks, base))
+
+    def write_initial_image(self, initial_addr_map) -> None:
+        self.cache.tree.fill_empty()
+        self._initialize(initial_addr_map)
 
     def _initialize(self, initial_addr_map) -> None:
         rename = initial_addr_map if initial_addr_map is not None else lambda a: a
@@ -235,8 +231,8 @@ class SuccinctHierORAM(EngineKernel):
     def cached_real_blocks(self) -> int:
         return self.cache.real_blocks
 
-    def backend_state_dict(self) -> dict:
-        return {
+    def backend_state_dict(self) -> "tuple[dict, dict[str, bytes]]":
+        state = {
             "cache": self.cache.state_dict(),
             "succinct": {
                 "srng": self._srng.state_dict(),
@@ -248,8 +244,9 @@ class SuccinctHierORAM(EngineKernel):
                 "dummy_pools": [list(pool) for pool in self._dummy_pools],
             },
         }
+        return state, {}
 
-    def load_backend_state(self, state: dict) -> None:
+    def load_backend_state(self, state: dict, blobs: "dict[str, bytes]") -> None:
         self.cache.load_state(state["cache"])
         data = state["succinct"]
         self._srng.load_state(data["srng"])

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
+import repro.core.supervisor as supervisor_module
 from repro.core.checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -36,7 +38,7 @@ from repro.oram.base import OpKind, Request
 from repro.oram.factory import build_baseline
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import Histogram, percentile
-from repro.workload.generators import hotspot
+from repro.workload.generators import hotspot, uniform
 
 #: requests before the first snapshot: more than two 62-load periods.
 R = 300
@@ -418,3 +420,92 @@ def test_version_3_manifest_is_refused(tmp_path):
     manifest.write_text(json.dumps(data))
     with pytest.raises(CheckpointError, match="version 3"):
         Checkpoint.load(path)
+
+
+def test_version_4_manifest_is_refused(tmp_path):
+    oram = build_horam(n_blocks=256, mem_tree_blocks=64, seed=2)
+    drive(oram, stream(40, n_blocks=256))
+    path = snapshot_stack(oram).save(tmp_path / "ckpt")
+    manifest = path / "checkpoint.json"
+    data = json.loads(manifest.read_text())
+    data["version"] = 4
+    manifest.write_text(json.dumps(data))
+    with pytest.raises(CheckpointError, match="version 4.*version 5"):
+        Checkpoint.load(path)
+
+
+# ------------------------------------------------------ control-table size
+#: checkpoint bytes of H-ORAM's control layer (the storage layer's manifest
+#: entry plus its ``control.*`` blobs) per logical block.
+CONTROL_BYTES_PER_BLOCK = 9
+
+
+@pytest.mark.parametrize("n_blocks", [8192, 65536])
+@pytest.mark.parametrize("ratio", [1, 4])
+def test_control_tables_stay_within_nine_bytes_per_block(n_blocks, ratio):
+    oram = build_horam(
+        n_blocks=n_blocks, mem_tree_blocks=256, seed=4, shuffle_period_ratio=ratio
+    )
+    drive(oram, list(uniform(n_blocks, 700, DeterministicRandom(9), write_ratio=0.25)))
+    assert oram.metrics.shuffle_count >= 4
+    checkpoint = snapshot_stack(oram)
+    size = len(json.dumps(checkpoint.state["stack"]["storage"])) + sum(
+        len(blob) for name, blob in checkpoint.blobs.items() if name.startswith("control.")
+    )
+    assert size / n_blocks <= CONTROL_BYTES_PER_BLOCK, size / n_blocks
+
+
+# ------------------------------------------------------- supervisor events
+class _MemoryStore:
+    """A checkpoint store that keeps nothing (the event log is under test)."""
+
+    def __init__(self):
+        self.saved = 0
+
+    def save(self, checkpoint):
+        self.saved += 1
+        return Path(f"ckpt-{self.saved:06d}")
+
+    def paths(self):
+        return [Path(f"ckpt-{self.saved:06d}")]
+
+
+class TestSupervisorEvents:
+    def test_cadence_checkpoints_leave_the_event_log_flat(self, tmp_path, monkeypatch):
+        fleet = build_sharded_horam(n_blocks=64, mem_tree_blocks=16, n_shards=2, seed=1)
+        supervisor = FleetSupervisor(fleet, tmp_path, SupervisorConfig(checkpoint_every_ops=1))
+        try:
+            for addr in range(8):  # real cadence checkpoints, on disk
+                supervisor.submit(Request.read(addr))
+                supervisor.drain()
+            logged = len(supervisor.events)
+            saved = supervisor.recovery_report()["checkpoints"]
+            assert saved >= 10
+            # 20 000 more through the same cadence path, minus the disk.
+            monkeypatch.setattr(supervisor_module, "snapshot_shard", lambda fleet, index: None)
+            supervisor.stores = [_MemoryStore(), _MemoryStore()]
+            for _ in range(10_000):
+                supervisor.checkpoint_now()
+            assert len(supervisor.events) == logged
+            assert supervisor.recovery_report()["checkpoints"] == saved + 20_000
+            assert supervisor.metrics.extra["supervisor_checkpoints"] == saved + 20_000
+        finally:
+            supervisor.close()
+
+    def test_incidents_live_in_a_bounded_ring(self, tmp_path):
+        fleet = build_sharded_horam(n_blocks=64, mem_tree_blocks=16, n_shards=2, seed=1)
+        supervisor = FleetSupervisor(fleet, tmp_path)
+        try:
+            incidents = supervisor_module.INCIDENT_RING + 50
+            for _ in range(incidents):
+                supervisor._event("crash_detected", 1, detail="crash")
+                supervisor._event("restored", 1, 1)
+            report = supervisor.recovery_report()
+            assert len(supervisor.events) == supervisor_module.INCIDENT_RING
+            assert len(report["incidents"]) == supervisor_module.INCIDENT_RING
+            assert report["crashes_detected"] == report["restores"] == incidents
+            assert all(i["outcome"] == "restored" for i in report["incidents"])
+            # MTTR averages every repair, the dropped ones included.
+            assert report["mttr_s"] == pytest.approx(report["recovery_wall_s"] / incidents)
+        finally:
+            supervisor.close()

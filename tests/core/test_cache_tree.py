@@ -21,7 +21,7 @@ def make_cache(budget=128, stash_limit=None):
         device=ddr4_2133(),
         modeled_slot_bytes=1024,
     )
-    return CacheTree(
+    cache = CacheTree(
         mem_blocks_budget=budget,
         bucket_size=4,
         codec=codec,
@@ -30,6 +30,8 @@ def make_cache(budget=128, stash_limit=None):
         shuffle=get_shuffle("cache"),
         stash_limit=stash_limit,
     )
+    cache.tree.fill_empty()
+    return cache
 
 
 class TestMembership:

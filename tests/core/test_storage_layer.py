@@ -1,5 +1,6 @@
 """Permuted storage layer tests: fetch, dummies, shuffles, read-once."""
 
+import base64
 import hashlib
 import json
 
@@ -17,16 +18,23 @@ from repro.storage.backend import BlockStore
 from repro.storage.device import ddr4_2133, hdd_paper
 from repro.workload.generators import uniform
 
-#: sha256 of ``PermutedStorage.state_dict()`` JSON after
-#: :func:`control_state_digest`'s seeded run, per shuffle-period ratio.
-#: First captured while the permutation list was still Python lists and
-#: dicts, so the flat control tables are pinned to the same bytes; taken
-#: again when checkpoint format 4 stopped storing the per-partition pools
-#: (the earlier state minus ``partition_unread`` / ``partition_dirty``
-#: hashes to these same values).
+#: sha256 of ``PermutedStorage.state_dict()`` -- the JSON state plus each
+#: binary table's sha256 -- after :func:`control_state_digest`'s seeded run,
+#: per shuffle-period ratio.  Taken when checkpoint format 5 moved the
+#: tables to binary and stopped storing the derived ones; the earlier pins
+#: (flat tables, format 4) hashed the JSON lists of the same run.
 CONTROL_STATE = {
-    1: "21519d4a344a901904341b500751ae9a249ec75e09f50383479b1864cd9d8f5c",
-    4: "ed6703c57bed28b80e72d331d88ca0a09ea786114b917bb1ff56d01b3be3331f",
+    1: "5de19abb742b75889736713ec8e202e791a83181f3fdaa37c2715cb112b25f65",
+    4: "b56d090389e69bfd668f52b02fdac834b40f16b58290de407aaf73aabcd35175",
+}
+
+#: sha256 of the format-4 ``state_dict()`` JSON of the same run with the
+#: two tables format 5 derives (``slot_addr``, ``occupied``) removed,
+#: captured on the format-4 code.  :class:`TestLosslessReencoding` renders
+#: that layout from a layer restored out of the format-5 state.
+FORMAT4_STATE_MINUS_DERIVED = {
+    1: "cd5d9dde86b134936d7ab9b936fb1daa05f69872ccb02b63a425f7d999d00133",
+    4: "ce195fed40e905941b4b78b648c52c2152f51747c2347a2d5b0bd09ef01205d7",
 }
 
 
@@ -70,6 +78,7 @@ def make_layer(n_blocks=100, ratio=1, period_capacity=32):
         shuffle_period_ratio=ratio,
         period_capacity=period_capacity,
     )
+    layer._initialize()
     return layer, codec
 
 
@@ -226,10 +235,15 @@ class TestIncrementalUnreadPool:
 
     @staticmethod
     def brute_force_unread(layer):
+        occupied = set()
+        for partition in layer._partitions:
+            occupied.update(range(partition.base, partition.base + partition.size))
+            start = partition.overflow_base
+            occupied.update(range(start, start + partition.overflow_used))
         return [
             slot
             for slot in range(layer.total_slots)
-            if layer._occupied[slot] and not layer.consumed[slot]
+            if slot in occupied and not layer.consumed[slot]
         ]
 
     def test_pool_matches_full_scan_across_periods(self):
@@ -330,14 +344,38 @@ class TestSlotOrderSeal:
         assert sum(nonces) == sum(base)  # every overflow slot is still zero
 
 
-def control_state_digest(ratio):
+def control_state_run(ratio):
     """Seeded run over a 90 x 92-slot layout (88 dummies) with 5 shuffles."""
     oram = build_horam(n_blocks=8192, mem_tree_blocks=256, seed=42, shuffle_period_ratio=ratio)
     stream = list(uniform(8192, 700, DeterministicRandom(7), write_ratio=0.25))
     metrics = SimulationEngine(oram, verify=True).run(stream)
     assert metrics.shuffle_count == 5
-    state = json.dumps(oram.storage.state_dict(), sort_keys=True)
-    return hashlib.sha256(state.encode()).hexdigest()
+    return oram
+
+
+def control_state_digest(ratio):
+    state, tables = control_state_run(ratio).storage.state_dict()
+    pinned = {
+        "state": state,
+        "tables": {name: hashlib.sha256(blob).hexdigest() for name, blob in tables.items()},
+    }
+    return hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest()
+
+
+def blank_twin(layer, period_capacity, rng):
+    """A layer of ``layer``'s geometry over the same stores, nothing
+    written; ``rng`` must share ``layer.rng``'s key (checkpoints carry
+    stream positions, never keys)."""
+    return PermutedStorage(
+        n_blocks=layer.n_blocks,
+        codec=layer.codec,
+        storage_store=layer.storage,
+        memory_store=layer.memory,
+        rng=rng,
+        shuffle=layer.shuffle_algorithm,
+        shuffle_period_ratio=layer.ratio,
+        period_capacity=period_capacity,
+    )
 
 
 class TestControlStatePin:
@@ -354,12 +392,52 @@ class TestControlStatePin:
         layer.shuffle_into(evicted, period_index=0)
         layer.end_period()
         layer.dummy_fetch()
-        state = json.loads(json.dumps(layer.state_dict()))
-        twin, _ = make_layer(n_blocks=100, ratio=4, period_capacity=16)
-        twin.storage.import_data(layer.storage.export_data())  # slot bytes travel apart
-        twin.load_state(state)
+        state, tables = layer.state_dict()
+        twin = blank_twin(layer, period_capacity=16, rng=DeterministicRandom(31))
+        twin.load_state(json.loads(json.dumps(state)), tables)
         assert twin.state_dict() == layer.state_dict()
         assert [twin.dummy_fetch()[0] for _ in range(5)] == [layer.dummy_fetch()[0] for _ in range(5)]
+
+    def test_tables_take_the_narrowest_type(self):
+        layer, _ = make_layer(n_blocks=100)
+        _, tables = layer.state_dict()
+        # 100 slots: int8 locations (with IN_MEMORY = -1), uint8 pool
+        # entries, and 100 consumed flags in 13 bytes.
+        assert len(tables["control.location"]) == 100
+        assert len(tables["control.unread"]) == 100
+        assert len(tables["control.consumed"]) == 13
+
+
+class TestLosslessReencoding:
+    """Format 5 is format 4's control state re-encoded, minus derived tables."""
+
+    @pytest.mark.parametrize("ratio", [1, 4])
+    def test_restored_layer_renders_the_format4_state(self, backend, ratio):
+        oram = control_state_run(ratio)
+        layer = oram.storage
+        state, tables = layer.state_dict()
+        twin = blank_twin(
+            layer, period_capacity=oram.period_capacity, rng=oram.rng.spawn("storage-layer")
+        )
+        twin.load_state(json.loads(json.dumps(state)), tables)
+        rendered = {
+            "location": list(twin.location),
+            "consumed": base64.b64encode(twin.consumed).decode("ascii"),
+            "overflow_used": [p.overflow_used for p in twin._partitions],
+            "unread": list(twin._unread),
+            "dummy_pool_exhausted": twin.dummy_pool_exhausted,
+            "rng": twin.rng.state_dict(),
+        }
+        digest = hashlib.sha256(json.dumps(rendered, sort_keys=True).encode()).hexdigest()
+        assert digest == FORMAT4_STATE_MINUS_DERIVED[ratio]
+        # The derived tables: every live slot_addr entry (its block's
+        # location points back) survives, every other slot is a dummy ...
+        for slot in range(layer.total_slots):
+            addr = layer.slot_addr[slot]
+            live = addr != DUMMY_ADDR and layer.location[addr] == slot
+            assert twin.slot_addr[slot] == (addr if live else DUMMY_ADDR)
+        # ... and the pools come back exactly.
+        assert twin._partition_unread == layer._partition_unread
 
 
 def corrupt_slot(oram, slot):

@@ -34,6 +34,7 @@ def build_layer(ratio: int):
         rng=DeterministicRandom(5), shuffle=get_shuffle("cache"),
         shuffle_period_ratio=ratio, period_capacity=16,
     )
+    layer._initialize()
     return layer, codec
 
 
@@ -90,6 +91,7 @@ def test_cache_tree_is_a_consistent_map(ops):
         mem_blocks_budget=256, bucket_size=4, codec=codec, memory_store=store,
         rng=DeterministicRandom(7), shuffle=get_shuffle("cache"),
     )
+    cache.tree.fill_empty()
     oracle: dict[int, bytes] = {}
     for addr, kind in ops:
         if kind == "insert" and addr not in oracle:

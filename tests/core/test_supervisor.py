@@ -13,6 +13,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.checkpoint import CheckpointStore
 from repro.core.sharding import ShardUnavailableError, build_sharded_horam
 from repro.core.supervisor import FleetSupervisor, SupervisorConfig
 from repro.crypto.random import DeterministicRandom
@@ -87,7 +88,14 @@ class TestSerialStorm:
         finally:
             supervisor.close()
 
-    def test_event_counts_match_a_scan_of_the_events(self, ckpt_dir):
+    def test_event_counts_match_a_scan_of_the_events(self, ckpt_dir, monkeypatch):
+        saves = []
+        original_save = CheckpointStore.save
+        monkeypatch.setattr(
+            CheckpointStore,
+            "save",
+            lambda store, checkpoint: saves.append(1) or original_save(store, checkpoint),
+        )
         supervisor = _supervised(ckpt_dir)
         try:
             supervisor.install_fault_plan(
@@ -102,7 +110,9 @@ class TestSerialStorm:
             extra = supervisor.metrics.extra
             assert report["crashes_detected"] == extra["supervisor_crashes"] == 3
             assert report["restores"] == extra["supervisor_restores"] == scanned["restored"]
-            assert report["checkpoints"] == extra["supervisor_checkpoints"] == scanned["checkpoint"]
+            # Checkpoints are counted, never logged.
+            assert "checkpoint" not in scanned
+            assert report["checkpoints"] == extra["supervisor_checkpoints"] == len(saves)
             assert report["fences"] == extra["supervisor_fenced"] == 0
             # Counting reads the events, never rewrites them.
             assert supervisor.event_trace() == [
@@ -404,6 +414,7 @@ class TestParallelSupervision:
             results = _drive(supervisor, requests[:20])
             supervisor.executor._settle()  # both workers idle in recv()
             mark = len(supervisor.events)
+            saved = supervisor.recovery_report()["checkpoints"]
             pid = supervisor.executor._workers[0].pid
             os.kill(pid, signal.SIGSTOP if wedged else signal.SIGKILL)
             assert supervisor.checkpoint_now() == 2
@@ -412,9 +423,8 @@ class TestParallelSupervision:
                 ("crash_detected", 0, 0),
                 ("restore_started", 0, 1),
                 ("restored", 0, 1),
-                ("checkpoint", 0, 0),
-                ("checkpoint", 1, 0),
             ]
+            assert supervisor.recovery_report()["checkpoints"] == saved + 2
             assert supervisor.executor._workers[0].pid != pid
             results += _drive(supervisor, requests[20:])
             assert results == twin
@@ -448,11 +458,13 @@ class TestCrashWhilePadding:
             entries = [supervisor.submit(request) for request in first]
             delivered = supervisor.drain()
             after_first = supervisor.event_trace()
+            checkpoints_after_first = supervisor.recovery_report()["checkpoints"]
             first_results = [entry.result for entry in entries]
             entries += [supervisor.submit(request) for request in second]
             delivered += supervisor.drain()
             return {
                 "after_first": after_first,
+                "checkpoints_after_first": checkpoints_after_first,
                 "first_results": first_results,
                 "results": [entry.result for entry in entries],
                 "delivered": [id(entry) for entry in delivered],
@@ -489,7 +501,9 @@ class TestCrashWhilePadding:
         kinds = [kind for kind, _shard, _attempt in run["after_first"]]
         assert kinds.count("crash_detected") == 1
         assert kinds.index("crash_detected") < kinds.index("restored")
-        assert ("checkpoint", 0, 0) in run["after_first"][kinds.index("restored") :]
+        # The two initial checkpoints, then shard 0's, saved once the
+        # recovery let the checkpoint through.
+        assert run["checkpoints_after_first"] == 3
         assert run["results"] == run["twin"]
         assert run["report"]["restores"] == 1 and run["report"]["fences"] == 0
 
