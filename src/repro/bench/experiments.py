@@ -1481,10 +1481,12 @@ def _long_horizon(build, n_blocks: int, hot_blocks: int, request_count: int) -> 
     early) -- about a dozen over the run.  The last ``_SOAK_WINDOW``
     drains before 10 % and before 100 % of the run each end with a
     checkpoint of every shard; a window spans more than one access period
-    of every shard, so its mean manifest bytes do not depend on where in
-    a period the run stopped (the cache's position map fills as a period
-    goes).  Each point records that mean, the mean save time per shard,
-    MTTR so far and the process's RSS.  The stream is generated lazily,
+    of every shard, so its mean control-state bytes do not depend on where
+    in a period the run stopped (the cache's position map fills as a period
+    goes).  A shard checkpoint's control state is its manifest plus its
+    ``control.*`` tables: everything but the fixed-size store slabs.  Each
+    point records that mean, the mean save time per shard, MTTR so far and
+    the process's RSS.  The stream is generated lazily,
     so memory is the fleet's own.
     """
     import shutil
@@ -1518,7 +1520,7 @@ def _long_horizon(build, n_blocks: int, hot_blocks: int, request_count: int) -> 
             )
             served = 0
             for label, mark in (("10%", request_count // 10), ("100%", request_count)):
-                manifest_bytes, save_ms = [], []
+                control_bytes, save_ms = [], []
                 while served < mark:
                     batch = [next(requests) for _ in range(min(drain, mark - served))]
                     entries = [supervisor.submit(request) for request in batch]
@@ -1531,17 +1533,21 @@ def _long_horizon(build, n_blocks: int, hot_blocks: int, request_count: int) -> 
                         started = _time.perf_counter()
                         saved = supervisor.checkpoint_now()
                         save_ms.append((_time.perf_counter() - started) * 1000 / saved)
-                        manifest_bytes.append(
+                        control_bytes.append(
                             sum(
-                                (store.paths()[-1] / "checkpoint.json").stat().st_size
+                                sum(
+                                    path.stat().st_size
+                                    for pattern in ("checkpoint.json", "control.*.bin")
+                                    for path in store.paths()[-1].glob(pattern)
+                                )
                                 for store in supervisor.stores
                             )
                         )
                 report = supervisor.recovery_report()
                 points[label] = {
                     "requests": served,
-                    "manifest_bytes": round(statistics.mean(manifest_bytes)),
-                    "manifest_bytes_range": [min(manifest_bytes), max(manifest_bytes)],
+                    "control_bytes": round(statistics.mean(control_bytes)),
+                    "control_bytes_range": [min(control_bytes), max(control_bytes)],
                     "save_ms": statistics.mean(save_ms),
                     "crashes_detected": report["crashes_detected"],
                     "restores": report["restores"],
@@ -1718,7 +1724,7 @@ def resilience(scale: str = "quick") -> ExperimentResult:
                 point["fences"],
                 f"{point['mttr_seconds'] * 1000:.1f} ms",
                 f"{point['availability'] * 100:.2f}%",
-                f"manifest {format_bytes(point['manifest_bytes'])}, "
+                f"control {format_bytes(point['control_bytes'])}, "
                 f"save {point['save_ms']:.1f} ms, RSS {point['rss_mb']:.0f} MB",
                 "yes" if soak["wrong_results"] == 0 else "NO",
             ]
@@ -1729,7 +1735,7 @@ def resilience(scale: str = "quick") -> ExperimentResult:
         and late["fences"] == 0
         and soak["wrong_results"] == 0
     )
-    growth = late["manifest_bytes"] / early["manifest_bytes"] - 1.0
+    growth = late["control_bytes"] / early["control_bytes"] - 1.0
     checks = [
         Check(
             "long horizon: every storm crash restored, every read correct",
@@ -1738,8 +1744,8 @@ def resilience(scale: str = "quick") -> ExperimentResult:
             soak_repaired,
         ),
         Check(
-            "long horizon: shard manifests at 100% of the run within 2% of 10%",
-            f"{early['manifest_bytes']} -> {late['manifest_bytes']} B ({growth:+.2%})",
+            "long horizon: shard control state at 100% of the run within 2% of 10%",
+            f"{early['control_bytes']} -> {late['control_bytes']} B ({growth:+.2%})",
             abs(growth) <= 0.02,
         ),
     ]
@@ -1764,8 +1770,9 @@ def resilience(scale: str = "quick") -> ExperimentResult:
             "conformance matrix and tests/core/test_supervisor.py",
             f"long horizon: {soak['requests']} requests in 32-request drains, cadence "
             f"{soak['cadence']} ops, a crash every {soak['crash_stride_ops']} storage ops; "
-            f"manifest bytes (gated) and save time are means over the last "
-            f"{_SOAK_WINDOW} drains before 10% and 100%; MTTR and RSS (reported) at each",
+            f"control-state bytes (manifest + control.* tables; gated) and save time "
+            f"are means over the last {_SOAK_WINDOW} drains before 10% and 100%; "
+            f"MTTR and RSS (reported) at each",
         ],
         data=data,
         checks=checks,

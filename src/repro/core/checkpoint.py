@@ -467,15 +467,16 @@ def snapshot_shard(fleet, index: int) -> Checkpoint:
     recovering one crashed shard never touches the survivors.  The
     checkpoint is the shard's state payload and nothing else: the
     executor that takes it back
-    (:meth:`~repro.core.executor.ShardExecutor.recover_shard`) knows how
-    to build the blank shard it is loaded into.
+    (:meth:`~repro.core.executor.ShardExecutor.recover_shard`) builds the
+    replacement shard directly from it.
     """
     state, blobs = fleet.executor.shard_state(index)
     return Checkpoint(kind="shard", state={"index": index, "stack": state}, blobs=blobs)
 
 
 def shard_state_payload(checkpoint: Checkpoint) -> "tuple[dict, dict[str, bytes]]":
-    """The ``(state, blobs)`` payload ``recover_shard`` rolls a shard to."""
+    """The ``(state, blobs)`` payload ``recover_shard`` builds the
+    replacement shard from."""
     if checkpoint.kind != "shard":
         raise CheckpointError(f"expected a shard checkpoint, got {checkpoint.kind!r}")
     return checkpoint.state["stack"], checkpoint.blobs
@@ -697,7 +698,7 @@ def snapshot_stack(protocol) -> Checkpoint:
 
 
 def restore_stack(checkpoint: Checkpoint):
-    """Rebuild + rehydrate the stack a checkpoint describes.
+    """Build the stack a checkpoint describes, directly from its image.
 
     For durable (file-backed) stacks this reopens the recorded slab and
     rolls its contents back to the checkpoint, discarding anything --
@@ -729,8 +730,8 @@ def recover(directory):
 
     This is the restart path after a :class:`~repro.storage.faults.CrashFault`
     (or a real process death): reopen the slab, verify the manifest and
-    every blob digest, rebuild the stack, roll persistent state back to
-    the checkpoint, and hand back a protocol ready to serve the rest of
+    every blob digest, build the stack from the checkpoint (rolling a
+    durable slab back to it), and hand back a protocol ready to serve the rest of
     the workload bit-identically to an uninterrupted run.
     """
     return restore_stack(load_checkpoint(directory))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -440,9 +441,19 @@ class TestCrashWhilePadding:
     def _run(self, ckpt_dir, cadence):
         from repro.oram.base import Request
 
-        supervisor = _supervised(
-            ckpt_dir, n_shards=2, executor="parallel", checkpoint_every_ops=cadence
-        )
+        # Each checkpoint saved, as (shard, incident events logged before
+        # it): checkpoints are counted, not logged, so this orders them.
+        saves = []
+        checkpoint = FleetSupervisor._checkpoint
+
+        def recording_checkpoint(supervisor, index):
+            checkpoint(supervisor, index)
+            saves.append((index, len(supervisor.events)))
+
+        with mock.patch.object(FleetSupervisor, "_checkpoint", recording_checkpoint):
+            supervisor = _supervised(
+                ckpt_dir, n_shards=2, executor="parallel", checkpoint_every_ops=cadence
+            )
         try:
             # Shard 1 alone, and only even addresses in the first batch:
             # every cycle it runs there is padding, so its third physical
@@ -455,8 +466,9 @@ class TestCrashWhilePadding:
                 for addr in range(0, 48, 2)
             ]
             second = [Request.read(addr) for addr in (0, 1, 8, 3, 16, 5, 7, 9)]
-            entries = [supervisor.submit(request) for request in first]
-            delivered = supervisor.drain()
+            with mock.patch.object(FleetSupervisor, "_checkpoint", recording_checkpoint):
+                entries = [supervisor.submit(request) for request in first]
+                delivered = supervisor.drain()
             after_first = supervisor.event_trace()
             checkpoints_after_first = supervisor.recovery_report()["checkpoints"]
             first_results = [entry.result for entry in entries]
@@ -464,6 +476,7 @@ class TestCrashWhilePadding:
             delivered += supervisor.drain()
             return {
                 "after_first": after_first,
+                "saves_after_first": saves,
                 "checkpoints_after_first": checkpoints_after_first,
                 "first_results": first_results,
                 "results": [entry.result for entry in entries],
@@ -500,10 +513,15 @@ class TestCrashWhilePadding:
         # the workers for it settled the padding round and found the crash.
         kinds = [kind for kind, _shard, _attempt in run["after_first"]]
         assert kinds.count("crash_detected") == 1
-        assert kinds.index("crash_detected") < kinds.index("restored")
+        restored = kinds.index("restored")
+        assert kinds.index("crash_detected") < restored
         # The two initial checkpoints, then shard 0's, saved once the
-        # recovery let the checkpoint through.
-        assert run["checkpoints_after_first"] == 3
+        # recovery let the checkpoint through (after the restored event).
+        saves = run["saves_after_first"]
+        assert [shard for shard, _logged in saves] == [0, 1, 0]
+        assert saves[:2] == [(0, 0), (1, 0)]
+        assert saves[2][1] > restored
+        assert run["checkpoints_after_first"] == len(saves)
         assert run["results"] == run["twin"]
         assert run["report"]["restores"] == 1 and run["report"]["fences"] == 0
 
