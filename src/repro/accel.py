@@ -1,8 +1,7 @@
 """Optional numpy acceleration gate for the batch kernels.
 
 The hot-path batch kernels (record sealing/opening in
-:class:`~repro.oram.base.BlockCodec`, counter-block keystreams in
-:mod:`repro.crypto.cipher`, batched rejection sampling in
+:class:`~repro.oram.base.BlockCodec`, batched rejection sampling in
 :mod:`repro.crypto.random`, the partition survivor scan and relocation
 in :mod:`repro.core.storage_layer`) are written twice: a vectorized
 numpy form and a pure-Python fallback.  Both produce bit-identical

@@ -516,6 +516,9 @@ def ablation_partial_shuffle(scale: str = "quick") -> ExperimentResult:
     )
     pause = {r: m["shuffle_time_us"] / max(1, m["shuffle_count"]) for r, m in data.items()}
     appended = {r: m["extra"].get("blocks_appended", 0) for r, m in data.items()}
+    # The paper's "system profiling": the ratio this sweep's workload runs
+    # fastest under, by total simulated time.
+    profiled = min(data, key=lambda r: data[r]["total_time_us"])
     return ExperimentResult(
         experiment_id="ablation_partial_shuffle",
         title="Ablation A1: partial shuffle ratio (Section 5.3.1)",
@@ -524,6 +527,9 @@ def ablation_partial_shuffle(scale: str = "quick") -> ExperimentResult:
         notes=[
             "larger r shrinks each shuffle pause but appends unshuffled hot "
             "data to overflow regions (extra storage, later catch-up)",
+            f"profiled choice: r={profiled}, the ratio with the lowest total "
+            f"simulated time on this workload "
+            f"({format_us(data[profiled]['total_time_us'])})",
         ],
         data=data,
         checks=[

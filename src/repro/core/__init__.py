@@ -42,7 +42,6 @@ from repro.core.checkpoint import (
     save_checkpoint,
     snapshot_stack,
 )
-from repro.core.profiler import ProfileResult, RatioProfile, profile_shuffle_ratio
 from repro.core import analysis
 
 __all__ = [
@@ -73,8 +72,5 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "recover",
-    "ProfileResult",
-    "RatioProfile",
-    "profile_shuffle_ratio",
     "analysis",
 ]

@@ -59,7 +59,6 @@ from pathlib import Path
 
 from repro.core.config import HORAMConfig
 from repro.core.stages import StageSchedule
-from repro.crypto.random import DeterministicRandom
 from repro.sim.metrics import Metrics
 from repro.storage.device import DeviceModel
 from repro.storage.hierarchy import StorageHierarchy
@@ -331,8 +330,7 @@ def _rebuild_kernel(rebuild: dict, image: "tuple[dict, dict[str, bytes]]"):
     import repro.core.horam  # noqa: F401
     import repro.oram.factory  # noqa: F401
     from repro.core.kernel import KERNEL_PROTOCOLS
-    from repro.crypto.ctr import StreamCipher
-    from repro.oram.base import BlockCodec
+    from repro.oram.base import _make_codec
 
     name = rebuild.get("protocol", "horam")
     try:
@@ -343,13 +341,7 @@ def _rebuild_kernel(rebuild: dict, image: "tuple[dict, dict[str, bytes]]"):
     hierarchy = _build_hierarchy(rebuild["hierarchy"])
     codec = None
     if rebuild["integrity"]:
-        # Mirror build_horam's integrity codec derivation exactly.
-        rng = DeterministicRandom(config.seed)
-        codec = BlockCodec(
-            config.payload_bytes,
-            StreamCipher(rng.spawn("record-key").token(32)),
-            mac_key=rng.spawn("mac-key").token(32),
-        )
+        codec = _make_codec(config.payload_bytes, config.seed, integrity=True)
     return cls(config, hierarchy, codec=codec, image=image, **rebuild.get("params", {}))
 
 

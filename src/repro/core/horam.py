@@ -33,9 +33,7 @@ from repro.core.cache_tree import CacheTree
 from repro.core.config import HORAMConfig
 from repro.core.kernel import DummyLoad, EngineKernel, ShuffleReport
 from repro.core.storage_layer import PermutedStorage
-from repro.crypto.ctr import StreamCipher
-from repro.crypto.random import DeterministicRandom
-from repro.oram.base import RECORD_OVERHEAD, BlockCodec
+from repro.oram.base import RECORD_OVERHEAD, _make_codec
 from repro.oram.tree import TreeGeometry
 from repro.shuffle import get_shuffle
 from repro.sim.metrics import TierTimes
@@ -137,10 +135,6 @@ class HybridORAM(EngineKernel):
         self.cache.load_state(state["cache"])
         self.storage.load_state(state["storage"], blobs)
 
-    # kept for callers that predate the kernel's public hook name
-    def _is_cached(self, addr: int) -> bool:
-        return self.is_cached(addr)
-
 
 def build_horam(
     n_blocks: int,
@@ -190,12 +184,7 @@ def build_horam(
     if integrity:
         # MACed records are 8 bytes longer; build the codec up front so
         # the hierarchy's slot size matches.
-        rng = DeterministicRandom(seed)
-        codec = BlockCodec(
-            payload_bytes,
-            StreamCipher(rng.spawn("record-key").token(32)),
-            mac_key=rng.spawn("mac-key").token(32),
-        )
+        codec = _make_codec(payload_bytes, seed, integrity=True)
         slot_bytes = codec.slot_bytes
 
     hierarchy = StorageHierarchy(

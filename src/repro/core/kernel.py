@@ -28,9 +28,8 @@ from hashlib import blake2b
 from repro.core.config import HORAMConfig
 from repro.core.rob import EntryState, RobEntry, RobTable
 from repro.core.scheduler import SecureScheduler
-from repro.crypto.ctr import StreamCipher
 from repro.crypto.random import DeterministicRandom
-from repro.oram.base import BlockCodec, OpKind, ORAMProtocol, Request
+from repro.oram.base import BlockCodec, OpKind, ORAMProtocol, Request, _make_codec
 from repro.sim.metrics import Histogram, Metrics, TierTimes
 from repro.storage.hierarchy import StorageHierarchy
 
@@ -200,8 +199,7 @@ class EngineKernel(ProtocolBackend, ORAMProtocol):
         self.hierarchy = hierarchy
         self.rng = DeterministicRandom(config.seed)
         if codec is None:
-            cipher = StreamCipher(self.rng.spawn("record-key").token(32))
-            codec = BlockCodec(config.payload_bytes, cipher)
+            codec = _make_codec(config.payload_bytes, config.seed)
         if codec.slot_bytes != hierarchy.slot_bytes:
             raise ValueError(
                 f"hierarchy slot size {hierarchy.slot_bytes} does not match the "

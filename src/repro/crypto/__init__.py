@@ -1,43 +1,32 @@
 """Cryptographic substrate for the H-ORAM reproduction.
 
-Every ORAM layer in this repository stores ciphertext, remaps positions with
-a keyed PRF, and permutes storage with a keyed PRP.  This package provides
-those primitives from scratch (no external dependencies):
+Every ORAM layer in this repository stores ciphertext and draws its
+position remaps and storage permutations from a keyed deterministic
+generator.  This package provides those primitives from scratch (no
+external dependencies):
 
-* :mod:`repro.crypto.cipher` -- Speck64/128 and XTEA block ciphers.
-* :mod:`repro.crypto.ctr` -- counter-mode encryption for arbitrary payloads.
-* :mod:`repro.crypto.prf` -- keyed pseudo-random functions (Speck CBC-MAC and
-  a fast BLAKE2-based variant used by the simulations).
-* :mod:`repro.crypto.permutation` -- Feistel-based pseudo-random permutations
-  over arbitrary domains (used for the storage permutation list).
-* :mod:`repro.crypto.random` -- a deterministic, version-stable CSPRNG used
-  everywhere a protocol needs random choices, so experiments replay exactly.
+* :mod:`repro.crypto.ctr` -- :class:`StreamCipher`, the record cipher: one
+  keyed hash call of keystream per record, under a fresh nonce each seal.
+* :mod:`repro.crypto.random` -- :class:`DeterministicRandom`, a
+  deterministic, version-stable CSPRNG used everywhere a protocol needs
+  random choices (leaf remaps, shuffles, keys), so experiments replay
+  exactly.
+* :mod:`repro.crypto.permutation` -- :class:`RandomPermutation`, an
+  explicit array permutation drawn from that generator.
 
-The ciphers are *functional* substitutes for the AES hardware the paper
-assumes: any length-preserving cipher exercises the same encrypt-on-store /
-decrypt-on-fetch code path.  Simulated time for encryption is charged by the
-device models, not by wall-clock, so the pure-Python implementations do not
-distort the reported numbers.
+The cipher is a *functional* substitute for the AES hardware the paper
+assumes: any nonce-fresh, length-preserving cipher exercises the same
+encrypt-on-store / decrypt-on-fetch code path.  Simulated time for
+encryption is charged by the device models, not by wall-clock, so the
+pure-Python implementation does not distort the reported numbers.
 """
 
-from repro.crypto.cipher import BlockCipher, NullBlockCipher, Speck64, XTEA
-from repro.crypto.ctr import CtrCipher, NullCipher, StreamCipher
-from repro.crypto.prf import Blake2Prf, Prf, SpeckCbcMacPrf
-from repro.crypto.permutation import FeistelPermutation, RandomPermutation
+from repro.crypto.ctr import StreamCipher
+from repro.crypto.permutation import RandomPermutation
 from repro.crypto.random import DeterministicRandom
 
 __all__ = [
-    "BlockCipher",
-    "NullBlockCipher",
-    "Speck64",
-    "XTEA",
-    "CtrCipher",
-    "NullCipher",
     "StreamCipher",
-    "Prf",
-    "Blake2Prf",
-    "SpeckCbcMacPrf",
-    "FeistelPermutation",
     "RandomPermutation",
     "DeterministicRandom",
 ]

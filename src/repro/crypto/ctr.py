@@ -1,109 +1,31 @@
-"""Counter-mode encryption for arbitrary-length ORAM payloads.
+"""The record cipher: a nonce-keyed keystream for fixed-size ORAM records.
 
-ORAM slots hold fixed-size records (header + payload).  :class:`CtrCipher`
-turns any 64-bit :class:`~repro.crypto.cipher.BlockCipher` into a
-length-preserving cipher: each record is encrypted under a fresh nonce so
-re-encrypting the same plaintext on every path write-back produces a fresh
-ciphertext -- the property ORAM relies on so an adversary cannot match
-blocks across accesses by content.
+ORAM slots hold fixed-size records (header + payload).  Every record is
+encrypted under a fresh nonce, so re-encrypting the same plaintext on every
+path write-back produces a fresh ciphertext -- the property ORAM relies on
+so an adversary cannot match blocks across accesses by content.
 
-:class:`StreamCipher` offers a faster keystream built on ``hashlib.blake2b``
-(C speed) with the same interface; it is the default for large simulations.
-:class:`NullCipher` is the identity and exists so functional tests can
-inspect stored bytes directly.
-
-The keystream XOR is word-wise: plaintext and keystream are folded into
-single big integers and XORed in one C operation (:func:`xor_bytes`), which
-is an order of magnitude faster than a per-byte generator for the record
-sizes ORAM moves.  Every :class:`StreamCipher` record costs one hash call:
-one 64-byte BLAKE2b digest when it fits, one SHAKE-256 squeeze of the
-whole length when it does not.
+:class:`StreamCipher` only produces keystream; the record codec
+(:class:`~repro.oram.base.BlockCodec`) does the XOR itself, word-wise:
+record and keystream are folded into single big integers and XORed in one
+C operation, an order of magnitude faster than a per-byte generator for the
+record sizes ORAM moves.  Every record costs one hash call: one 64-byte
+BLAKE2b digest when it fits, one SHAKE-256 squeeze of the whole length when
+it does not.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Iterable, Protocol
-
-from repro.crypto.cipher import BlockCipher
+from typing import Iterable
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _PACK_Q = struct.Struct("<Q").pack
 _PACK_QQ = struct.Struct("<QQ").pack
-_PACK_II = struct.Struct("<II").pack
 
 #: Domain separator absorbed ahead of the key into the wide-record XOF.
 _XOF_DOMAIN = b"repro.crypto.ctr.StreamCipher/shake256/v1"
-
-
-def xor_bytes(data: bytes | memoryview, stream: bytes) -> bytes:
-    """XOR ``data`` with the prefix of ``stream`` word-wise.
-
-    ``stream`` must be at least as long as ``data``.  Both operands are
-    converted to arbitrary-precision integers and XORed in one operation,
-    so the per-byte Python loop disappears from the hot path.
-    """
-    length = len(data)
-    if length == 0:
-        return b""
-    if len(stream) < length:
-        # Never zero-pad a keystream: the tail would pass through as
-        # plaintext.  Callers must supply at least len(data) bytes.
-        raise ValueError(f"keystream of {len(stream)} bytes for {length} bytes of data")
-    if len(stream) != length:
-        stream = stream[:length]
-    return (
-        int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")
-    ).to_bytes(length, "little")
-
-
-class RecordCipher(Protocol):
-    """Nonce-based, length-preserving record encryption."""
-
-    def encrypt(self, nonce: int, plaintext: bytes) -> bytes: ...
-
-    def decrypt(self, nonce: int, ciphertext: bytes) -> bytes: ...
-
-
-class CtrCipher:
-    """CTR mode over a 64-bit block cipher.
-
-    The counter block is ``nonce (32 bits) || counter (32 bits)``; the
-    caller supplies a distinct nonce per (slot, version) pair, and a nonce
-    that does not fit 32 bits is refused, since wrapping it would reuse a
-    keystream.  Encryption and decryption are the same keystream XOR.
-    """
-
-    def __init__(self, cipher: BlockCipher):
-        if cipher.block_bytes != 8:
-            raise ValueError("CtrCipher expects a 64-bit block cipher")
-        self._cipher = cipher
-
-    def keystream(self, nonce: int, length: int) -> bytes:
-        """At least ``length`` keystream bytes for ``nonce`` (block-rounded)."""
-        if not 0 <= nonce <= 0xFFFFFFFF:
-            raise ValueError(f"nonce {nonce} does not fit the 32-bit counter-block field")
-        blocks = (length + 7) // 8
-        batch = getattr(self._cipher, "encrypt_counter_blocks", None)
-        if batch is not None:
-            stream = batch(nonce, blocks)
-            if stream is not None:
-                return stream
-        # Single-allocation fallback: fill one buffer block by block
-        # instead of building a chunk list and joining it.
-        encrypt_block = self._cipher.encrypt_block
-        out = bytearray(blocks * 8)
-        for counter in range(blocks):
-            out[counter * 8 : counter * 8 + 8] = encrypt_block(_PACK_II(nonce, counter))
-        return bytes(out)
-
-    def encrypt(self, nonce: int, plaintext: bytes) -> bytes:
-        return xor_bytes(plaintext, self.keystream(nonce, len(plaintext)))
-
-    def decrypt(self, nonce: int, ciphertext: bytes) -> bytes:
-        # CTR is an involution given the same nonce.
-        return self.encrypt(nonce, ciphertext)
 
 
 class StreamCipher:
@@ -184,28 +106,3 @@ class StreamCipher:
                 x.update(pack(nonce & _MASK64))
                 append(x.digest(length))
         return out
-
-    def encrypt(self, nonce: int, plaintext: bytes) -> bytes:
-        length = len(plaintext)
-        if 0 < length <= 64:
-            # Inlined hot path: one keyed-hash block, one word-wise XOR.
-            h = self._hasher.copy()
-            h.update(_PACK_QQ(nonce & _MASK64, 0))
-            return (
-                int.from_bytes(plaintext, "little")
-                ^ int.from_bytes(h.digest()[:length], "little")
-            ).to_bytes(length, "little")
-        return xor_bytes(plaintext, self.keystream(nonce, length))
-
-    def decrypt(self, nonce: int, ciphertext: bytes) -> bytes:
-        return self.encrypt(nonce, ciphertext)
-
-
-class NullCipher:
-    """Identity record cipher (plaintext storage, for debugging and tests)."""
-
-    def encrypt(self, nonce: int, plaintext: bytes) -> bytes:
-        return plaintext
-
-    def decrypt(self, nonce: int, ciphertext: bytes) -> bytes:
-        return ciphertext

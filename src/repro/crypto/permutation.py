@@ -1,100 +1,18 @@
-"""Pseudo-random permutations over arbitrary integer domains.
+"""An explicit permutation over an integer domain.
 
-The storage layer of H-ORAM (and the square-root / partition ORAM
-baselines) keeps blocks at *permuted* physical slots.  Two constructions
-are provided:
-
-* :class:`FeistelPermutation` -- a keyed 4-round balanced Feistel network
-  with cycle-walking, giving a bijection on ``range(n)`` in O(1) memory.
-  Used when the permutation must be recomputable from a key alone.
-* :class:`RandomPermutation` -- an explicit Fisher-Yates array permutation,
-  the form actually stored in H-ORAM's *permutation list* (the paper keeps
-  the list in the secure control layer, so O(N) secure memory for it is
-  part of the design).
-
-Both expose ``forward``/``inverse`` and are validated to be bijections by
-property tests.
+The square-root ORAM baseline keeps blocks at *permuted* physical slots.
+:class:`RandomPermutation` is that permutation as an explicit Fisher-Yates
+array, the same form as H-ORAM's *permutation list* (the paper keeps the
+list in the secure control layer, so O(N) secure memory for it is part of
+the design).  It exposes ``forward``/``inverse`` and is validated to be a
+bijection by property tests.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.crypto.prf import Blake2Prf, Prf
 from repro.crypto.random import DeterministicRandom
-
-
-class FeistelPermutation:
-    """Format-preserving permutation on ``range(domain)`` via Feistel + cycle-walking.
-
-    The domain is embedded in ``2**(2*half_bits)``; inputs that map outside
-    the domain are re-encrypted until they land inside (cycle-walking),
-    which terminates quickly because the embedded domain is at most 4x the
-    target domain.
-    """
-
-    def __init__(self, prf: Prf, domain: int, rounds: int = 4):
-        if domain <= 0:
-            raise ValueError("domain must be positive")
-        if rounds < 3:
-            raise ValueError("a Feistel PRP needs at least 3 rounds")
-        self._prf = prf
-        self.domain = domain
-        self.rounds = rounds
-        half_bits = 1
-        while (1 << (2 * half_bits)) < domain:
-            half_bits += 1
-        self._half_bits = half_bits
-        self._half_mask = (1 << half_bits) - 1
-
-    def _feistel(self, value: int, direction: int) -> int:
-        left = value >> self._half_bits
-        right = value & self._half_mask
-        round_order = range(self.rounds) if direction > 0 else range(self.rounds - 1, -1, -1)
-        for round_index in round_order:
-            f = self._prf.value_int(right, domain_tag=round_index) & self._half_mask
-            left, right = right, left ^ f
-        # Undo the final swap for decryption symmetry.
-        return (right << self._half_bits) | left if direction < 0 else (left << self._half_bits) | right
-
-    def forward(self, x: int) -> int:
-        """Map a domain element to its permuted slot."""
-        if not 0 <= x < self.domain:
-            raise ValueError(f"{x} outside domain [0, {self.domain})")
-        y = x
-        while True:
-            y = self._encrypt_once(y)
-            if y < self.domain:
-                return y
-
-    def inverse(self, y: int) -> int:
-        """Map a permuted slot back to the domain element stored there."""
-        if not 0 <= y < self.domain:
-            raise ValueError(f"{y} outside domain [0, {self.domain})")
-        x = y
-        while True:
-            x = self._decrypt_once(x)
-            if x < self.domain:
-                return x
-
-    def _encrypt_once(self, value: int) -> int:
-        left = value >> self._half_bits
-        right = value & self._half_mask
-        for round_index in range(self.rounds):
-            f = self._prf.value_int(right, domain_tag=round_index) & self._half_mask
-            left, right = right, left ^ f
-        return (left << self._half_bits) | right
-
-    def _decrypt_once(self, value: int) -> int:
-        left = value >> self._half_bits
-        right = value & self._half_mask
-        for round_index in range(self.rounds - 1, -1, -1):
-            right, left = left, right ^ (self._prf.value_int(left, domain_tag=round_index) & self._half_mask)
-        return (left << self._half_bits) | right
-
-    @classmethod
-    def from_key(cls, key: bytes, domain: int, rounds: int = 4) -> "FeistelPermutation":
-        return cls(Blake2Prf(key), domain, rounds)
 
 
 class RandomPermutation:

@@ -19,9 +19,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count
-from typing import Iterable, Iterator, Protocol
+from typing import Iterable
 
 from repro import accel as _accel
+from repro.crypto.ctr import StreamCipher
+from repro.crypto.random import DeterministicRandom
 
 #: Logical address reserved for dummy records.
 DUMMY_ADDR = 0xFFFFFFFFFFFFFFFF
@@ -106,12 +108,6 @@ class Request:
         return cls(op=OpKind.WRITE, addr=addr, data=data, user=user)
 
 
-class RecordCipher(Protocol):
-    def encrypt(self, nonce: int, plaintext: bytes) -> bytes: ...
-
-    def decrypt(self, nonce: int, ciphertext: bytes) -> bytes: ...
-
-
 #: Bytes of the optional integrity tag appended to sealed records.
 MAC_BYTES = 8
 
@@ -133,7 +129,7 @@ class BlockCodec:
     Python overhead.
     """
 
-    def __init__(self, payload_bytes: int, cipher: RecordCipher, mac_key: bytes | None = None):
+    def __init__(self, payload_bytes: int, cipher: StreamCipher, mac_key: bytes | None = None):
         if payload_bytes <= 0:
             raise ValueError("payload_bytes must be positive")
         if mac_key is not None and not mac_key:
@@ -141,33 +137,25 @@ class BlockCodec:
         self.payload_bytes = payload_bytes
         self.mac_key = mac_key
         self.slot_bytes = RECORD_OVERHEAD + payload_bytes + (MAC_BYTES if mac_key else 0)
-        self._cipher = cipher
         self._nonce_counter = 0
         self._mac_hasher = (
             hashlib.blake2b(key=mac_key[:64], digest_size=MAC_BYTES)
             if mac_key is not None
             else None
         )
-        # Fused fast paths: when the cipher exposes its keystream, the
-        # codec XORs records itself (fresh nonce per record as always),
-        # and the constant dummy plaintext is precomputed as an integer.
-        # keystream_block is the single-call variant for records that fit
-        # one 64-byte keystream block -- the common ORAM slot size.
-        self._cipher_keystream = getattr(cipher, "keystream", None)
+        # The codec XORs records with the cipher's keystream itself (fresh
+        # nonce per record as always), and the constant dummy plaintext is
+        # precomputed as an integer.  keystream_block is the single-call
+        # variant for records that fit one 64-byte keystream block -- the
+        # common ORAM slot size.
         self._plain_bytes = _ADDR_BYTES + payload_bytes
-        keystream_block = getattr(cipher, "keystream_block", None)
-        self._keystream_block = (
-            keystream_block if keystream_block is not None and self._plain_bytes <= 64 else None
-        )
+        self._keystream = cipher.keystream
+        self._keystream_block = cipher.keystream_block if self._plain_bytes <= 64 else None
         # Bulk keystream for the batch kernels, whatever the record width.
-        self._keystream_many = getattr(cipher, "keystream_many", None)
+        self._keystream_many = cipher.keystream_many
         self._kernel_records = max(1, _KERNEL_MAX_BYTES // self.slot_bytes)
         self._dummy_plain = _PACK_Q(DUMMY_ADDR) + b"\x00" * payload_bytes
         self._dummy_plain_int = int.from_bytes(self._dummy_plain, "little")
-
-    def _next_nonce(self) -> int:
-        self._nonce_counter += 1
-        return self._nonce_counter
 
     def _tag(self, body: bytes) -> bytes:
         assert self._mac_hasher is not None
@@ -191,20 +179,12 @@ class BlockCodec:
         self._nonce_counter = nonce
         length = self._plain_bytes
         keystream_block = self._keystream_block
+        # One keystream call, XOR header+payload with the stream as one
+        # integer -- no intermediate plaintext or ciphertext objects.
         if keystream_block is not None:
-            # Fused fast path: one keystream call, XOR header+payload with
-            # the stream as one integer -- no intermediate plaintext or
-            # ciphertext objects.
             stream = keystream_block(nonce)[:length]
-        elif self._cipher_keystream is not None:
-            stream = self._cipher_keystream(nonce, length)
-            if len(stream) != length:
-                stream = stream[:length]
         else:
-            body = _PACK_Q(nonce) + self._cipher.encrypt(nonce, _PACK_Q(addr) + payload)
-            if self.mac_key is not None:
-                body += self._tag(body)
-            return body
+            stream = self._keystream(nonce, length)
         plain_int = int.from_bytes(_PACK_Q(addr) + payload, "little")
         body = _PACK_Q(nonce) + (
             plain_int ^ int.from_bytes(stream, "little")
@@ -231,7 +211,7 @@ class BlockCodec:
         if type(entries) is not list:
             entries = list(entries)
         n = len(entries) + dummy_tail
-        if n >= _BATCH_MIN and self._keystream_many is not None and self._mac_hasher is None:
+        if n >= _BATCH_MIN and self._mac_hasher is None:
             step = self._kernel_records
             if n > step:
                 # More than one kernel call may hold: piece by piece, in
@@ -250,49 +230,44 @@ class BlockCodec:
         for addr, payload in entries:
             out += seal(addr, payload)
         if dummy_tail > 0:
-            keystream = self._cipher_keystream
-            if keystream is None:
-                dummy_payload = b"\x00" * self.payload_bytes
+            # Same bytes as seal_dummy(), minus the per-record plaintext
+            # assembly: XOR the constant dummy plaintext with each
+            # record's fresh keystream directly.
+            length = self._plain_bytes
+            dummy_int = self._dummy_plain_int
+            nonce = self._nonce_counter
+            mac = self._mac_hasher
+            keystream_block = self._keystream_block
+            if keystream_block is not None and mac is None:
+                # Tightest loop: the overwhelmingly common shape (narrow
+                # records, no MAC).
                 for _ in range(dummy_tail):
-                    out += seal(DUMMY_ADDR, dummy_payload)
+                    nonce += 1
+                    out += _PACK_Q(nonce)
+                    out += (
+                        dummy_int
+                        ^ int.from_bytes(keystream_block(nonce)[:length], "little")
+                    ).to_bytes(length, "little")
             else:
-                # Same bytes as seal_dummy(), minus the per-record plaintext
-                # assembly: XOR the constant dummy plaintext with each
-                # record's fresh keystream directly.
-                length = self._plain_bytes
-                dummy_int = self._dummy_plain_int
-                nonce = self._nonce_counter
-                mac = self._mac_hasher
-                keystream_block = self._keystream_block
-                if keystream_block is not None and mac is None:
-                    # Tightest loop: the overwhelmingly common shape
-                    # (StreamCipher records, no MAC).
-                    for _ in range(dummy_tail):
-                        nonce += 1
-                        out += _PACK_Q(nonce)
-                        out += (
-                            dummy_int
-                            ^ int.from_bytes(keystream_block(nonce)[:length], "little")
-                        ).to_bytes(length, "little")
-                else:
-                    for _ in range(dummy_tail):
-                        nonce += 1
-                        stream = keystream(nonce, length)
-                        if len(stream) != length:
-                            stream = stream[:length]
-                        body = _PACK_Q(nonce) + (
-                            dummy_int ^ int.from_bytes(stream, "little")
-                        ).to_bytes(length, "little")
-                        if mac is not None:
-                            h = mac.copy()
-                            h.update(body)
-                            body += h.digest()
-                        out += body
-                self._nonce_counter = nonce
+                keystream = self._keystream
+                for _ in range(dummy_tail):
+                    nonce += 1
+                    stream = keystream(nonce, length)
+                    if len(stream) != length:
+                        stream = stream[:length]
+                    body = _PACK_Q(nonce) + (
+                        dummy_int ^ int.from_bytes(stream, "little")
+                    ).to_bytes(length, "little")
+                    if mac is not None:
+                        h = mac.copy()
+                        h.update(body)
+                        body += h.digest()
+                    out += body
+            self._nonce_counter = nonce
         return out
 
     def _seal_batch(self, np, entries: "list[tuple[int, bytes]]", dummy_tail: int) -> bytearray:
-        """Vectorized :meth:`seal_many` (keystream codecs, no MAC).
+        """Vectorized :meth:`seal_many` (no MAC).
 
         The per-record keystream digests still run one hash call each (the
         nonce sequence pins them); what vectorizes is everything around
@@ -335,7 +310,7 @@ class BlockCodec:
         return bytearray(out)
 
     def _seal_batch_bytes(self, entries: "list[tuple[int, bytes]]", dummy_tail: int) -> bytearray:
-        """Big-integer :meth:`seal_many` batch (keystream codecs, no MAC).
+        """Big-integer :meth:`seal_many` batch (no MAC).
 
         The path-write batch shape -- a few dozen records -- is too small
         for numpy's per-op dispatch to pay off, but not for batching as
@@ -389,33 +364,19 @@ class BlockCodec:
                 raise IntegrityError("record failed MAC verification")
             record = body
         nonce = int.from_bytes(record[:_NONCE_BYTES], "little")
+        length = self._plain_bytes
         keystream_block = self._keystream_block
+        # One keystream call, one integer XOR, then split addr (low 64
+        # bits, little-endian) from the payload.
         if keystream_block is not None:
-            # Fused fast path: one keystream call, one integer XOR, then
-            # split addr (low 64 bits, little-endian) from the payload.
-            length = self._plain_bytes
-            plain_int = int.from_bytes(record[_NONCE_BYTES:], "little") ^ int.from_bytes(
-                keystream_block(nonce)[:length], "little"
-            )
-            addr = plain_int & _MASK64
-            payload = (plain_int >> 64).to_bytes(self.payload_bytes, "little")
-            return addr, payload
-        if self._cipher_keystream is not None:
-            length = self._plain_bytes
-            stream = self._cipher_keystream(nonce, length)
-            if len(stream) != length:
-                stream = stream[:length]
-            plain_int = int.from_bytes(record[_NONCE_BYTES:], "little") ^ int.from_bytes(
-                stream, "little"
-            )
-            addr = plain_int & _MASK64
-            payload = (plain_int >> 64).to_bytes(self.payload_bytes, "little")
-            return addr, payload
-        plaintext = self._cipher.decrypt(nonce, record[_NONCE_BYTES:])
-        addr = int.from_bytes(plaintext[:_ADDR_BYTES], "little")
-        payload = plaintext[_ADDR_BYTES:]
-        if type(payload) is not bytes:
-            payload = bytes(payload)
+            stream = keystream_block(nonce)[:length]
+        else:
+            stream = self._keystream(nonce, length)
+        plain_int = int.from_bytes(record[_NONCE_BYTES:], "little") ^ int.from_bytes(
+            stream, "little"
+        )
+        addr = plain_int & _MASK64
+        payload = (plain_int >> 64).to_bytes(self.payload_bytes, "little")
         return addr, payload
 
     def open_many(
@@ -424,11 +385,7 @@ class BlockCodec:
         """Open a batch of records (amortizes per-call dispatch)."""
         if type(records) is not list:
             records = list(records)
-        if (
-            len(records) >= _BATCH_MIN
-            and self._keystream_many is not None
-            and self._mac_hasher is None
-        ):
+        if len(records) >= _BATCH_MIN and self._mac_hasher is None:
             # Gathering scattered records into one flat buffer costs one
             # copy; the vectorized run-open pays it back severalfold.
             return self.open_run(b"".join(records))
@@ -449,11 +406,7 @@ class BlockCodec:
                 f"buffer of {view.nbytes} bytes is not a whole number of "
                 f"{size}-byte records"
             )
-        if (
-            view.nbytes >= _BATCH_MIN * size
-            and self._keystream_many is not None
-            and self._mac_hasher is None
-        ):
+        if view.nbytes >= _BATCH_MIN * size and self._mac_hasher is None:
             step = self._kernel_records * size
             if view.nbytes > step:
                 out = []
@@ -470,7 +423,7 @@ class BlockCodec:
     def _open_batch(
         self, np, view: memoryview, n: int
     ) -> list[tuple[int, bytes]]:
-        """Vectorized :meth:`open_run` (keystream codecs, no MAC)."""
+        """Vectorized :meth:`open_run` (no MAC)."""
         length = self._plain_bytes
         records = np.frombuffer(view, dtype=np.uint8).reshape(n, self.slot_bytes)
         nonces = records[:, :_NONCE_BYTES].copy().view("<u8").ravel().tolist()
@@ -489,7 +442,7 @@ class BlockCodec:
         return list(zip(addrs, payloads))
 
     def _open_batch_bytes(self, view: memoryview, n: int) -> list[tuple[int, bytes]]:
-        """Big-integer :meth:`open_run` batch (keystream codecs, no MAC).
+        """Big-integer :meth:`open_run` batch (no MAC).
 
         Mirror of :meth:`_seal_batch_bytes`: one whole-run XOR under a
         zero keystream hole over each clear nonce, then per-record header
@@ -527,6 +480,19 @@ class BlockCodec:
     def is_dummy(self, record: bytes) -> bool:
         addr, _ = self.open(record)
         return addr == DUMMY_ADDR
+
+
+def _make_codec(payload_bytes: int, seed: int, integrity: bool = False) -> BlockCodec:
+    """The record codec every stack built from ``seed`` seals with.
+
+    The only place the record key (and, with ``integrity``, the MAC key)
+    is derived, so a build, a kernel's default codec and a checkpoint
+    restore all agree on it.
+    """
+    rng = DeterministicRandom(seed)
+    key = rng.spawn("record-key").token(32)
+    mac_key = rng.spawn("mac-key").token(32) if integrity else None
+    return BlockCodec(payload_bytes, StreamCipher(key), mac_key=mac_key)
 
 
 def initial_payload(addr: int) -> bytes:
@@ -569,6 +535,3 @@ class ORAMProtocol(ABC):
     def check_addr(self, addr: int) -> None:
         if not 0 <= addr < self.n_blocks:
             raise ORAMError(f"address {addr} outside [0, {self.n_blocks})")
-
-    def iter_addresses(self) -> Iterator[int]:
-        return iter(range(self.n_blocks))

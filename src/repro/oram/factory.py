@@ -11,9 +11,8 @@ the same way; the shared codec/hierarchy/build-info boilerplate lives in
 from __future__ import annotations
 
 from repro.core.config import HORAMConfig
-from repro.crypto.ctr import StreamCipher
 from repro.crypto.random import DeterministicRandom
-from repro.oram.base import BlockCodec
+from repro.oram.base import _make_codec
 from repro.oram.bios import BiosORAM
 from repro.oram.insecure import PlainStore
 from repro.oram.partition import PartitionORAM
@@ -23,13 +22,6 @@ from repro.oram.succinct_hier import SuccinctHierORAM
 from repro.oram.tree import TreeGeometry
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.trace import TraceRecorder
-
-
-def _make_codec(payload_bytes: int, seed: int, integrity: bool = False) -> BlockCodec:
-    rng = DeterministicRandom(seed)
-    key = rng.spawn("record-key").token(32)
-    mac_key = rng.spawn("mac-key").token(32) if integrity else None
-    return BlockCodec(payload_bytes, StreamCipher(key), mac_key=mac_key)
 
 
 def _make_hierarchy(

@@ -110,15 +110,6 @@ class PathOramTree:
         )
 
     # ----------------------------------------------------------- bucket I/O
-    def read_bucket(self, bucket: int, times: TierTimes) -> list[bytes]:
-        store, base = self.bucket_location(bucket)
-        records, duration = store.read_run(base, self.geometry.bucket_size)
-        if store.tier == "memory":
-            times.mem_us += duration
-        else:
-            times.io_us += duration
-        return records
-
     def write_bucket(
         self,
         bucket: int,

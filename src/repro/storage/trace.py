@@ -67,9 +67,6 @@ class TraceRecorder:
     def filter(self, predicate: Callable[[TraceEvent], bool]) -> list[TraceEvent]:
         return [e for e in self.events if predicate(e)]
 
-    def tier_events(self, tier: str, include_markers: bool = False) -> list[TraceEvent]:
-        return [e for e in self.events if e.tier == tier or (include_markers and e.is_marker)]
-
     def storage_reads(self) -> list[TraceEvent]:
         return self.filter(lambda e: e.tier == "storage" and e.op == "read")
 

@@ -39,7 +39,6 @@ from repro.testing.scenario import (
     ScenarioRunner,
     ScenarioSpec,
     ServeSpec,
-    run_spec,
 )
 from repro.testing.shrinker import ShrinkResult, shrink
 from repro.testing.stacks import DEVICES, PROTOCOLS, StackSpec, build_stack
@@ -56,7 +55,6 @@ __all__ = [
     "ScenarioResult",
     "ScenarioSpec",
     "ServeSpec",
-    "run_spec",
     "ShrinkResult",
     "shrink",
     "StackSpec",

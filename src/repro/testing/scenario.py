@@ -1317,8 +1317,3 @@ class ScenarioRunner:
                 failures.append(
                     f"lockstep shards diverged in cycle count: {sorted(cycles)}"
                 )
-
-
-def run_spec(spec: ScenarioSpec) -> ScenarioResult:
-    """One-shot convenience wrapper."""
-    return ScenarioRunner().run(spec)

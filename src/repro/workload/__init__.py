@@ -4,8 +4,8 @@ The paper drives both schemes with a synthetic stream in which "80% of
 chance it will distribute in a certain area, and 20% of chance it requests
 a random data".  :func:`~repro.workload.generators.hotspot` reproduces
 that; uniform, Zipfian, sequential-scan and read/write-mix generators
-cover the ablations, and :mod:`repro.workload.trace` saves/replays
-streams so experiments are exactly repeatable across protocols.
+cover the ablations.  Every generator is seeded, so experiments are
+exactly repeatable across protocols.
 """
 
 from repro.workload.generators import (
@@ -17,7 +17,6 @@ from repro.workload.generators import (
     uniform,
     zipfian,
 )
-from repro.workload.trace import load_trace, save_trace
 
 __all__ = [
     "WorkloadSpec",
@@ -27,6 +26,4 @@ __all__ = [
     "sequential_scan",
     "read_write_mix",
     "make_workload",
-    "save_trace",
-    "load_trace",
 ]

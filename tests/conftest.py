@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.horam import HybridORAM, build_horam
-from repro.crypto.ctr import NullCipher, StreamCipher
+from repro.crypto.ctr import StreamCipher
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import BlockCodec
 from repro.oram.factory import build_partition, build_path_oram, build_square_root
@@ -19,12 +19,6 @@ def rng() -> DeterministicRandom:
 @pytest.fixture
 def codec() -> BlockCodec:
     return BlockCodec(16, StreamCipher(b"unit-test-key"))
-
-
-@pytest.fixture
-def plain_codec() -> BlockCodec:
-    """Codec with no encryption -- lets tests inspect stored bytes."""
-    return BlockCodec(16, NullCipher())
 
 
 @pytest.fixture

@@ -14,8 +14,7 @@ import hashlib
 import pytest
 
 from repro import accel
-from repro.crypto.cipher import XTEA, Speck64
-from repro.crypto.ctr import CtrCipher, NullCipher, StreamCipher
+from repro.crypto.ctr import StreamCipher
 from repro.oram.base import DUMMY_ADDR, BlockCodec
 
 KEY16 = bytes(range(16))
@@ -47,39 +46,6 @@ def both_backends(no_numpy, fn):
     fallback = fn()
     on()
     return vectorized, fallback
-
-
-@needs_numpy
-class TestCounterBlockKeystreams:
-    @pytest.mark.parametrize("cipher_cls", [Speck64, XTEA])
-    @pytest.mark.parametrize("length", [1, 8, 9, 64, 200])
-    def test_ctr_keystream_matches_per_block_loop(self, cipher_cls, length):
-        ctr = CtrCipher(cipher_cls(KEY16))
-        vectorized = ctr.keystream(0xDEADBEEF, length)
-        expected = b"".join(
-            cipher_cls(KEY16).encrypt_block(
-                (0xDEADBEEF & 0xFFFFFFFF).to_bytes(4, "little") + counter.to_bytes(4, "little")
-            )
-            for counter in range((length + 7) // 8)
-        )
-        assert vectorized == expected
-
-    @pytest.mark.parametrize("cipher_cls", [Speck64, XTEA])
-    def test_ctr_keystream_numpy_off_is_identical(self, cipher_cls, no_numpy):
-        ctr = CtrCipher(cipher_cls(KEY16))
-        vectorized, fallback = both_backends(
-            no_numpy, lambda: ctr.keystream(0x89ABCDEF, 120)
-        )
-        assert vectorized == fallback
-
-    @pytest.mark.parametrize("cipher_cls", [Speck64, XTEA])
-    def test_ctr_roundtrip_across_backends(self, cipher_cls, no_numpy):
-        off, on = no_numpy
-        plaintext = bytes(range(97))
-        on()
-        ciphertext = CtrCipher(cipher_cls(KEY16)).encrypt(42, plaintext)
-        off()
-        assert CtrCipher(cipher_cls(KEY16)).decrypt(42, ciphertext) == plaintext
 
 
 #: ``StreamCipher(b"key-material").keystream(7, length)`` for wide lengths.
@@ -236,17 +202,6 @@ class TestCodecBatchParity:
         vectorized, fallback = both_backends(no_numpy, lambda: codec.open_many(records))
         assert vectorized == fallback == self.entries(12)
 
-    def test_ctr_cipher_codec_batches_too(self, no_numpy):
-        entries = self.entries(15)
-
-        def run():
-            codec = self.codec(cipher=CtrCipher(Speck64(KEY16)))
-            sealed = bytes(codec.seal_many(entries, dummy_tail=5))
-            return sealed, codec.open_run(sealed)
-
-        vectorized, fallback = both_backends(no_numpy, run)
-        assert vectorized == fallback
-
     def test_mac_codec_stays_correct(self, no_numpy):
         """MACed codecs take the scalar path; results must still agree."""
 
@@ -258,10 +213,13 @@ class TestCodecBatchParity:
         vectorized, fallback = both_backends(no_numpy, run)
         assert vectorized == fallback
 
-    def test_null_cipher_codec_unaffected(self, no_numpy):
+    def test_wide_record_codec_unaffected(self, no_numpy):
+        """Records past one digest batch through the SHAKE-256 keystream."""
+
         def run():
-            codec = self.codec(cipher=NullCipher())
-            return bytes(codec.seal_many(self.entries(9), dummy_tail=1))
+            codec = self.codec(payload_bytes=200)
+            sealed = bytes(codec.seal_many(self.entries(9, payload_bytes=200), dummy_tail=1))
+            return sealed, codec.open_run(sealed)
 
         vectorized, fallback = both_backends(no_numpy, run)
         assert vectorized == fallback

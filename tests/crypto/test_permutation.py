@@ -1,50 +1,9 @@
 """Permutation tests: bijectivity, inverses, refresh behavior."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.crypto.permutation import FeistelPermutation, RandomPermutation
-from repro.crypto.prf import Blake2Prf
+from repro.crypto.permutation import RandomPermutation
 from repro.crypto.random import DeterministicRandom
-
-
-class TestFeistelPermutation:
-    @given(st.integers(min_value=1, max_value=500))
-    @settings(max_examples=30, deadline=None)
-    def test_bijection_property(self, domain):
-        perm = FeistelPermutation(Blake2Prf(b"k"), domain)
-        outputs = [perm.forward(x) for x in range(domain)]
-        assert sorted(outputs) == list(range(domain))
-
-    def test_inverse(self):
-        perm = FeistelPermutation(Blake2Prf(b"k"), 321)
-        for x in range(321):
-            assert perm.inverse(perm.forward(x)) == x
-
-    def test_forward_of_inverse(self):
-        perm = FeistelPermutation(Blake2Prf(b"k"), 97)
-        for y in range(97):
-            assert perm.forward(perm.inverse(y)) == y
-
-    def test_keys_give_different_permutations(self):
-        a = FeistelPermutation.from_key(b"key-a", 256)
-        b = FeistelPermutation.from_key(b"key-b", 256)
-        assert [a.forward(x) for x in range(256)] != [b.forward(x) for x in range(256)]
-
-    def test_domain_bounds_enforced(self):
-        perm = FeistelPermutation(Blake2Prf(b"k"), 10)
-        with pytest.raises(ValueError):
-            perm.forward(10)
-        with pytest.raises(ValueError):
-            perm.inverse(-1)
-
-    def test_rejects_tiny_round_count(self):
-        with pytest.raises(ValueError):
-            FeistelPermutation(Blake2Prf(b"k"), 16, rounds=2)
-
-    def test_domain_one(self):
-        perm = FeistelPermutation(Blake2Prf(b"k"), 1)
-        assert perm.forward(0) == 0
 
 
 class TestRandomPermutation:

@@ -4,7 +4,9 @@ A codec whose plaintext (8-byte address + payload) exceeds 64 bytes takes
 the same four batch kernels as a narrow one.  Each must produce exactly
 the bytes of the scalar ``seal`` / ``open`` loop, with numpy and without
 (``REPRO_NO_NUMPY=1`` runs this file with the big-integer kernels only),
-however a run is cut into kernel calls.
+however a run is cut into kernel calls.  A MACed codec skips the batch
+kernels for per-record loops, which must match the same scalar loop at
+every width.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from repro.crypto.ctr import StreamCipher
 from repro.oram import base
 from repro.oram.base import DUMMY_ADDR, BlockCodec
 
-#: 56 is the widest payload one digest still covers; 57 is the first wide one.
-PAYLOADS = [56, 57, 200, 1024]
+#: 16 is the default payload; 56 is the widest payload one digest still
+#: covers; 57 is the first wide one.
+PAYLOADS = [16, 56, 57, 200, 1024]
 
 BACKENDS = [
     "bigint",
@@ -36,8 +39,9 @@ def backend(request, monkeypatch):
     return request.param
 
 
-def make_codec(payload_bytes: int) -> BlockCodec:
-    return BlockCodec(payload_bytes, StreamCipher(b"wide-codec-key"))
+def make_codec(payload_bytes: int, mac: bool = False) -> BlockCodec:
+    mac_key = b"wide-codec-mac" if mac else None
+    return BlockCodec(payload_bytes, StreamCipher(b"wide-codec-key"), mac_key=mac_key)
 
 
 def make_entries(count: int, payload_bytes: int) -> "list[tuple[int, bytes]]":
@@ -84,19 +88,20 @@ def spy_on_kernels(monkeypatch, codec: BlockCodec) -> "list[tuple[str, int]]":
     return calls
 
 
+@pytest.mark.parametrize("mac", [False, True], ids=["no-mac", "mac"])
 @pytest.mark.parametrize("payload_bytes", PAYLOADS)
 class TestWideBatchParity:
-    def test_seal_many_matches_the_scalar_loop(self, backend, payload_bytes):
-        for count in threshold_counts(make_codec(payload_bytes)):
+    def test_seal_many_matches_the_scalar_loop(self, backend, payload_bytes, mac):
+        for count in threshold_counts(make_codec(payload_bytes, mac)):
             for dummy_tail in (0, count // 3, count):
-                batch, loop = make_codec(payload_bytes), make_codec(payload_bytes)
+                batch, loop = make_codec(payload_bytes, mac), make_codec(payload_bytes, mac)
                 entries = make_entries(count - dummy_tail, payload_bytes)
                 sealed = bytes(batch.seal_many(entries, dummy_tail=dummy_tail))
                 assert sealed == scalar_seal(loop, entries, dummy_tail), (count, dummy_tail)
                 assert batch._nonce_counter == loop._nonce_counter == count
 
-    def test_open_run_and_open_many_match_the_scalar_loop(self, backend, payload_bytes):
-        codec = make_codec(payload_bytes)
+    def test_open_run_and_open_many_match_the_scalar_loop(self, backend, payload_bytes, mac):
+        codec = make_codec(payload_bytes, mac)
         size = codec.slot_bytes
         for count in threshold_counts(codec):
             entries = make_entries(count - count // 3, payload_bytes)
@@ -108,21 +113,23 @@ class TestWideBatchParity:
             records = [buffer[offset : offset + size] for offset in range(0, len(buffer), size)]
             assert codec.open_many(records) == expected, count
 
-    def test_short_payloads_are_padded_alike(self, backend, payload_bytes):
-        batch, loop = make_codec(payload_bytes), make_codec(payload_bytes)
+    def test_short_payloads_are_padded_alike(self, backend, payload_bytes, mac):
+        batch, loop = make_codec(payload_bytes, mac), make_codec(payload_bytes, mac)
         entries = [(index, b"short-%d" % index) for index in range(base._BATCH_MIN + 2)]
         assert bytes(batch.seal_many(entries)) == scalar_seal(loop, entries, 0)
 
     def test_runs_past_the_threshold_take_a_batch_kernel(
-        self, backend, payload_bytes, monkeypatch
+        self, backend, payload_bytes, mac, monkeypatch
     ):
-        codec = make_codec(payload_bytes)
+        codec = make_codec(payload_bytes, mac)
         calls = spy_on_kernels(monkeypatch, codec)
         count = threshold_counts(codec)[-1]
         buffer = codec.seal_many(make_entries(count, payload_bytes))
         codec.open_run(buffer)
         suffix = "" if backend == "numpy" else "_bytes"
-        assert [name for name, _ in calls] == ["_seal_batch" + suffix, "_open_batch" + suffix]
+        # A MACed codec tags and checks each record, so it never batches.
+        expected = [] if mac else ["_seal_batch" + suffix, "_open_batch" + suffix]
+        assert [name for name, _ in calls] == expected
         calls.clear()
         few = base._BATCH_MIN - 1
         codec.open_run(codec.seal_many(make_entries(few, payload_bytes)))

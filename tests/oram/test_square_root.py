@@ -76,11 +76,11 @@ class TestPeriodMechanics:
 
 class TestConstruction:
     def test_requires_enough_dummies(self):
-        from repro.crypto.ctr import NullCipher
+        from repro.crypto.ctr import StreamCipher
         from repro.oram.base import BlockCodec
         from repro.storage.hierarchy import StorageHierarchy
 
-        codec = BlockCodec(16, NullCipher())
+        codec = BlockCodec(16, StreamCipher(b"k"))
         h = StorageHierarchy(memory_slots=20, storage_slots=300, slot_bytes=codec.slot_bytes)
         with pytest.raises(ValueError):
             SquareRootORAM(
