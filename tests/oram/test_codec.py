@@ -3,7 +3,20 @@
 import pytest
 
 from repro.crypto.ctr import StreamCipher
-from repro.oram.base import DUMMY_ADDR, RECORD_OVERHEAD, BlockCodec, initial_payload
+from repro.crypto.random import DeterministicRandom
+from repro.oram.base import (
+    DUMMY_ADDR,
+    MAC_BYTES,
+    RECORD_OVERHEAD,
+    BlockCodec,
+    IntegrityError,
+    _make_codec,
+    initial_payload,
+)
+from repro.oram.factory import BASELINES, build_baseline
+
+#: Narrow (one digest), the first wide width, and the widest spine record.
+WIDTHS = [16, 57, 1024]
 
 
 @pytest.fixture
@@ -46,6 +59,27 @@ class TestSealOpen:
         codec = BlockCodec(16, StreamCipher(b"k"))
         record = codec.seal(5, b"visible-payload!")
         assert b"visible-payload!" not in record
+
+    @pytest.mark.parametrize("mac", [False, True], ids=["no-mac", "mac"])
+    @pytest.mark.parametrize("payload_bytes", [1, 56, 57, 200, 1024])
+    def test_roundtrip_at_every_width(self, payload_bytes, mac):
+        codec = BlockCodec(
+            payload_bytes, StreamCipher(b"codec-key"), mac_key=b"mac-key" if mac else None
+        )
+        payload = bytes((index * 13) % 256 for index in range(payload_bytes))
+        record = codec.seal(2**40 + 1, payload)
+        assert len(record) == codec.slot_bytes
+        assert codec.open(record) == (2**40 + 1, payload)
+        assert codec.open(codec.seal_dummy())[0] == DUMMY_ADDR
+
+    @pytest.mark.parametrize("payload_bytes", [16, 200])
+    def test_wrong_nonce_garbles(self, payload_bytes):
+        # Without a MAC a rewritten nonce goes unnoticed but decrypts to junk.
+        codec = BlockCodec(payload_bytes, StreamCipher(b"codec-key"))
+        payload = codec.pad(b"secret")
+        record = bytearray(codec.seal(3, payload))
+        record[0] ^= 0x01
+        assert codec.open(bytes(record)) != (3, payload)
 
 
 class TestBatchCodec:
@@ -174,6 +208,16 @@ class TestIntegrity:
         with pytest.raises(IntegrityError):
             codec.open(bytes(record))
 
+    @pytest.mark.parametrize("where", ["nonce", "body", "tag"])
+    @pytest.mark.parametrize("payload_bytes", WIDTHS)
+    def test_tampering_detected_at_every_width(self, payload_bytes, where):
+        codec = BlockCodec(payload_bytes, StreamCipher(b"codec-key"), mac_key=b"mac-key")
+        record = bytearray(codec.seal(5, codec.pad(b"guarded")))
+        offset = {"nonce": 0, "body": RECORD_OVERHEAD + payload_bytes - 1, "tag": -1}[where]
+        record[offset] ^= 0x80
+        with pytest.raises(IntegrityError):
+            codec.open(bytes(record))
+
     def test_wrong_mac_key_detected(self):
         from repro.oram.base import IntegrityError
 
@@ -220,3 +264,77 @@ class TestIntegrity:
         oram.hierarchy.memory.poke_slot(0, bytes(record))
         with pytest.raises(IntegrityError):
             oram.read(5)
+
+
+class TestMakeCodec:
+    """``_make_codec`` is the one place a seed becomes the record keys."""
+
+    @staticmethod
+    def reference(payload_bytes, seed, integrity):
+        rng = DeterministicRandom(seed)
+        mac_key = rng.spawn("mac-key").token(32) if integrity else None
+        cipher = StreamCipher(rng.spawn("record-key").token(32))
+        return BlockCodec(payload_bytes, cipher, mac_key=mac_key)
+
+    @pytest.mark.parametrize("integrity", [False, True], ids=["no-mac", "mac"])
+    @pytest.mark.parametrize("payload_bytes", WIDTHS)
+    def test_keys_are_spawned_from_the_seed(self, payload_bytes, integrity):
+        codec = _make_codec(payload_bytes, 7, integrity=integrity)
+        reference = self.reference(payload_bytes, 7, integrity)
+        entries = [(addr, reference.pad(b"record-%d" % addr)) for addr in range(5)]
+        assert bytes(codec.seal_many(entries, dummy_tail=2)) == bytes(
+            reference.seal_many(entries, dummy_tail=2)
+        )
+
+    @pytest.mark.parametrize("integrity", [False, True], ids=["no-mac", "mac"])
+    def test_integrity_adds_the_tag(self, integrity):
+        codec = _make_codec(16, 7, integrity=integrity)
+        assert codec.slot_bytes == RECORD_OVERHEAD + 16 + (MAC_BYTES if integrity else 0)
+        assert (codec.mac_key is not None) == integrity
+
+    def test_seeds_separate_record_keys(self):
+        record = _make_codec(16, 1).seal(4, b"x" * 16)
+        assert _make_codec(16, 1).open(record) == (4, b"x" * 16)
+        assert _make_codec(16, 2).open(record) != (4, b"x" * 16)
+
+    def test_seeds_separate_mac_keys(self):
+        record = _make_codec(16, 1, integrity=True).seal(4, b"x" * 16)
+        with pytest.raises(IntegrityError):
+            _make_codec(16, 2, integrity=True).open(record)
+
+    @staticmethod
+    def assert_seals_as_made(oram, seed, integrity=False):
+        payload = oram.codec.pad(b"probe")
+        record = oram.codec.seal(9, payload)
+        made = _make_codec(oram.codec.payload_bytes, seed, integrity=integrity)
+        assert made.slot_bytes == oram.codec.slot_bytes
+        assert made.open(record) == (9, payload)
+
+    @pytest.mark.parametrize("name", sorted(BASELINES))
+    def test_every_baseline_seals_with_it(self, name):
+        self.assert_seals_as_made(build_baseline(name, 128, memory_blocks=32, seed=3), 3)
+
+    @pytest.mark.parametrize("integrity", [False, True], ids=["no-mac", "mac"])
+    def test_horam_seals_with_it(self, integrity):
+        from repro.core.horam import build_horam
+
+        oram = build_horam(n_blocks=256, mem_tree_blocks=64, seed=3, integrity=integrity)
+        self.assert_seals_as_made(oram, 3, integrity)
+
+    @pytest.mark.parametrize("integrity", [False, True], ids=["no-mac", "mac"])
+    def test_restored_horam_seals_with_it(self, integrity):
+        from repro.core.checkpoint import restore_stack, snapshot_stack
+        from repro.core.horam import build_horam
+
+        oram = build_horam(n_blocks=256, mem_tree_blocks=64, seed=3, integrity=integrity)
+        oram.write(7, b"kept")
+        restored = restore_stack(snapshot_stack(oram))
+        self.assert_seals_as_made(restored, 3, integrity)
+        assert restored.read(7).rstrip(b"\x00") == b"kept"
+
+    @pytest.mark.parametrize("name", ["path", "bios"])
+    def test_restored_baseline_seals_with_it(self, name):
+        from repro.core.checkpoint import restore_stack, snapshot_stack
+
+        oram = build_baseline(name, 128, memory_blocks=32, seed=3)
+        self.assert_seals_as_made(restore_stack(snapshot_stack(oram)), 3)
