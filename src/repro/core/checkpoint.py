@@ -32,14 +32,14 @@ manifest's ``state`` is pure JSON and holds no per-slot integer list
 integer type the layout's slot count allows; ``control.consumed`` is
 packed little-endian, slot ``i`` at bit ``i % 8`` of byte ``i // 8``.
 Derived on load and never stored: the slot -> address table (the
-inverse of ``location``, dummies elsewhere), slot occupancy (base
-regions plus each overflow region's used prefix, from the manifest's
-``overflow_used``) and the per-partition dummy pools (occupied slots
-not yet ``consumed``).  Every blob's size and SHA-256 are pinned in the
-manifest.  :meth:`Checkpoint.load` re-verifies all of it -- version,
-blob presence, sizes, digests -- and raises :class:`CheckpointError` on
-any mismatch, which is what makes :func:`recover` safe to point at a
-slab that died mid-write.
+inverse of ``location``), slot occupancy (base regions plus each
+overflow region's ``overflow_used`` prefix) and the pool's slot index;
+the pool must be exactly the occupied slots not yet ``consumed``.
+Every blob's size and SHA-256 are pinned in the manifest.
+:meth:`Checkpoint.load` re-verifies all of it -- version, blob
+presence, sizes, digests -- and raises :class:`CheckpointError` on any
+mismatch, which is what makes :func:`recover` safe to point at a slab
+that died mid-write.
 
 Supported stacks: every :class:`~repro.core.kernel.EngineKernel`
 protocol (H-ORAM, the succinct hierarchical and BIOS variants),
@@ -70,7 +70,7 @@ from repro.storage.trace import TraceEvent, TraceRecorder
 #: 3: one shard-checkpoint shape and one fleet layout for both executors;
 #: 4: fixed-size kernel state -- ``served_digest``, ``latency_histogram``
 #: and per-leaf ``leaf_counts`` replace the per-request logs, and the
-#: storage layer's per-partition pools are rebuilt instead of stored;
+#: storage layer's per-partition pools stop being stored;
 #: 5: the storage layer's control tables move to binary ``control.*``
 #: blobs, and ``slot_addr`` / ``occupied`` are derived on load).
 CHECKPOINT_VERSION = 5

@@ -12,7 +12,9 @@ Invariants the security analysis relies on:
   its partition (tracked by a per-slot ``consumed`` flag);
 * **unbiased dummies**: a dummy load reads a uniformly random unconsumed
   slot -- if it happens to hold a live block, that block is handed back as
-  an opportunistic prefetch (it joins the cache like any missed block);
+  an opportunistic prefetch (it joins the cache like any missed block).
+  The pool it draws from is derived from the ``consumed`` flags and the
+  overflow fills whenever a period opens;
 * **public shuffle order**: partitions are re-permuted left-to-right, a
   data-independent order proven equivalent to partition ORAM's random
   choice in Section 4.3.3.
@@ -36,7 +38,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, zip_longest
 from typing import Callable
 
 from repro import accel as _accel
@@ -169,12 +171,6 @@ class PermutedStorage:
                 f"storage store has {storage_store.slots} slots, layout needs "
                 f"{self.total_slots}"
             )
-        # Memoized slot resolution: the layout is fixed for the life of the
-        # instance, so the slot -> partition map is a flat table instead of
-        # a division on every consume/append.
-        self._slot_partition = array("I")
-        for index in range(self.partition_count):
-            self._slot_partition.extend(array("I", [index]) * span)
         self._partitions = [
             _Partition(
                 base=i * span,
@@ -197,14 +193,12 @@ class PermutedStorage:
         self.slot_addr = array("Q", [DUMMY_ADDR]) * self.total_slots
         self.consumed = bytearray(self.total_slots)  # read since partition's last shuffle
 
-        self._unread: list[int] = []
-        #: slot -> its index in ``_unread``, -1 when it is not there
-        self._unread_pos = array("q", [-1]) * self.total_slots
-        # Per-partition epoch bookkeeping: each partition's unconsumed
-        # occupied slots as an insertion-ordered dict (ascending inserts,
-        # O(1) delete on consume), so end_period concatenates live pools
-        # instead of re-filtering slot lists.
-        self._partition_unread: list[dict[int, None]] = [{} for _ in self._partitions]
+        # The dummy-load pool (derived when a period opens, then shrunk by
+        # swap-remove) and its slot -> index map (-1: not in the pool), in
+        # the checkpoint's narrowest table types.
+        position_type, pool_type = self._table_types()
+        self._unread = array(pool_type)
+        self._unread_pos = array(position_type, [-1]) * self.total_slots
 
         #: dummy loads that found no unconsumed slot (tiny configurations);
         #: surfaced as ``metrics.extra["dummy_pool_exhausted"]`` by H-ORAM.
@@ -223,69 +217,82 @@ class PermutedStorage:
         (permutation list, sealed headers, shuffles) stays in local
         coordinates.
         """
-        base_slots: list[int] = []
+        size = self.partition_size
+        span = size + self.overflow_cap
+        # A list shuffles faster than an array (no boxing per swap); drop it before sealing.
+        order = []
         for partition in self._partitions:
-            base_slots.extend(range(partition.base, partition.base + partition.size))
-        order = list(base_slots)
+            order.extend(range(partition.base, partition.base + size))
         self.rng.shuffle(order)
+        self.location[:] = array("q", order[: self.n_blocks])
+        del order
+        self._derive_slot_addr()
+        # Seal in ascending slot order, dummies included, so the clear
+        # nonces rise with the slot and say nothing about which block (or
+        # whether any block) sits where -- one seal_many kernel piece at a
+        # time, never an entry list for the whole slab.
         codec = self.codec
         pad = codec.pad
         rename = initial_addr_map or (lambda addr: addr)
         slot_addr = self.slot_addr
-        self.location[:] = array("q", order[: self.n_blocks])
-        for addr, slot in enumerate(order[: self.n_blocks]):
-            slot_addr[slot] = addr
-        # Seal in ascending slot order, dummies included, so the clear
-        # nonces rise with the slot and say nothing about which block (or
-        # whether any block) sits where.
+        slot_bytes = codec.slot_bytes
         dummy = (DUMMY_ADDR, bytes(codec.payload_bytes))
-        records = codec.seal_many(
-            [
+        base_count = self.partition_count * size
+        step = codec._kernel_records
+        for start in range(0, base_count, step):
+            stop = min(start + step, base_count)
+            addrs = (slot_addr[i // size * span + i % size] for i in range(start, stop))
+            entries = [
                 dummy if addr == DUMMY_ADDR else (addr, pad(initial_payload(rename(addr))))
-                for addr in (slot_addr[slot] for slot in base_slots)
+                for addr in addrs
             ]
-        )
-        if self.overflow_cap:
-            # The base regions sit between (empty) overflow regions.
-            slot_bytes = codec.slot_bytes
-            run = self.partition_size * slot_bytes
-            buffer = bytearray(self.total_slots * slot_bytes)
-            for index, partition in enumerate(self._partitions):
-                start = partition.base * slot_bytes
-                buffer[start : start + run] = records[index * run : (index + 1) * run]
-            records = buffer
-        self.storage.poke_run(0, records)
-        for index, partition in enumerate(self._partitions):
-            self._partition_unread[index] = dict.fromkeys(
-                range(partition.base, partition.base + partition.size)
-            )
+            records = memoryview(codec.seal_many(entries))
+            # The base regions sit between (empty) overflow regions: one
+            # run per partition the piece touches.
+            for first in range(start - start % size, stop, size):
+                low, high = max(first, start), min(first + size, stop)
+                self.storage.poke_run(
+                    first // size * span + low - first,
+                    records[(low - start) * slot_bytes : (high - start) * slot_bytes],
+                )
         self._rebuild_unread()
 
     def _rebuild_unread(self) -> None:
-        """Refresh the dummy-load candidate pool: unconsumed occupied slots.
+        """Open a period's dummy-load pool (see :meth:`_derive_unread`)."""
+        self._set_unread(self._derive_unread())
 
-        The per-partition pools are maintained incrementally (consumes
-        delete, appends insert, shuffles replace), so opening a period is
-        one concatenation of live pools -- no re-filtering pass over
-        partition slot lists, and the cost follows the live pool size,
-        not the total slot count.
+    def _derive_unread(self) -> array:
+        """Every occupied slot not yet consumed, in ascending slot order.
+
+        A slot is occupied when it is in a base region or in the used
+        prefix of an overflow region, so the pool is a function of
+        ``consumed`` and the overflow fills and is never maintained.
         """
-        unread: list[int] = []
-        for slots in self._partition_unread:
-            unread.extend(slots)
-        self._set_unread(unread)
+        eligible = self.consumed.translate(_FLIP)
+        if self.overflow_cap:
+            for partition in self._partitions:
+                start = partition.overflow_base + partition.overflow_used
+                eligible[start : start + partition.overflow_free] = bytes(partition.overflow_free)
+        pool = array(self._unread.typecode)
+        np = _accel.np
+        if np is not None:
+            slots = np.flatnonzero(np.frombuffer(eligible, dtype=np.uint8))
+            pool.frombytes(slots.astype(pool.typecode).tobytes())
+        else:
+            pool.extend(compress(range(self.total_slots), eligible))
+        return pool
 
-    def _set_unread(self, unread: list[int]) -> None:
-        """Install ``unread`` as the dummy-load pool and index its slots."""
-        self._unread = unread
+    def _set_unread(self, unread) -> None:
+        """Install the slot sequence ``unread`` as the pool; index its slots."""
+        self._unread = unread = array(self._unread.typecode, unread)
         positions = self._unread_pos
         np = _accel.np
         if np is not None:
-            view = np.frombuffer(positions, dtype=np.int64)
+            view = np.frombuffer(positions, dtype=positions.typecode)
             view.fill(-1)
-            view[np.frombuffer(array("q", unread), dtype=np.int64)] = np.arange(len(unread))
+            view[np.frombuffer(unread, dtype=unread.typecode)] = np.arange(len(unread))
         else:
-            positions[:] = array("q", [-1]) * len(positions)
+            positions[:] = array(positions.typecode, [-1]) * len(positions)
             for index, slot in enumerate(unread):
                 positions[slot] = index
 
@@ -293,7 +300,6 @@ class PermutedStorage:
         if self.consumed[slot]:
             raise CapacityError(f"slot {slot} fetched twice before a shuffle")
         self.consumed[slot] = 1
-        self._partition_unread[self._partition_of(slot)].pop(slot, None)
         positions = self._unread_pos
         index = positions[slot]
         if index >= 0:
@@ -304,9 +310,6 @@ class PermutedStorage:
                 unread[index] = last
                 positions[last] = index
             positions[slot] = -1
-
-    def _partition_of(self, slot: int) -> int:
-        return self._slot_partition[slot]
 
     # -------------------------------------------------------------- access
     def is_in_memory(self, addr: int) -> bool:
@@ -456,7 +459,6 @@ class PermutedStorage:
         overflow_cap = partition.overflow_cap
         self.consumed[overflow_base : overflow_base + overflow_cap] = bytes(overflow_cap)
         partition.overflow_used = 0
-        self._partition_unread[index] = dict.fromkeys(range(base, base + size))
         stats.partitions_shuffled += 1
         return requeued + pending
 
@@ -508,7 +510,7 @@ class PermutedStorage:
         sequential write run.
         """
         remaining = pending
-        for index, partition in enumerate(self._partitions):
+        for partition in self._partitions:
             if not remaining:
                 break
             take = min(len(remaining), partition.overflow_free)
@@ -520,9 +522,6 @@ class PermutedStorage:
             self._place(start, [addr for addr, _ in group])
             count = len(group)
             self.consumed[start : start + count] = bytes(count)
-            # Appended slots are fresh unconsumed candidates; they extend
-            # the partition's pool in ascending order.
-            self._partition_unread[index].update(dict.fromkeys(range(start, start + count)))
             stats.times.io_us += self.storage.write_run(start, buffer)
             partition.overflow_used += count
             stats.blocks_appended += count
@@ -542,7 +541,8 @@ class PermutedStorage:
         the narrowest type the geometry allows, and ``consumed`` packed one
         bit per slot.  ``slot_addr`` (the inverse of ``location``), slot
         occupancy (base regions plus each overflow region's used prefix)
-        and the per-partition pools are rebuilt by :meth:`load_state`.
+        and the pool's slot index are rebuilt by :meth:`load_state`, which
+        refuses a pool that is not exactly the occupied, unconsumed slots.
         Slot *bytes* live in the store blob.
         """
         location_type, unread_type = self._table_types()
@@ -571,10 +571,26 @@ class PermutedStorage:
         for partition, used in zip(self._partitions, state["overflow_used"]):
             partition.overflow_used = used
         self._derive_slot_addr()
-        self._partition_unread = self._derive_partition_pools()
-        self._set_unread(_unpack_table(unread_type, blobs["control.unread"]).tolist())
+        unread = _unpack_table(unread_type, blobs["control.unread"])
+        self._check_unread(unread)
+        self._set_unread(unread)
         self.dummy_pool_exhausted = state["dummy_pool_exhausted"]
         self.rng.load_state(state["rng"])
+
+    def _check_unread(self, unread: array) -> None:
+        """Refuse a restored pool unless it holds exactly the occupied,
+        unconsumed slots, each once (compared sorted: it is in pool order)."""
+        expected = self._derive_unread()
+        ranked = array(expected.typecode, sorted(unread))
+        if ranked != expected:
+            # At the first difference the smaller slot is the bad one:
+            # listed twice, consumed or unoccupied, or else left out.
+            pairs = zip_longest(ranked, expected, fillvalue=math.inf)
+            slot = min(next(pair for pair in pairs if pair[0] != pair[1]))
+            raise ValueError(
+                f"unread table is not the occupied, unconsumed slots once each "
+                f"(first bad slot {slot})"
+            )
 
     def _table_types(self) -> "tuple[str, str]":
         """Array typecodes of the ``location`` and ``unread`` tables."""
@@ -599,24 +615,6 @@ class PermutedStorage:
         for addr, slot in enumerate(self.location):
             if slot != IN_MEMORY:
                 slot_addr[slot] = addr
-
-    def _derive_partition_pools(self) -> "list[dict[int, None]]":
-        """Each partition's pool from ``consumed`` and the overflow fill.
-
-        A pool holds the partition's occupied, unconsumed slots in
-        ascending order: the base region, then the used prefix of the
-        overflow region right above it.  That is the order the
-        incremental maintenance keeps -- a shuffle inserts the base region
-        in order, overflow appends extend it in order, and consumes only
-        delete -- so the pools need not be checkpointed.
-        """
-        unconsumed = self.consumed.translate(_FLIP)
-        pools = []
-        for partition in self._partitions:
-            base = partition.base
-            end = partition.overflow_base + partition.overflow_used
-            pools.append(dict.fromkeys(compress(range(base, end), unconsumed[base:end])))
-        return pools
 
     # ------------------------------------------------------------- queries
     def resident_blocks(self) -> int:

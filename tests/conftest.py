@@ -4,11 +4,23 @@ from __future__ import annotations
 
 import pytest
 
+from repro import accel
 from repro.core.horam import HybridORAM, build_horam
 from repro.crypto.ctr import StreamCipher
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import BlockCodec
 from repro.oram.factory import build_partition, build_path_oram, build_square_root
+
+
+@pytest.fixture(params=["numpy", "loop"])
+def backend(request, monkeypatch):
+    """Run the test once per kernel: vectorized, then the pure-Python loop."""
+    if request.param == "numpy":
+        if accel.np is None:
+            pytest.skip("numpy unavailable; the loop is the only kernel")
+    else:
+        monkeypatch.setattr(accel, "np", None)
+    return request.param
 
 
 @pytest.fixture

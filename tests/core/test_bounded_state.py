@@ -9,8 +9,10 @@ returned (see ``serve_order``), never from the stack.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
+from array import array
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ import repro.core.supervisor as supervisor_module
 from repro.core.checkpoint import (
     Checkpoint,
     CheckpointError,
+    recover,
     restore_stack,
     snapshot_shard,
     snapshot_stack,
@@ -32,6 +35,7 @@ from repro.core.executor import (
 )
 from repro.core.horam import build_horam
 from repro.core.sharding import build_sharded_horam
+from repro.core.storage_layer import _pack_table
 from repro.core.supervisor import FleetSupervisor, SupervisorConfig
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import OpKind, Request
@@ -326,7 +330,6 @@ class TestLatencyHistogram:
 # ---------------------------------------------------------- served digest
 class TestServedDigest:
     def test_digest_folds_each_cycle_over_the_serve_order(self):
-        import hashlib
         import struct
 
         stack, requests = _kernel_case("full_shuffle")
@@ -352,32 +355,39 @@ class TestServedDigest:
 
 
 # ------------------------------------------------------------ derived pools
-def _live_pools(layer) -> "list[list[int]]":
-    return [list(pool) for pool in layer._partition_unread]
-
-
-def _derived_pools(layer) -> "list[list[int]]":
-    return [list(pool) for pool in layer._derive_partition_pools()]
+def _scanned_pool(layer) -> "list[int]":
+    """Occupied, unconsumed slots by a scan of every occupied slot: each
+    partition's base region and the used prefix of its overflow region."""
+    return [
+        slot
+        for partition in layer._partitions
+        for slot in range(partition.base, partition.overflow_base + partition.overflow_used)
+        if not layer.consumed[slot]
+    ]
 
 
 class TestDerivedPools:
     @pytest.mark.parametrize("ratio", [1, 4])
-    def test_rebuilt_pools_equal_the_live_ones(self, ratio):
+    def test_derived_pool_equals_a_slot_scan(self, backend, ratio):
         oram = build_horam(
             n_blocks=1024, mem_tree_blocks=128, seed=7, shuffle_period_ratio=ratio
         )
+        layer = oram.storage
         requests = stream(900, seed=11)
         checked = 0
         for start in range(0, len(requests), 8):
             drive(oram, requests[start : start + 8])
-            assert _derived_pools(oram.storage) == _live_pools(oram.storage), start
+            scanned = _scanned_pool(layer)
+            assert layer._derive_unread().tolist() == scanned, start
+            # The live pool is the same set, in swap-remove order.
+            assert sorted(layer._unread) == scanned, start
             checked += 1
         assert oram.metrics.shuffle_count >= 6 and checked > 100
         if ratio > 1:
             assert oram.metrics.extra.get("blocks_appended", 0) > 0, "overflow never used"
 
     @pytest.mark.parametrize("ratio", [1, 4])
-    def test_mid_period_checkpoint_serves_like_its_twin(self, ratio, tmp_path):
+    def test_mid_period_checkpoint_serves_like_its_twin(self, backend, ratio, tmp_path):
         def build():
             return build_horam(
                 n_blocks=1024, mem_tree_blocks=128, seed=7, shuffle_period_ratio=ratio
@@ -393,7 +403,7 @@ class TestDerivedPools:
         assert victim.period_index >= 2 and victim._loads_this_period > 0
         snapshot_stack(victim).save(tmp_path / "ckpt")
         restored = restore_stack(Checkpoint.load(tmp_path / "ckpt"))
-        assert _live_pools(restored.storage) == _live_pools(victim.storage)
+        assert restored.storage._unread == victim.storage._unread
         tail = drive(restored, requests[cut:])
 
         assert head + tail == expected
@@ -407,6 +417,43 @@ class TestDerivedPools:
         oram = build_horam(n_blocks=1024, mem_tree_blocks=128, seed=7)
         state = snapshot_stack(oram).state["stack"]["storage"]
         assert "partition_unread" not in state and "partition_dirty" not in state
+
+
+def _rewrite_blob(path: Path, name: str, blob: bytes) -> None:
+    """Replace blob ``name`` of the checkpoint at ``path``, re-pinning its
+    size and digest so only the restore itself can object."""
+    manifest_path = path / "checkpoint.json"
+    manifest = json.loads(manifest_path.read_text())
+    entry = manifest["blobs"][name]
+    (path / entry["file"]).write_bytes(blob)
+    entry.update(size=len(blob), sha256=hashlib.sha256(blob).hexdigest())
+    manifest_path.write_text(json.dumps(manifest))
+
+
+class TestRestoredPoolIsChecked:
+    """A restored pool must hold exactly the occupied, unconsumed slots, once each."""
+
+    @pytest.mark.parametrize("fault", ["duplicate", "consumed"])
+    def test_recover_refuses_a_forged_pool(self, backend, fault, tmp_path):
+        oram = build_horam(n_blocks=1024, mem_tree_blocks=128, seed=7)
+        drive(oram, stream(336, seed=13))
+        layer = oram.storage
+        assert oram._loads_this_period > 0
+        path = snapshot_stack(oram).save(tmp_path / "ckpt")
+        recover(path)  # the untouched pool restores
+
+        _, pool_type = layer._table_types()
+        pool = array(pool_type, layer._unread)
+        # Overwrite the highest slot with one that must not be there.
+        if fault == "duplicate":
+            bad = min(pool)
+        else:
+            bad = layer.consumed.index(1)
+            assert bad < max(pool)
+        pool[pool.index(max(pool))] = bad
+        _rewrite_blob(path, "control.unread", _pack_table(pool_type, pool))
+        with pytest.raises(ValueError, match=rf"first bad slot {bad}\)"):
+            recover(path)
 
 
 # ------------------------------------------------------------ old format
@@ -453,6 +500,34 @@ def test_control_tables_stay_within_nine_bytes_per_block(n_blocks, ratio):
         len(blob) for name, blob in checkpoint.blobs.items() if name.startswith("control.")
     )
     assert size / n_blocks <= CONTROL_BYTES_PER_BLOCK, size / n_blocks
+
+
+# ------------------------------------------------------------ build memory
+#: Python heap bytes per storage slot (tracemalloc) a 65 536-block H-ORAM
+#: holds once built, and at the peak of the build.  The floor is the
+#: 32-byte sealed slab plus 23 bytes of flat control tables (64-bit
+#: ``location`` and ``slot_addr``, the ``consumed`` flags, and the
+#: dummy-load pool and its index in their narrowest types); nothing per
+#: slot is a Python object, and the initial image is sealed one kernel
+#: piece at a time.
+HELD_BYTES_PER_SLOT = 64
+PEAK_BYTES_PER_SLOT = 160
+
+
+def test_build_memory_is_flat_tables_per_slot(backend):
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        oram = build_horam(n_blocks=65536, mem_tree_blocks=512)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    slots = oram.storage.total_slots
+    assert held / slots <= HELD_BYTES_PER_SLOT, held / slots
+    assert peak / slots <= PEAK_BYTES_PER_SLOT, peak / slots
 
 
 # ------------------------------------------------------- supervisor events

@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro import accel
 from repro.core.horam import build_horam
 from repro.core.storage_layer import IN_MEMORY, PermutedStorage
 from repro.crypto.ctr import StreamCipher
@@ -36,17 +35,6 @@ FORMAT4_STATE_MINUS_DERIVED = {
     1: "cd5d9dde86b134936d7ab9b936fb1daa05f69872ccb02b63a425f7d999d00133",
     4: "ce195fed40e905941b4b78b648c52c2152f51747c2347a2d5b0bd09ef01205d7",
 }
-
-
-@pytest.fixture(params=["numpy", "loop"])
-def backend(request, monkeypatch):
-    """Run the test once per kernel: vectorized, then the pure-Python loop."""
-    if request.param == "numpy":
-        if accel.np is None:
-            pytest.skip("numpy unavailable; the loop is the only kernel")
-    else:
-        monkeypatch.setattr(accel, "np", None)
-    return request.param
 
 
 def make_layer(n_blocks=100, ratio=1, period_capacity=32):
@@ -230,8 +218,8 @@ class TestFullShuffle:
         assert delta.busy_us == pytest.approx(expected, rel=0.01)
 
 
-class TestIncrementalUnreadPool:
-    """The cached per-partition pool must always equal a full slot scan."""
+class TestDerivedUnreadPool:
+    """Each period's pool, derived from the flag tables, equals a full slot scan."""
 
     @staticmethod
     def brute_force_unread(layer):
@@ -246,9 +234,9 @@ class TestIncrementalUnreadPool:
             if slot in occupied and not layer.consumed[slot]
         ]
 
-    def test_pool_matches_full_scan_across_periods(self):
+    def test_pool_matches_full_scan_across_periods(self, backend):
         layer, _ = make_layer(n_blocks=64)
-        assert layer._unread == self.brute_force_unread(layer)
+        assert list(layer._unread) == self.brute_force_unread(layer)
         evicted = []
         for addr in (2, 11, 40):
             payload, _ = layer.fetch(addr)
@@ -257,9 +245,9 @@ class TestIncrementalUnreadPool:
             layer.dummy_fetch()
         layer.shuffle_into(evicted, period_index=0)
         layer.end_period()
-        assert layer._unread == self.brute_force_unread(layer)
+        assert list(layer._unread) == self.brute_force_unread(layer)
 
-    def test_pool_matches_full_scan_with_overflow_appends(self):
+    def test_pool_matches_full_scan_with_overflow_appends(self, backend):
         layer, _ = make_layer(n_blocks=100, ratio=4, period_capacity=16)
         for period in range(4):
             evicted = []
@@ -269,9 +257,11 @@ class TestIncrementalUnreadPool:
                 payload, _ = layer.fetch(addr)
                 evicted.append((addr, payload))
             layer.dummy_fetch()
+            # Mid-period the pool is the same set, in swap-remove order.
+            assert sorted(layer._unread) == self.brute_force_unread(layer)
             layer.shuffle_into(evicted, period_index=period)
             layer.end_period()
-            assert layer._unread == self.brute_force_unread(layer)
+            assert list(layer._unread) == self.brute_force_unread(layer)
 
 
 class TestPartialShuffle:
@@ -436,8 +426,9 @@ class TestLosslessReencoding:
             addr = layer.slot_addr[slot]
             live = addr != DUMMY_ADDR and layer.location[addr] == slot
             assert twin.slot_addr[slot] == (addr if live else DUMMY_ADDR)
-        # ... and the pools come back exactly.
-        assert twin._partition_unread == layer._partition_unread
+        # ... and the pool comes back exactly.
+        assert twin._unread == layer._unread
+        assert twin._unread_pos == layer._unread_pos
 
 
 def corrupt_slot(oram, slot):

@@ -5,7 +5,6 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import accel
 from repro.crypto import random as drbg
 from repro.crypto.random import DeterministicRandom
 from repro.shuffle.cache_shuffle import CacheShuffle
@@ -196,17 +195,6 @@ def reference_melbourne(items, rng, pad_factor=2.0, max_retries=16):
         output.extend(real)
         moves += len(real)
     return ShuffleResult(items=output, moves=moves, retries=retries)
-
-
-@pytest.fixture(params=["numpy", "loop"])
-def backend(request, monkeypatch):
-    """Run the test once per kernel: vectorized, then the pure-Python loop."""
-    if request.param == "numpy":
-        if accel.np is None:
-            pytest.skip("numpy unavailable; the loop is the only kernel")
-    else:
-        monkeypatch.setattr(accel, "np", None)
-    return request.param
 
 
 def twins(seed=21, held=0):
