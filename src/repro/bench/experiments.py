@@ -1802,7 +1802,8 @@ def protocols(scale: str = "quick") -> ExperimentResult:
     the non-H-ORAM protocols); any divergence flips ``ok`` False, which
     exits the CLI non-zero.
     """
-    from repro.oram.factory import shard_builder, shard_protocol_names
+    from repro.core.recipe import StackRecipe, build
+    from repro.oram.factory import shard_protocol_names
     from repro.testing.conformance import default_matrix, matrix_summary, run_matrix
 
     n_blocks, mem_blocks, request_count = _scale(_SMALL_SCALES, scale)
@@ -1813,9 +1814,7 @@ def protocols(scale: str = "quick") -> ExperimentResult:
     runs: dict[str, Metrics] = {}
     block_bytes = None
     for name in names:
-        oram = shard_builder(name)(
-            n_blocks=n_blocks, mem_tree_blocks=mem_blocks, seed=0
-        )
+        oram = build(StackRecipe(protocol=name, n_blocks=n_blocks, mem_blocks=mem_blocks))
         if block_bytes is None:
             block_bytes = oram.hierarchy.modeled_slot_bytes
             requests = _workload(n_blocks, request_count, _hot_blocks(oram))

@@ -19,7 +19,9 @@ The hybrid ORAM splits state across three layers (Figure 4-1):
 :mod:`repro.core.sharding` scales past one instance by striping the
 address space across independent shards behind the same interface;
 :mod:`repro.core.executor` runs that fleet either in-process (serial)
-or across one worker process per shard (parallel), bit-identically.
+or across one worker process per shard (parallel), bit-identically;
+:mod:`repro.core.recipe` holds the :class:`~repro.core.recipe.StackRecipe`
+every stack is built from and the one builder.
 """
 
 from repro.core.config import HORAMConfig
@@ -30,6 +32,7 @@ from repro.core.cache_tree import CacheTree
 from repro.core.storage_layer import PermutedStorage
 from repro.core.horam import HybridORAM, build_horam
 from repro.core.multiuser import MultiUserFrontEnd, UserStats
+from repro.core.recipe import StackRecipe, build
 from repro.core.executor import ParallelExecutor, SerialExecutor, ShardExecutor
 from repro.core.sharding import ShardedHORAM, build_sharded_horam
 from repro.core.checkpoint import (
@@ -57,6 +60,8 @@ __all__ = [
     "PermutedStorage",
     "HybridORAM",
     "build_horam",
+    "StackRecipe",
+    "build",
     "MultiUserFrontEnd",
     "UserStats",
     "ShardedHORAM",

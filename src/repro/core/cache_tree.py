@@ -29,6 +29,12 @@ from repro.sim.metrics import TierTimes
 from repro.storage.backend import BlockStore
 
 
+def cache_period_capacity(mem_blocks_budget: int, bucket_size: int) -> int:
+    """n/2 -- I/O loads one access period may perform (Section 4.1.2),
+    for a cache tree built on ``mem_blocks_budget``."""
+    return TreeGeometry.for_capacity(mem_blocks_budget, bucket_size).slots // 2
+
+
 class CacheTree:
     """Dynamic-membership Path ORAM over the memory tier."""
 

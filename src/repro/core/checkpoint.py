@@ -6,11 +6,13 @@ RNG stream positions, codec nonce counters, clocks, channels, metrics,
 the latency histogram and the served-order digest.  None of it grows
 with the number of requests served (the bus trace, off by default, is
 the one opt-in exception), and nothing is stored that a restore can
-derive.  A kernel stack is restored by its ordinary constructor with
-the checkpoint as its ``image``: the one step that writes a fresh
-stack's initial image (initial permutation, sealed slab and tree) loads
-the checkpoint in its place, so a restore seals nothing and draws no
-initial permutation.  The restored instance serves the rest of a
+derive.  Beside the state, a checkpoint stores the
+:class:`~repro.core.recipe.StackRecipe` the stack was built from,
+verbatim, and a restore is :func:`~repro.core.recipe.build` on that
+recipe with the checkpoint as its ``image``: the one step that writes a
+fresh stack's initial image (initial permutation, sealed slab and tree)
+loads the checkpoint in its place, so a restore seals nothing and draws
+no initial permutation.  The restored instance serves the rest of a
 workload exactly as the uninterrupted original would -- the property
 the crash-recovery test tier pins.
 
@@ -26,7 +28,10 @@ On-disk format (version :data:`CHECKPOINT_VERSION`)::
         control.consumed.bin    # H-ORAM read-once flags, one bit per slot
 
 (a sharded fleet prefixes each shard's blobs with ``shard<i>.``).  The
-manifest's ``state`` is pure JSON and holds no per-slot integer list
+manifest's ``kind`` is the recipe's protocol (``"shard"`` for the
+supervisor's single-shard checkpoints), and its ``state`` is pure JSON:
+``recipe`` plus the stack's state (``stack`` for one kernel, ``shards``
+for a fleet under either executor).  It holds no per-slot integer list
 (small byte strings are base64 inline).  ``control.location`` and
 ``control.unread`` are little-endian fixed-width tables in the narrowest
 integer type the layout's slot count allows; ``control.consumed`` is
@@ -45,7 +50,8 @@ Supported stacks: every :class:`~repro.core.kernel.EngineKernel`
 protocol (H-ORAM, the succinct hierarchical and BIOS variants),
 :class:`~repro.core.sharding.ShardedHORAM` under both executors (the
 parallel executor checkpoints its workers over IPC), and the classic
-baselines built by :mod:`repro.oram.factory`.  Snapshots of a sharded
+baselines -- every stack :func:`~repro.core.recipe.build` makes.
+Snapshots of a sharded
 fleet require a quiesced coordinator (everything submitted has drained).
 """
 
@@ -57,12 +63,9 @@ from base64 import b64decode, b64encode
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.core.config import HORAMConfig
-from repro.core.stages import StageSchedule
 from repro.sim.metrics import Metrics
-from repro.storage.device import DeviceModel
 from repro.storage.hierarchy import StorageHierarchy
-from repro.storage.trace import TraceEvent, TraceRecorder
+from repro.storage.trace import TraceEvent
 
 #: Checkpoint format version; bumped on any manifest/state layout change,
 #: and whenever the record cipher changes the bytes a blob decrypts under
@@ -72,8 +75,10 @@ from repro.storage.trace import TraceEvent, TraceRecorder
 #: and per-leaf ``leaf_counts`` replace the per-request logs, and the
 #: storage layer's per-partition pools stop being stored;
 #: 5: the storage layer's control tables move to binary ``control.*``
-#: blobs, and ``slot_addr`` / ``occupied`` are derived on load).
-CHECKPOINT_VERSION = 5
+#: blobs, and ``slot_addr`` / ``occupied`` are derived on load;
+#: 6: the ``rebuild`` dicts give way to the stack's ``recipe``, and the
+#: two fleet kinds, one per executor, merge into ``sharded``).
+CHECKPOINT_VERSION = 6
 
 _FORMAT = "horam-checkpoint"
 _MANIFEST = "checkpoint.json"
@@ -199,66 +204,8 @@ class Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# Geometry serialization (the "rebuild recipe" half of a checkpoint)
+# Hierarchy state (the classic baselines)
 # ---------------------------------------------------------------------------
-def _device_to_dict(device) -> dict | None:
-    if device is None:
-        return None
-    return {
-        "name": device.name,
-        "read_overhead_us": device.read_overhead_us,
-        "write_overhead_us": device.write_overhead_us,
-        "read_mb_per_s": device.read_mb_per_s,
-        "write_mb_per_s": device.write_mb_per_s,
-    }
-
-
-def _device_from_dict(data: dict | None) -> DeviceModel | None:
-    # Rebuilt as a plain frozen DeviceModel: timing behavior is a pure
-    # function of these five parameters, so subclasses round-trip exactly.
-    return DeviceModel(**data) if data is not None else None
-
-
-def _config_to_dict(config: HORAMConfig) -> dict:
-    data = asdict(config)
-    data["stages"] = config.stages.to_pairs()
-    return data
-
-
-def _config_from_dict(data: dict) -> HORAMConfig:
-    data = dict(data)
-    data["stages"] = StageSchedule([tuple(pair) for pair in data["stages"]])
-    return HORAMConfig(**data)
-
-
-def _hierarchy_info(hierarchy: StorageHierarchy) -> dict:
-    return {
-        "memory_slots": hierarchy.memory.slots,
-        "storage_slots": hierarchy.storage.slots,
-        "slot_bytes": hierarchy.slot_bytes,
-        "modeled_slot_bytes": hierarchy.modeled_slot_bytes,
-        "memory_device": _device_to_dict(hierarchy.memory.device),
-        "storage_device": _device_to_dict(hierarchy.storage.device),
-        "trace_capacity": hierarchy.trace.capacity,
-        "storage_backend": hierarchy.storage_backend,
-        "storage_path": hierarchy.storage_path,
-    }
-
-
-def _build_hierarchy(info: dict) -> StorageHierarchy:
-    return StorageHierarchy(
-        memory_slots=info["memory_slots"],
-        storage_slots=info["storage_slots"],
-        slot_bytes=info["slot_bytes"],
-        modeled_slot_bytes=info["modeled_slot_bytes"],
-        memory_device=_device_from_dict(info["memory_device"]),
-        storage_device=_device_from_dict(info["storage_device"]),
-        trace=TraceRecorder(capacity=info["trace_capacity"]),
-        storage_backend=info["storage_backend"],
-        storage_path=info["storage_path"],
-    )
-
-
 def _hierarchy_state(hierarchy: StorageHierarchy) -> "tuple[dict, dict[str, bytes]]":
     """Shared clock/channel/trace/store state (baseline protocols)."""
     state = {
@@ -311,56 +258,7 @@ def _load_hierarchy_state(
 
 
 # ---------------------------------------------------------------------------
-# EngineKernel protocols (HybridORAM, succinct hierarchical, BIOS, ...)
-# ---------------------------------------------------------------------------
-def _kernel_rebuild_info(oram) -> dict:
-    return {
-        "protocol": oram.protocol_name,
-        "config": _config_to_dict(oram.config),
-        "hierarchy": _hierarchy_info(oram.hierarchy),
-        "integrity": oram.codec.mac_key is not None,
-        "params": oram.backend_params(),
-    }
-
-
-def _rebuild_kernel(rebuild: dict, image: "tuple[dict, dict[str, bytes]]"):
-    """The kernel a rebuild recipe describes, built straight from ``image``
-    (a ``state_dict()`` payload): no initial image is written."""
-    # Importing these registers every bundled protocol in KERNEL_PROTOCOLS.
-    import repro.core.horam  # noqa: F401
-    import repro.oram.factory  # noqa: F401
-    from repro.core.kernel import KERNEL_PROTOCOLS
-    from repro.oram.base import _make_codec
-
-    name = rebuild.get("protocol", "horam")
-    try:
-        cls = KERNEL_PROTOCOLS[name]
-    except KeyError:
-        raise CheckpointError(f"unknown kernel protocol {name!r}") from None
-    config = _config_from_dict(rebuild["config"])
-    hierarchy = _build_hierarchy(rebuild["hierarchy"])
-    codec = None
-    if rebuild["integrity"]:
-        codec = _make_codec(config.payload_bytes, config.seed, integrity=True)
-    return cls(config, hierarchy, codec=codec, image=image, **rebuild.get("params", {}))
-
-
-def _snapshot_kernel(oram) -> Checkpoint:
-    state, blobs = oram.state_dict()
-    return Checkpoint(
-        kind=oram.protocol_name,
-        state={"rebuild": _kernel_rebuild_info(oram), "stack": state},
-        blobs=blobs,
-    )
-
-
-def _restore_kernel(checkpoint: Checkpoint):
-    state = checkpoint.state
-    return _rebuild_kernel(state["rebuild"], (state["stack"], checkpoint.blobs))
-
-
-# ---------------------------------------------------------------------------
-# ShardedHORAM (serial and parallel executors)
+# ShardedHORAM (either executor)
 # ---------------------------------------------------------------------------
 def _require_quiesced(fleet) -> None:
     if fleet.has_work() or fleet._held or fleet._inflight:
@@ -370,82 +268,23 @@ def _require_quiesced(fleet) -> None:
         )
 
 
-def _snapshot_sharded(fleet) -> Checkpoint:
-    from repro.core.executor import ParallelExecutor
-
+def _fleet_state(fleet) -> "tuple[dict, dict[str, bytes]]":
     _require_quiesced(fleet)
-    executor = fleet.executor
-    # The one place that must know the runtime: what it takes to construct
-    # the executor again (worker build specs, or each kernel's geometry).
-    if isinstance(executor, ParallelExecutor):
-        kind = "sharded-parallel"
-        rebuild = []
-        for spec in executor.specs:
-            data = asdict(spec)
-            data["storage_device"] = _device_to_dict(spec.storage_device)
-            data["memory_device"] = _device_to_dict(spec.memory_device)
-            rebuild.append(data)
-    else:
-        kind = "sharded"
-        rebuild = [_kernel_rebuild_info(shard) for shard in executor.shards]
-    state = {
-        "n_blocks": fleet.n_blocks,
-        "lockstep": fleet.lockstep,
-        "template_config": _config_to_dict(fleet.config),
-        "rebuild": rebuild,
-        "shards": [],
-    }
+    shards = []
     blobs: dict = {}
     for index in range(fleet.n_shards):
-        shard_state, shard_blobs = executor.shard_state(index)
-        state["shards"].append(shard_state)
+        shard_state, shard_blobs = fleet.executor.shard_state(index)
+        shards.append(shard_state)
         for name, blob in shard_blobs.items():
             blobs[f"shard{index}.{name}"] = blob
-    return Checkpoint(kind=kind, state=state, blobs=blobs)
+    return {"shards": shards}, blobs
 
 
-def _shard_blobs(checkpoint: Checkpoint, index: int) -> "dict[str, bytes]":
+def _shard_blobs(blobs: "dict[str, bytes]", index: int) -> "dict[str, bytes]":
     prefix = f"shard{index}."
     return {
-        name[len(prefix) :]: blob
-        for name, blob in checkpoint.blobs.items()
-        if name.startswith(prefix)
+        name[len(prefix) :]: blob for name, blob in blobs.items() if name.startswith(prefix)
     }
-
-
-def _restore_sharded(checkpoint: Checkpoint):
-    from repro.core.executor import ParallelExecutor, SerialExecutor, ShardBuildSpec
-    from repro.core.sharding import ShardedHORAM
-
-    state = checkpoint.state
-    images = [
-        (shard_state, _shard_blobs(checkpoint, index))
-        for index, shard_state in enumerate(state["shards"])
-    ]
-    if checkpoint.kind == "sharded-parallel":
-        specs = []
-        for data in state["rebuild"]:
-            data = dict(data)
-            data["storage_device"] = _device_from_dict(data["storage_device"])
-            data["memory_device"] = _device_from_dict(data["memory_device"])
-            specs.append(ShardBuildSpec(**data))
-        executor = ParallelExecutor(specs, images)
-    else:
-        shards = []
-        try:
-            for info, image in zip(state["rebuild"], images):
-                shards.append(_rebuild_kernel(info, image))
-        except Exception:
-            for shard in shards:
-                shard.close()
-            raise
-        executor = SerialExecutor(shards)
-    return ShardedHORAM(
-        n_blocks=state["n_blocks"],
-        config=_config_from_dict(state["template_config"]),
-        lockstep=state["lockstep"],
-        executor=executor,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -552,31 +391,15 @@ class CheckpointStore:
 
 
 # ---------------------------------------------------------------------------
-# Baselines (factory-built: path / sqrt / partition / plain)
+# Classic baselines (path / sqrt / partition / plain)
 # ---------------------------------------------------------------------------
-def _baseline_build_info(protocol) -> dict:
-    info = getattr(protocol, "_build_info", None)
-    if info is None:
-        raise CheckpointError(
-            f"{type(protocol).__name__} was not built by repro.oram.factory; "
-            "only factory-built baselines are checkpointable"
-        )
-    args = dict(info["args"])
-    args["storage_device"] = _device_to_dict(args.get("storage_device"))
-    args["memory_device"] = _device_to_dict(args.get("memory_device"))
-    return {"baseline": info["baseline"], "args": args}
-
-
-def _snapshot_baseline(protocol) -> Checkpoint:
-    info = _baseline_build_info(protocol)
+def _baseline_state(protocol, kind: str) -> "tuple[dict, dict[str, bytes]]":
     hierarchy_state, blobs = _hierarchy_state(protocol.hierarchy)
     state = {
-        "rebuild": info,
         "codec_nonce": protocol.codec._nonce_counter,
         "metrics": protocol.metrics.to_dict(),
         "hierarchy": hierarchy_state,
     }
-    kind = info["baseline"]
     if kind == "path":
         state.update(
             rng=protocol.rng.state_dict(),
@@ -620,24 +443,13 @@ def _snapshot_baseline(protocol) -> Checkpoint:
                 for p in protocol._partitions
             ],
         )
-    elif kind != "plain":
-        raise CheckpointError(f"unsupported baseline kind {kind!r}")
-    return Checkpoint(kind=f"baseline-{kind}", state=state, blobs=blobs)
+    return state, blobs
 
 
-def _restore_baseline(checkpoint: Checkpoint):
-    from repro.oram.factory import build_baseline
-
-    state = checkpoint.state
-    rebuild = state["rebuild"]
-    args = dict(rebuild["args"])
-    args["storage_device"] = _device_from_dict(args.get("storage_device"))
-    args["memory_device"] = _device_from_dict(args.get("memory_device"))
-    protocol = build_baseline(rebuild["baseline"], **args)
-    _load_hierarchy_state(protocol.hierarchy, state["hierarchy"], checkpoint.blobs)
+def _load_baseline_state(protocol, kind: str, state: dict, blobs: "dict[str, bytes]") -> None:
+    _load_hierarchy_state(protocol.hierarchy, state["hierarchy"], blobs)
     protocol.codec._nonce_counter = state["codec_nonce"]
     protocol.metrics = Metrics.from_dict(state["metrics"])
-    kind = rebuild["baseline"]
     if kind == "path":
         protocol.rng.load_state(state["rng"])
         protocol.position_map._positions[:] = state["positions"]
@@ -671,22 +483,32 @@ def _restore_baseline(checkpoint: Checkpoint):
             partition.resident = {a: s for a, s in saved["resident"]}
             partition.holes = set(saved["holes"])
             partition.unread_dummies = list(saved["unread_dummies"])
-    return protocol
 
 
 # ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
 def snapshot_stack(protocol) -> Checkpoint:
-    """Checkpoint any supported stack (see the module docstring)."""
+    """Checkpoint any stack :func:`~repro.core.recipe.build` made (see the
+    module docstring): its state, and the recipe it was built from."""
     from repro.core.kernel import EngineKernel
     from repro.core.sharding import ShardedHORAM
 
+    recipe = getattr(protocol, "recipe", None)
+    if recipe is None:
+        raise CheckpointError(
+            f"{type(protocol).__name__} was not built by a stack factory "
+            "(repro.core.recipe.build); only built stacks are checkpointable"
+        )
     if isinstance(protocol, EngineKernel):
-        return _snapshot_kernel(protocol)
-    if isinstance(protocol, ShardedHORAM):
-        return _snapshot_sharded(protocol)
-    return _snapshot_baseline(protocol)
+        stack, blobs = protocol.state_dict()
+        state = {"stack": stack}
+    elif isinstance(protocol, ShardedHORAM):
+        state, blobs = _fleet_state(protocol)
+    else:
+        state, blobs = _baseline_state(protocol, recipe.protocol)
+    state["recipe"] = recipe.to_dict()
+    return Checkpoint(kind=recipe.protocol, state=state, blobs=blobs)
 
 
 def restore_stack(checkpoint: Checkpoint):
@@ -696,15 +518,25 @@ def restore_stack(checkpoint: Checkpoint):
     rolls its contents back to the checkpoint, discarding anything --
     including a torn most-recent write -- that landed after it.
     """
-    from repro.core.kernel import KERNEL_PROTOCOLS
+    from repro.core.recipe import StackRecipe, build, kernel_protocols, protocol_names
 
-    if checkpoint.kind in KERNEL_PROTOCOLS:
-        return _restore_kernel(checkpoint)
-    if checkpoint.kind in ("sharded", "sharded-parallel"):
-        return _restore_sharded(checkpoint)
-    if checkpoint.kind.startswith("baseline-"):
-        return _restore_baseline(checkpoint)
-    raise CheckpointError(f"unknown checkpoint kind {checkpoint.kind!r}")
+    if checkpoint.kind not in protocol_names():
+        raise CheckpointError(f"unknown checkpoint kind {checkpoint.kind!r}")
+    state, blobs = checkpoint.state, checkpoint.blobs
+    try:
+        recipe = StackRecipe.from_dict(state["recipe"])
+    except (KeyError, TypeError, ValueError) as error:
+        raise CheckpointError(f"checkpoint holds no valid stack recipe: {error}") from error
+    if recipe.protocol == "sharded":
+        return build(
+            recipe,
+            [(shard, _shard_blobs(blobs, index)) for index, shard in enumerate(state["shards"])],
+        )
+    if recipe.protocol in kernel_protocols():
+        return build(recipe, (state["stack"], blobs))
+    protocol = build(recipe)
+    _load_baseline_state(protocol, recipe.protocol, state, blobs)
+    return protocol
 
 
 def save_checkpoint(protocol, directory) -> Path:

@@ -51,6 +51,7 @@ import multiprocessing
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields, replace
 
+from repro.core.recipe import StackRecipe, build_kernel
 from repro.core.rob import EntryState, RobEntry
 from repro.core.worker_channel import FuturesTimeout, WorkerChannel, WorkerLost
 from repro.oram.base import OpKind, Request
@@ -111,38 +112,6 @@ def _failure_kind(error: BaseException) -> str:
     if isinstance(error, WorkerLost):
         return "dead"
     return "error"
-
-
-@dataclass(frozen=True)
-class ShardBuildSpec:
-    """Everything a worker process needs to rebuild one shard (picklable).
-
-    ``seed`` is the shard's already-spawn-derived seed (the coordinator
-    derives it exactly as the serial factory does), and the worker
-    reconstructs the striped ``initial_addr_map`` from
-    ``(index, n_shards)``, so worker-built shards are bit-identical to
-    serially built ones.
-    """
-
-    index: int
-    n_shards: int
-    n_blocks: int
-    mem_tree_blocks: int
-    payload_bytes: int
-    modeled_block_bytes: int
-    seed: int
-    trace: bool = False
-    storage_device: object = None
-    memory_device: object = None
-    config_kwargs: dict = field(default_factory=dict)
-    #: "memory", "file" (a durable slab owned by the worker process) or
-    #: "shm" (a shared-memory slab segment named by ``storage_path`` --
-    #: created by the worker, reaped by the coordinator if the worker dies).
-    storage_backend: str = "memory"
-    storage_path: str | None = None
-    #: which EngineKernel protocol runs inside the shard (default keeps
-    #: specs from pre-protocol checkpoints loading unchanged).
-    protocol: str = "horam"
 
 
 @dataclass
@@ -415,12 +384,20 @@ class SerialExecutor(ShardExecutor):
 
     kind = "serial"
 
-    def __init__(self, shards: list):
-        if not shards:
-            raise ValueError("need at least one shard")
+    def __init__(self, recipe: StackRecipe, images: "list[ShardPayload] | None" = None):
+        """Build every shard of ``recipe`` in this process; ``images`` (one
+        checkpoint payload per shard) builds each from it instead of fresh."""
         super().__init__()
-        self.shards = list(shards)
+        self.recipe = recipe
+        self.shards = []
         self._injector: FaultInjector | None = None
+        try:
+            for index in range(recipe.n_shards):
+                image = images[index] if images else None
+                self.shards.append(build_kernel(recipe, index, image))
+        except Exception:
+            self.close()
+            raise
 
     def submit(self, shard_index: int, request: Request) -> RobEntry:
         return self.shards[shard_index].submit(request)
@@ -480,15 +457,12 @@ class SerialExecutor(ShardExecutor):
     def recover_shard(
         self, index: int, payload: ShardPayload, replay: list, failure: ShardCrashed
     ) -> None:
-        """The new shard comes from the failed instance's own (immutable)
-        config and geometry.  It is swapped into ``self.shards`` in place
-        (the coordinator aliases the list) once it has caught up, and only
-        then re-attached to the fleet's one fault injector, whose shared
-        counters keep running across the restore (``failure`` has nothing
-        to move)."""
-        from repro.core.checkpoint import _kernel_rebuild_info, _rebuild_kernel
-
-        shard = _rebuild_kernel(_kernel_rebuild_info(self.shards[index]), payload)
+        """The new shard is ``(recipe, index)`` built from ``payload``.  It
+        is swapped into ``self.shards`` in place (the coordinator aliases
+        the list) once it has caught up, and only then re-attached to the
+        fleet's one fault injector, whose shared counters keep running
+        across the restore (``failure`` has nothing to move)."""
+        shard = build_kernel(self.recipe, index, payload)
         for op, addr, data in replay:
             shard.submit(Request(op=op, addr=addr, data=data))
         while shard.rob.has_work():
@@ -522,15 +496,13 @@ _WORKER: dict = {}
 
 
 def _worker_init(
-    spec: ShardBuildSpec,
+    recipe: StackRecipe,
+    index: int,
     scratch_name: str | None = None,
     image: ShardPayload | None = None,
 ) -> None:
-    """Build this worker's shard: fresh, or straight from a checkpoint
-    payload ``image`` (a respawned or restored worker)."""
-    from repro.oram.factory import shard_builder
-
-    n_shards, index = spec.n_shards, spec.index
+    """Build this worker's shard, ``(recipe, index)``: fresh, or straight
+    from a checkpoint payload ``image`` (a respawned or restored worker)."""
     scratch = None
     if scratch_name is not None:
         from multiprocessing import shared_memory
@@ -540,21 +512,7 @@ def _worker_init(
         # so fail the worker loudly instead of silently disagreeing about
         # where payload bytes live.
         scratch = shared_memory.SharedMemory(name=scratch_name)
-    shard = shard_builder(spec.protocol)(
-        n_blocks=spec.n_blocks,
-        mem_tree_blocks=spec.mem_tree_blocks,
-        payload_bytes=spec.payload_bytes,
-        modeled_block_bytes=spec.modeled_block_bytes,
-        seed=spec.seed,
-        trace=spec.trace,
-        storage_device=spec.storage_device,
-        memory_device=spec.memory_device,
-        initial_addr_map=lambda local: local * n_shards + index,
-        storage_backend=spec.storage_backend,
-        storage_path=spec.storage_path,
-        image=image,
-        **spec.config_kwargs,
-    )
+    shard = build_kernel(recipe, index, image)
     _WORKER.clear()
     _WORKER.update(
         shard=shard,
@@ -769,18 +727,18 @@ class ParallelExecutor(ShardExecutor):
 
     def __init__(
         self,
-        specs: list[ShardBuildSpec],
+        recipe: StackRecipe,
         images: "list[ShardPayload] | None" = None,
     ):
-        """Fork one worker per spec; ``images`` (one checkpoint payload per
-        shard) builds each worker's shard from it instead of fresh."""
-        if not specs:
-            raise ValueError("need at least one shard spec")
+        """Fork one worker per shard of ``recipe``; ``images`` (one
+        checkpoint payload per shard) builds each worker's shard from it
+        instead of fresh."""
         # Before the worker handshake: its failure path runs ``close()``,
         # which consults ``fenced``.
         super().__init__()
-        #: the build recipes, kept for checkpoint manifests.
-        self.specs = list(specs)
+        #: what every worker builds its shard from, with its index.
+        self.recipe = recipe
+        n_shards = recipe.n_shards
         self._context = _default_context()
         #: payload-byte accounting for the envelope transport: how many
         #: request/result payload bytes crossed via the shared-memory
@@ -798,12 +756,12 @@ class ParallelExecutor(ShardExecutor):
         self._finishing: dict[int, object] = {}
         #: per-shard coordinator-owned scratch segments for envelope
         #: payloads (``None`` entries fall back to inline bytes).
-        self._scratch: list = [self._create_scratch(spec.index) for spec in specs]
+        self._scratch: list = [self._create_scratch(index) for index in range(n_shards)]
         #: one worker process per shard, forked here (not on first use).
         self._workers: list[WorkerChannel] = []
         self._closed = False
         try:
-            for index in range(len(specs)):
+            for index in range(n_shards):
                 self._workers.append(
                     self._spawn_worker(index, images[index] if images else None)
                 )
@@ -813,8 +771,8 @@ class ParallelExecutor(ShardExecutor):
             raise
         self.shards = [ShardMirror(info, self._settle) for info in infos]
         self._codec = _InterfaceCodec(infos[0].payload_bytes, infos[0].slot_bytes)
-        self._pending: list[list] = [[] for _ in specs]
-        self._proxies: list[dict[int, RobEntry]] = [{} for _ in specs]
+        self._pending: list[list] = [[] for _ in range(n_shards)]
+        self._proxies: list[dict[int, RobEntry]] = [{} for _ in range(n_shards)]
         self._outstanding = 0
         self._seq = 0
         # A worker exception mid-batch leaves coordinator and worker state
@@ -869,13 +827,14 @@ class ParallelExecutor(ShardExecutor):
         A worker that closed gracefully already unlinked its slab; this
         covers the kill paths (heartbeat timeout, injected crash,
         mid-drain teardown), where only the coordinator still knows the
-        segment name (it travels in the build spec).
+        segment name (it derives from the recipe).
         """
         from repro.storage.shm import unlink_segment
 
-        for spec in self.specs if index is None else (self.specs[index],):
-            if spec.storage_backend == "shm" and spec.storage_path:
-                unlink_segment(spec.storage_path)
+        if self.recipe.storage_backend != "shm":
+            return
+        for shard in range(self.recipe.n_shards) if index is None else (index,):
+            unlink_segment(self.recipe.shard_storage_path(shard))
 
     def _pack_batch(self, index: int, batch: list) -> list:
         """Move payload bytes into the shard's scratch; ship lengths."""
@@ -939,7 +898,7 @@ class ParallelExecutor(ShardExecutor):
         return WorkerChannel(
             self._context,
             _worker_init,
-            (self.specs[index], scratch.name if scratch is not None else None, image),
+            (self.recipe, index, scratch.name if scratch is not None else None, image),
         )
 
     def _broadcast(self, fn, *args) -> list:
@@ -1201,7 +1160,7 @@ class ParallelExecutor(ShardExecutor):
         self, index: int, payload: ShardPayload, replay: list, failure: ShardCrashed
     ) -> None:
         """Replace the worker with a fresh process that builds its shard
-        from the original spec and ``payload``.  Always respawning -- even
+        from the recipe and ``payload``.  Always respawning -- even
         when the old process still answers -- keeps one recovery path for
         every failure kind.  The old worker's padding round, if any, dies
         with it; the other shards' rounds stay for the settle."""
@@ -1290,5 +1249,3 @@ def _default_context():
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
 
-
-EXECUTORS = ("serial", "parallel")

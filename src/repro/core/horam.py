@@ -27,18 +27,13 @@ The class offers two API styles (both kernel-provided):
 
 from __future__ import annotations
 
-import math
-
-from repro.core.cache_tree import CacheTree
+from repro.core.cache_tree import CacheTree, cache_period_capacity
 from repro.core.config import HORAMConfig
 from repro.core.kernel import DummyLoad, EngineKernel, ShuffleReport
-from repro.core.storage_layer import PermutedStorage
-from repro.oram.base import RECORD_OVERHEAD, _make_codec
-from repro.oram.tree import TreeGeometry
+from repro.core.recipe import build, recipe_from_kwargs
+from repro.core.storage_layer import PermutedStorage, storage_layout
 from repro.shuffle import get_shuffle
 from repro.sim.metrics import TierTimes
-from repro.storage.hierarchy import StorageHierarchy
-from repro.storage.trace import TraceRecorder
 
 
 class HybridORAM(EngineKernel):
@@ -67,6 +62,15 @@ class HybridORAM(EngineKernel):
             shuffle_period_ratio=config.shuffle_period_ratio,
             period_capacity=self.cache.period_capacity,
         )
+
+    @classmethod
+    def required_storage_slots(cls, config: HORAMConfig) -> int:
+        partitions, size, overflow = storage_layout(
+            config.n_blocks,
+            config.shuffle_period_ratio,
+            cache_period_capacity(config.mem_tree_blocks, config.bucket_size),
+        )
+        return partitions * (size + overflow)
 
     def write_initial_image(self, initial_addr_map) -> None:
         self.cache.tree.fill_empty()
@@ -146,58 +150,32 @@ def build_horam(
     storage_device=None,
     memory_device=None,
     integrity: bool = False,
-    initial_addr_map=None,
     storage_backend: str = "memory",
     storage_path=None,
-    image=None,
     **config_kwargs,
 ) -> HybridORAM:
-    """Convenience factory: config + hierarchy + protocol in one call.
+    """Convenience factory: one :class:`~repro.core.recipe.StackRecipe`,
+    built.
 
     This is the two-line entry point the README quickstart uses::
 
         oram = build_horam(n_blocks=4096, mem_tree_blocks=512)
         oram.write(7, b"secret")
     """
-    config = HORAMConfig(
-        n_blocks=n_blocks,
-        mem_tree_blocks=mem_tree_blocks,
-        payload_bytes=payload_bytes,
-        modeled_block_bytes=modeled_block_bytes,
-        seed=seed,
-        **config_kwargs,
-    )
-    # Pre-compute the storage layout to size the storage store.
-    partitions = max(1, math.isqrt(n_blocks))
-    partition_size = math.ceil(n_blocks / partitions)
-    if config.shuffle_period_ratio > 1:
-        # Mirror PermutedStorage's overflow sizing.
-        geometry = TreeGeometry.for_capacity(mem_tree_blocks, config.bucket_size)
-        per_period = math.ceil((geometry.slots // 2) / partitions)
-        overflow = 2 * config.shuffle_period_ratio * per_period + 4
-    else:
-        overflow = 0
-    storage_slots = partitions * (partition_size + overflow)
-
-    codec = None
-    slot_bytes = RECORD_OVERHEAD + payload_bytes
-    if integrity:
-        # MACed records are 8 bytes longer; build the codec up front so
-        # the hierarchy's slot size matches.
-        codec = _make_codec(payload_bytes, seed, integrity=True)
-        slot_bytes = codec.slot_bytes
-
-    hierarchy = StorageHierarchy(
-        memory_slots=mem_tree_blocks,
-        storage_slots=storage_slots,
-        slot_bytes=slot_bytes,
-        modeled_slot_bytes=modeled_block_bytes,
-        memory_device=memory_device,
-        storage_device=storage_device,
-        trace=TraceRecorder() if trace else TraceRecorder(capacity=0),
-        storage_backend=storage_backend,
-        storage_path=storage_path,
-    )
-    return HybridORAM(
-        config, hierarchy, codec=codec, initial_addr_map=initial_addr_map, image=image
+    return build(
+        recipe_from_kwargs(
+            "horam",
+            n_blocks,
+            mem_tree_blocks,
+            payload_bytes=payload_bytes,
+            modeled_block_bytes=modeled_block_bytes,
+            seed=seed,
+            trace=trace,
+            storage_device=storage_device,
+            memory_device=memory_device,
+            integrity=integrity,
+            storage_backend=storage_backend,
+            storage_path=storage_path,
+            **config_kwargs,
+        )
     )

@@ -29,13 +29,13 @@ from repro.core.config import HORAMConfig
 from repro.core.rob import EntryState, RobEntry, RobTable
 from repro.core.scheduler import SecureScheduler
 from repro.crypto.random import DeterministicRandom
-from repro.oram.base import BlockCodec, OpKind, ORAMProtocol, Request, _make_codec
+from repro.oram.base import BlockCodec, OpKind, ORAMProtocol, Request
 from repro.sim.metrics import Histogram, Metrics, TierTimes
 from repro.storage.hierarchy import StorageHierarchy
 
 #: ``protocol_name`` -> EngineKernel subclass; populated by
-#: ``__init_subclass__`` so the checkpoint layer can rebuild any
-#: registered kernel protocol from its recorded name.
+#: ``__init_subclass__`` so a :class:`~repro.core.recipe.StackRecipe`
+#: can name any registered kernel protocol.
 KERNEL_PROTOCOLS: "dict[str, type]" = {}
 
 
@@ -128,6 +128,12 @@ class ProtocolBackend:
         """I/O loads per access period (the paper's n/2)."""
 
     # ------------------------------------------------------ image hooks
+    @classmethod
+    @abstractmethod
+    def required_storage_slots(cls, config: HORAMConfig) -> int:
+        """Storage-tier slots the protocol's layout needs under ``config``
+        (:func:`repro.core.recipe.build` sizes the hierarchy with it)."""
+
     @abstractmethod
     def build_backend(self) -> None:
         """Construct the protocol's structures, blank: nothing is written
@@ -153,10 +159,6 @@ class ProtocolBackend:
     def load_backend_state(self, state: dict, blobs: "dict[str, bytes]") -> None:
         """Overwrite backend state with a checkpoint's."""
 
-    def backend_params(self) -> dict:
-        """Constructor kwargs beyond (config, hierarchy, codec); for the
-        checkpoint rebuild recipe of parameterized protocols."""
-        return {}
 
 
 class EngineKernel(ProtocolBackend, ORAMProtocol):
@@ -184,7 +186,7 @@ class EngineKernel(ProtocolBackend, ORAMProtocol):
         self,
         config: HORAMConfig,
         hierarchy: StorageHierarchy,
-        codec: BlockCodec | None = None,
+        codec: BlockCodec,
         initial_addr_map=None,
         image: "tuple[dict, dict[str, bytes]] | None" = None,
     ):
@@ -193,13 +195,12 @@ class EngineKernel(ProtocolBackend, ORAMProtocol):
         Exactly one step writes the stack's image: a fresh build writes
         the initial one (:meth:`write_initial_image`), a restore loads
         ``image`` in its place, so restoring seals nothing and draws no
-        initial permutation.
+        initial permutation.  :func:`repro.core.recipe.build` makes the
+        codec and the hierarchy.
         """
         self.config = config
         self.hierarchy = hierarchy
         self.rng = DeterministicRandom(config.seed)
-        if codec is None:
-            codec = _make_codec(config.payload_bytes, config.seed)
         if codec.slot_bytes != hierarchy.slot_bytes:
             raise ValueError(
                 f"hierarchy slot size {hierarchy.slot_bytes} does not match the "

@@ -41,17 +41,14 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core.config import HORAMConfig
-from repro.core.executor import (
-    EXECUTORS,
-    ParallelExecutor,
-    SerialExecutor,
-    ShardBuildSpec,
-    ShardExecutor,
+from repro.core.executor import ShardExecutor
+from repro.core.recipe import (  # noqa: F401 -- shard_block_counts is re-exported
+    StackRecipe,
+    build,
+    recipe_from_kwargs,
+    shard_block_counts,
 )
-from repro.core.horam import HybridORAM, build_horam
 from repro.core.rob import RobEntry
-from repro.crypto.random import DeterministicRandom
 from repro.oram.base import ORAMProtocol, Request
 from repro.sim.metrics import Histogram, Metrics
 from repro.storage.backend import StoreCounters
@@ -131,30 +128,19 @@ class _ShardedHierarchy:
 class ShardedHORAM(ORAMProtocol):
     """Address-space-partitioned serving layer over independent H-ORAMs."""
 
-    def __init__(
-        self,
-        shards: list[HybridORAM] | None = None,
-        n_blocks: int = 0,
-        config: HORAMConfig | None = None,
-        lockstep: bool = True,
-        executor: ShardExecutor | None = None,
-    ):
-        if n_blocks <= 0:
-            raise ValueError("n_blocks must be positive")
-        if config is None:
-            raise ValueError("config is required (the per-shard template)")
-        if executor is None:
-            executor = SerialExecutor(shards or [])
-        elif shards:
-            raise ValueError("pass either shards or an executor, not both")
+    def __init__(self, recipe: StackRecipe, executor: ShardExecutor):
+        """A fleet coordinator over ``executor``'s shards, all built from
+        the fleet ``recipe`` (see :func:`repro.core.recipe.build`)."""
+        #: what the fleet was built from (its checkpoint stores it).
+        self.recipe = recipe
         #: the runtime actually stepping the fleet (serial or parallel).
         self.executor = executor
         #: shard views: live instances (serial) or mirrors (parallel).
         self.shards = executor.shards
-        self._n_blocks = n_blocks
+        self._n_blocks = recipe.n_blocks
         #: the per-shard configuration template (window sizing, stages).
-        self.config = config
-        self.lockstep = lockstep
+        self.config = recipe.kernel_config(0)
+        self.lockstep = recipe.lockstep
         self.hierarchy = _ShardedHierarchy(self.shards)
         #: entry id -> (global submit order, caller's tagged request, the
         #: entry object the caller holds).  The object reference matters
@@ -466,11 +452,6 @@ class ShardedHORAM(ORAMProtocol):
         return failed, self._release()
 
 
-def shard_block_counts(n_blocks: int, n_shards: int) -> list[int]:
-    """Blocks per shard under striped partitioning."""
-    return [len(range(i, n_blocks, n_shards)) for i in range(n_shards)]
-
-
 def build_sharded_horam(
     n_blocks: int,
     mem_tree_blocks: int,
@@ -488,128 +469,40 @@ def build_sharded_horam(
     protocol: str = "horam",
     **config_kwargs,
 ) -> ShardedHORAM:
-    """Factory mirroring :func:`~repro.core.horam.build_horam`.
+    """Factory mirroring :func:`~repro.core.horam.build_horam`: one fleet
+    :class:`~repro.core.recipe.StackRecipe`, built.
 
     ``n_blocks`` and ``mem_tree_blocks`` are *global* budgets, split
     evenly across ``n_shards``; each shard's protocol randomness derives
     from ``seed`` via ``DeterministicRandom.spawn`` so the whole fleet
     replays deterministically.  ``executor="parallel"`` builds the same
-    fleet inside dedicated worker processes (one per shard); the derived
-    seeds and the striped ``initial_addr_map`` travel in the build specs,
-    so the parallel fleet replays bit-identically to the serial one.
+    fleet inside dedicated worker processes (one per shard), each from
+    the recipe and its index, so the parallel fleet replays
+    bit-identically to the serial one.  ``storage_dir`` holds the
+    shards' slabs on the ``file`` backend.
 
     ``protocol`` picks what runs inside each shard: any registered
-    :class:`~repro.core.kernel.EngineKernel` protocol (see
-    :func:`repro.oram.factory.shard_protocol_names`) stripes the same
+    :class:`~repro.core.kernel.EngineKernel` protocol stripes the same
     way H-ORAM does, because the coordinator only speaks the kernel's
     submit/step/drain surface.
     """
-    from repro.oram.factory import shard_builder, shard_protocol_names
-
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r} (valid: {', '.join(EXECUTORS)})"
+    return build(
+        recipe_from_kwargs(
+            "sharded",
+            n_blocks,
+            mem_tree_blocks,
+            n_shards=n_shards,
+            payload_bytes=payload_bytes,
+            modeled_block_bytes=modeled_block_bytes,
+            seed=seed,
+            lockstep=lockstep,
+            trace=trace,
+            storage_device=storage_device,
+            memory_device=memory_device,
+            executor=executor,
+            storage_backend=storage_backend,
+            storage_path=storage_dir,
+            shard_protocol=protocol,
+            **config_kwargs,
         )
-    if protocol not in shard_protocol_names():
-        raise ValueError(
-            f"unknown shard protocol {protocol!r} "
-            f"(valid: {', '.join(shard_protocol_names())})"
-        )
-    counts = shard_block_counts(n_blocks, n_shards)
-    if min(counts) <= 0:
-        raise ValueError(
-            f"n_blocks ({n_blocks}) must cover all {n_shards} shards"
-        )
-    mem_per_shard = mem_tree_blocks // n_shards
-    bucket_size = config_kwargs.get("bucket_size", 4)
-    if mem_per_shard < 2 * bucket_size:
-        raise ValueError(
-            f"mem_tree_blocks ({mem_tree_blocks}) split {n_shards} ways leaves "
-            f"{mem_per_shard} blocks per shard; need at least {2 * bucket_size}"
-        )
-    if mem_per_shard >= min(counts):
-        raise ValueError(
-            f"per-shard memory ({mem_per_shard} blocks) must be smaller than "
-            f"the smallest shard's address space ({min(counts)} blocks); "
-            "use fewer shards or a larger n_blocks"
-        )
-
-    if storage_backend == "file" and storage_dir is None:
-        raise ValueError("storage_backend='file' needs a storage_dir")
-
-    shm_namespace = None
-    if storage_backend == "shm":
-        # One collision-resistant namespace per fleet: each shard's slab
-        # segment derives its name from it, so the coordinator can reap a
-        # killed worker's segment without asking the worker anything.
-        from repro.storage.shm import make_segment_name
-
-        shm_namespace = make_segment_name("fleet")
-
-    def shard_path(index: int):
-        if storage_backend == "shm":
-            return f"{shm_namespace}-s{index}"
-        if storage_backend != "file":
-            return None
-        import os
-
-        return os.path.join(str(storage_dir), f"shard-{index}.slab")
-
-    root = DeterministicRandom(seed)
-    shard_seeds = [root.spawn(f"shard-{index}").next_word() for index in range(n_shards)]
-    template = HORAMConfig(
-        n_blocks=counts[0],
-        mem_tree_blocks=mem_per_shard,
-        payload_bytes=payload_bytes,
-        modeled_block_bytes=modeled_block_bytes,
-        seed=seed,
-        **config_kwargs,
     )
-
-    if executor == "parallel":
-        specs = [
-            ShardBuildSpec(
-                index=index,
-                n_shards=n_shards,
-                n_blocks=counts[index],
-                mem_tree_blocks=mem_per_shard,
-                payload_bytes=payload_bytes,
-                modeled_block_bytes=modeled_block_bytes,
-                seed=shard_seeds[index],
-                trace=trace,
-                storage_device=storage_device,
-                memory_device=memory_device,
-                config_kwargs=dict(config_kwargs),
-                storage_backend=storage_backend,
-                storage_path=shard_path(index),
-                protocol=protocol,
-            )
-            for index in range(n_shards)
-        ]
-        runtime = ParallelExecutor(specs)
-        return ShardedHORAM(
-            n_blocks=n_blocks, config=template, lockstep=lockstep, executor=runtime
-        )
-
-    builder = shard_builder(protocol)
-    shards: list[HybridORAM] = []
-    for index in range(n_shards):
-        shards.append(
-            builder(
-                n_blocks=counts[index],
-                mem_tree_blocks=mem_per_shard,
-                payload_bytes=payload_bytes,
-                modeled_block_bytes=modeled_block_bytes,
-                seed=shard_seeds[index],
-                trace=trace,
-                storage_device=storage_device,
-                memory_device=memory_device,
-                initial_addr_map=lambda local, index=index: local * n_shards + index,
-                storage_backend=storage_backend,
-                storage_path=shard_path(index),
-                **config_kwargs,
-            )
-        )
-    return ShardedHORAM(shards, n_blocks=n_blocks, config=template, lockstep=lockstep)

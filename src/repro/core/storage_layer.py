@@ -104,6 +104,23 @@ def _unpack_bits(blob: bytes, count: int) -> bytearray:
     return bytearray(digits.encode("ascii").translate(_FROM_DIGITS))
 
 
+def storage_layout(
+    n_blocks: int, shuffle_period_ratio: int = 1, period_capacity: int | None = None
+) -> "tuple[int, int, int]":
+    """``(partitions, base slots per partition, overflow slots per
+    partition)``: ``P = max(1, isqrt(N))`` partitions of ``ceil(N/P)``
+    base slots, plus, under a partial shuffle (``r > 1``), room for ``2r``
+    periods' share of the evicted blocks and a slack of 4."""
+    partitions = max(1, math.isqrt(n_blocks))
+    size = math.ceil(n_blocks / partitions)
+    if shuffle_period_ratio <= 1:
+        return partitions, size, 0
+    if period_capacity is None:
+        raise ValueError("partial shuffle needs the period capacity for sizing")
+    per_period = math.ceil(period_capacity / partitions)
+    return partitions, size, 2 * shuffle_period_ratio * per_period + 4
+
+
 @dataclass
 class ShuffleStats:
     """Accounting for one shuffle period of the storage layer."""
@@ -154,16 +171,9 @@ class PermutedStorage:
         self.shuffle_algorithm = shuffle
         self.ratio = shuffle_period_ratio
 
-        self.partition_count = max(1, math.isqrt(n_blocks))
-        self.partition_size = math.ceil(n_blocks / self.partition_count)
-        if self.ratio > 1:
-            if period_capacity is None:
-                raise ValueError("partial shuffle needs the period capacity for sizing")
-            per_period = math.ceil(period_capacity / self.partition_count)
-            self.overflow_cap = 2 * self.ratio * per_period + 4
-        else:
-            self.overflow_cap = 0
-
+        self.partition_count, self.partition_size, self.overflow_cap = storage_layout(
+            n_blocks, shuffle_period_ratio, period_capacity
+        )
         span = self.partition_size + self.overflow_cap
         self.total_slots = self.partition_count * span
         if storage_store.slots < self.total_slots:

@@ -1,18 +1,19 @@
 """BIOS-style parameterized outsourced storage behind the engine kernel.
 
-Storage is ``m`` buckets of ``bucket_slots`` records each, sized to keep
-load under one half (``m * bucket_slots >= 2n``).  Every block has
-``ways`` deterministic candidate buckets derived from a per-address PRF
+Storage is ``m`` buckets of ``BUCKET_SLOTS`` records each, sized to keep
+load under one half (``m * BUCKET_SLOTS >= 2n``).  Every block has
+``WAYS`` deterministic candidate buckets derived from a per-address PRF
 (an order-independent :meth:`~repro.crypto.random.DeterministicRandom.spawn`
 of the instance key), and the client keeps an authoritative position map
 ``addr -> (bucket, slot)``.
 
-The two knobs -- ``bucket_slots`` (how much each touched bucket moves)
-and ``ways`` (how many buckets an access touches) -- parameterize the
-bandwidth/latency trade the BIOS design exposes: every access reads and
-re-encrypts exactly ``ways`` whole buckets (the owner plus cover
-buckets from the candidate set; padded loads touch ``ways`` random
-buckets), so each access moves ``2 * ways * bucket_slots`` records
+The two parameters -- ``BUCKET_SLOTS`` (how much each touched bucket
+moves) and ``WAYS`` (how many buckets an access touches) -- set the
+bandwidth/latency trade the BIOS design exposes; they are class
+constants (4 and 2), since no caller varies them.  Every access reads
+and re-encrypts exactly ``WAYS`` whole buckets (the owner plus cover
+buckets from the candidate set; padded loads touch ``WAYS`` random
+buckets), so each access moves ``2 * WAYS * BUCKET_SLOTS`` records
 regardless of what it serves.
 
 Shuffle periods drain the memory tier and place each evicted block into
@@ -33,10 +34,9 @@ import math
 from repro.core.cache_tree import CacheTree
 from repro.core.config import HORAMConfig
 from repro.core.kernel import DummyLoad, EngineKernel, ShuffleReport
-from repro.oram.base import BlockCodec, initial_payload
+from repro.oram.base import initial_payload
 from repro.shuffle import get_shuffle
 from repro.sim.metrics import TierTimes
-from repro.storage.hierarchy import StorageHierarchy
 
 
 class BiosORAM(EngineKernel):
@@ -44,34 +44,19 @@ class BiosORAM(EngineKernel):
 
     protocol_name = "bios"
 
-    def __init__(
-        self,
-        config: HORAMConfig,
-        hierarchy: StorageHierarchy,
-        codec: BlockCodec | None = None,
-        initial_addr_map=None,
-        image=None,
-        bucket_slots: int = 4,
-        ways: int = 2,
-    ):
-        if bucket_slots < 1:
-            raise ValueError("bucket_slots must be >= 1")
-        if ways < 1:
-            raise ValueError("ways must be >= 1")
-        self.bucket_slots = bucket_slots
-        self.ways = ways
-        self.n_buckets = self.required_buckets(config.n_blocks, bucket_slots, ways)
-        if hierarchy.storage.slots < self.n_buckets * bucket_slots:
-            raise ValueError(
-                f"storage store has {hierarchy.storage.slots} slots, BIOS "
-                f"needs {self.n_buckets * bucket_slots}"
-            )
-        super().__init__(
-            config, hierarchy, codec=codec, initial_addr_map=initial_addr_map, image=image
-        )
+    #: records per bucket: how much each touched bucket moves.
+    BUCKET_SLOTS = 4
+    #: candidate buckets per block: how many buckets an access touches.
+    WAYS = 2
 
     def build_backend(self) -> None:
         config = self.config
+        self.n_buckets = self.required_buckets(config.n_blocks)
+        if self.hierarchy.storage.slots < self.n_buckets * self.BUCKET_SLOTS:
+            raise ValueError(
+                f"storage store has {self.hierarchy.storage.slots} slots, BIOS "
+                f"needs {self.n_buckets * self.BUCKET_SLOTS}"
+            )
         self.cache = CacheTree(
             mem_blocks_budget=config.mem_tree_blocks,
             bucket_size=config.bucket_size,
@@ -91,20 +76,18 @@ class BiosORAM(EngineKernel):
         self._arng = self.rng.spawn("bios-access")
         self._sweep = 0
 
-    @staticmethod
-    def required_buckets(n_blocks: int, bucket_slots: int, ways: int) -> int:
-        return max(ways, math.ceil(2 * n_blocks / bucket_slots))
+    @classmethod
+    def required_buckets(cls, n_blocks: int) -> int:
+        return max(cls.WAYS, math.ceil(2 * n_blocks / cls.BUCKET_SLOTS))
 
     @classmethod
-    def required_storage_slots(
-        cls, config: HORAMConfig, bucket_slots: int = 4, ways: int = 2
-    ) -> int:
-        return cls.required_buckets(config.n_blocks, bucket_slots, ways) * bucket_slots
+    def required_storage_slots(cls, config: HORAMConfig) -> int:
+        return cls.required_buckets(config.n_blocks) * cls.BUCKET_SLOTS
 
     def _candidates(self, addr: int) -> list[int]:
         prf = self._prf.spawn(f"addr-{addr}")
         picks: list[int] = []
-        while len(picks) < self.ways:
+        while len(picks) < self.WAYS:
             bucket = prf.randrange(self.n_buckets)
             if bucket not in picks:
                 picks.append(bucket)
@@ -113,16 +96,16 @@ class BiosORAM(EngineKernel):
     def _place(self, addr: int) -> tuple[int, int]:
         """First candidate bucket with room, else deterministic sweep."""
         for bucket in self._candidates(addr):
-            if len(self._members[bucket]) < self.bucket_slots:
+            if len(self._members[bucket]) < self.BUCKET_SLOTS:
                 return bucket, -1
         fallback = 0
-        while len(self._members[self._sweep % self.n_buckets]) >= self.bucket_slots:
+        while len(self._members[self._sweep % self.n_buckets]) >= self.BUCKET_SLOTS:
             self._sweep += 1
         return self._sweep % self.n_buckets, fallback + 1
 
     def _free_slot(self, bucket: int) -> int:
         members = self._members[bucket]
-        for slot in range(self.bucket_slots):
+        for slot in range(self.BUCKET_SLOTS):
             if slot not in members:
                 return slot
         raise RuntimeError(f"bucket {bucket} has no free slot")
@@ -146,7 +129,7 @@ class BiosORAM(EngineKernel):
         buf = bytearray()
         for bucket in range(self.n_buckets):
             members = self._members[bucket]
-            for slot in range(self.bucket_slots):
+            for slot in range(self.BUCKET_SLOTS):
                 addr = members.get(slot)
                 if addr is None:
                     buf += self.codec.seal_dummy()
@@ -164,13 +147,13 @@ class BiosORAM(EngineKernel):
         out (returned) and its slot becomes a dummy.
         """
         storage = self.hierarchy.storage
-        start = bucket * self.bucket_slots
-        records, duration = storage.read_run(start, self.bucket_slots)
+        start = bucket * self.BUCKET_SLOTS
+        records, duration = storage.read_run(start, self.BUCKET_SLOTS)
         times.io_us += duration
         members = self._members[bucket]
         extracted = None
         buf = bytearray()
-        for slot in range(self.bucket_slots):
+        for slot in range(self.BUCKET_SLOTS):
             addr = members.get(slot)
             if addr is None:
                 buf += self.codec.seal_dummy()
@@ -191,13 +174,13 @@ class BiosORAM(EngineKernel):
     ) -> None:
         """Rewrite one bucket folding in newly placed (slot, addr, payload)."""
         storage = self.hierarchy.storage
-        start = bucket * self.bucket_slots
-        records, duration = storage.read_run(start, self.bucket_slots)
+        start = bucket * self.BUCKET_SLOTS
+        records, duration = storage.read_run(start, self.BUCKET_SLOTS)
         times.io_us += duration
         added = {slot: (addr, payload) for slot, addr, payload in additions}
         members = self._members[bucket]
         buf = bytearray()
-        for slot in range(self.bucket_slots):
+        for slot in range(self.BUCKET_SLOTS):
             if slot in added:
                 addr, payload = added[slot]
                 buf += self.codec.seal(addr, payload)
@@ -225,7 +208,7 @@ class BiosORAM(EngineKernel):
     def fetch_path(self, addr: int) -> TierTimes:
         times = TierTimes()
         home, _slot = self._position[addr]
-        covers = [b for b in self._candidates(addr) if b != home][: self.ways - 1]
+        covers = [b for b in self._candidates(addr) if b != home][: self.WAYS - 1]
         payload = self._rewrite_bucket(home, times, extract=addr)
         for bucket in covers:
             self._rewrite_bucket(bucket, times)
@@ -235,7 +218,7 @@ class BiosORAM(EngineKernel):
     def dummy_fetch_path(self) -> DummyLoad:
         times = TierTimes()
         picks: list[int] = []
-        while len(picks) < min(self.ways, self.n_buckets):
+        while len(picks) < min(self.WAYS, self.n_buckets):
             bucket = self._arng.randrange(self.n_buckets)
             if bucket not in picks:
                 picks.append(bucket)
@@ -270,9 +253,6 @@ class BiosORAM(EngineKernel):
 
     def cached_real_blocks(self) -> int:
         return self.cache.real_blocks
-
-    def backend_params(self) -> dict:
-        return {"bucket_slots": self.bucket_slots, "ways": self.ways}
 
     def backend_state_dict(self) -> "tuple[dict, dict[str, bytes]]":
         state = {

@@ -32,11 +32,10 @@ tier reuses the dynamic-membership :class:`~repro.core.cache_tree.CacheTree`.
 
 from __future__ import annotations
 
-from repro.core.cache_tree import CacheTree
+from repro.core.cache_tree import CacheTree, cache_period_capacity
 from repro.core.config import HORAMConfig
 from repro.core.kernel import DummyLoad, EngineKernel, ShuffleReport
 from repro.oram.base import initial_payload
-from repro.oram.tree import TreeGeometry
 from repro.shuffle import get_shuffle
 from repro.sim.metrics import TierTimes
 
@@ -86,8 +85,7 @@ class SuccinctHierORAM(EngineKernel):
 
     @classmethod
     def required_storage_slots(cls, config: HORAMConfig) -> int:
-        geometry = TreeGeometry.for_capacity(config.mem_tree_blocks, config.bucket_size)
-        base = geometry.slots // 2
+        base = cache_period_capacity(config.mem_tree_blocks, config.bucket_size)
         return sum(cap + base for cap in _level_caps(config.n_blocks, base))
 
     def write_initial_image(self, initial_addr_map) -> None:

@@ -325,6 +325,7 @@ class ScenarioSpec:
     # -------------------------------------------------------- serialization
     def to_json(self) -> str:
         data = asdict(self)
+        data["stack"] = self.stack.to_dict()
         data["faults"] = self.faults.to_dict() if self.faults else None
         data["crash"] = self.crash.to_dict() if self.crash else None
         data["storm"] = self.storm.to_dict() if self.storm else None

@@ -1,11 +1,13 @@
 """Stack construction for conformance scenarios.
 
 A *stack* is everything between the workload and the simulated device:
-one of the protocols (H-ORAM, the three baselines, the unprotected
-store), optionally sharded, optionally fronted by the multi-user
-multiplexer -- built on a named device model from one declarative
-:class:`StackSpec`.  Every combination the repo can serve is reachable
-here, which is what lets one scenario replay across the whole zoo.
+one of the protocols (H-ORAM, the kernel variants, the classic
+baselines, the unprotected store), optionally sharded, optionally
+fronted by the multi-user multiplexer -- built on a named device model
+from one declarative :class:`StackSpec`, which is the
+:class:`~repro.core.recipe.StackRecipe` every stack is built from.
+Every combination the repo can serve is reachable here, which is what
+lets one scenario replay across the whole zoo.
 """
 
 from __future__ import annotations
@@ -13,130 +15,17 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.core.horam import build_horam
 from repro.core.multiuser import MultiUserFrontEnd
-from repro.core.sharding import build_sharded_horam
-from repro.oram.factory import BASELINES, build_baseline
+from repro.core.recipe import DEVICES, StackRecipe, build, protocol_names  # noqa: F401
 from repro.storage.backend import BlockStore
-from repro.storage.device import ddr4_2133, hdd_paper, hdd_realistic, ssd_sata
-from repro.storage.faults import degraded
 
-#: Device models by name (JSON-able scenario specs carry the name).
-DEVICES = {
-    "hdd-paper": hdd_paper,
-    "hdd-7200rpm": hdd_realistic,
-    "ssd-sata": ssd_sata,
-    "ddr4-2133": ddr4_2133,
-    "hdd-degraded": lambda: degraded(hdd_paper(), 4.0),
-    "ssd-degraded": lambda: degraded(ssd_sata(), 4.0),
-}
+#: A scenario's stack description is the stack recipe itself.
+StackSpec = StackRecipe
 
 #: Protocols a StackSpec may name.
-PROTOCOLS = ("horam", "sharded") + tuple(sorted(BASELINES))
-
-
-@dataclass
-class StackSpec:
-    """Declarative description of one protocol stack (JSON-able)."""
-
-    protocol: str = "horam"
-    n_blocks: int = 512
-    mem_blocks: int = 128
-    n_shards: int = 1
-    users: int = 0  # 0 = no multi-user front end
-    device: str = "hdd-paper"
-    seed: int = 0
-    lockstep: bool = True
-    #: shard runtime: "serial" (in-process) or "parallel" (process per shard).
-    executor: str = "serial"
-    #: what runs inside each shard ("sharded" stacks only): any
-    #: registered EngineKernel protocol (see
-    #: :func:`repro.oram.factory.shard_protocol_names`).
-    shard_protocol: str = "horam"
-    #: storage-tier backing: "memory" (volatile), "file" (a durable slab
-    #: in a scenario-owned temporary directory) or "shm" (a POSIX
-    #: shared-memory segment, unlinked when the stack closes).
-    storage_backend: str = "memory"
-    #: wrap the fleet in a :class:`~repro.core.supervisor.FleetSupervisor`
-    #: (sharded stacks only): cadence checkpoints, crash auto-recovery.
-    supervised: bool = False
-    #: supervisor knobs (ignored unless ``supervised``).
-    checkpoint_every_ops: int = 64
-    max_restarts: int = 2
-    keep_checkpoints: int = 3
-    heartbeat_timeout_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(
-                f"unknown protocol {self.protocol!r} (valid: {', '.join(PROTOCOLS)})"
-            )
-        if self.device not in DEVICES:
-            raise ValueError(
-                f"unknown device {self.device!r} (valid: {', '.join(sorted(DEVICES))})"
-            )
-        if self.users and self.protocol not in ("horam", "sharded"):
-            raise ValueError("the multi-user front end needs a batched back end")
-        if self.executor not in ("serial", "parallel"):
-            raise ValueError(
-                f"unknown executor {self.executor!r} (valid: serial, parallel)"
-            )
-        if self.executor == "parallel" and self.protocol != "sharded":
-            raise ValueError("the parallel executor runs sharded stacks only")
-        if self.shard_protocol != "horam":
-            from repro.oram.factory import shard_protocol_names
-
-            if self.protocol != "sharded":
-                raise ValueError("shard_protocol applies to sharded stacks only")
-            if self.shard_protocol not in shard_protocol_names():
-                raise ValueError(
-                    f"unknown shard protocol {self.shard_protocol!r} "
-                    f"(valid: {', '.join(shard_protocol_names())})"
-                )
-        if self.storage_backend not in ("memory", "file", "shm"):
-            raise ValueError(
-                f"unknown storage backend {self.storage_backend!r} "
-                "(valid: memory, file, shm)"
-            )
-        if self.storage_backend in ("file", "shm") and self.protocol not in (
-            "horam",
-            "sharded",
-        ):
-            raise ValueError(
-                f"the {self.storage_backend} storage backend runs horam/sharded "
-                "stacks only"
-            )
-        if self.supervised and self.protocol != "sharded":
-            raise ValueError("supervision wraps sharded stacks only")
-        if self.supervised and self.users:
-            raise ValueError("supervised stacks do not take the multi-user front end")
-
-    def label(self) -> str:
-        name = self.protocol
-        if self.protocol == "sharded":
-            if self.shard_protocol != "horam":
-                name += f"[{self.shard_protocol}]"
-            name += f"x{self.n_shards}"
-        if self.executor == "parallel":
-            name += "-par"
-        if self.storage_backend == "file":
-            name += "-durable"
-        if self.storage_backend == "shm":
-            name += "-shm"
-        if self.supervised:
-            name += "+sup"
-        if self.users:
-            name += f"+mu{self.users}"
-        return f"{name}@{self.device}"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StackSpec":
-        return cls(**data)
+PROTOCOLS = protocol_names()
 
 
 @dataclass
@@ -203,52 +92,27 @@ class BuiltStack:
 
 
 def build_stack(spec: StackSpec) -> BuiltStack:
-    """Instantiate the stack a spec describes (fresh stores, zero clock)."""
-    device = DEVICES[spec.device]()
+    """Instantiate the stack a spec describes (fresh stores, zero clock).
+
+    A ``file``-backed spec without a ``storage_path`` gets its slabs in a
+    temporary directory the returned stack owns.
+    """
+    recipe = spec
     storage_dir = None
-    if spec.storage_backend == "file":
+    if spec.storage_backend == "file" and spec.storage_path is None:
         storage_dir = tempfile.mkdtemp(prefix="horam-slab-")
+        path = storage_dir if spec.protocol == "sharded" else os.path.join(storage_dir, "main.slab")
+        recipe = replace(spec, storage_path=path)
     protocol = None
     checkpoint_dir = None
     try:
-        if spec.protocol == "horam":
-            protocol = build_horam(
-                n_blocks=spec.n_blocks,
-                mem_tree_blocks=spec.mem_blocks,
-                seed=spec.seed,
-                storage_device=device,
-                storage_backend=spec.storage_backend,
-                storage_path=(
-                    os.path.join(storage_dir, "main.slab") if storage_dir else None
-                ),
-            )
+        protocol = build(recipe)
+        if spec.protocol != "sharded":
             stores = [protocol.hierarchy.storage]
-        elif spec.protocol == "sharded":
-            protocol = build_sharded_horam(
-                n_blocks=spec.n_blocks,
-                mem_tree_blocks=spec.mem_blocks,
-                n_shards=spec.n_shards,
-                seed=spec.seed,
-                lockstep=spec.lockstep,
-                storage_device=device,
-                executor=spec.executor,
-                storage_backend=spec.storage_backend,
-                storage_dir=storage_dir,
-                protocol=spec.shard_protocol,
-            )
-            if spec.executor == "parallel" or spec.supervised:
-                stores = []  # reach them via install_faults
-            else:
-                stores = [shard.hierarchy.storage for shard in protocol.shards]
+        elif spec.executor == "parallel" or spec.supervised:
+            stores = []  # reach them via install_faults
         else:
-            protocol = build_baseline(
-                spec.protocol,
-                spec.n_blocks,
-                memory_blocks=spec.mem_blocks,
-                seed=spec.seed,
-                storage_device=device,
-            )
-            stores = [protocol.hierarchy.storage]
+            stores = [shard.hierarchy.storage for shard in protocol.shards]
 
         supervisor = None
         if spec.supervised:

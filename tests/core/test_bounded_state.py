@@ -19,6 +19,7 @@ import pytest
 
 import repro.core.supervisor as supervisor_module
 from repro.core.checkpoint import (
+    CHECKPOINT_VERSION,
     Checkpoint,
     CheckpointError,
     recover,
@@ -26,14 +27,9 @@ from repro.core.checkpoint import (
     snapshot_shard,
     snapshot_stack,
 )
-from repro.core.executor import (
-    _WORKER,
-    ShardBuildSpec,
-    _worker_finish,
-    _worker_init,
-    _worker_run,
-)
+from repro.core.executor import _WORKER, _worker_finish, _worker_init, _worker_run
 from repro.core.horam import build_horam
+from repro.core.recipe import StackRecipe
 from repro.core.sharding import build_sharded_horam
 from repro.core.storage_layer import _pack_table
 from repro.core.supervisor import FleetSupervisor, SupervisorConfig
@@ -208,11 +204,10 @@ class TestWorkerSnapshots:
         """One parallel worker step (the functions a worker process runs)
         pickles to the same size at R and at 4R requests, give or take a
         counter whose pickle widens as it grows."""
-        spec = ShardBuildSpec(
-            index=0, n_shards=2, n_blocks=512, mem_tree_blocks=64, payload_bytes=16,
-            modeled_block_bytes=1024, seed=3,
+        recipe = StackRecipe(
+            protocol="sharded", n_blocks=1024, mem_blocks=128, n_shards=2, seed=3
         )
-        _worker_init(spec)
+        _worker_init(recipe, 0)
         try:
             requests = stream(4 * R, n_blocks=512)
             sizes = []
@@ -457,27 +452,16 @@ class TestRestoredPoolIsChecked:
 
 
 # ------------------------------------------------------------ old format
-def test_version_3_manifest_is_refused(tmp_path):
+@pytest.mark.parametrize("old", [3, 4, 5])
+def test_older_manifest_is_refused(old, tmp_path):
     oram = build_horam(n_blocks=256, mem_tree_blocks=64, seed=2)
     drive(oram, stream(40, n_blocks=256))
     path = snapshot_stack(oram).save(tmp_path / "ckpt")
     manifest = path / "checkpoint.json"
     data = json.loads(manifest.read_text())
-    data["version"] = 3
+    data["version"] = old
     manifest.write_text(json.dumps(data))
-    with pytest.raises(CheckpointError, match="version 3"):
-        Checkpoint.load(path)
-
-
-def test_version_4_manifest_is_refused(tmp_path):
-    oram = build_horam(n_blocks=256, mem_tree_blocks=64, seed=2)
-    drive(oram, stream(40, n_blocks=256))
-    path = snapshot_stack(oram).save(tmp_path / "ckpt")
-    manifest = path / "checkpoint.json"
-    data = json.loads(manifest.read_text())
-    data["version"] = 4
-    manifest.write_text(json.dumps(data))
-    with pytest.raises(CheckpointError, match="version 4.*version 5"):
+    with pytest.raises(CheckpointError, match=f"version {old}.*version {CHECKPOINT_VERSION}"):
         Checkpoint.load(path)
 
 

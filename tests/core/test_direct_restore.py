@@ -18,12 +18,12 @@ from repro.core.checkpoint import recover, save_checkpoint, snapshot_shard, snap
 from repro.core.executor import _WORKER, ShardCrashed, _worker_init
 from repro.core.horam import build_horam
 from repro.core.kernel import KERNEL_PROTOCOLS
+from repro.core.recipe import StackRecipe, build
 from repro.core.sharding import build_sharded_horam
 from repro.core.storage_layer import PermutedStorage
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import BlockCodec
 from repro.oram.bios import BiosORAM
-from repro.oram.factory import shard_builder
 from repro.oram.path_oram import PathOramTree
 from repro.oram.succinct_hier import SuccinctHierORAM
 from repro.workload.generators import hotspot
@@ -76,7 +76,7 @@ def drive(stack, batch) -> list:
 
 
 def build_kernel(protocol: str):
-    return shard_builder(protocol)(n_blocks=512, mem_tree_blocks=64, seed=3)
+    return build(StackRecipe(protocol=protocol, n_blocks=512, mem_blocks=64, seed=3))
 
 
 def build_fleet(protocol: str, executor: str):
@@ -148,12 +148,12 @@ class TestNoRestoreRouteBuilds:
         fleet = build_fleet(protocol, "parallel")
         try:
             drive(fleet, requests(1024, 200))
-            spec = fleet.executor.specs[0]
+            recipe = fleet.recipe
             payload = fleet.executor.shard_state(0)
         finally:
             fleet.close()
         work = ImageWork(monkeypatch)
-        _worker_init(spec, None, payload)
+        _worker_init(recipe, 0, None, payload)
         try:
             assert work.calls == 0
             assert _WORKER["shard"].state_dict() == payload

@@ -337,9 +337,9 @@ class TestExecutorPlumbing:
         finally:
             sharded.close()
 
-    def test_empty_parallel_executor_rejected(self):
+    def test_empty_parallel_fleet_rejected(self):
         with pytest.raises(ValueError, match="at least one shard"):
-            ParallelExecutor([])
+            StackSpec(protocol="sharded", n_shards=0, executor="parallel")
 
 
 def _public_callables(cls) -> set:

@@ -3,17 +3,16 @@
 import pytest
 
 from repro.core.horam import build_horam
+from repro.core.recipe import StackRecipe, build
+from repro.core.sharding import build_sharded_horam
 from repro.oram.factory import (
     BASELINES,
     baseline_names,
     build_baseline,
-    build_bios,
     build_partition,
     build_path_oram,
     build_plain,
     build_square_root,
-    build_succinct_hier,
-    shard_builder,
     shard_protocol_names,
 )
 from repro.storage.device import hdd_realistic, ssd_sata
@@ -115,24 +114,21 @@ class TestRegistry:
         assert shard_protocol_names() == sorted(["horam", "succinct", "bios"])
 
     def test_unknown_shard_protocol_enumerates_valid_names(self):
-        with pytest.raises(ValueError, match="unknown shard protocol"):
-            shard_builder("nope")
+        with pytest.raises(ValueError, match="unknown shard protocol") as excinfo:
+            build_sharded_horam(n_blocks=256, mem_tree_blocks=64, protocol="nope")
+        for name in shard_protocol_names():
+            assert name in str(excinfo.value)
 
     def test_kernel_geometry_sized_exactly(self):
-        succinct = build_succinct_hier(n_blocks=256, memory_blocks=64)
-        assert (
-            succinct.hierarchy.storage.slots
-            >= type(succinct).required_storage_slots(succinct.config)
-        )
-        bios = build_bios(n_blocks=256, memory_blocks=64)
-        assert (
-            bios.hierarchy.storage.slots
-            >= type(bios).required_storage_slots(bios.config)
-        )
+        for name in ("succinct", "bios"):
+            kernel = build(StackRecipe(protocol=name, n_blocks=256, mem_blocks=64))
+            assert kernel.hierarchy.storage.slots == type(kernel).required_storage_slots(
+                kernel.config
+            )
 
-    def test_shard_builder_matches_direct_build(self):
-        via_factory = shard_builder("succinct")(
-            n_blocks=128, mem_tree_blocks=32, seed=3
-        )
-        direct = build_succinct_hier(n_blocks=128, memory_blocks=32, seed=3)
+    def test_baseline_wrapper_matches_recipe_build(self):
+        via_factory = build_baseline("succinct", 128, memory_blocks=32, seed=3)
+        direct = build(StackRecipe(protocol="succinct", n_blocks=128, mem_blocks=32, seed=3))
+        assert via_factory.recipe == direct.recipe
         assert via_factory.read(5) == direct.read(5)
+        assert via_factory.state_dict() == direct.state_dict()
