@@ -37,9 +37,8 @@ for a fleet under either executor).  It holds no per-slot integer list
 integer type the layout's slot count allows; ``control.consumed`` is
 packed little-endian, slot ``i`` at bit ``i % 8`` of byte ``i // 8``.
 Derived on load and never stored: the slot -> address table (the
-inverse of ``location``), slot occupancy (base regions plus each
-overflow region's ``overflow_used`` prefix) and the pool's slot index;
-the pool must be exactly the occupied slots not yet ``consumed``.
+inverse of ``location``) and the pool's slot index; the pool must be
+exactly the slots ``location`` names, the blocks still in storage.
 Every blob's size and SHA-256 are pinned in the manifest.
 :meth:`Checkpoint.load` re-verifies all of it -- version, blob
 presence, sizes, digests -- and raises :class:`CheckpointError` on any
@@ -77,8 +76,10 @@ from repro.storage.trace import TraceEvent
 #: 5: the storage layer's control tables move to binary ``control.*``
 #: blobs, and ``slot_addr`` / ``occupied`` are derived on load;
 #: 6: the ``rebuild`` dicts give way to the stack's ``recipe``, and the
-#: two fleet kinds, one per executor, merge into ``sharded``).
-CHECKPOINT_VERSION = 6
+#: two fleet kinds, one per executor, merge into ``sharded``;
+#: 7: the dummy-load pool holds only the slots of stored blocks, never a
+#: dummy slot, and the storage layer's empty-pool counter goes).
+CHECKPOINT_VERSION = 7
 
 _FORMAT = "horam-checkpoint"
 _MANIFEST = "checkpoint.json"

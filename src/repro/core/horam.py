@@ -8,9 +8,9 @@ periods:
 * **access period** -- each kernel cycle plans ``c`` in-memory hits plus
   one storage load from the ROB window; the hooks here serve the hits
   from the cache tree, fetch the miss from the permuted storage layer
-  (admitting it to the cache), and pad with unread-dummy loads.  Every
-  cycle issues exactly one storage load; after ``n/2`` of them the
-  period ends.
+  (admitting it to the cache), and pad with dummy loads that prefetch a
+  random stored block.  Every cycle issues exactly one storage load;
+  after ``n/2`` of them the period ends.
 * **shuffle period** -- obliviously evict the cache tree, fold the evicted
   hot data into the storage layer's group/partition shuffle, and start a
   fresh period.
@@ -97,16 +97,9 @@ class HybridORAM(EngineKernel):
         return times
 
     def dummy_fetch_path(self) -> DummyLoad:
-        exhausted_before = self.storage.dummy_pool_exhausted
         addr, payload, times = self.storage.dummy_fetch()
-        prefetched = addr is not None
-        if prefetched:
-            self.cache.insert(addr, payload)
-        return DummyLoad(
-            times=times,
-            prefetched=prefetched,
-            pool_exhausted=self.storage.dummy_pool_exhausted != exhausted_before,
-        )
+        self.cache.insert(addr, payload)
+        return DummyLoad(times=times, prefetched=True)
 
     def run_shuffle_period(self) -> ShuffleReport:
         """Evict + group/partition shuffle (Section 4.3)."""

@@ -46,8 +46,6 @@ class DummyLoad:
     times: TierTimes
     #: an opportunistic real block was admitted to the memory tier
     prefetched: bool = False
-    #: the backend's dummy pool ran out on this load (observable event)
-    pool_exhausted: bool = False
 
 
 @dataclass
@@ -277,10 +275,6 @@ class EngineKernel(ProtocolBackend, ORAMProtocol):
             load = self.dummy_fetch_path()
             io_times.add(load.times)
             self.metrics.dummy_misses += 1
-            if load.pool_exhausted:
-                self.metrics.extra["dummy_pool_exhausted"] = (
-                    self.metrics.extra.get("dummy_pool_exhausted", 0) + 1
-                )
             if load.prefetched:
                 self.metrics.prefetched_hits += 1
         self.metrics.scheduled_misses += 1

@@ -1,20 +1,22 @@
 """H-ORAM's storage layer (Sections 4.1.3 and 4.3.2).
 
-N encrypted blocks sit at permuted slots across ``P = ceil(sqrt(N))``
-partitions of ``S = ceil(N/P)`` base slots each (slots beyond N hold
-dummies).  The control layer's *permutation list* records, per logical
-address, either the physical slot or the fact that the block is currently
-cached in memory.
+N encrypted blocks sit at permuted slots across ``P = isqrt(N)``
+partitions of ``S = ceil(N/P)`` base slots each; the first ``P*S - N``
+partitions hold ``S - 1`` blocks and one dummy, the rest ``S`` blocks.
+The control layer's *permutation list* records, per logical address,
+either the physical slot or the fact that the block is currently cached
+in memory.
 
 Invariants the security analysis relies on:
 
 * **read-once**: a slot is fetched at most once between re-permutations of
   its partition (tracked by a per-slot ``consumed`` flag);
-* **unbiased dummies**: a dummy load reads a uniformly random unconsumed
-  slot -- if it happens to hold a live block, that block is handed back as
-  an opportunistic prefetch (it joins the cache like any missed block).
-  The pool it draws from is derived from the ``consumed`` flags and the
-  overflow fills whenever a period opens;
+* **unbiased dummies**: a dummy load fetches a uniformly random block
+  still in storage, handed back as an opportunistic prefetch (it joins the
+  cache like any missed block); dummy slots are never read, and partition
+  ``p`` holds a public ``fill`` blocks (a partial shuffle may leave it
+  fewer, with the rest in overflow regions).  The pool a dummy load draws
+  from is derived from ``location`` whenever a period opens;
 * **public shuffle order**: partitions are re-permuted left-to-right, a
   data-independent order proven equivalent to partition ORAM's random
   choice in Section 4.3.3.
@@ -52,8 +54,6 @@ from repro.storage.backend import BlockStore
 #: permutation-list value meaning "block is cached in the memory layer".
 IN_MEMORY = -1
 
-#: swaps the 0/1 bytes of a flag table
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 #: flag bytes to and from ASCII binary digits (for bit packing)
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -133,11 +133,17 @@ class ShuffleStats:
 
 
 class _Partition:
-    """Slot spans of one partition: [base, base+size) + overflow region."""
+    """Slot spans of one partition: [base, base+size) + overflow region.
 
-    def __init__(self, base: int, size: int, overflow_base: int, overflow_cap: int):
+    ``fill``, derived from N alone, is the number of blocks a full
+    shuffle leaves in its base region; the rest of the region holds
+    dummies.
+    """
+
+    def __init__(self, base: int, size: int, fill: int, overflow_base: int, overflow_cap: int):
         self.base = base
         self.size = size
+        self.fill = fill
         self.overflow_base = overflow_base
         self.overflow_cap = overflow_cap
         self.overflow_used = 0
@@ -176,6 +182,7 @@ class PermutedStorage:
         )
         span = self.partition_size + self.overflow_cap
         self.total_slots = self.partition_count * span
+        holes = self.partition_count * self.partition_size - n_blocks
         if storage_store.slots < self.total_slots:
             raise CapacityError(
                 f"storage store has {storage_store.slots} slots, layout needs "
@@ -185,6 +192,7 @@ class PermutedStorage:
             _Partition(
                 base=i * span,
                 size=self.partition_size,
+                fill=self.partition_size - (i < holes),
                 overflow_base=i * span + self.partition_size,
                 overflow_cap=self.overflow_cap,
             )
@@ -210,14 +218,11 @@ class PermutedStorage:
         self._unread = array(pool_type)
         self._unread_pos = array(position_type, [-1]) * self.total_slots
 
-        #: dummy loads that found no unconsumed slot (tiny configurations);
-        #: surfaced as ``metrics.extra["dummy_pool_exhausted"]`` by H-ORAM.
-        self.dummy_pool_exhausted = 0
-
     # ----------------------------------------------------------- plumbing
     def _initialize(self, initial_addr_map: Callable[[int], int] | None = None) -> None:
-        """Write the initial image: permute all N blocks over the base
-        regions and seal the slab (setup, no charge).
+        """Write the initial image: permute the N blocks over the first
+        ``fill`` slots of every base region, then write each partition's
+        image in turn (setup, no charge).
 
         A new layer is blank until either this or :meth:`load_state` runs;
         the owning kernel calls exactly one of them.  Sharded deployments
@@ -227,44 +232,22 @@ class PermutedStorage:
         (permutation list, sealed headers, shuffles) stays in local
         coordinates.
         """
-        size = self.partition_size
-        span = size + self.overflow_cap
         # A list shuffles faster than an array (no boxing per swap); drop it before sealing.
-        order = []
-        for partition in self._partitions:
-            order.extend(range(partition.base, partition.base + size))
-        self.rng.shuffle(order)
-        self.location[:] = array("q", order[: self.n_blocks])
-        del order
+        slots = [
+            slot
+            for partition in self._partitions
+            for slot in range(partition.base, partition.base + partition.fill)
+        ]
+        self.rng.shuffle(slots)
+        self.location[:] = array("q", slots)
+        del slots
         self._derive_slot_addr()
-        # Seal in ascending slot order, dummies included, so the clear
-        # nonces rise with the slot and say nothing about which block (or
-        # whether any block) sits where -- one seal_many kernel piece at a
-        # time, never an entry list for the whole slab.
-        codec = self.codec
-        pad = codec.pad
+        pad = self.codec.pad
         rename = initial_addr_map or (lambda addr: addr)
-        slot_addr = self.slot_addr
-        slot_bytes = codec.slot_bytes
-        dummy = (DUMMY_ADDR, bytes(codec.payload_bytes))
-        base_count = self.partition_count * size
-        step = codec._kernel_records
-        for start in range(0, base_count, step):
-            stop = min(start + step, base_count)
-            addrs = (slot_addr[i // size * span + i % size] for i in range(start, stop))
-            entries = [
-                dummy if addr == DUMMY_ADDR else (addr, pad(initial_payload(rename(addr))))
-                for addr in addrs
-            ]
-            records = memoryview(codec.seal_many(entries))
-            # The base regions sit between (empty) overflow regions: one
-            # run per partition the piece touches.
-            for first in range(start - start % size, stop, size):
-                low, high = max(first, start), min(first + size, stop)
-                self.storage.poke_run(
-                    first // size * span + low - first,
-                    records[(low - start) * slot_bytes : (high - start) * slot_bytes],
-                )
+        for partition in self._partitions:
+            addrs = self.slot_addr[partition.base : partition.base + partition.fill]
+            items = [(addr, pad(initial_payload(rename(addr)))) for addr in addrs]
+            self._write_image(partition, items, self.storage.poke_run)
         self._rebuild_unread()
 
     def _rebuild_unread(self) -> None:
@@ -272,24 +255,24 @@ class PermutedStorage:
         self._set_unread(self._derive_unread())
 
     def _derive_unread(self) -> array:
-        """Every occupied slot not yet consumed, in ascending slot order.
+        """The slots of the blocks in storage, in ascending slot order.
 
-        A slot is occupied when it is in a base region or in the used
-        prefix of an overflow region, so the pool is a function of
-        ``consumed`` and the overflow fills and is never maintained.
+        A stored block's slot has not been read since it was written, so
+        the pool is a function of ``location`` and is never maintained.
         """
-        eligible = self.consumed.translate(_FLIP)
-        if self.overflow_cap:
-            for partition in self._partitions:
-                start = partition.overflow_base + partition.overflow_used
-                eligible[start : start + partition.overflow_free] = bytes(partition.overflow_free)
         pool = array(self._unread.typecode)
         np = _accel.np
         if np is not None:
-            slots = np.flatnonzero(np.frombuffer(eligible, dtype=np.uint8))
-            pool.frombytes(slots.astype(pool.typecode).tobytes())
+            location = np.frombuffer(self.location, dtype=np.int64)
+            stored = np.zeros(self.total_slots, dtype=bool)
+            stored[location[location != IN_MEMORY]] = True
+            pool.frombytes(np.flatnonzero(stored).astype(pool.typecode).tobytes())
         else:
-            pool.extend(compress(range(self.total_slots), eligible))
+            stored = bytearray(self.total_slots)
+            for slot in self.location:
+                if slot != IN_MEMORY:
+                    stored[slot] = 1
+            pool.extend(compress(range(self.total_slots), stored))
         return pool
 
     def _set_unread(self, unread) -> None:
@@ -342,36 +325,21 @@ class PermutedStorage:
         self.location[addr] = IN_MEMORY
         return payload, times
 
-    def dummy_fetch(self) -> tuple[int | None, bytes | None, TierTimes]:
-        """Load a uniformly random unconsumed slot (padding I/O).
+    def dummy_fetch(self) -> tuple[int, bytes, TierTimes]:
+        """Fetch a uniformly random block still in storage (padding I/O).
 
-        Returns ``(addr, payload, times)`` when the slot held a live block
-        (an opportunistic prefetch the caller should admit to the cache),
-        or ``(None, None, times)`` for a dummy record.
+        Returns ``(addr, payload, times)``: an opportunistic prefetch the
+        caller admits to the cache.  The load is a :meth:`fetch`, so it
+        reads a slot a real miss could have read.
         """
-        times = TierTimes()
         if not self._unread:
-            # Every occupied slot was consumed this epoch -- only possible
-            # in tiny configurations.  Fall back to a harmless re-read of
-            # slot 0 so the cycle shape stays fixed, and count the event so
-            # the protocol can surface it instead of hiding it.
-            self.dummy_pool_exhausted += 1
-            _, duration = self.storage.read_slot_view(0)
-            times.io_us += duration
-            return None, None, times
-        slot = self._unread[self.rng.randrange(len(self._unread))]
-        record, duration = self.storage.read_slot_view(slot)
-        times.io_us += duration
-        self._consume(slot)
-        stored_addr, payload = self.codec.open(record)
-        if stored_addr == DUMMY_ADDR:
-            return None, None, times
-        if self.location[stored_addr] != slot:
-            # Stale copy of a block that has moved; treat as dummy.  (Can
-            # only happen for never-reclaimed overflow copies.)
-            return None, None, times
-        self.location[stored_addr] = IN_MEMORY
-        return stored_addr, payload, times
+            # A period opens with all N blocks stored and takes one out per
+            # load; HORAMConfig keeps its loads (at most half the cache
+            # tree) below N, so only a hand-built layer gets here.
+            raise CapacityError("dummy load found no block left in storage this period")
+        addr = self.slot_addr[self._unread[self.rng.randrange(len(self._unread))]]
+        payload, times = self.fetch(addr)
+        return addr, payload, times
 
     # ------------------------------------------------------------- shuffle
     def shuffle_into(self, evicted: list[tuple[int, bytes]], period_index: int) -> ShuffleStats:
@@ -441,11 +409,12 @@ class PermutedStorage:
             )
             survivors = [(addr, payload) for addr, (_, payload) in zip(addrs, opened)]
 
-        # Take the next chunk of evicted data that fits the base region.
+        # Take the next chunk of evicted data that fills the base region.
         # (With partial shuffle, survivors from the overflow region can
-        # exceed the base size; the excess is re-queued for placement in a
+        # exceed the fill; the excess is re-queued for placement in a
         # later partition or overflow group.)
-        room = max(0, size - len(survivors))
+        fill = partition.fill
+        room = max(0, fill - len(survivors))
         chunk, pending = pending[:room], pending[room:]
         stats.blocks_replaced += len(chunk)
 
@@ -455,13 +424,9 @@ class PermutedStorage:
         stats.times.mem_us += result.moves * self.memory.device.transfer_us(
             self.memory.modeled_slot_bytes, write=False
         )
-        base_items = result.items[:size]
-        requeued = result.items[size:]
-
-        buffer = codec.seal_many(base_items, dummy_tail=size - len(base_items))
-        self._place(base, [addr for addr, _ in base_items], dummies=size - len(base_items))
-
-        stats.times.io_us += self.storage.write_run(base, buffer)
+        requeued = result.items[fill:]
+        written = self._write_image(partition, result.items[:fill], self.storage.write_run)
+        stats.times.io_us += written
 
         # Fresh epoch for the whole span: base rewritten, overflow released.
         self.consumed[base : base + size] = bytes(size)
@@ -495,11 +460,23 @@ class PermutedStorage:
                 addrs.append(addr)
         return offsets, addrs
 
-    def _place(self, start: int, addrs: list[int], dummies: int = 0) -> None:
-        """Record ``addrs`` at slots ``start, start+1, ...``, then ``dummies`` dummies."""
+    def _write_image(self, partition: _Partition, items: "list[tuple[int, bytes]]", write):
+        """Lay out ``partition``'s base region: ``items`` in its first
+        slots, dummies after them, sealed in slot order (so the clear
+        nonces rise with the slot) and handed to ``write(base, records)``;
+        returns what ``write`` returns."""
+        base, dummies = partition.base, partition.size - len(items)
+        self._place(base, [addr for addr, _ in items])
+        self.slot_addr[base + len(items) : base + partition.size] = (
+            array("Q", [DUMMY_ADDR]) * dummies
+        )
+        return write(base, self.codec.seal_many(items, dummy_tail=dummies))
+
+    def _place(self, start: int, addrs: list[int]) -> None:
+        """Record ``addrs`` at slots ``start, start+1, ...``."""
         placed = array("Q", addrs)
         end = start + len(placed)
-        self.slot_addr[start : end + dummies] = placed + array("Q", [DUMMY_ADDR]) * dummies
+        self.slot_addr[start:end] = placed
         np = _accel.np
         if np is not None:
             np.frombuffer(self.location, dtype=np.int64)[
@@ -549,16 +526,14 @@ class PermutedStorage:
         Only what cannot be derived is kept: ``location`` and the ordered
         dummy-load pool ``unread`` as fixed-width little-endian tables in
         the narrowest type the geometry allows, and ``consumed`` packed one
-        bit per slot.  ``slot_addr`` (the inverse of ``location``), slot
-        occupancy (base regions plus each overflow region's used prefix)
-        and the pool's slot index are rebuilt by :meth:`load_state`, which
-        refuses a pool that is not exactly the occupied, unconsumed slots.
+        bit per slot.  ``slot_addr`` (the inverse of ``location``) and the
+        pool's slot index are rebuilt by :meth:`load_state`, which refuses
+        a pool that is not exactly the slots of the stored blocks.
         Slot *bytes* live in the store blob.
         """
         location_type, unread_type = self._table_types()
         state = {
             "overflow_used": [p.overflow_used for p in self._partitions],
-            "dummy_pool_exhausted": self.dummy_pool_exhausted,
             "rng": self.rng.state_dict(),
         }
         blobs = {
@@ -584,21 +559,20 @@ class PermutedStorage:
         unread = _unpack_table(unread_type, blobs["control.unread"])
         self._check_unread(unread)
         self._set_unread(unread)
-        self.dummy_pool_exhausted = state["dummy_pool_exhausted"]
         self.rng.load_state(state["rng"])
 
     def _check_unread(self, unread: array) -> None:
-        """Refuse a restored pool unless it holds exactly the occupied,
-        unconsumed slots, each once (compared sorted: it is in pool order)."""
+        """Refuse a restored pool unless it holds exactly the slots of the
+        stored blocks, each once (compared sorted: it is in pool order)."""
         expected = self._derive_unread()
         ranked = array(expected.typecode, sorted(unread))
         if ranked != expected:
             # At the first difference the smaller slot is the bad one:
-            # listed twice, consumed or unoccupied, or else left out.
+            # listed twice or holding no stored block, or else left out.
             pairs = zip_longest(ranked, expected, fillvalue=math.inf)
             slot = min(next(pair for pair in pairs if pair[0] != pair[1]))
             raise ValueError(
-                f"unread table is not the occupied, unconsumed slots once each "
+                f"unread table is not the slots of the stored blocks once each "
                 f"(first bad slot {slot})"
             )
 

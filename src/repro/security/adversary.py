@@ -6,7 +6,8 @@ and I/O buses could mount, and quantifies what they yield:
 * *leaf uniformity* -- Path ORAM's guarantee is that path choices look
   uniform; a biased leaf histogram would let frequency analysis in.
 * *load uniformity* -- H-ORAM's storage loads should spread uniformly
-  over unconsumed slots; clustering would reveal hot logical regions.
+  over the slots of stored blocks; clustering would reveal hot logical
+  regions.
 * *repeat-access linkage* -- accessing the same logical block twice must
   not touch the same physical slot in two different epochs.
 * *hit/miss distinguishability* -- with the secure scheduler every cycle

@@ -452,7 +452,7 @@ class TestRestoredPoolIsChecked:
 
 
 # ------------------------------------------------------------ old format
-@pytest.mark.parametrize("old", [3, 4, 5])
+@pytest.mark.parametrize("old", [3, 4, 5, 6])
 def test_older_manifest_is_refused(old, tmp_path):
     oram = build_horam(n_blocks=256, mem_tree_blocks=64, seed=2)
     drive(oram, stream(40, n_blocks=256))

@@ -27,8 +27,12 @@ from repro.sim.metrics import Metrics
 from repro.workload.generators import hotspot
 
 #: Captured on the pre-batching tree; see module docstring.
+#: ``full_shuffle`` (512 blocks, 16 dummy slots) was re-derived when dummy
+#: loads became fetches of a random stored block and every partition
+#: image got a fixed fill; ``partial_shuffle`` (1024 = 32 x 32 blocks, no
+#: dummy slot at build) did not move.
 GOLDEN = {
-    "full_shuffle": "c72c6471846deb7140404e1eb25bb451",
+    "full_shuffle": "8c53681d87b29508af79a2b6619fc41b",
     "partial_shuffle": "11183473162ce57e9a4f9e3d07beb3d9",
 }
 
@@ -43,9 +47,11 @@ GOLDEN_KERNEL = {
 #: Captured on the tree that introduced the conformance harness (the
 #: first point the shard layer exposed per-shard traces); pins the
 #: sharded serving layer -- routing, lockstep padding, cross-shard
-#: retirement -- the way GOLDEN pins the single-instance engine.
+#: retirement -- the way GOLDEN pins the single-instance engine.  The
+#: 2-shard pin (512-block shards with dummy slots) was re-derived with
+#: ``full_shuffle``; the 4-shard one (256 = 16 x 16 blocks) did not move.
 GOLDEN_SHARDED = {
-    2: "34d7459da1ecde2bed7ed7d84e6fea1c",
+    2: "f31ed6b255696128cdb34dae3210448c",
     4: "fba55dfdaa07c4e4dd74147dc533b2b3",
 }
 

@@ -22,18 +22,22 @@ from repro.workload.generators import uniform
 #: per shuffle-period ratio.  Taken when checkpoint format 5 moved the
 #: tables to binary and stopped storing the derived ones; the earlier pins
 #: (flat tables, format 4) hashed the JSON lists of the same run.
+#: Re-derived at format 7: the run's layout has dummy slots, and dummy
+#: loads now fetch a random stored block into fixed-fill partitions.
 CONTROL_STATE = {
-    1: "5de19abb742b75889736713ec8e202e791a83181f3fdaa37c2715cb112b25f65",
-    4: "b56d090389e69bfd668f52b02fdac834b40f16b58290de407aaf73aabcd35175",
+    1: "2a92b9191f7d334f26552e65a953388ce80274a0c20512ec758536c572bd0b2f",
+    4: "c306dd602680157419fda4adab9e09828db1015d62e3443926a3ab592a057d27",
 }
 
 #: sha256 of the format-4 ``state_dict()`` JSON of the same run with the
 #: two tables format 5 derives (``slot_addr``, ``occupied``) removed,
-#: captured on the format-4 code.  :class:`TestLosslessReencoding` renders
-#: that layout from a layer restored out of the format-5 state.
+#: first captured on the format-4 code.  :class:`TestLosslessReencoding`
+#: renders that layout from a layer restored out of the current state.
+#: Re-derived with ``CONTROL_STATE`` at format 7, which also dropped the
+#: ``dummy_pool_exhausted`` counter from the layout.
 FORMAT4_STATE_MINUS_DERIVED = {
-    1: "cd5d9dde86b134936d7ab9b936fb1daa05f69872ccb02b63a425f7d999d00133",
-    4: "ce195fed40e905941b4b78b648c52c2152f51747c2347a2d5b0bd09ef01205d7",
+    1: "4d9c38c624055fd1f4f592df59673d13ed7c11d7249a476ad27bd5967304d837",
+    4: "fcea3a389c972125a806ea7b61e2cac43186e7f246d9a0cca055c9f6866abe25",
 }
 
 
@@ -141,30 +145,37 @@ class TestDummyFetch:
         # 25 slots were touched exactly once.
         assert sum(layer.consumed) == 25
 
-    def test_exhausted_pool_falls_back_safely(self):
+    def test_dummy_fetch_never_reads_a_dummy_slot(self):
+        layer, _ = make_layer(n_blocks=85)  # 9 x 10 slots: 5 dummies
+        dummies = {slot for slot in range(layer.total_slots) if layer.slot_addr[slot] == DUMMY_ADDR}
+        assert len(dummies) == 5
+        for _ in range(85):
+            addr, payload, _ = layer.dummy_fetch()
+            assert payload is not None and layer.is_in_memory(addr)
+        assert not any(layer.consumed[slot] for slot in dummies)
+
+    def test_empty_pool_raises(self):
         layer, _ = make_layer(n_blocks=4)
         for _ in range(4):
             layer.dummy_fetch()
-        assert layer.dummy_pool_exhausted == 0
-        addr, payload, times = layer.dummy_fetch()
-        assert addr is None and payload is None
-        assert times.io_us > 0  # the cycle shape still sees one load
-        assert layer.dummy_pool_exhausted == 1
-        layer.dummy_fetch()
-        assert layer.dummy_pool_exhausted == 2
+        before = layer.storage.snapshot()
+        with pytest.raises(CapacityError, match="no block left in storage"):
+            layer.dummy_fetch()
+        assert layer.storage.snapshot().delta(before).reads == 0
 
-    def test_exhausted_pool_surfaces_in_horam_metrics(self):
-        # Idle cycles with an empty dummy pool (possible under partial
-        # shuffle in tiny configurations) must be counted in the metrics,
-        # not silently re-read slot 0.
-        from repro.core.horam import build_horam
-
-        oram = build_horam(n_blocks=256, mem_tree_blocks=64, seed=3)
-        oram.storage._set_unread([])
-        oram.step()  # no queued work: the cycle's load is a dummy fetch
-        oram.step()
-        assert oram.storage.dummy_pool_exhausted == 2
-        assert oram.metrics.extra["dummy_pool_exhausted"] == 2
+    def test_built_stacks_never_empty_the_pool(self):
+        # A period opens with every block stored and takes one out per
+        # load.  30 loads a period over 16 blocks would run the pool dry:
+        # the build refuses it.
+        with pytest.raises(ValueError, match="must be < n_blocks"):
+            build_horam(n_blocks=16, mem_tree_blocks=64)
+        # The smallest accepted geometry: every idle cycle's load is a
+        # dummy load, and no period runs out of stored blocks.
+        oram = build_horam(n_blocks=65, mem_tree_blocks=64, seed=3)
+        for _ in range(3 * oram.period_capacity + 1):
+            oram.step()
+        assert oram.metrics.shuffle_count == 3
+        assert oram.metrics.prefetched_hits == oram.metrics.dummy_misses
 
 
 class TestFullShuffle:
@@ -205,6 +216,23 @@ class TestFullShuffle:
         layer.end_period()
         assert sum(layer.consumed) == 0
 
+    def test_shuffle_refills_every_partition_to_its_fill(self):
+        layer, _ = make_layer(n_blocks=85)  # 9 x 10 slots: 5 partitions of 9 blocks
+        for _ in range(20):
+            layer.dummy_fetch()
+        evicted = [
+            (addr, layer.codec.pad(initial_payload(addr)))
+            for addr in range(85)
+            if layer.is_in_memory(addr)
+        ]
+        layer.shuffle_into(evicted, period_index=0)
+        held = [
+            sum(layer.slot_addr[slot] != DUMMY_ADDR for slot in range(p.base, p.base + p.size))
+            for p in layer._partitions
+        ]
+        assert held == [9] * 5 + [10] * 4
+        assert held == [p.fill for p in layer._partitions]
+
     def test_shuffle_io_is_sequential_runs(self):
         layer, _ = make_layer(n_blocks=100)
         before = layer.storage.snapshot()
@@ -219,20 +247,11 @@ class TestFullShuffle:
 
 
 class TestDerivedUnreadPool:
-    """Each period's pool, derived from the flag tables, equals a full slot scan."""
+    """Each period's pool, derived from ``location``, is the stored blocks' slots."""
 
     @staticmethod
     def brute_force_unread(layer):
-        occupied = set()
-        for partition in layer._partitions:
-            occupied.update(range(partition.base, partition.base + partition.size))
-            start = partition.overflow_base
-            occupied.update(range(start, start + partition.overflow_used))
-        return [
-            slot
-            for slot in range(layer.total_slots)
-            if slot in occupied and not layer.consumed[slot]
-        ]
+        return sorted(slot for slot in layer.location if slot != IN_MEMORY)
 
     def test_pool_matches_full_scan_across_periods(self, backend):
         layer, _ = make_layer(n_blocks=64)
@@ -415,7 +434,6 @@ class TestLosslessReencoding:
             "consumed": base64.b64encode(twin.consumed).decode("ascii"),
             "overflow_used": [p.overflow_used for p in twin._partitions],
             "unread": list(twin._unread),
-            "dummy_pool_exhausted": twin.dummy_pool_exhausted,
             "rng": twin.rng.state_dict(),
         }
         digest = hashlib.sha256(json.dumps(rendered, sort_keys=True).encode()).hexdigest()

@@ -51,9 +51,9 @@ class TestCombinators:
         assert a.merge(b).extra == {"x": 1, "y": 2}
 
     def test_merge_sums_numeric_extra(self):
-        a = Metrics(extra={"dummy_pool_exhausted": 2})
-        b = Metrics(extra={"dummy_pool_exhausted": 3})
-        assert a.merge(b).extra == {"dummy_pool_exhausted": 5}
+        a = Metrics(extra={"blocks_appended": 2})
+        b = Metrics(extra={"blocks_appended": 3})
+        assert a.merge(b).extra == {"blocks_appended": 5}
 
     def test_merge_keeps_bool_extras_as_flags(self):
         # bool subclasses int: without the explicit exclusion a True flag
