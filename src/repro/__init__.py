@@ -1,10 +1,11 @@
 """H-ORAM: a cacheable ORAM interface for efficient I/O accesses.
 
 A full reproduction of the DAC 2019 H-ORAM design (Liu, 2019): the hybrid
-protocol itself, the three classical ORAM baselines it is evaluated
-against, and the simulated machine (device timing models, encrypted block
-stores, oblivious shuffles, workload generators, obliviousness analyzers)
-needed to regenerate every table and figure of the paper's evaluation.
+protocol itself, the Path ORAM baseline it is evaluated against, an
+unprotected store as the cost floor, and the simulated machine (device
+timing models, encrypted block stores, oblivious shuffles, workload
+generators, obliviousness analyzers) needed to regenerate every table
+and figure of the paper's evaluation.
 
 Quickstart::
 
@@ -29,10 +30,8 @@ from repro.oram import (
     BlockCodec,
     ORAMProtocol,
     OpKind,
-    PartitionORAM,
     PathORAM,
     Request,
-    SquareRootORAM,
 )
 from repro.sim import Metrics, SimulationEngine, run_workload
 from repro.storage import (
@@ -57,8 +56,6 @@ __all__ = [
     "Request",
     "BlockCodec",
     "PathORAM",
-    "SquareRootORAM",
-    "PartitionORAM",
     "Metrics",
     "SimulationEngine",
     "run_workload",

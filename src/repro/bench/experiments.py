@@ -28,12 +28,7 @@ from repro.core.multiuser import MultiUserFrontEnd
 from repro.core.stages import StageSchedule
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import Request
-from repro.oram.factory import (
-    build_partition,
-    build_path_oram,
-    build_plain,
-    build_square_root,
-)
+from repro.oram.factory import build_path_oram, build_plain
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import Metrics
 from repro.storage.device import hdd_paper, hdd_realistic, ssd_sata
@@ -1013,10 +1008,10 @@ def parallel(scale: str = "quick") -> ExperimentResult:
 
 
 def baselines(scale: str = "quick") -> ExperimentResult:
-    """Figure 3-1's motivation: every scheme and the unprotected store,
-    one workload -- what obliviousness costs, and how H-ORAM shrinks it."""
+    """Figure 3-1's motivation: H-ORAM, tree-top Path ORAM and the
+    unprotected store on one workload -- what obliviousness costs, and how
+    H-ORAM shrinks it."""
     n_blocks, mem_blocks, request_count = _scale(_SMALL_SCALES, scale)
-    request_count = min(request_count, 2000)  # sqrt ORAM is O(sqrt N) per access
     horam = build_horam(n_blocks=n_blocks, mem_tree_blocks=mem_blocks, seed=0)
     requests = _workload(n_blocks, request_count, _hot_blocks(horam))
 
@@ -1025,8 +1020,6 @@ def baselines(scale: str = "quick") -> ExperimentResult:
         "Path ORAM (tree-top)": build_path_oram(
             n_blocks=n_blocks, memory_blocks=mem_blocks, seed=0
         ),
-        "Square-root ORAM": build_square_root(n_blocks=n_blocks, seed=0),
-        "Partition ORAM": build_partition(n_blocks=n_blocks, seed=0),
         "plain store (no protection)": build_plain(n_blocks=n_blocks, seed=0),
     }
     runs = {name: SimulationEngine(oram).run(requests) for name, oram in schemes.items()}
@@ -1059,7 +1052,7 @@ def baselines(scale: str = "quick") -> ExperimentResult:
     over = {name: cell["overhead_vs_plain"] for name, cell in data.items()}
     read_sizes = {
         data[name]["io_bytes_read"] / data[name]["io_reads"]
-        for name in ("H-ORAM", "Square-root ORAM", "Partition ORAM")
+        for name in ("H-ORAM", "plain store (no protection)")
         if data[name]["io_reads"]
     }
     return ExperimentResult(
@@ -1085,13 +1078,6 @@ def baselines(scale: str = "quick") -> ExperimentResult:
                 "tree-top Path ORAM pays > 5x the plain store at this out-of-memory ratio",
                 f"{over['Path ORAM (tree-top)']:.1f}x",
                 over["Path ORAM (tree-top)"] > 5.0,
-            ),
-            Check(
-                "the whole-dataset square-root shuffle outweighs partition ORAM's",
-                f"{format_us(data['Square-root ORAM']['shuffle_time_us'])} > "
-                f"{format_us(data['Partition ORAM']['shuffle_time_us'])}",
-                data["Square-root ORAM"]["shuffle_time_us"]
-                > data["Partition ORAM"]["shuffle_time_us"],
             ),
             Check(
                 "flat schemes move one 1 KB block per access-period storage read",
@@ -1143,73 +1129,6 @@ def device_sensitivity(scale: str = "quick") -> ExperimentResult:
                 data["hdd-paper"] > 1.0,
             ),
             Check("and still wins on an SSD", f"{data['ssd-sata']:.1f}x", data["ssd-sata"] > 1.0),
-        ],
-    )
-
-
-def recursive_posmap(scale: str = "quick") -> ExperimentResult:
-    """Recursive vs flat position map (Section 5.3): controller state
-    against lookup cost.  The paper runs "the naive setting (no
-    recursive)"; the component is tiny, so every scale runs the same sweep.
-    """
-    from repro.oram.recursive import RecursivePositionMap
-    from repro.sim.metrics import TierTimes
-
-    n_entries, lookups = 16384, 50
-    flat_bytes = 4 * n_entries
-    rows = []
-    data = {}
-    for label, entries_per_block, threshold in (
-        ("flat (naive, the paper's setting)", 64, 1 << 20),
-        ("recursive, 64 entries/block", 64, 256),
-        ("recursive, 16 entries/block", 16, 64),
-    ):
-        posmap = RecursivePositionMap(
-            n_entries=n_entries,
-            leaves=1024,
-            rng=DeterministicRandom(1),
-            entries_per_block=entries_per_block,
-            threshold=threshold,
-        )
-        times = TierTimes()
-        rng = DeterministicRandom(2)
-        for _ in range(lookups):
-            posmap.get(rng.randrange(n_entries), times)
-        per_lookup_us = times.mem_us / lookups
-        rows.append(
-            [label, posmap.levels, f"{posmap.secure_bytes()} B", f"{per_lookup_us:.2f} us"]
-        )
-        data[label] = {
-            "levels": posmap.levels,
-            "controller_bytes": posmap.secure_bytes(),
-            "lookup_us": per_lookup_us,
-        }
-    flat = data["flat (naive, the paper's setting)"]
-    deep = data["recursive, 16 entries/block"]
-    return ExperimentResult(
-        experiment_id="recursive_posmap",
-        title="Recursive position map: controller state vs lookup cost (Section 5.3)",
-        headers=["configuration", "levels", "controller state", "memory time/lookup"],
-        rows=rows,
-        data=data,
-        checks=[
-            Check(
-                "the flat map is the naive setting: no levels, 4 B per entry in the controller",
-                f"{flat['levels']} levels, {flat['controller_bytes']} B",
-                flat["levels"] == 0 and flat["controller_bytes"] == flat_bytes,
-                "the naive setting (no recursive)",
-            ),
-            Check("16 entries/block recurses at least twice", deep["levels"], deep["levels"] >= 2),
-            Check(
-                "recursion collapses controller state by > 100x",
-                f"{deep['controller_bytes']} B vs {flat_bytes} B",
-                deep["controller_bytes"] < flat_bytes / 100,
-            ),
-            Check(
-                "and every lookup pays for it in memory-tree accesses",
-                f"{deep['lookup_us']:.2f} us > {flat['lookup_us']:.2f} us",
-                deep["lookup_us"] > flat["lookup_us"],
-            ),
         ],
     )
 
@@ -2328,7 +2247,6 @@ EXPERIMENTS = {
     "parallel": parallel,
     "baselines": baselines,
     "device_sensitivity": device_sensitivity,
-    "recursive_posmap": recursive_posmap,
     "conformance": conformance,
     "durability": durability,
     "resilience": resilience,

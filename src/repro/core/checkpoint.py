@@ -392,7 +392,7 @@ class CheckpointStore:
 
 
 # ---------------------------------------------------------------------------
-# Classic baselines (path / sqrt / partition / plain)
+# Classic baselines (path / plain)
 # ---------------------------------------------------------------------------
 def _baseline_state(protocol, kind: str) -> "tuple[dict, dict[str, bytes]]":
     hierarchy_state, blobs = _hierarchy_state(protocol.hierarchy)
@@ -413,37 +413,6 @@ def _baseline_state(protocol, kind: str) -> "tuple[dict, dict[str, bytes]]":
             real=b64encode(protocol.tree._real).decode("ascii"),
             leaf_counts=list(protocol.tree.leaf_counts),
         )
-    elif kind == "sqrt":
-        state.update(
-            rng=protocol.rng.state_dict(),
-            perm_forward=list(protocol.permutation._forward),
-            perm_inverse=list(protocol.permutation._inverse),
-            perm_rng=protocol.permutation._rng.state_dict(),
-            shelter=[
-                [addr, b64encode(payload).decode("ascii")]
-                for addr, payload in protocol._shelter.items()
-            ],
-            dummy_cursor=protocol._dummy_cursor,
-            accesses_this_period=protocol._accesses_this_period,
-        )
-    elif kind == "partition":
-        state.update(
-            rng=protocol.rng.state_dict(),
-            position=[[addr, slot] for addr, slot in protocol._position.items()],
-            stash=[
-                [addr, b64encode(e.payload).decode("ascii"), e.target_partition]
-                for addr, e in protocol._stash.items()
-            ],
-            accesses_since_evict=protocol._accesses_since_evict,
-            partitions=[
-                {
-                    "resident": [[a, s] for a, s in p.resident.items()],
-                    "holes": sorted(p.holes),
-                    "unread_dummies": list(p.unread_dummies),
-                }
-                for p in protocol._partitions
-            ],
-        )
     return state, blobs
 
 
@@ -460,30 +429,6 @@ def _load_baseline_state(protocol, kind: str, state: dict, blobs: "dict[str, byt
         protocol.stash.peak = state["stash_peak"]
         protocol.tree._real[:] = b64decode(state["real"])
         protocol.tree.leaf_counts[:] = state["leaf_counts"]
-    elif kind == "sqrt":
-        protocol.rng.load_state(state["rng"])
-        protocol.permutation._forward[:] = state["perm_forward"]
-        protocol.permutation._inverse[:] = state["perm_inverse"]
-        protocol.permutation._rng.load_state(state["perm_rng"])
-        protocol._shelter = {
-            addr: b64decode(payload) for addr, payload in state["shelter"]
-        }
-        protocol._dummy_cursor = state["dummy_cursor"]
-        protocol._accesses_this_period = state["accesses_this_period"]
-    elif kind == "partition":
-        from repro.oram.partition import _StashEntry
-
-        protocol.rng.load_state(state["rng"])
-        protocol._position = {addr: slot for addr, slot in state["position"]}
-        protocol._stash = {
-            addr: _StashEntry(payload=b64decode(payload), target_partition=target)
-            for addr, payload, target in state["stash"]
-        }
-        protocol._accesses_since_evict = state["accesses_since_evict"]
-        for partition, saved in zip(protocol._partitions, state["partitions"]):
-            partition.resident = {a: s for a, s in saved["resident"]}
-            partition.holes = set(saved["holes"])
-            partition.unread_dummies = list(saved["unread_dummies"])
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,7 @@ from repro.core.stages import StageSchedule
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import _make_codec
 from repro.oram.insecure import PlainStore
-from repro.oram.partition import PartitionORAM
 from repro.oram.path_oram import PathORAM
-from repro.oram.square_root import SquareRootORAM
 from repro.oram.tree import TreeGeometry
 from repro.storage.device import DeviceModel, ddr4_2133, hdd_paper, hdd_realistic, ssd_sata
 from repro.storage.faults import degraded
@@ -55,7 +53,18 @@ DEVICES = {
 }
 
 #: Baselines that run outside the engine kernel.
-CLASSIC_BASELINES = ("partition", "path", "plain", "sqrt")
+CLASSIC_BASELINES = ("path", "plain")
+
+#: The :class:`HORAMConfig` knobs each classic baseline would drop; a
+#: recipe that sets one away from its default is refused.
+_KERNEL_KNOBS = (
+    "stages",
+    "prefetch_window",
+    "shuffle_algorithm",
+    "shuffle_period_ratio",
+    "overlap_io",
+)
+_DROPPED_KNOBS = {"path": _KERNEL_KNOBS, "plain": (*_KERNEL_KNOBS, "bucket_size", "stash_limit")}
 
 #: Fleet runtimes (see :mod:`repro.core.executor`).
 EXECUTORS = ("serial", "parallel")
@@ -152,7 +161,8 @@ class StackRecipe:
     #: MAC every record (H-ORAM only).
     integrity: bool = _build_field(False)
     trace: bool = _build_field(False)
-    # The HORAMConfig knobs (``bucket_size`` also sizes Path ORAM's tree).
+    # The HORAMConfig knobs (``bucket_size`` and ``stash_limit`` also set
+    # Path ORAM's tree and stash).
     bucket_size: int = _build_field(4)
     stages: "tuple[tuple[int, float], ...]" = _build_field(_PAPER_STAGES)
     prefetch_window: "int | None" = _build_field(None)
@@ -160,8 +170,6 @@ class StackRecipe:
     shuffle_period_ratio: int = _build_field(1)
     overlap_io: bool = _build_field(True)
     stash_limit: "int | None" = _build_field(None)
-    #: the partition baseline's eviction rate (None: its default).
-    evict_rate: "int | None" = _build_field(None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "device", _canonical_device(self.device))
@@ -206,6 +214,11 @@ class StackRecipe:
             raise ValueError("supervised stacks do not take the multi-user front end")
         if self.integrity and self.protocol != "horam":
             raise ValueError("integrity applies to horam stacks only")
+        for spec in fields(self):
+            if spec.name in _DROPPED_KNOBS.get(self.protocol, ()) and (
+                getattr(self, spec.name) != spec.default
+            ):
+                raise ValueError(f"{spec.name} does not apply to the {self.protocol} baseline")
         if self.protocol == "sharded":
             self._check_fleet()
 
@@ -385,7 +398,6 @@ def _build_baseline(recipe: StackRecipe):
     """One classic baseline on a hierarchy sized for it."""
     name, n_blocks, seed = recipe.protocol, recipe.n_blocks, recipe.seed
     codec = _make_codec(recipe.payload_bytes, seed)
-    rng = DeterministicRandom(seed)
     if name == "path":
         z = recipe.bucket_size
         geometry = TreeGeometry.for_real_blocks(n_blocks, z)
@@ -401,31 +413,8 @@ def _build_baseline(recipe: StackRecipe):
             storage_store=hierarchy.storage,
             clock=hierarchy.clock,
             bucket_size=z,
-            rng=rng.spawn("path-oram"),
-        )
-    elif name == "sqrt":
-        hierarchy = _hierarchy(recipe, codec, *SquareRootORAM.required_slots(n_blocks))
-        stack = SquareRootORAM(
-            n_blocks=n_blocks,
-            codec=codec,
-            memory_store=hierarchy.memory,
-            storage_store=hierarchy.storage,
-            clock=hierarchy.clock,
-            rng=rng.spawn("sqrt-oram"),
-        )
-    elif name == "partition":
-        storage_slots = PartitionORAM.required_slots(n_blocks, evict_rate=recipe.evict_rate)
-        # The memory tier is only the shuffle buffer.
-        memory_slots = max(1, storage_slots // max(1, n_blocks))
-        hierarchy = _hierarchy(recipe, codec, memory_slots, storage_slots)
-        stack = PartitionORAM(
-            n_blocks=n_blocks,
-            codec=codec,
-            storage_store=hierarchy.storage,
-            clock=hierarchy.clock,
-            rng=rng.spawn("partition-oram"),
-            evict_rate=recipe.evict_rate,
-            memory_store=hierarchy.memory,
+            stash_limit=recipe.stash_limit,
+            rng=DeterministicRandom(seed).spawn("path-oram"),
         )
     else:
         hierarchy = _hierarchy(recipe, codec, 1, n_blocks)

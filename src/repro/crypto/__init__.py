@@ -11,8 +11,6 @@ external dependencies):
   deterministic, version-stable CSPRNG used everywhere a protocol needs
   random choices (leaf remaps, shuffles, keys), so experiments replay
   exactly.
-* :mod:`repro.crypto.permutation` -- :class:`RandomPermutation`, an
-  explicit array permutation drawn from that generator.
 
 The cipher is a *functional* substitute for the AES hardware the paper
 assumes: any nonce-fresh, length-preserving cipher exercises the same
@@ -22,11 +20,9 @@ pure-Python implementation does not distort the reported numbers.
 """
 
 from repro.crypto.ctr import StreamCipher
-from repro.crypto.permutation import RandomPermutation
 from repro.crypto.random import DeterministicRandom
 
 __all__ = [
     "StreamCipher",
-    "RandomPermutation",
     "DeterministicRandom",
 ]

@@ -1,16 +1,14 @@
 """Baseline ORAM protocols and their shared building blocks.
 
-The paper positions H-ORAM against the three classical schemes described
-in its Section 2, all of which are implemented here in full:
+The paper measures H-ORAM against one classical scheme, and this
+package holds it beside the unprotected floor:
 
 * :mod:`repro.oram.path_oram` -- Path ORAM (Stefanov et al. 2013) with the
   tree-top cache of ZeroTrace-style designs: top levels in memory, bottom
-  levels on storage (Figure 3-1a).  This is the paper's baseline.
-* :mod:`repro.oram.square_root` -- square-root ORAM (Goldreich &
-  Ostrovsky) with shelter scanning and periodic full oblivious shuffles.
-* :mod:`repro.oram.partition` -- partition ORAM (Stefanov-style flat
-  partitions as described in the thesis Section 2.1.4) with per-partition
-  dummy pools and evict-time partition shuffles.
+  levels on storage (Figure 3-1a).  This is the paper's baseline, run
+  with the naive (non-recursive) position map of its Section 5.3.
+* :mod:`repro.oram.insecure` -- the plain store: encrypted, one slot per
+  block, no obliviousness; the cost floor and the attack target.
 
 Shared building blocks: the record codec (:mod:`repro.oram.base`), tree
 geometry math (:mod:`repro.oram.tree`), the stash
@@ -33,10 +31,7 @@ from repro.oram.tree import TreeGeometry
 from repro.oram.stash import Stash
 from repro.oram.position_map import ArrayPositionMap, DictPositionMap
 from repro.oram.path_oram import PathORAM, PathOramTree
-from repro.oram.square_root import SquareRootORAM
-from repro.oram.partition import PartitionORAM
 from repro.oram.insecure import PlainStore
-from repro.oram.recursive import RecursivePositionMap
 
 __all__ = [
     "DUMMY_ADDR",
@@ -54,8 +49,5 @@ __all__ = [
     "DictPositionMap",
     "PathORAM",
     "PathOramTree",
-    "SquareRootORAM",
-    "PartitionORAM",
     "PlainStore",
-    "RecursivePositionMap",
 ]

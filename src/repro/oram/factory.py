@@ -22,7 +22,7 @@ BASELINES = tuple(sorted({*CLASSIC_BASELINES, *kernel_protocols()} - {"horam"}))
 
 #: Classic schemes that ignore the memory budget (every other baseline
 #: needs one).
-_NO_MEMORY = ("partition", "plain", "sqrt")
+_NO_MEMORY = ("plain",)
 
 
 def baseline_names() -> list[str]:
@@ -43,7 +43,7 @@ def build_baseline(
 ):
     """Build any baseline by name with one normalized signature.
 
-    The classic schemes in ``_NO_MEMORY`` accept and ignore
+    The classic scheme in ``_NO_MEMORY`` accepts and ignores
     ``memory_blocks`` so callers can sweep one geometry across every
     scheme; the others need it.
     """
@@ -59,16 +59,6 @@ def build_baseline(
 def build_path_oram(n_blocks: int, memory_blocks: int, **kwargs):
     """The tree-top-cached baseline on its own hierarchy."""
     return build_baseline("path", n_blocks, memory_blocks, **kwargs)
-
-
-def build_square_root(n_blocks: int, **kwargs):
-    """The classic sqrt(N) scheme on its own hierarchy."""
-    return build_baseline("sqrt", n_blocks, **kwargs)
-
-
-def build_partition(n_blocks: int, **kwargs):
-    """The partition-ORAM baseline on its own hierarchy."""
-    return build_baseline("partition", n_blocks, **kwargs)
 
 
 def build_plain(n_blocks: int, **kwargs):

@@ -19,7 +19,6 @@ patterns leak even when contents do not.
 
 from __future__ import annotations
 
-from repro.crypto.random import DeterministicRandom
 from repro.oram.base import (
     BlockCodec,
     CapacityError,
@@ -40,7 +39,6 @@ class PlainStore(ORAMProtocol):
         codec: BlockCodec,
         storage_store: BlockStore,
         clock,
-        rng: DeterministicRandom | None = None,
     ):
         if n_blocks <= 0:
             raise ValueError("n_blocks must be positive")

@@ -1,21 +1,21 @@
 """The conformance scenario matrix.
 
 ``default_matrix`` enumerates the scenarios every change to the serving
-stack must keep green: every protocol (H-ORAM, Path ORAM, square-root,
-partition, the unprotected store), the sharded fleet at 1/2/4/8 shards,
-the multi-user front end, at least two device models, adversarial
-workload shapes (single-block hotspot, shard-aliased strides, write
-storms), recoverable fault injection (transient read errors, latency
-spikes, torn bulk writes), disk-backed slab stacks, and crash/restore
-choreographies (checkpoint, kill at a chosen physical op -- including a
-torn mid-shuffle bulk write and a parallel-executor fleet -- recover,
-finish, and diff against an uninterrupted twin), and chaos serving
-soaks (seeded wire faults between retrying clients and the server,
-graceful drain under live load, a crash storm under a served supervised
-fleet -- all gated on exactly-once execution and twin identity).  The
-same specs back
-the ``horam-bench conformance`` CLI experiment and the tier-2 pytest
-matrix in ``tests/testing/test_conformance.py``.
+stack must keep green: every protocol (H-ORAM, Path ORAM, the succinct
+hierarchical and BIOS kernels, the unprotected store), the sharded fleet
+at 1/2/4/8 shards, the multi-user front end, at least two device models,
+adversarial workload shapes (single-block hotspot, shard-aliased
+strides, write storms), recoverable fault injection (transient read
+errors, latency spikes, torn bulk writes), disk-backed slab stacks, and
+crash/restore choreographies (checkpoint, kill at a chosen physical op
+-- including a torn mid-shuffle bulk write and a parallel-executor fleet
+-- recover, finish, and diff against an uninterrupted twin), and chaos
+serving soaks (seeded wire faults between retrying clients and the
+server, graceful drain under live load, a crash storm under a served
+supervised fleet -- all gated on exactly-once execution and twin
+identity). The same specs back the ``horam-bench conformance`` CLI
+experiment and the tier-2 pytest matrix in
+``tests/testing/test_conformance.py``.
 
 ``seeded_fault_demo`` is the harness eating its own dog food: a scenario
 with silent read corruption (the one fault class that is *not*
@@ -124,8 +124,6 @@ def default_matrix(scale: str = "quick") -> list[ScenarioSpec]:
         # -- baselines (differential against the same oracle)
         _spec("path-hotspot-hdd", "path", "hotspot", 200 * m, n_blocks=256, mem_blocks=64),
         _spec("path-uniform-ssd", "path", "uniform", 200 * m, n_blocks=256, mem_blocks=64, device="ssd-sata"),
-        _spec("sqrt-hotspot-hdd", "sqrt", "hotspot", 150 * m, n_blocks=256, mem_blocks=64),
-        _spec("partition-uniform-hdd", "partition", "uniform", 150 * m, n_blocks=256, mem_blocks=64),
         _spec("plain-mix-hdd", "plain", "mix", 200 * m, n_blocks=256, mem_blocks=64, write_ratio=0.0),
         # -- the engine-kernel protocols (same kernel, different backends)
         _spec("succinct-hotspot-hdd", "succinct", "hotspot", 220 * m, n_blocks=256, mem_blocks=64),

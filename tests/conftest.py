@@ -9,7 +9,7 @@ from repro.core.horam import HybridORAM, build_horam
 from repro.crypto.ctr import StreamCipher
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import BlockCodec
-from repro.oram.factory import build_partition, build_path_oram, build_square_root
+from repro.oram.factory import build_path_oram
 
 
 @pytest.fixture(params=["numpy", "loop"])
@@ -43,12 +43,3 @@ def small_horam() -> HybridORAM:
 def small_path_oram():
     return build_path_oram(n_blocks=256, memory_blocks=64, seed=42, trace=True)
 
-
-@pytest.fixture
-def small_square_root():
-    return build_square_root(n_blocks=256, seed=42, trace=True)
-
-
-@pytest.fixture
-def small_partition():
-    return build_partition(n_blocks=256, seed=42, trace=True)

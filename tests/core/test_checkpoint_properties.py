@@ -35,13 +35,11 @@ STACKS = [
     ("sharded", {"n_shards": 2, "executor": "serial", "protocol": "bios"}),
     ("path", {}),
     ("plain", {}),
-    ("sqrt", {}),
-    ("partition", {}),
     ("succinct", {}),
     ("bios", {}),
 ]
 
-#: baselines that take a memory budget (mirrors factory._NEEDS_MEMORY).
+#: baselines that take a memory budget (all but factory._NO_MEMORY).
 _MEMORY_BASELINES = ("path", "succinct", "bios")
 
 

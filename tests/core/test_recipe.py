@@ -18,6 +18,7 @@ from repro.core.checkpoint import restore_stack, snapshot_stack
 from repro.core.horam import HybridORAM, build_horam
 from repro.core.recipe import DEVICES, StackRecipe, build, build_kernel, recipe_from_kwargs
 from repro.crypto.random import DeterministicRandom
+from repro.oram.base import StashOverflowError
 from repro.storage.device import DeviceModel, hdd_paper, ssd_sata
 from repro.storage.faults import degraded
 from repro.testing.conformance import default_matrix
@@ -55,6 +56,42 @@ class TestOneStackOneRecipe:
     def test_integrity_is_horam_only(self):
         with pytest.raises(ValueError, match="integrity"):
             StackRecipe(protocol="sharded", n_shards=2, integrity=True)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dict(protocol="plain", shuffle_period_ratio=4),
+            dict(protocol="plain", bucket_size=2),
+            dict(protocol="plain", stash_limit=8),
+            dict(protocol="path", stages=((1, 1.0),)),
+            dict(protocol="path", prefetch_window=4),
+            dict(protocol="path", shuffle_algorithm="melbourne"),
+            dict(protocol="path", overlap_io=False),
+            dict(protocol="path", shuffle_period_ratio=4),
+            dict(protocol="plain", stages=((1, 1.0),)),
+            dict(protocol="plain", prefetch_window=4),
+            dict(protocol="plain", shuffle_algorithm="melbourne"),
+            dict(protocol="plain", overlap_io=False),
+        ],
+    )
+    def test_a_baseline_refuses_a_knob_it_would_drop(self, spec):
+        knob = next(name for name in spec if name != "protocol")
+        with pytest.raises(ValueError, match=f"{knob} does not apply"):
+            StackRecipe(**spec)
+
+    def test_path_oram_keeps_the_stash_limit(self):
+        recipe = StackRecipe(protocol="path", n_blocks=256, mem_blocks=16, seed=1, stash_limit=1)
+        oram = build(recipe)
+        assert oram.stash.limit == 1
+        with pytest.raises(StashOverflowError):
+            for addr in range(5000):
+                oram.write(addr % 256, b"x")
+
+    def test_path_oram_keeps_the_bucket_size(self):
+        oram = build(StackRecipe(protocol="path", n_blocks=256, mem_blocks=64, bucket_size=2))
+        assert oram.geometry.bucket_size == 2
+        oram.write(7, b"z2")
+        assert oram.read(7).rstrip(b"\x00") == b"z2"
 
     def test_devices_are_kept_by_name_when_a_name_builds_them(self):
         assert recipe_from_kwargs("horam", 512, 128, storage_device=hdd_paper()) == StackRecipe()
@@ -116,7 +153,7 @@ class TestCheckpointStoresTheRecipe:
             StackRecipe(protocol="succinct", n_blocks=256, mem_blocks=64),
             StackRecipe(protocol="bios", n_blocks=256, mem_blocks=64, device="ssd-sata"),
             StackRecipe(protocol="path", n_blocks=256, mem_blocks=64),
-            StackRecipe(protocol="partition", n_blocks=256, evict_rate=4),
+            StackRecipe(protocol="plain", n_blocks=256, payload_bytes=32),
             StackRecipe(protocol="sharded", n_blocks=1024, n_shards=2, shard_protocol="bios"),
             StackRecipe(protocol="sharded", n_blocks=1024, n_shards=2, executor="parallel"),
         ],

@@ -1,10 +1,11 @@
-"""Cross-protocol integration: one workload, four ORAMs, shared oracle."""
+"""Cross-protocol integration: one workload, two ORAMs and the plain
+store, shared oracle."""
 
 import pytest
 
 from repro.core.horam import build_horam
 from repro.crypto.random import DeterministicRandom
-from repro.oram.factory import build_partition, build_path_oram, build_square_root
+from repro.oram.factory import build_path_oram, build_plain
 from repro.sim.engine import SimulationEngine
 from repro.workload.generators import read_write_mix
 
@@ -25,8 +26,7 @@ def results():
     protocols = {
         "horam": build_horam(n_blocks=N_BLOCKS, mem_tree_blocks=64, seed=5),
         "path": build_path_oram(n_blocks=N_BLOCKS, memory_blocks=64, seed=5),
-        "sqrt": build_square_root(n_blocks=N_BLOCKS, seed=5),
-        "partition": build_partition(n_blocks=N_BLOCKS, seed=5),
+        "plain": build_plain(n_blocks=N_BLOCKS, seed=5),
     }
     outcome = {}
     for name, protocol in protocols.items():
@@ -36,7 +36,7 @@ def results():
 
 
 class TestAllProtocolsCorrect:
-    @pytest.mark.parametrize("name", ["horam", "path", "sqrt", "partition"])
+    @pytest.mark.parametrize("name", ["horam", "path", "plain"])
     def test_served_everything(self, results, name):
         _, metrics = results[name]
         assert metrics.requests_served == REQUESTS
@@ -54,15 +54,8 @@ class TestPerformanceOrdering:
         path_loads = results["path"][1].io_reads
         assert horam_loads < path_loads
 
-    def test_square_root_pays_shelter_scans(self, results):
-        # Square-root ORAM scans its shelter twice per access; its memory
-        # traffic per request must far exceed H-ORAM's log-depth paths.
-        sqrt_mem = results["sqrt"][1].mem_bytes / REQUESTS
-        horam_mem = results["horam"][1].mem_bytes / REQUESTS
-        assert sqrt_mem > 0 and horam_mem > 0
-
     def test_flat_schemes_use_single_block_fetches(self, results):
-        for name in ("sqrt", "partition"):
+        for name in ("horam", "plain"):
             metrics = results[name][1]
             # Access-period reads of one block each; no multi-bucket paths.
             assert metrics.io_bytes_read / max(1, metrics.io_reads) == pytest.approx(

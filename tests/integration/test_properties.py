@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.horam import build_horam
 from repro.oram.base import OpKind, Request, initial_payload
-from repro.oram.factory import build_partition, build_path_oram, build_square_root
+from repro.oram.factory import build_path_oram, build_plain
 
 N = 64  # tiny address space so hypothesis explores collisions
 
@@ -43,16 +43,10 @@ def test_path_oram_matches_dict(ops):
     run_ops(build_path_oram(n_blocks=N, memory_blocks=16, seed=0), ops)
 
 
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(ops=ops_strategy)
-def test_square_root_matches_dict(ops):
-    run_ops(build_square_root(n_blocks=N, seed=0), ops)
-
-
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(ops=ops_strategy)
-def test_partition_matches_dict(ops):
-    run_ops(build_partition(n_blocks=N, seed=0), ops)
+def test_plain_store_matches_dict(ops):
+    run_ops(build_plain(n_blocks=N, seed=0), ops)
 
 
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -9,10 +9,8 @@ from repro.oram.factory import (
     BASELINES,
     baseline_names,
     build_baseline,
-    build_partition,
     build_path_oram,
     build_plain,
-    build_square_root,
     shard_protocol_names,
 )
 from repro.storage.device import hdd_realistic, ssd_sata
@@ -23,18 +21,6 @@ class TestGeometry:
         oram = build_path_oram(n_blocks=256, memory_blocks=64)
         assert oram.hierarchy.memory.slots == oram.tree.memory_slots_needed
         assert oram.hierarchy.storage.slots == oram.tree.storage_slots_needed
-
-    def test_square_root_stores_sized_exactly(self):
-        oram = build_square_root(n_blocks=256)
-        assert oram.hierarchy.memory.slots == oram.shelter_size
-        assert oram.hierarchy.storage.slots == 256 + oram.dummies
-
-    def test_partition_store_sized_exactly(self):
-        oram = build_partition(n_blocks=256)
-        assert (
-            oram.hierarchy.storage.slots
-            == oram.partition_count * oram.partition_capacity
-        )
 
     def test_horam_store_covers_layout(self):
         oram = build_horam(n_blocks=300, mem_tree_blocks=64)  # non-square N
@@ -59,15 +45,16 @@ class TestDevices:
 
 
 class TestSeeds:
+    @staticmethod
+    def positions(seed):
+        oram = build_path_oram(n_blocks=64, memory_blocks=16, seed=seed)
+        return [oram.position_map.get(addr) for addr in range(64)]
+
     def test_same_seed_reproduces(self):
-        a = build_square_root(n_blocks=64, seed=5)
-        b = build_square_root(n_blocks=64, seed=5)
-        assert a.permutation.as_sequence() == b.permutation.as_sequence()
+        assert self.positions(5) == self.positions(5)
 
     def test_different_seed_differs(self):
-        a = build_square_root(n_blocks=64, seed=5)
-        b = build_square_root(n_blocks=64, seed=6)
-        assert a.permutation.as_sequence() != b.permutation.as_sequence()
+        assert self.positions(5) != self.positions(6)
 
 
 class TestTraceFlag:
@@ -75,8 +62,6 @@ class TestTraceFlag:
         "builder,kwargs",
         [
             (build_path_oram, {"n_blocks": 128, "memory_blocks": 32}),
-            (build_square_root, {"n_blocks": 128}),
-            (build_partition, {"n_blocks": 128}),
             (build_plain, {"n_blocks": 128}),
         ],
     )
@@ -94,7 +79,7 @@ class TestTraceFlag:
 class TestRegistry:
     def test_baseline_names_sorted_and_complete(self):
         assert baseline_names() == sorted(BASELINES)
-        for name in ("path", "sqrt", "partition", "plain", "succinct", "bios"):
+        for name in ("path", "plain", "succinct", "bios"):
             assert name in baseline_names()
 
     def test_unknown_baseline_enumerates_valid_names(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto.random import DeterministicRandom
-from repro.oram.base import ORAMError, initial_payload
+from repro.oram.base import DUMMY_ADDR, ORAMError, initial_payload
 from repro.oram.factory import build_path_oram
 from repro.security.statistics import chi_square_uniform_test, fold_histogram
 from repro.workload.generators import hotspot
@@ -66,6 +66,58 @@ class TestStashHealth:
             small_path_oram.read(request.addr)
         # At ~50% utilization the stash should stay tiny.
         assert small_path_oram.stash.peak < 40
+
+
+def tree_blocks(oram):
+    """Every real block in the tree, as addr -> list of buckets holding it."""
+    z = oram.geometry.bucket_size
+    found = {}
+    for bucket in range(oram.geometry.buckets):
+        store, base = oram.tree.bucket_location(bucket)
+        for index in range(z):
+            addr, _ = oram.codec.open(store.peek_slot(base + index))
+            if addr != DUMMY_ADDR:
+                found.setdefault(addr, []).append(bucket)
+    return found
+
+
+def assert_path_invariant(oram):
+    """Each block sits once, on the path to its leaf or in the stash."""
+    found = tree_blocks(oram)
+    stashed = {entry.addr: entry.leaf for entry in oram.stash}
+    assert set(found).isdisjoint(stashed)
+    assert set(found) | set(stashed) == set(range(oram.n_blocks))
+    for addr, buckets in found.items():
+        assert len(buckets) == 1
+        assert buckets[0] in oram.geometry.path_buckets(oram.position_map.get(addr))
+    for addr, leaf in stashed.items():
+        assert leaf == oram.position_map.get(addr)
+
+
+class TestPathInvariant:
+    def test_holds_after_bulk_load(self, small_path_oram):
+        assert_path_invariant(small_path_oram)
+
+    def test_holds_after_random_ops(self, small_path_oram):
+        rng = DeterministicRandom(6)
+        for _ in range(300):
+            addr = rng.randrange(small_path_oram.n_blocks)
+            if rng.random() < 0.5:
+                small_path_oram.write(addr, b"w")
+            else:
+                small_path_oram.read(addr)
+        assert_path_invariant(small_path_oram)
+
+    def test_access_remaps_the_block(self, small_path_oram):
+        leaves = set()
+        for _ in range(20):
+            small_path_oram.read(42)
+            leaves.add(small_path_oram.position_map.get(42))
+            assert_path_invariant(small_path_oram)
+        assert len(leaves) > 1
+
+    def test_stash_is_unbounded_by_default(self, small_path_oram):
+        assert small_path_oram.stash.limit is None
 
 
 class TestTiming:

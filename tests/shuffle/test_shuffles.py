@@ -26,6 +26,22 @@ class TestPermutationProperty:
             result = cls().shuffle(items, DeterministicRandom(9))
             assert sorted(result.items) == sorted(items)
 
+    @pytest.mark.parametrize("cls", ALL_ALGORITHMS, ids=lambda c: c.name)
+    @given(
+        domain=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_bijection_for_any_size_and_seed(self, cls, domain, seed):
+        result = cls().shuffle(list(range(domain)), DeterministicRandom(seed))
+        assert sorted(result.items) == list(range(domain))
+
+    def test_seeds_give_different_permutations(self, algorithm):
+        items = list(range(256))
+        a = type(algorithm)().shuffle(items, DeterministicRandom(1)).items
+        b = type(algorithm)().shuffle(items, DeterministicRandom(2)).items
+        assert a != b
+
     def test_empty_and_singleton(self, algorithm):
         assert algorithm.shuffle([], DeterministicRandom(1)).items == []
         assert algorithm.shuffle(["x"], DeterministicRandom(1)).items == ["x"]
