@@ -1705,108 +1705,6 @@ def resilience(scale: str = "quick") -> ExperimentResult:
     )
 
 
-def protocols(scale: str = "quick") -> ExperimentResult:
-    """Cross-protocol grid: every engine-kernel protocol, one workload.
-
-    All registered :class:`~repro.core.kernel.EngineKernel` protocols
-    (H-ORAM, the succinct hierarchical ORAM, BIOS) run the same seeded
-    hotspot stream through the same kernel pipeline; the grid compares
-    what only the backend changes -- bandwidth overhead (storage bytes
-    moved per logical byte served), storage round trips per request
-    (each kernel cycle batches its probes into one trip), and stash /
-    cache occupancy peaks -- each normalized against H-ORAM.
-
-    The experiment then replays the kernel-protocol slice of the
-    conformance matrix (plain, sharded and crash/restore scenarios for
-    the non-H-ORAM protocols); any divergence flips ``ok`` False, which
-    exits the CLI non-zero.
-    """
-    from repro.core.recipe import StackRecipe, build
-    from repro.oram.factory import shard_protocol_names
-    from repro.testing.conformance import default_matrix, matrix_summary, run_matrix
-
-    n_blocks, mem_blocks, request_count = _scale(_SMALL_SCALES, scale)
-    request_count = min(request_count, 2500)
-    names = shard_protocol_names()
-    labels = {"horam": "H-ORAM", "succinct": "Succinct-hier", "bios": "BIOS"}
-
-    runs: dict[str, Metrics] = {}
-    block_bytes = None
-    for name in names:
-        oram = build(StackRecipe(protocol=name, n_blocks=n_blocks, mem_blocks=mem_blocks))
-        if block_bytes is None:
-            block_bytes = oram.hierarchy.modeled_slot_bytes
-            requests = _workload(n_blocks, request_count, _hot_blocks(oram))
-        runs[name] = SimulationEngine(oram).run(requests)
-
-    def grid_row(name: str, metrics: Metrics) -> dict:
-        logical = max(1, metrics.requests_served) * block_bytes
-        return {
-            "bandwidth_overhead": (
-                (metrics.io_bytes_read + metrics.io_bytes_written) / logical
-            ),
-            "round_trips_per_request": metrics.cycles / max(1, metrics.requests_served),
-            "stash_peak": metrics.stash_peak,
-            "cache_occupancy_peak": metrics.tree_real_blocks_peak,
-            "total_time_us": metrics.total_time_us,
-            "metrics": metrics.to_dict(),
-        }
-
-    data: dict = {"grid": {name: grid_row(name, m) for name, m in runs.items()}}
-    base = data["grid"]["horam"]
-    rows = []
-    for name in names:
-        cell = data["grid"][name]
-        cell["bandwidth_vs_horam"] = cell["bandwidth_overhead"] / max(
-            1e-9, base["bandwidth_overhead"]
-        )
-        cell["time_vs_horam"] = cell["total_time_us"] / max(1e-9, base["total_time_us"])
-        rows.append(
-            [
-                labels.get(name, name),
-                f"{cell['bandwidth_overhead']:.2f}x",
-                f"{cell['round_trips_per_request']:.2f}",
-                cell["stash_peak"],
-                cell["cache_occupancy_peak"],
-                format_us(cell["total_time_us"]),
-                f"{cell['time_vs_horam']:.2f}x",
-            ]
-        )
-
-    kernel_specs = [
-        spec
-        for spec in default_matrix(scale)
-        if spec.stack.protocol in ("succinct", "bios")
-        or spec.stack.shard_protocol in ("succinct", "bios")
-    ]
-    summary = matrix_summary(run_matrix(kernel_specs))
-    data["conformance"] = summary
-    ok = summary["failed"] == 0
-
-    notes = [
-        f"{request_count} hotspot requests over {n_blocks} blocks "
-        f"({block_bytes} B modeled); same request stream for every protocol",
-        "bandwidth overhead = storage bytes moved / logical bytes served; "
-        "round trips = kernel cycles per request (one batched trip each)",
-        f"conformance slice: {summary['passed']}/{summary['scenarios']} "
-        "kernel-protocol scenarios conform (plain + sharded + crash/restore)",
-    ]
-    if not ok:
-        notes.append(f"NON-CONFORMING: {', '.join(summary['unexpected'])}")
-    return ExperimentResult(
-        experiment_id="protocols",
-        title="Protocol grid: one engine kernel, N ORAM backends",
-        headers=[
-            "protocol", "bandwidth overhead", "round trips/req",
-            "stash peak", "cache peak", "total time", "vs H-ORAM",
-        ],
-        rows=rows,
-        notes=notes,
-        data=data,
-        ok=ok,
-    )
-
-
 def serving(scale: str = "quick") -> ExperimentResult:
     """Online serving front door: SLO percentiles + twin fidelity.
 
@@ -2250,7 +2148,6 @@ EXPERIMENTS = {
     "conformance": conformance,
     "durability": durability,
     "resilience": resilience,
-    "protocols": protocols,
     "serving": serving,
     "chaos": chaos,
 }

@@ -30,7 +30,7 @@ On-disk format (version :data:`CHECKPOINT_VERSION`)::
 (a sharded fleet prefixes each shard's blobs with ``shard<i>.``).  The
 manifest's ``kind`` is the recipe's protocol (``"shard"`` for the
 supervisor's single-shard checkpoints), and its ``state`` is pure JSON:
-``recipe`` plus the stack's state (``stack`` for one kernel, ``shards``
+``recipe`` plus the stack's state (``stack`` for one H-ORAM, ``shards``
 for a fleet under either executor).  It holds no per-slot integer list
 (small byte strings are base64 inline).  ``control.location`` and
 ``control.unread`` are little-endian fixed-width tables in the narrowest
@@ -45,13 +45,12 @@ presence, sizes, digests -- and raises :class:`CheckpointError` on any
 mismatch, which is what makes :func:`recover` safe to point at a slab
 that died mid-write.
 
-Supported stacks: every :class:`~repro.core.kernel.EngineKernel`
-protocol (H-ORAM, the succinct hierarchical and BIOS variants),
+Supported stacks: :class:`~repro.core.horam.HybridORAM`,
 :class:`~repro.core.sharding.ShardedHORAM` under both executors (the
 parallel executor checkpoints its workers over IPC), and the classic
 baselines -- every stack :func:`~repro.core.recipe.build` makes.
-Snapshots of a sharded
-fleet require a quiesced coordinator (everything submitted has drained).
+Snapshots of a sharded fleet require a quiesced coordinator (everything
+submitted has drained).
 """
 
 from __future__ import annotations
@@ -78,8 +77,10 @@ from repro.storage.trace import TraceEvent
 #: 6: the ``rebuild`` dicts give way to the stack's ``recipe``, and the
 #: two fleet kinds, one per executor, merge into ``sharded``;
 #: 7: the dummy-load pool holds only the slots of stored blocks, never a
-#: dummy slot, and the storage layer's empty-pool counter goes).
-CHECKPOINT_VERSION = 7
+#: dummy slot, and the storage layer's empty-pool counter goes;
+#: 8: the recipe loses its per-shard protocol field, since H-ORAM is
+#: the one protocol a shard runs).
+CHECKPOINT_VERSION = 8
 
 _FORMAT = "horam-checkpoint"
 _MANIFEST = "checkpoint.json"
@@ -437,7 +438,7 @@ def _load_baseline_state(protocol, kind: str, state: dict, blobs: "dict[str, byt
 def snapshot_stack(protocol) -> Checkpoint:
     """Checkpoint any stack :func:`~repro.core.recipe.build` made (see the
     module docstring): its state, and the recipe it was built from."""
-    from repro.core.kernel import EngineKernel
+    from repro.core.horam import HybridORAM
     from repro.core.sharding import ShardedHORAM
 
     recipe = getattr(protocol, "recipe", None)
@@ -446,7 +447,7 @@ def snapshot_stack(protocol) -> Checkpoint:
             f"{type(protocol).__name__} was not built by a stack factory "
             "(repro.core.recipe.build); only built stacks are checkpointable"
         )
-    if isinstance(protocol, EngineKernel):
+    if isinstance(protocol, HybridORAM):
         stack, blobs = protocol.state_dict()
         state = {"stack": stack}
     elif isinstance(protocol, ShardedHORAM):
@@ -464,9 +465,9 @@ def restore_stack(checkpoint: Checkpoint):
     rolls its contents back to the checkpoint, discarding anything --
     including a torn most-recent write -- that landed after it.
     """
-    from repro.core.recipe import StackRecipe, build, kernel_protocols, protocol_names
+    from repro.core.recipe import PROTOCOLS, StackRecipe, build
 
-    if checkpoint.kind not in protocol_names():
+    if checkpoint.kind not in PROTOCOLS:
         raise CheckpointError(f"unknown checkpoint kind {checkpoint.kind!r}")
     state, blobs = checkpoint.state, checkpoint.blobs
     try:
@@ -478,7 +479,7 @@ def restore_stack(checkpoint: Checkpoint):
             recipe,
             [(shard, _shard_blobs(blobs, index)) for index, shard in enumerate(state["shards"])],
         )
-    if recipe.protocol in kernel_protocols():
+    if recipe.protocol == "horam":
         return build(recipe, (state["stack"], blobs))
     protocol = build(recipe)
     _load_baseline_state(protocol, recipe.protocol, state, blobs)

@@ -1,21 +1,28 @@
 """The H-ORAM protocol (Section 4.1's data flow, Figure 4-1).
 
-:class:`HybridORAM` implements the :class:`~repro.core.kernel.ProtocolBackend`
-hooks on top of the shared :class:`~repro.core.kernel.EngineKernel`
-pipeline, conducting the three layers through the two alternating
-periods:
+:class:`HybridORAM` owns the whole submit -> schedule -> step -> retire
+pipeline -- ROB in-order retirement, fixed-shape ``(c, 1)`` cycle
+accounting, the access/shuffle period cadence, metrics/latency/trace
+bookkeeping and ``state_dict``/``load_state`` checkpoint participation --
+and conducts the three layers through the two alternating periods:
 
-* **access period** -- each kernel cycle plans ``c`` in-memory hits plus
-  one storage load from the ROB window; the hooks here serve the hits
-  from the cache tree, fetch the miss from the permuted storage layer
-  (admitting it to the cache), and pad with dummy loads that prefetch a
-  random stored block.  Every cycle issues exactly one storage load;
-  after ``n/2`` of them the period ends.
+* **access period** -- each cycle plans ``c`` in-memory hits plus one
+  storage load from the ROB window; the hits are served from the cache
+  tree, the miss is fetched from the permuted storage layer (and admitted
+  to the cache), and a cycle without a miss pads with a dummy load that
+  prefetches a random stored block.  Every cycle issues exactly one
+  storage load; after ``n/2`` of them the period ends.
 * **shuffle period** -- obliviously evict the cache tree, fold the evicted
   hot data into the storage layer's group/partition shuffle, and start a
   fresh period.
 
-The class offers two API styles (both kernel-provided):
+The per-cycle layer calls (:meth:`~HybridORAM.serve_hits`,
+:meth:`~HybridORAM.dummy_hit`, :meth:`~HybridORAM.fetch_path`,
+:meth:`~HybridORAM.dummy_fetch_path`) and
+:meth:`~HybridORAM.run_shuffle_period` are methods called through
+``self``, so a profiler can wrap them per instance.
+
+The class offers two API styles:
 
 * batch: ``submit(request)`` + ``drain()`` -- what the engine and the
   benchmarks use; keeps the scheduler's window full so padding is rare;
@@ -27,26 +34,71 @@ The class offers two API styles (both kernel-provided):
 
 from __future__ import annotations
 
+import struct
+from hashlib import blake2b
+
 from repro.core.cache_tree import CacheTree, cache_period_capacity
 from repro.core.config import HORAMConfig
-from repro.core.kernel import DummyLoad, EngineKernel, ShuffleReport
 from repro.core.recipe import build, recipe_from_kwargs
+from repro.core.rob import EntryState, RobEntry, RobTable
+from repro.core.scheduler import SecureScheduler
 from repro.core.storage_layer import PermutedStorage, storage_layout
+from repro.crypto.random import DeterministicRandom
+from repro.oram.base import BlockCodec, OpKind, ORAMProtocol, Request
 from repro.shuffle import get_shuffle
-from repro.sim.metrics import TierTimes
+from repro.sim.metrics import Histogram, Metrics, TierTimes
+from repro.storage.hierarchy import StorageHierarchy
 
 
-class HybridORAM(EngineKernel):
+class HybridORAM(ORAMProtocol):
     """The cacheable ORAM interface of the paper."""
 
-    protocol_name = "horam"
+    def __init__(
+        self,
+        config: HORAMConfig,
+        hierarchy: StorageHierarchy,
+        codec: BlockCodec,
+        initial_addr_map=None,
+        image: "tuple[dict, dict[str, bytes]] | None" = None,
+    ):
+        """Build the stack; ``image`` is a :meth:`state_dict` payload.
 
-    def build_backend(self) -> None:
-        config, hierarchy = self.config, self.hierarchy
+        Exactly one step writes the stack's image: a fresh build writes
+        the initial one (sealed cache tree, initial permutation, sealed
+        slab), a restore loads ``image`` in its place, so restoring seals
+        nothing and draws no initial permutation.  ``initial_addr_map``
+        renames local block ``i`` to the global identity whose initial
+        content it holds (sharded fleets), or is None.
+        :func:`repro.core.recipe.build` makes the codec and the hierarchy.
+        """
+        self.config = config
+        self.hierarchy = hierarchy
+        self.rng = DeterministicRandom(config.seed)
+        if codec.slot_bytes != hierarchy.slot_bytes:
+            raise ValueError(
+                f"hierarchy slot size {hierarchy.slot_bytes} does not match the "
+                f"codec record size {codec.slot_bytes}"
+            )
+        self.codec = codec
+
+        self.rob = RobTable()
+        self.scheduler = SecureScheduler(window_for=config.window_for)
+        self.metrics = Metrics()
+
+        self._cycle_index = 0
+        self._loads_this_period = 0
+        self._period_index = 0
+        #: secret-side digest of the serve order: 16-byte BLAKE2b chained
+        #: once per cycle over that cycle's ``(addr, cycle)`` pairs (see
+        #: :meth:`_serve_hits`); equal digests mean equal served sequences.
+        self.served_digest = bytes(16)
+        #: per-request service latency in cycles, for percentile reporting
+        self.latency_histogram = Histogram()
+
         self.cache = CacheTree(
             mem_blocks_budget=config.mem_tree_blocks,
             bucket_size=config.bucket_size,
-            codec=self.codec,
+            codec=codec,
             memory_store=hierarchy.memory,
             rng=self.rng.spawn("cache-tree"),
             shuffle=get_shuffle(config.shuffle_algorithm),
@@ -54,7 +106,7 @@ class HybridORAM(EngineKernel):
         )
         self.storage = PermutedStorage(
             n_blocks=config.n_blocks,
-            codec=self.codec,
+            codec=codec,
             storage_store=hierarchy.storage,
             memory_store=hierarchy.memory,
             rng=self.rng.spawn("storage-layer"),
@@ -62,9 +114,16 @@ class HybridORAM(EngineKernel):
             shuffle_period_ratio=config.shuffle_period_ratio,
             period_capacity=self.cache.period_capacity,
         )
+        if image is None:
+            self.cache.tree.fill_empty()
+            self.storage._initialize(initial_addr_map)
+        else:
+            self.load_state(*image)
 
     @classmethod
     def required_storage_slots(cls, config: HORAMConfig) -> int:
+        """Storage-tier slots the partition layout needs under ``config``
+        (:func:`repro.core.recipe.build` sizes the hierarchy with it)."""
         partitions, size, overflow = storage_layout(
             config.n_blocks,
             config.shuffle_period_ratio,
@@ -72,65 +131,303 @@ class HybridORAM(EngineKernel):
         )
         return partitions * (size + overflow)
 
-    def write_initial_image(self, initial_addr_map) -> None:
-        self.cache.tree.fill_empty()
-        self.storage._initialize(initial_addr_map)
+    # ----------------------------------------------------------- properties
+    @property
+    def n_blocks(self) -> int:
+        return self.config.n_blocks
 
-    # ---------------------------------------------------- ProtocolBackend
     @property
     def period_capacity(self) -> int:
         """I/O loads per access period (the paper's n/2)."""
         return self.cache.period_capacity
 
-    def is_cached(self, addr: int) -> bool:
-        return self.cache.contains(addr)
+    @property
+    def period_index(self) -> int:
+        return self._period_index
 
+    @property
+    def current_c(self) -> int:
+        progress = self._loads_this_period / self.period_capacity
+        return self.config.stages.c_at(progress)
+
+    # -------------------------------------------------------------- batch API
+    def submit(self, request: Request) -> RobEntry:
+        """Queue a request into the ROB table."""
+        self.check_addr(request.addr)
+        self.metrics.requests_submitted += 1
+        return self.rob.push(request, self._cycle_index)
+
+    def step(self) -> list[RobEntry]:
+        """Run one scheduler cycle; returns requests retired this cycle."""
+        # Loads complete within their cycle (the I/O overlaps the c memory
+        # reads and both finish by the cycle barrier), so no address is
+        # ever in flight across cycles.
+        self.hierarchy.mark("cycle-start")
+        c = self.current_c
+        plan = self.scheduler.plan(self.rob, c, self.cache.contains, set())
+
+        mem_times = TierTimes()
+        io_times = TierTimes()
+
+        # Memory side: c path accesses (real hits first, then padding).
+        if plan.hits:
+            self._serve_hits(plan.hits, mem_times)
+        for _ in range(plan.dummy_hits):
+            mem_times.add(self.dummy_hit())
+        self.metrics.dummy_hits += plan.dummy_hits
+        self.metrics.scheduled_hits += c
+
+        # I/O side: exactly one storage load.
+        if plan.miss is not None:
+            io_times.add(self.fetch_path(plan.miss.addr))
+            plan.miss.state = EntryState.READY
+        else:
+            io_times.add(self.dummy_fetch_path())
+            self.metrics.dummy_misses += 1
+            self.metrics.prefetched_hits += 1
+        self.metrics.scheduled_misses += 1
+
+        # Advance simulated time: overlapped or serial composition.
+        if self.config.overlap_io:
+            start = self.hierarchy.clock.now_us
+            mem_done = self.hierarchy.memory_channel.submit(start, mem_times.mem_us)
+            io_done = self.hierarchy.io_channel.submit(start, io_times.io_us)
+            self.hierarchy.clock.advance_to(max(mem_done, io_done))
+        else:
+            self.hierarchy.clock.advance(mem_times.mem_us + io_times.io_us)
+
+        self.metrics.cycles += 1
+        self.metrics.record_stash(len(self.cache.stash))
+        self.metrics.tree_real_blocks_peak = max(
+            self.metrics.tree_real_blocks_peak, self.cache.real_blocks
+        )
+        self._cycle_index += 1
+        self.hierarchy.mark("cycle-end")
+
+        # Period bookkeeping: every cycle performs one I/O load.
+        self._loads_this_period += 1
+        if self._loads_this_period >= self.period_capacity:
+            self.run_shuffle_period()
+
+        return self.rob.retire()
+
+    def drain(self) -> list[RobEntry]:
+        """Run cycles until every submitted request has retired."""
+        retired: list[RobEntry] = []
+        while self.rob.has_work():
+            retired.extend(self.step())
+        retired.extend(self.rob.retire())
+        return retired
+
+    def has_work(self) -> bool:
+        """Whether any submitted request has not yet been served."""
+        return self.rob.has_work()
+
+    def feed_quantum(self) -> int:
+        """How many queued requests one ``step`` can look across: the
+        scheduler's lookahead window at the current stage."""
+        return max(2, self.config.window_for(self.current_c))
+
+    def retire(self) -> list[RobEntry]:
+        """Pop served entries waiting at the ROB head (in program order)."""
+        return self.rob.retire()
+
+    # -------------------------------------------------------- synchronous API
+    def read(self, addr: int) -> bytes:
+        entry = self.submit(Request.read(addr))
+        self.drain()
+        assert entry.result is not None
+        return entry.result
+
+    def write(self, addr: int, data: bytes) -> None:
+        self.submit(Request.write(addr, data))
+        self.drain()
+
+    def force_shuffle(self) -> None:
+        """End the current period immediately (maintenance hook)."""
+        self.run_shuffle_period()
+
+    def close(self) -> None:
+        """Release durable storage backings (flush + unmap); idempotent."""
+        self.hierarchy.close()
+
+    # ------------------------------------------------------------ layer calls
     def serve_hits(self, items) -> "tuple[list[bytes], TierTimes]":
+        """Serve a cycle's hit group, ``[(op, addr, data|None)]`` in order,
+        from the cache tree: the per-item payloads (pre-write value for
+        writes) and the memory-tier time charged."""
         return self.cache.access_many(items)
 
     def dummy_hit(self) -> TierTimes:
+        """One indistinguishable padding access on the cache tree."""
         return self.cache.dummy_access()
 
     def fetch_path(self, addr: int) -> TierTimes:
+        """Load ``addr`` from storage into the cache tree (one miss)."""
         payload, times = self.storage.fetch(addr)
         self.cache.insert(addr, payload)
         return times
 
-    def dummy_fetch_path(self) -> DummyLoad:
+    def dummy_fetch_path(self) -> TierTimes:
+        """One padded storage load, shaped exactly like a miss: it fetches
+        a uniformly random stored block and admits it to the cache tree,
+        so every dummy load is a prefetch."""
         addr, payload, times = self.storage.dummy_fetch()
         self.cache.insert(addr, payload)
-        return DummyLoad(times=times, prefetched=True)
+        return times
 
-    def run_shuffle_period(self) -> ShuffleReport:
-        """Evict + group/partition shuffle (Section 4.3)."""
+    def run_shuffle_period(self) -> None:
+        """Evict + group/partition shuffle + fresh period (Section 4.3)."""
+        hierarchy, metrics = self.hierarchy, self.metrics
+        hierarchy.mark("shuffle-start")
+        start_us = hierarchy.clock.now_us
+        io_before = hierarchy.storage.snapshot()
+
         evicted, evict_times, _moves = self.cache.evict_all()
         stats = self.storage.shuffle_into(evicted, self._period_index)
-        return ShuffleReport(
-            advance_us=evict_times.serial_us + stats.times.serial_us,
-            evict_us=evict_times.serial_us,
-            mem_time_us=evict_times.mem_us + stats.times.mem_us,
-            extra={
-                "partitions_shuffled": stats.partitions_shuffled,
-                "blocks_appended": stats.blocks_appended,
-            },
+
+        # The shuffle period is serial: the storage waits for it.
+        hierarchy.clock.advance(evict_times.serial_us + stats.times.serial_us)
+        # Keep the overlap channels from "catching up" during the pause.
+        hierarchy.memory_channel.busy_until_us = hierarchy.clock.now_us
+        hierarchy.io_channel.busy_until_us = hierarchy.clock.now_us
+
+        io_delta = hierarchy.storage.snapshot().delta(io_before)
+        metrics.shuffle_count += 1
+        metrics.shuffle_time_us += hierarchy.clock.now_us - start_us
+        metrics.evict_time_us += evict_times.serial_us
+        metrics.shuffle_bytes_read += io_delta.bytes_read
+        metrics.shuffle_bytes_written += io_delta.bytes_written
+        metrics.shuffle_io_reads += io_delta.reads
+        metrics.shuffle_io_writes += io_delta.writes
+        metrics.shuffle_io_time_us += io_delta.busy_us
+        # The in-memory shuffle moves are charged to durations, not to the
+        # memory store's counters; account the store part plus move time.
+        metrics.shuffle_mem_time_us += evict_times.mem_us + stats.times.mem_us
+        extra = metrics.extra
+        extra["partitions_shuffled"] = (
+            extra.get("partitions_shuffled", 0) + stats.partitions_shuffled
         )
+        extra["blocks_appended"] = extra.get("blocks_appended", 0) + stats.blocks_appended
 
-    def end_shuffle_period(self) -> None:
+        # Requests whose block was loaded but not yet serviced lost their
+        # cached copy to the eviction; they re-enter as pending misses.
+        demoted = self.rob.demote_ready()
+        if demoted:
+            extra["ready_demotions"] = extra.get("ready_demotions", 0) + demoted
+
         self.storage.end_period()
+        self._loads_this_period = 0
+        self._period_index += 1
+        hierarchy.mark("shuffle-end")
 
-    def stash_size(self) -> int:
-        return len(self.cache.stash)
+    # ------------------------------------------------------------ checkpoint
+    def snapshot(self):
+        """Full-stack checkpoint (see :mod:`repro.core.checkpoint`)."""
+        from repro.core.checkpoint import snapshot_stack
 
-    def cached_real_blocks(self) -> int:
-        return self.cache.real_blocks
+        return snapshot_stack(self)
 
-    def backend_state_dict(self) -> "tuple[dict, dict[str, bytes]]":
+    def state_dict(self) -> "tuple[dict, dict[str, bytes]]":
+        """(JSON-able state, binary blobs) capturing every mutable bit.
+
+        Restoring this state into a freshly built instance with the same
+        config and hierarchy geometry makes it bit-identical -- results,
+        digest, metrics, timing, randomness -- to the snapshotted one, from
+        this point forward.  The storage layer's control tables ship as
+        blobs beside the store blobs.
+        """
+        from repro.core.checkpoint import _hierarchy_state
+
+        state, blobs = _hierarchy_state(self.hierarchy)
         storage_state, tables = self.storage.state_dict()
-        return {"cache": self.cache.state_dict(), "storage": storage_state}, tables
+        state.update(
+            codec_nonce=self.codec._nonce_counter,
+            rng=self.rng.state_dict(),
+            cache=self.cache.state_dict(),
+            storage=storage_state,
+        )
+        blobs.update(tables)
+        state.update(
+            rob=self.rob.state_dict(),
+            scheduler_cycles_planned=self.scheduler.cycles_planned,
+            metrics=self.metrics.to_dict(),
+            cycle_index=self._cycle_index,
+            loads_this_period=self._loads_this_period,
+            period_index=self._period_index,
+            served_digest=self.served_digest.hex(),
+            latency_histogram=self.latency_histogram.to_list(),
+        )
+        return state, blobs
 
-    def load_backend_state(self, state: dict, blobs: "dict[str, bytes]") -> None:
+    def load_state(self, state: dict, blobs: "dict[str, bytes]") -> None:
+        """Overwrite this instance's mutable state with a checkpoint's."""
+        from repro.core.checkpoint import _load_hierarchy_state
+
+        _load_hierarchy_state(self.hierarchy, state, blobs)
+        self.codec._nonce_counter = state["codec_nonce"]
+        self.rng.load_state(state["rng"])
         self.cache.load_state(state["cache"])
         self.storage.load_state(state["storage"], blobs)
+        self.rob.load_state(state["rob"])
+        self.scheduler.cycles_planned = state["scheduler_cycles_planned"]
+        self.metrics = Metrics.from_dict(state["metrics"])
+        self._cycle_index = state["cycle_index"]
+        self._loads_this_period = state["loads_this_period"]
+        self._period_index = state["period_index"]
+        self.served_digest = bytes.fromhex(state["served_digest"])
+        self.latency_histogram = Histogram.from_list(state["latency_histogram"])
+
+    def latency_percentiles(self, quantiles=(50, 90, 99)) -> dict[int, float]:
+        """Service-latency percentiles in scheduler cycles.
+
+        Queueing latency shows where the fixed-shape pipeline makes
+        requests wait: misses take at least one extra cycle (load, then
+        serve), and ROB backlog adds more under bursts.
+        """
+        return {int(q): v for q, v in self.latency_histogram.percentiles(quantiles).items()}
+
+    # ------------------------------------------------------------- internals
+    def _serve_hits(self, entries: list[RobEntry], times: TierTimes) -> None:
+        """Serve a cycle's hit group with batched bookkeeping.
+
+        The cache-tree accesses themselves go through :meth:`serve_hits`
+        (one per entry, same order); the per-entry metric increments,
+        latency samples and the served digest are folded into one pass
+        over the group, and the digest is chained once for the whole
+        cycle: ``BLAKE2b-128(previous digest || addr, cycle, addr, cycle,
+        ...)`` with each number a little-endian int64, in service order.
+        """
+        write = OpKind.WRITE
+        served = EntryState.SERVED
+        cycle = self._cycle_index
+        items = []
+        writes = 0
+        for entry in entries:
+            request = entry.request
+            if request.op is write:
+                items.append((request.op, entry.addr, request.data))
+                writes += 1
+            else:
+                items.append((request.op, entry.addr, None))
+        payloads, batch_times = self.serve_hits(items)
+        times.add(batch_times)
+        latencies = []
+        pairs = []
+        for entry, payload in zip(entries, payloads):
+            entry.result = payload
+            entry.state = served
+            entry.served_cycle = cycle
+            latencies.append(cycle - entry.submit_cycle)
+            pairs.append(entry.addr)
+            pairs.append(cycle)
+        self.latency_histogram.add_many(latencies)
+        self.served_digest = blake2b(
+            self.served_digest + struct.pack(f"<{len(pairs)}q", *pairs), digest_size=16
+        ).digest()
+        self.metrics.requests_served += len(entries)
+        self.metrics.read_requests += len(entries) - writes
+        self.metrics.write_requests += writes
 
 
 def build_horam(

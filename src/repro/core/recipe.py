@@ -1,25 +1,24 @@
 """One stack recipe, one builder.
 
-A stack -- one engine-kernel protocol (H-ORAM, the succinct hierarchical
-and BIOS variants), a sharded fleet of them, or one of the classic
-baselines -- is fully set by a few inputs: the geometry, the
-:class:`~repro.core.config.HORAMConfig` knobs, the device models, a
-seed, the storage backing, and for a fleet its shard count, executor and
-supervision knobs.  :class:`StackRecipe` holds exactly those inputs,
-frozen and JSON-able, and :func:`build` is the only code that turns one
-into a stack: it alone creates the record codec and the
-:class:`~repro.storage.hierarchy.StorageHierarchy`.  Fresh builds,
-checkpoint restores, a serial fleet's shard recovery and a parallel
-worker's shard all go through it, and a checkpoint stores the recipe
-verbatim.
+A stack -- one H-ORAM instance, a sharded fleet of them, or one of the
+classic baselines (Path ORAM, the plain store) -- is fully set by a few
+inputs: the geometry, the :class:`~repro.core.config.HORAMConfig` knobs,
+the device models, a seed, the storage backing, and for a fleet its
+shard count, executor and supervision knobs.  :class:`StackRecipe` holds
+exactly those inputs, frozen and JSON-able, and :func:`build` is the
+only code that turns one into a stack: it alone creates the record codec
+and the :class:`~repro.storage.hierarchy.StorageHierarchy`.  Fresh
+builds, checkpoint restores, a serial fleet's shard recovery and a
+parallel worker's shard all go through it, and a checkpoint stores the
+recipe verbatim.
 
 A shard is ``(recipe, index)``: shard ``index`` of an ``n_shards``
 fleet holds the striped addresses ``index, index + n_shards, ...``, an
 even share of the memory budget, and a seed spawn-derived from the
 recipe's, so a serial fleet and a parallel one built from the same
 recipe hold bit-identical shards.  Slot counts and slot widths are not
-inputs: :func:`build` derives them (a kernel protocol states its storage
-footprint through ``required_storage_slots(config)``).
+inputs: :func:`build` derives them (H-ORAM states its storage footprint
+through ``HybridORAM.required_storage_slots(config)``).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from repro.core.config import HORAMConfig
-from repro.core.kernel import KERNEL_PROTOCOLS
 from repro.core.stages import StageSchedule
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import _make_codec
@@ -52,8 +50,11 @@ DEVICES = {
     "ssd-degraded": lambda: degraded(ssd_sata(), 4.0),
 }
 
-#: Baselines that run outside the engine kernel.
+#: The classic baselines the paper measures H-ORAM against.
 CLASSIC_BASELINES = ("path", "plain")
+
+#: Every protocol a recipe may name.
+PROTOCOLS = ("horam", "sharded", *CLASSIC_BASELINES)
 
 #: The :class:`HORAMConfig` knobs each classic baseline would drop; a
 #: recipe that sets one away from its default is refused.
@@ -70,22 +71,6 @@ _DROPPED_KNOBS = {"path": _KERNEL_KNOBS, "plain": (*_KERNEL_KNOBS, "bucket_size"
 EXECUTORS = ("serial", "parallel")
 
 _PAPER_STAGES = tuple(tuple(stage) for stage in StageSchedule.paper_default().to_pairs())
-
-
-def kernel_protocols() -> "dict[str, type]":
-    """Registered :class:`~repro.core.kernel.EngineKernel` protocols by
-    name; importing the bundled ones registers them."""
-    import repro.core.horam  # noqa: F401
-    import repro.oram.bios  # noqa: F401
-    import repro.oram.succinct_hier  # noqa: F401
-
-    return KERNEL_PROTOCOLS
-
-
-def protocol_names() -> "tuple[str, ...]":
-    """Every protocol a recipe may name."""
-    others = {*kernel_protocols(), *CLASSIC_BASELINES} - {"horam"}
-    return ("horam", "sharded", *sorted(others))
 
 
 def shard_block_counts(n_blocks: int, n_shards: int) -> "list[int]":
@@ -124,8 +109,8 @@ class StackRecipe:
     """Every input one stack is built from (frozen, JSON-able).
 
     ``device`` is the storage tier's device model, ``mem_blocks`` the
-    memory tier's budget in blocks (the cache tree's for kernel
-    protocols, the cached tree top's for Path ORAM).  ``storage_path`` is
+    memory tier's budget in blocks (the cache tree's for H-ORAM, the
+    cached tree top's for Path ORAM).  ``storage_path`` is
     the slab file of a single ``file``-backed stack, the slab directory
     of a ``file``-backed fleet, or the segment name (prefix, for a fleet)
     of an ``shm`` one.  ``users`` and the supervision knobs are read by
@@ -143,8 +128,6 @@ class StackRecipe:
     lockstep: bool = True
     #: fleet runtime: "serial" (in-process) or "parallel" (process per shard).
     executor: str = "serial"
-    #: the kernel protocol each shard of a sharded stack runs.
-    shard_protocol: str = "horam"
     #: storage-tier backing: "memory", "file" (a durable slab) or "shm"
     #: (a POSIX shared-memory segment, unlinked when the stack closes).
     storage_backend: str = "memory"
@@ -181,9 +164,9 @@ class StackRecipe:
         if self.storage_path is not None:
             object.__setattr__(self, "storage_path", os.fspath(self.storage_path))
 
-        if self.protocol not in protocol_names():
+        if self.protocol not in PROTOCOLS:
             raise ValueError(
-                f"unknown protocol {self.protocol!r} (valid: {', '.join(protocol_names())})"
+                f"unknown protocol {self.protocol!r} (valid: {', '.join(PROTOCOLS)})"
             )
         batched = self.protocol in ("horam", "sharded")
         if self.users and not batched:
@@ -197,8 +180,6 @@ class StackRecipe:
                 raise ValueError("the parallel executor runs sharded stacks only")
             if self.n_shards != 1:
                 raise ValueError(f"n_shards={self.n_shards} applies to sharded stacks only")
-            if self.shard_protocol != "horam":
-                raise ValueError("shard_protocol applies to sharded stacks only")
             if self.supervised:
                 raise ValueError("supervision wraps sharded stacks only")
         if self.storage_backend not in STORAGE_BACKENDS:
@@ -223,11 +204,6 @@ class StackRecipe:
             self._check_fleet()
 
     def _check_fleet(self) -> None:
-        if self.shard_protocol not in kernel_protocols():
-            raise ValueError(
-                f"unknown shard protocol {self.shard_protocol!r} "
-                f"(valid: {', '.join(sorted(kernel_protocols()))})"
-            )
         if self.n_shards < 1:
             raise ValueError("a fleet needs at least one shard (n_shards >= 1)")
         smallest = min(shard_block_counts(self.n_blocks, self.n_shards))
@@ -248,7 +224,7 @@ class StackRecipe:
 
     # ------------------------------------------------------------ derived
     def kernel_config(self, index: "int | None" = None) -> HORAMConfig:
-        """The kernel configuration of a single-kernel recipe, or of shard
+        """The H-ORAM configuration of a ``horam`` recipe, or of shard
         ``index`` of a fleet recipe (its stripe, memory share and seed)."""
         n_blocks, mem_blocks, seed = self.n_blocks, self.mem_blocks, self.seed
         if index is not None:
@@ -279,8 +255,6 @@ class StackRecipe:
     def label(self) -> str:
         name = self.protocol
         if self.protocol == "sharded":
-            if self.shard_protocol != "horam":
-                name += f"[{self.shard_protocol}]"
             name += f"x{self.n_shards}"
         if self.executor == "parallel":
             name += "-par"
@@ -313,6 +287,9 @@ class StackRecipe:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StackRecipe":
+        unknown = set(data) - {spec.name for spec in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown recipe field(s): {', '.join(sorted(unknown))}")
         return cls(**data)
 
 
@@ -322,7 +299,7 @@ class StackRecipe:
 def build(recipe: StackRecipe, image=None):
     """The stack ``recipe`` describes: fresh, or straight from ``image``.
 
-    ``image`` is a checkpoint payload -- one kernel's ``(state, blobs)``,
+    ``image`` is a checkpoint payload -- one H-ORAM's ``(state, blobs)``,
     or a list of them, one per shard, for a fleet -- loaded in place of
     the initial image, so a restore seals nothing and draws no initial
     permutation.  The stack keeps what it was built from as
@@ -345,7 +322,7 @@ def build(recipe: StackRecipe, image=None):
 
         runtime = ParallelExecutor if recipe.executor == "parallel" else SerialExecutor
         return ShardedHORAM(recipe, runtime(recipe, image))
-    if recipe.protocol in kernel_protocols():
+    if recipe.protocol == "horam":
         stack = build_kernel(recipe, image=image)
     elif image is not None:
         raise ValueError(f"the {recipe.protocol} baseline is built fresh only")
@@ -356,28 +333,31 @@ def build(recipe: StackRecipe, image=None):
 
 
 def build_kernel(recipe: StackRecipe, index: "int | None" = None, image=None):
-    """The kernel of a single-kernel recipe, or shard ``index`` of a fleet
-    recipe; ``image`` is a ``(state, blobs)`` checkpoint payload."""
+    """The :class:`~repro.core.horam.HybridORAM` of a ``horam`` recipe, or
+    shard ``index`` of a fleet recipe; ``image`` is a ``(state, blobs)``
+    checkpoint payload."""
+    # Local: repro.core.horam imports this module for build_horam.
+    from repro.core.horam import HybridORAM
+
     if index is None:
-        name, storage_path, addr_map = recipe.protocol, recipe.storage_path, None
+        storage_path, addr_map = recipe.storage_path, None
     else:
-        name, storage_path = recipe.shard_protocol, recipe.shard_storage_path(index)
+        storage_path = recipe.shard_storage_path(index)
         n_shards = recipe.n_shards
 
         def addr_map(local: int) -> int:
             return local * n_shards + index
 
-    cls = kernel_protocols()[name]
     config = recipe.kernel_config(index)
     codec = _make_codec(config.payload_bytes, config.seed, integrity=recipe.integrity)
     hierarchy = _hierarchy(
         recipe,
         codec,
         memory_slots=config.mem_tree_blocks,
-        storage_slots=cls.required_storage_slots(config),
+        storage_slots=HybridORAM.required_storage_slots(config),
         storage_path=storage_path,
     )
-    return cls(config, hierarchy, codec=codec, initial_addr_map=addr_map, image=image)
+    return HybridORAM(config, hierarchy, codec=codec, initial_addr_map=addr_map, image=image)
 
 
 def _hierarchy(recipe, codec, memory_slots, storage_slots, storage_path=None):

@@ -5,8 +5,7 @@ free" (Section 5.3.2) -- but one :class:`~repro.core.horam.HybridORAM`
 instance is still one device: one cache tree, one permuted storage, one
 I/O channel.  :class:`ShardedHORAM` scales past that by partitioning the
 logical address space across ``n_shards`` fully independent instances,
-the same move throughput-oriented oblivious memories (Palermo) and
-parameterized outsourced storage (BIOS ORAM) make.
+the same move throughput-oriented oblivious memories (Palermo) make.
 
 Design points:
 
@@ -207,8 +206,9 @@ class ShardedHORAM(ORAMProtocol):
         """Every shard's served-order digest, in shard order.
 
         Each covers that shard's ``(local addr, shard cycle)`` serve
-        sequence (see :attr:`EngineKernel.served_digest`); two fleets
-        served the same sequences exactly when these compare equal.
+        sequence (see :attr:`~repro.core.horam.HybridORAM.served_digest`);
+        two fleets served the same sequences exactly when these compare
+        equal.
         """
         return tuple(shard.served_digest for shard in self.shards)
 
@@ -466,7 +466,6 @@ def build_sharded_horam(
     executor: str = "serial",
     storage_backend: str = "memory",
     storage_dir=None,
-    protocol: str = "horam",
     **config_kwargs,
 ) -> ShardedHORAM:
     """Factory mirroring :func:`~repro.core.horam.build_horam`: one fleet
@@ -480,11 +479,6 @@ def build_sharded_horam(
     the recipe and its index, so the parallel fleet replays
     bit-identically to the serial one.  ``storage_dir`` holds the
     shards' slabs on the ``file`` backend.
-
-    ``protocol`` picks what runs inside each shard: any registered
-    :class:`~repro.core.kernel.EngineKernel` protocol stripes the same
-    way H-ORAM does, because the coordinator only speaks the kernel's
-    submit/step/drain surface.
     """
     return build(
         recipe_from_kwargs(
@@ -502,7 +496,6 @@ def build_sharded_horam(
             executor=executor,
             storage_backend=storage_backend,
             storage_path=storage_dir,
-            shard_protocol=protocol,
             **config_kwargs,
         )
     )

@@ -508,7 +508,7 @@ def initial_payload(addr: int) -> bytes:
 class ORAMProtocol(ABC):
     """The user-facing oblivious memory interface.
 
-    All four protocols in this repository (H-ORAM and the three baselines)
+    All three protocols in this repository (H-ORAM and the two baselines)
     implement this; the simulation engine and the examples only talk to it.
     """
 

@@ -9,16 +9,10 @@ functions here only map the historical keyword surfaces onto a recipe
 
 from __future__ import annotations
 
-from repro.core.recipe import (
-    CLASSIC_BASELINES,
-    build,
-    kernel_protocols,
-    recipe_from_kwargs,
-)
+from repro.core.recipe import CLASSIC_BASELINES, build, recipe_from_kwargs
 
-#: Baseline protocols by short name (the conformance matrix iterates
-#: this): the classic schemes plus every kernel protocol but H-ORAM.
-BASELINES = tuple(sorted({*CLASSIC_BASELINES, *kernel_protocols()} - {"horam"}))
+#: Baseline protocols by short name.
+BASELINES = CLASSIC_BASELINES
 
 #: Classic schemes that ignore the memory budget (every other baseline
 #: needs one).
@@ -28,11 +22,6 @@ _NO_MEMORY = ("plain",)
 def baseline_names() -> list[str]:
     """The valid :func:`build_baseline` names, sorted."""
     return sorted(BASELINES)
-
-
-def shard_protocol_names() -> list[str]:
-    """Protocols the sharded fleet can run per shard, sorted."""
-    return sorted(kernel_protocols())
 
 
 def build_baseline(

@@ -4,7 +4,7 @@ The engine is the one place that understands both API styles:
 
 * batch protocols (H-ORAM): ``submit`` everything, then ``drain`` -- the
   ROB window stays full so the scheduler can do its job;
-* synchronous protocols (the three baselines): one ``access`` per request.
+* synchronous protocols (the two baselines): one ``access`` per request.
 
 It also owns the bookkeeping split: protocol objects update their own
 :class:`~repro.sim.metrics.Metrics` for protocol-level events (cycles,

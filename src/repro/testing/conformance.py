@@ -1,21 +1,20 @@
 """The conformance scenario matrix.
 
 ``default_matrix`` enumerates the scenarios every change to the serving
-stack must keep green: every protocol (H-ORAM, Path ORAM, the succinct
-hierarchical and BIOS kernels, the unprotected store), the sharded fleet
-at 1/2/4/8 shards, the multi-user front end, at least two device models,
-adversarial workload shapes (single-block hotspot, shard-aliased
-strides, write storms), recoverable fault injection (transient read
-errors, latency spikes, torn bulk writes), disk-backed slab stacks, and
-crash/restore choreographies (checkpoint, kill at a chosen physical op
--- including a torn mid-shuffle bulk write and a parallel-executor fleet
--- recover, finish, and diff against an uninterrupted twin), and chaos
-serving soaks (seeded wire faults between retrying clients and the
-server, graceful drain under live load, a crash storm under a served
-supervised fleet -- all gated on exactly-once execution and twin
-identity). The same specs back the ``horam-bench conformance`` CLI
-experiment and the tier-2 pytest matrix in
-``tests/testing/test_conformance.py``.
+stack must keep green: every protocol (H-ORAM, Path ORAM, the
+unprotected store), the sharded fleet at 1/2/4/8 shards, the multi-user
+front end, at least two device models, adversarial workload shapes
+(single-block hotspot, shard-aliased strides, write storms), recoverable
+fault injection (transient read errors, latency spikes, torn bulk
+writes), disk-backed slab stacks, and crash/restore choreographies
+(checkpoint, kill at a chosen physical op -- including a torn
+mid-shuffle bulk write and a parallel-executor fleet -- recover, finish,
+and diff against an uninterrupted twin), and chaos serving soaks (seeded
+wire faults between retrying clients and the server, graceful drain
+under live load, a crash storm under a served supervised fleet -- all
+gated on exactly-once execution and twin identity). The same specs back
+the ``horam-bench conformance`` CLI experiment and the tier-2 pytest
+matrix in ``tests/testing/test_conformance.py``.
 
 ``seeded_fault_demo`` is the harness eating its own dog food: a scenario
 with silent read corruption (the one fault class that is *not*
@@ -68,7 +67,6 @@ def _spec(
     supervised: bool = False,
     checkpoint_every_ops: int = 64,
     max_restarts: int = 2,
-    shard_protocol: str = "horam",
 ) -> ScenarioSpec:
     return ScenarioSpec(
         name=name,
@@ -81,7 +79,6 @@ def _spec(
             device=device,
             seed=seed,
             executor=executor,
-            shard_protocol=shard_protocol,
             storage_backend=storage_backend,
             supervised=supervised,
             checkpoint_every_ops=checkpoint_every_ops,
@@ -125,33 +122,6 @@ def default_matrix(scale: str = "quick") -> list[ScenarioSpec]:
         _spec("path-hotspot-hdd", "path", "hotspot", 200 * m, n_blocks=256, mem_blocks=64),
         _spec("path-uniform-ssd", "path", "uniform", 200 * m, n_blocks=256, mem_blocks=64, device="ssd-sata"),
         _spec("plain-mix-hdd", "plain", "mix", 200 * m, n_blocks=256, mem_blocks=64, write_ratio=0.0),
-        # -- the engine-kernel protocols (same kernel, different backends)
-        _spec("succinct-hotspot-hdd", "succinct", "hotspot", 220 * m, n_blocks=256, mem_blocks=64),
-        _spec("succinct-uniform-ssd", "succinct", "uniform", 200 * m, n_blocks=256, mem_blocks=64, device="ssd-sata"),
-        _spec("bios-hotspot-hdd", "bios", "hotspot", 220 * m, n_blocks=256, mem_blocks=64),
-        _spec("bios-mix-ssd", "bios", "mix", 200 * m, n_blocks=256, mem_blocks=64, write_ratio=0.0, device="ssd-sata"),
-        _spec(
-            "sharded2-succinct-hotspot-hdd", "sharded", "hotspot", 240 * m,
-            n_blocks=1024, n_shards=2, shard_protocol="succinct",
-        ),
-        _spec(
-            "sharded2-bios-uniform-hdd", "sharded", "uniform", 240 * m,
-            n_blocks=1024, n_shards=2, shard_protocol="bios",
-        ),
-        _spec(
-            "sharded2-parallel-succinct-hdd", "sharded", "hotspot", 220 * m,
-            n_blocks=1024, n_shards=2, executor="parallel", shard_protocol="succinct",
-        ),
-        _spec(
-            "succinct-crash-restore-hdd", "succinct", "hotspot", 220 * m,
-            n_blocks=256, mem_blocks=64,
-            crash=CrashSpec(snapshot_at=80, crash_at_op=30),
-        ),
-        _spec(
-            "bios-crash-restore-hdd", "bios", "hotspot", 220 * m,
-            n_blocks=256, mem_blocks=64,
-            crash=CrashSpec(snapshot_at=80, crash_at_op=30),
-        ),
         # -- the sharded fleet at every supported width
         _spec("sharded1-hotspot-hdd", "sharded", "hotspot", 260 * m, n_shards=1),
         _spec("sharded2-zipf-hdd", "sharded", "zipfian", 300 * m, n_blocks=1024, n_shards=2),

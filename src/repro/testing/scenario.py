@@ -270,14 +270,9 @@ class ScenarioSpec:
                 f"serves only {self.stack.n_blocks}"
             )
         if self.crash is not None:
-            # Any registered EngineKernel protocol checkpoints (so does the
-            # sharded fleet); the legacy baselines do not.
-            from repro.core.kernel import KERNEL_PROTOCOLS
-
-            if (
-                self.stack.protocol != "sharded"
-                and self.stack.protocol not in KERNEL_PROTOCOLS
-            ):
+            # H-ORAM and the sharded fleet checkpoint; the classic
+            # baselines do not.
+            if self.stack.protocol not in ("horam", "sharded"):
                 raise ValueError("crash scenarios need a checkpointable batched stack")
             if self.stack.users:
                 raise ValueError("crash scenarios do not drive the multi-user front end")

@@ -1,13 +1,12 @@
 """Stack construction for conformance scenarios.
 
 A *stack* is everything between the workload and the simulated device:
-one of the protocols (H-ORAM, the kernel variants, the classic
-baselines, the unprotected store), optionally sharded, optionally
-fronted by the multi-user multiplexer -- built on a named device model
-from one declarative :class:`StackSpec`, which is the
-:class:`~repro.core.recipe.StackRecipe` every stack is built from.
-Every combination the repo can serve is reachable here, which is what
-lets one scenario replay across the whole zoo.
+one of the protocols (H-ORAM, Path ORAM, the unprotected store),
+optionally sharded, optionally fronted by the multi-user multiplexer --
+built on a named device model from one declarative :class:`StackSpec`,
+which is the :class:`~repro.core.recipe.StackRecipe` every stack is
+built from.  Every combination the repo can serve is reachable here,
+which is what lets one scenario replay across every protocol.
 """
 
 from __future__ import annotations
@@ -18,14 +17,11 @@ import tempfile
 from dataclasses import dataclass, field, replace
 
 from repro.core.multiuser import MultiUserFrontEnd
-from repro.core.recipe import DEVICES, StackRecipe, build, protocol_names  # noqa: F401
+from repro.core.recipe import DEVICES, PROTOCOLS, StackRecipe, build  # noqa: F401
 from repro.storage.backend import BlockStore
 
 #: A scenario's stack description is the stack recipe itself.
 StackSpec = StackRecipe
-
-#: Protocols a StackSpec may name.
-PROTOCOLS = protocol_names()
 
 
 @dataclass

@@ -35,7 +35,6 @@ from repro.core.storage_layer import _pack_table
 from repro.core.supervisor import FleetSupervisor, SupervisorConfig
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import OpKind, Request
-from repro.oram.factory import build_baseline
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import Histogram, percentile
 from repro.workload.generators import hotspot, uniform
@@ -143,8 +142,9 @@ def assert_flat(small: "dict[str, int]", large: "dict[str, int]") -> None:
 # ------------------------------------------------- manifests stay flat
 KERNELS = {
     "horam": lambda: build_horam(n_blocks=1024, mem_tree_blocks=128, seed=1),
-    "succinct": lambda: build_baseline("succinct", 1024, memory_blocks=128, seed=1),
-    "bios": lambda: build_baseline("bios", 1024, memory_blocks=128, seed=1),
+    "horam-r4": lambda: build_horam(
+        n_blocks=1024, mem_tree_blocks=128, seed=1, shuffle_period_ratio=4
+    ),
 }
 
 
@@ -230,14 +230,10 @@ class TestWorkerSnapshots:
 
 # ------------------------------------------------------------ histogram
 def _kernel_case(protocol: str):
-    if protocol in ("full_shuffle", "partial_shuffle"):
-        ratio, n_blocks, count = (1, 512, 600) if protocol == "full_shuffle" else (4, 1024, 900)
-        stack = build_horam(
-            n_blocks=n_blocks, mem_tree_blocks=128, seed=42, shuffle_period_ratio=ratio
-        )
-    else:
-        n_blocks, count = 512, 500
-        stack = build_baseline(protocol, n_blocks, memory_blocks=128, seed=42)
+    ratio, n_blocks, count = (1, 512, 600) if protocol == "full_shuffle" else (4, 1024, 900)
+    stack = build_horam(
+        n_blocks=n_blocks, mem_tree_blocks=128, seed=42, shuffle_period_ratio=ratio
+    )
     requests = list(
         hotspot(
             n_blocks, count, DeterministicRandom(7),
@@ -262,7 +258,7 @@ def _served_latencies(stack, requests) -> "list[int]":
 
 
 class TestLatencyHistogram:
-    @pytest.mark.parametrize("protocol", ["full_shuffle", "partial_shuffle", "succinct", "bios"])
+    @pytest.mark.parametrize("protocol", ["full_shuffle", "partial_shuffle"])
     def test_kernel_percentiles_equal_the_list_percentiles(self, protocol):
         stack, requests = _kernel_case(protocol)
         latencies = _served_latencies(stack, requests)
@@ -452,7 +448,7 @@ class TestRestoredPoolIsChecked:
 
 
 # ------------------------------------------------------------ old format
-@pytest.mark.parametrize("old", [3, 4, 5, 6])
+@pytest.mark.parametrize("old", [3, 4, 5, 6, 7])
 def test_older_manifest_is_refused(old, tmp_path):
     oram = build_horam(n_blocks=256, mem_tree_blocks=64, seed=2)
     drive(oram, stream(40, n_blocks=256))

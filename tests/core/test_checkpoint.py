@@ -213,9 +213,25 @@ class TestBaselineCheckpoint:
         with pytest.raises(CheckpointError, match="factory"):
             snapshot_stack(plain)
 
-    @pytest.mark.parametrize("kind", ["mystery", "sqrt", "partition"])
+    @pytest.mark.parametrize("kind", ["mystery", "sqrt", "partition", "bios", "succinct"])
     def test_unknown_kind_rejected(self, kind):
         from repro.core.checkpoint import Checkpoint
 
         with pytest.raises(CheckpointError, match="unknown checkpoint kind"):
             restore_stack(Checkpoint(kind=kind, state={}))
+
+    @pytest.mark.parametrize("n_shards", [1, 2], ids=["horam", "sharded"])
+    def test_a_recipe_naming_a_shard_protocol_is_refused(self, n_shards):
+        """Format 8 recipes have no per-shard protocol field; a manifest
+        that still carries one is refused, never silently ignored."""
+        if n_shards == 1:
+            stack = build_horam(n_blocks=256, mem_tree_blocks=64, seed=2)
+        else:
+            stack = build_sharded_horam(n_blocks=256, mem_tree_blocks=64, n_shards=2, seed=2)
+        try:
+            checkpoint = snapshot_stack(stack)
+        finally:
+            stack.close()
+        checkpoint.state["recipe"]["shard_protocol"] = "horam"
+        with pytest.raises(CheckpointError, match="no valid stack recipe.*shard_protocol"):
+            restore_stack(checkpoint)

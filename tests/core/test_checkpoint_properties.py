@@ -31,16 +31,12 @@ STACKS = [
     ("sharded", {"n_shards": 2, "executor": "serial"}),
     ("sharded", {"n_shards": 4, "executor": "serial"}),
     ("sharded", {"n_shards": 2, "executor": "parallel"}),
-    ("sharded", {"n_shards": 2, "executor": "serial", "protocol": "succinct"}),
-    ("sharded", {"n_shards": 2, "executor": "serial", "protocol": "bios"}),
     ("path", {}),
     ("plain", {}),
-    ("succinct", {}),
-    ("bios", {}),
 ]
 
 #: baselines that take a memory budget (all but factory._NO_MEMORY).
-_MEMORY_BASELINES = ("path", "succinct", "bios")
+_MEMORY_BASELINES = ("path",)
 
 
 def build(kind, options, seed):

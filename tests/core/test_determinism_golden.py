@@ -21,7 +21,6 @@ import hashlib
 from repro.core.horam import HybridORAM, build_horam
 from repro.core.sharding import ShardedHORAM, build_sharded_horam
 from repro.crypto.random import DeterministicRandom
-from repro.oram.factory import build_baseline
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import Metrics
 from repro.workload.generators import hotspot
@@ -34,14 +33,6 @@ from repro.workload.generators import hotspot
 GOLDEN = {
     "full_shuffle": "8c53681d87b29508af79a2b6619fc41b",
     "partial_shuffle": "11183473162ce57e9a4f9e3d07beb3d9",
-}
-
-#: Captured when the kernel protocols landed: pins the succinct
-#: hierarchical and BIOS backends the way GOLDEN pins H-ORAM, so kernel
-#: refactors cannot silently change what any registered protocol serves.
-GOLDEN_KERNEL = {
-    "succinct": "ae87bf512baf142580a454d42943ce29",
-    "bios": "c188daeb78493dafc8d27127844bf313",
 }
 
 #: Captured on the tree that introduced the conformance harness (the
@@ -129,28 +120,6 @@ def run_case(n_blocks, mem_tree_blocks, requests, ratio=1, write_ratio=0.25):
     return fingerprint(oram, metrics, recorder.entries)
 
 
-def run_kernel_case(protocol, n_blocks=512, mem=128, requests=500, write_ratio=0.25):
-    oram = build_baseline(
-        protocol,
-        n_blocks,
-        memory_blocks=mem,
-        seed=42,
-        trace=True,
-    )
-    stream = list(
-        hotspot(
-            n_blocks,
-            requests,
-            DeterministicRandom(7),
-            hot_blocks=max(16, oram.period_capacity // 3),
-            write_ratio=write_ratio,
-        )
-    )
-    recorder = Recorder(oram)
-    metrics = SimulationEngine(recorder, verify=True).run(stream)
-    return fingerprint(oram, metrics, recorder.entries)
-
-
 def sharded_fingerprint(sharded: ShardedHORAM, metrics: Metrics, entries) -> str:
     """Digest of the fleet's observables: per-shard serve order, metrics, traces."""
     h = hashlib.blake2b(digest_size=16)
@@ -205,20 +174,6 @@ class TestGoldenFingerprints:
     def test_repeat_runs_are_identical(self):
         """Two fresh instances on the same seed produce the same fingerprint."""
         assert run_case(512, 128, 300) == run_case(512, 128, 300)
-
-
-class TestGoldenKernelFingerprints:
-    def test_succinct_matches_golden(self):
-        """The single-round-trip hierarchy is pinned on the shared kernel."""
-        assert run_kernel_case("succinct") == GOLDEN_KERNEL["succinct"]
-
-    def test_bios_matches_golden(self):
-        assert run_kernel_case("bios") == GOLDEN_KERNEL["bios"]
-
-    def test_repeat_kernel_runs_are_identical(self):
-        assert run_kernel_case("succinct", requests=200) == run_kernel_case(
-            "succinct", requests=200
-        )
 
 
 class TestGoldenShardedFingerprints:

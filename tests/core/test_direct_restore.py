@@ -1,6 +1,6 @@
 """Restores build the stack straight from the checkpoint.
 
-A fresh kernel writes its initial image (initial permutation, sealed
+A fresh H-ORAM stack writes its initial image (initial permutation, sealed
 slab, sealed cache tree) in one step; every restore route loads the
 checkpoint in that step's place.  These tests count the initial-image
 work -- ``_initialize``, ``fill_empty``, ``seal_many`` -- on each route,
@@ -17,24 +17,21 @@ import pytest
 from repro.core.checkpoint import recover, save_checkpoint, snapshot_shard, snapshot_stack
 from repro.core.executor import _WORKER, ShardCrashed, _worker_init
 from repro.core.horam import build_horam
-from repro.core.kernel import KERNEL_PROTOCOLS
 from repro.core.recipe import StackRecipe, build
 from repro.core.sharding import build_sharded_horam
 from repro.core.storage_layer import PermutedStorage
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import BlockCodec
-from repro.oram.bios import BiosORAM
 from repro.oram.path_oram import PathOramTree
-from repro.oram.succinct_hier import SuccinctHierORAM
 from repro.workload.generators import hotspot
 
-PROTOCOLS = ["horam", "succinct", "bios"]
+#: H-ORAM stacks by id: the default layout, and the partial shuffle
+#: (ratio 4), whose overflow regions every restore route must carry too.
+VARIANTS = {"horam": {}, "horam-r4": {"shuffle_period_ratio": 4}}
 
 #: every method that writes (part of) an initial image
 IMAGE_WORK = [
     (PermutedStorage, "_initialize"),
-    (SuccinctHierORAM, "_initialize"),
-    (BiosORAM, "_initialize"),
     (PathOramTree, "fill_empty"),
     (BlockCodec, "seal_many"),
 ]
@@ -75,30 +72,26 @@ def drive(stack, batch) -> list:
     return [entry.result for entry in entries]
 
 
-def build_kernel(protocol: str):
-    return build(StackRecipe(protocol=protocol, n_blocks=512, mem_blocks=64, seed=3))
+def build_kernel(variant: str):
+    return build(StackRecipe(n_blocks=512, mem_blocks=64, seed=3, **VARIANTS[variant]))
 
 
-def build_fleet(protocol: str, executor: str):
+def build_fleet(variant: str, executor: str):
     return build_sharded_horam(
-        n_blocks=1024, mem_tree_blocks=64, n_shards=2, seed=3,
-        executor=executor, protocol=protocol,
+        n_blocks=1024, mem_tree_blocks=64, n_shards=2, seed=3, executor=executor,
+        **VARIANTS[variant],
     )
 
 
-def test_every_kernel_protocol_is_covered():
-    assert sorted(KERNEL_PROTOCOLS) == sorted(PROTOCOLS)
-
-
-@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
 class TestNoRestoreRouteBuilds:
-    def test_a_fresh_build_writes_the_image(self, protocol, monkeypatch):
+    def test_a_fresh_build_writes_the_image(self, variant, monkeypatch):
         work = ImageWork(monkeypatch)
-        build_kernel(protocol).close()
+        build_kernel(variant).close()
         assert work.calls > 0
 
-    def test_recover(self, protocol, monkeypatch, tmp_path):
-        stack = build_kernel(protocol)
+    def test_recover(self, variant, monkeypatch, tmp_path):
+        stack = build_kernel(variant)
         head, tail = requests(512, 300)[:200], requests(512, 300)[200:]
         drive(stack, head)
         path = save_checkpoint(stack, tmp_path / "ckpt")
@@ -112,8 +105,8 @@ class TestNoRestoreRouteBuilds:
         assert restored.state_dict() == stack.state_dict()
 
     @pytest.mark.parametrize("executor", ["serial", "parallel"])
-    def test_fleet_restore(self, protocol, executor, monkeypatch, tmp_path):
-        fleet = build_fleet(protocol, executor)
+    def test_fleet_restore(self, variant, executor, monkeypatch, tmp_path):
+        fleet = build_fleet(variant, executor)
         restored = None
         try:
             batch = requests(1024, 300)
@@ -132,8 +125,8 @@ class TestNoRestoreRouteBuilds:
                 restored.close()
 
     @pytest.mark.parametrize("executor", ["serial", "parallel"])
-    def test_recover_shard(self, protocol, executor, monkeypatch):
-        fleet = build_fleet(protocol, executor)
+    def test_recover_shard(self, variant, executor, monkeypatch):
+        fleet = build_fleet(variant, executor)
         try:
             drive(fleet, requests(1024, 200))
             payload = fleet.executor.shard_state(1)
@@ -144,8 +137,8 @@ class TestNoRestoreRouteBuilds:
         finally:
             fleet.close()
 
-    def test_worker_load_in_process(self, protocol, monkeypatch):
-        fleet = build_fleet(protocol, "parallel")
+    def test_worker_load_in_process(self, variant, monkeypatch):
+        fleet = build_fleet(variant, "parallel")
         try:
             drive(fleet, requests(1024, 200))
             recipe = fleet.recipe

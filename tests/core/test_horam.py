@@ -7,7 +7,8 @@ from repro.core.rob import EntryState
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import ORAMError, Request, initial_payload
 from repro.sim.engine import SimulationEngine
-from repro.workload.generators import hotspot
+from repro.sim.metrics import TierTimes
+from repro.workload.generators import WorkloadSpec, hotspot, make_workload
 
 
 class TestSynchronousAPI:
@@ -166,3 +167,96 @@ class TestConfigPlumbing:
             m = SimulationEngine(oram).run(list(requests))
             runs.append((m.io_reads, m.cycles, m.total_time_us))
         assert runs[0] == runs[1]
+
+
+#: The layer calls the bench spine wraps per instance: (owner attribute
+#: of the stack, or "" for the stack itself; method; the metric its call
+#: count must equal, or None where only "called at least once" is exact).
+SEAMS = {
+    "serve_hits": ("", "serve_hits", None),
+    "dummy_hit": ("", "dummy_hit", lambda m: m.dummy_hits),
+    "fetch_path": ("", "fetch_path", lambda m: m.scheduled_misses - m.dummy_misses),
+    "dummy_fetch_path": ("", "dummy_fetch_path", lambda m: m.dummy_misses),
+    "run_shuffle_period": ("", "run_shuffle_period", lambda m: m.shuffle_count),
+    "scheduler.plan": ("scheduler", "plan", lambda m: m.cycles),
+    "cache.evict_all": ("cache", "evict_all", lambda m: m.shuffle_count),
+    "storage.shuffle_into": ("storage", "shuffle_into", lambda m: m.shuffle_count),
+}
+
+
+class TestLayerSeams:
+    """Every per-cycle layer call goes through the instance, so a wrapper
+    installed on one stack (the spine's per-layer profiler) sees each
+    call, including the ones inside a shuffle period."""
+
+    @pytest.mark.parametrize("seam", sorted(SEAMS))
+    def test_a_per_instance_wrapper_sees_every_call(self, seam):
+        owner, name, expected = SEAMS[seam]
+        oram = build_horam(n_blocks=512, mem_tree_blocks=64, seed=4)
+        target = getattr(oram, owner) if owner else oram
+        inner = getattr(target, name)
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        setattr(target, name, wrapped)
+        requests = hotspot(512, 600, DeterministicRandom(6), hot_blocks=12, write_ratio=0.3)
+        m = SimulationEngine(oram, verify=True).run(list(requests))
+        assert m.shuffle_count >= 2 and m.dummy_hits and m.dummy_misses
+        assert calls
+        if expected is not None:
+            assert len(calls) == expected(m)
+
+
+class TestDummyLoads:
+    @pytest.mark.parametrize("ratio", [1, 4])
+    @pytest.mark.parametrize("kind", ["hotspot", "uniform"])
+    def test_every_dummy_load_is_counted_as_a_prefetch(self, kind, ratio):
+        oram = build_horam(
+            n_blocks=1024, mem_tree_blocks=128, seed=5, shuffle_period_ratio=ratio
+        )
+        requests = make_workload(WorkloadSpec(kind=kind, n_blocks=1024, count=600, seed=3))
+        m = SimulationEngine(oram, verify=True).run(list(requests))
+        assert m.shuffle_count >= 1 and m.dummy_misses > 0
+        assert m.prefetched_hits == m.dummy_misses
+        assert m.scheduled_misses == m.cycles
+
+    def test_a_dummy_load_reads_one_slot_and_admits_its_block(self):
+        oram = build_horam(n_blocks=512, mem_tree_blocks=64, seed=6)
+        reads = oram.hierarchy.storage.snapshot().reads
+        cached = oram.cache.real_blocks
+        times = oram.dummy_fetch_path()
+        assert isinstance(times, TierTimes) and times.io_us > 0
+        assert oram.hierarchy.storage.snapshot().reads == reads + 1
+        assert oram.cache.real_blocks == cached + 1
+
+
+class TestShufflePeriod:
+    def test_force_shuffle_accounts_one_period(self):
+        oram = build_horam(n_blocks=512, mem_tree_blocks=64, seed=7)
+        for request in hotspot(512, 20, DeterministicRandom(8), hot_blocks=8):
+            oram.submit(request)
+        oram.drain()
+        start_us = oram.hierarchy.clock.now_us
+        oram.force_shuffle()
+        m = oram.metrics
+        now_us = oram.hierarchy.clock.now_us
+        assert m.shuffle_count == oram.period_index == 1
+        assert oram._loads_this_period == 0 and oram.current_c == 1
+        assert m.shuffle_time_us == now_us - start_us > 0
+        assert m.evict_time_us > 0 and m.shuffle_bytes_written > 0
+        assert oram.cache.real_blocks == 0
+        assert oram.hierarchy.memory_channel.busy_until_us == now_us
+        assert oram.hierarchy.io_channel.busy_until_us == now_us
+        assert m.extra["partitions_shuffled"] > 0
+
+    def test_an_idle_period_still_records_its_counters(self):
+        """The shuffle counters enter ``metrics.extra`` on the first
+        period even at zero, so every stack's metrics keep one shape."""
+        oram = build_horam(n_blocks=512, mem_tree_blocks=64, seed=7)
+        oram.force_shuffle()
+        assert oram.metrics.extra["blocks_appended"] == 0
+        assert "partitions_shuffled" in oram.metrics.extra
+        assert "ready_demotions" not in oram.metrics.extra

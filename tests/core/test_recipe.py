@@ -43,12 +43,20 @@ class TestOneStackOneRecipe:
         [
             dict(protocol="horam", n_shards=4, lockstep=False),
             dict(protocol="path", n_shards=3),
-            dict(protocol="succinct", n_shards=2),
+            dict(protocol="plain", n_shards=2),
         ],
     )
     def test_shards_need_a_sharded_stack(self, spec):
         with pytest.raises(ValueError, match="applies to sharded stacks only"):
             StackRecipe(**spec)
+
+    @pytest.mark.parametrize("protocol", ["bogus", "bios", "succinct"])
+    def test_an_unknown_protocol_names_the_four(self, protocol):
+        with pytest.raises(
+            ValueError,
+            match=f"unknown protocol '{protocol}' \\(valid: horam, sharded, path, plain\\)",
+        ):
+            StackRecipe(protocol=protocol)
 
     def test_a_sharded_stack_may_have_one_shard(self):
         assert StackRecipe(protocol="sharded", n_shards=1).label() == "shardedx1@hdd-paper"
@@ -134,10 +142,17 @@ class TestJson:
         assert "payload_bytes" not in StackRecipe().to_dict()
         assert set(StackRecipe().to_dict()) == {
             "protocol", "n_blocks", "mem_blocks", "n_shards", "users", "device",
-            "seed", "lockstep", "executor", "shard_protocol", "storage_backend",
+            "seed", "lockstep", "executor", "storage_backend",
             "supervised", "checkpoint_every_ops", "max_restarts",
             "keep_checkpoints", "heartbeat_timeout_s",
         }
+
+    @pytest.mark.parametrize("field", ["shard_protocol", "bogus"])
+    def test_from_dict_refuses_an_unknown_field(self, field):
+        data = StackRecipe(protocol="sharded", n_shards=2).to_dict()
+        data[field] = "horam"
+        with pytest.raises(ValueError, match=f"unknown recipe field\\(s\\): {field}"):
+            StackRecipe.from_dict(data)
 
     def test_every_named_device_is_accepted(self):
         for name in DEVICES:
@@ -150,12 +165,14 @@ class TestCheckpointStoresTheRecipe:
         [
             StackRecipe(n_blocks=512, mem_blocks=64, seed=3, integrity=True),
             StackRecipe(n_blocks=512, mem_blocks=64, shuffle_period_ratio=4),
-            StackRecipe(protocol="succinct", n_blocks=256, mem_blocks=64),
-            StackRecipe(protocol="bios", n_blocks=256, mem_blocks=64, device="ssd-sata"),
+            StackRecipe(
+                n_blocks=256, mem_blocks=64, device="ssd-sata", shuffle_algorithm="melbourne"
+            ),
             StackRecipe(protocol="path", n_blocks=256, mem_blocks=64),
             StackRecipe(protocol="plain", n_blocks=256, payload_bytes=32),
-            StackRecipe(protocol="sharded", n_blocks=1024, n_shards=2, shard_protocol="bios"),
             StackRecipe(protocol="sharded", n_blocks=1024, n_shards=2, executor="parallel"),
+            StackRecipe(protocol="sharded", n_blocks=1000, n_shards=4, lockstep=False),
+            StackRecipe(protocol="sharded", n_blocks=1024, n_shards=2, device="hdd-7200rpm"),
         ],
         ids=lambda recipe: recipe.label(),
     )

@@ -332,7 +332,7 @@ class TestMakeCodec:
         self.assert_seals_as_made(restored, 3, integrity)
         assert restored.read(7).rstrip(b"\x00") == b"kept"
 
-    @pytest.mark.parametrize("name", ["path", "bios"])
+    @pytest.mark.parametrize("name", ["path", "plain"])
     def test_restored_baseline_seals_with_it(self, name):
         from repro.core.checkpoint import restore_stack, snapshot_stack
 

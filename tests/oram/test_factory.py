@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.horam import build_horam
+from repro.core.checkpoint import snapshot_stack
+from repro.core.horam import HybridORAM, build_horam
 from repro.core.recipe import StackRecipe, build
 from repro.core.sharding import build_sharded_horam
 from repro.oram.factory import (
@@ -11,7 +12,6 @@ from repro.oram.factory import (
     build_baseline,
     build_path_oram,
     build_plain,
-    shard_protocol_names,
 )
 from repro.storage.device import hdd_realistic, ssd_sata
 
@@ -25,6 +25,16 @@ class TestGeometry:
     def test_horam_store_covers_layout(self):
         oram = build_horam(n_blocks=300, mem_tree_blocks=64)  # non-square N
         assert oram.hierarchy.storage.slots >= oram.storage.total_slots
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_fleet_shards_sized_exactly(self, n_shards):
+        fleet = build_sharded_horam(n_blocks=1000, mem_tree_blocks=128, n_shards=n_shards)
+        try:
+            for shard in fleet.shards:
+                slots = HybridORAM.required_storage_slots(shard.config)
+                assert shard.hierarchy.storage.slots == shard.storage.total_slots == slots
+        finally:
+            fleet.close()
 
 
 class TestDevices:
@@ -78,9 +88,7 @@ class TestTraceFlag:
 
 class TestRegistry:
     def test_baseline_names_sorted_and_complete(self):
-        assert baseline_names() == sorted(BASELINES)
-        for name in ("path", "plain", "succinct", "bios"):
-            assert name in baseline_names()
+        assert baseline_names() == sorted(BASELINES) == ["path", "plain"]
 
     def test_unknown_baseline_enumerates_valid_names(self):
         with pytest.raises(ValueError) as excinfo:
@@ -91,29 +99,12 @@ class TestRegistry:
             assert name in message
 
     def test_memory_baselines_demand_a_budget(self):
-        for name in ("path", "succinct", "bios"):
-            with pytest.raises(ValueError, match="needs memory_blocks"):
-                build_baseline(name, 64)
-
-    def test_shard_protocol_names(self):
-        assert shard_protocol_names() == sorted(["horam", "succinct", "bios"])
-
-    def test_unknown_shard_protocol_enumerates_valid_names(self):
-        with pytest.raises(ValueError, match="unknown shard protocol") as excinfo:
-            build_sharded_horam(n_blocks=256, mem_tree_blocks=64, protocol="nope")
-        for name in shard_protocol_names():
-            assert name in str(excinfo.value)
-
-    def test_kernel_geometry_sized_exactly(self):
-        for name in ("succinct", "bios"):
-            kernel = build(StackRecipe(protocol=name, n_blocks=256, mem_blocks=64))
-            assert kernel.hierarchy.storage.slots == type(kernel).required_storage_slots(
-                kernel.config
-            )
+        with pytest.raises(ValueError, match="needs memory_blocks"):
+            build_baseline("path", 64)
 
     def test_baseline_wrapper_matches_recipe_build(self):
-        via_factory = build_baseline("succinct", 128, memory_blocks=32, seed=3)
-        direct = build(StackRecipe(protocol="succinct", n_blocks=128, mem_blocks=32, seed=3))
+        via_factory = build_baseline("path", 128, memory_blocks=32, seed=3)
+        direct = build(StackRecipe(protocol="path", n_blocks=128, mem_blocks=32, seed=3))
         assert via_factory.recipe == direct.recipe
         assert via_factory.read(5) == direct.read(5)
-        assert via_factory.state_dict() == direct.state_dict()
+        assert snapshot_stack(via_factory).state == snapshot_stack(direct).state

@@ -10,6 +10,7 @@ import pytest
 from repro.sim.engine import SimulationEngine
 from repro.storage.faults import FaultPlan
 from repro.testing import (
+    PROTOCOLS,
     ScenarioRunner,
     ScenarioSpec,
     StackSpec,
@@ -135,6 +136,10 @@ class TestHarnessCatchesBugs:
 
 
 class TestStackSpecs:
+    def test_the_four_protocols(self):
+        assert PROTOCOLS == ("horam", "sharded", "path", "plain")
+        assert {spec.stack.protocol for spec in MATRIX} == set(PROTOCOLS)
+
     def test_invalid_protocol_and_device_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             StackSpec(protocol="bogus")
