@@ -33,7 +33,7 @@ from repro.oram import (
     PathORAM,
     Request,
 )
-from repro.sim import Metrics, SimulationEngine, run_workload
+from repro.sim import Metrics, SimulationEngine, drive
 from repro.storage import (
     StorageHierarchy,
     ddr4_2133,
@@ -58,7 +58,7 @@ __all__ = [
     "PathORAM",
     "Metrics",
     "SimulationEngine",
-    "run_workload",
+    "drive",
     "StorageHierarchy",
     "hdd_paper",
     "hdd_realistic",

@@ -29,7 +29,7 @@ from repro.core.stages import StageSchedule
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import Request
 from repro.oram.factory import build_path_oram, build_plain
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, drive
 from repro.sim.metrics import Metrics
 from repro.storage.device import hdd_paper, hdd_realistic, ssd_sata
 from repro.workload.generators import hotspot
@@ -855,7 +855,7 @@ def parallel(scale: str = "quick") -> ExperimentResult:
         for _ in range(trials):
             fleet = build(executor, shards)
             try:
-                engine = SimulationEngine(fleet, record_results=True)
+                engine = SimulationEngine(fleet)
                 start = _time.perf_counter()
                 metrics = engine.run(stream(request_count))
                 wall = _time.perf_counter() - start
@@ -899,10 +899,8 @@ def parallel(scale: str = "quick") -> ExperimentResult:
                     for _ in range(drains):
                         batch = [next(pending) for _ in range(size)]
                         start = _time.perf_counter()
-                        entries = [supervisor.submit(request) for request in batch]
-                        supervisor.drain()
+                        results.extend(drive(supervisor, batch, size))
                         times.append(_time.perf_counter() - start)
-                        results.extend(entry.result for entry in entries)
                     drain_ms[size] = statistics.median(times) * 1e3
                 return drain_ms, threading.active_count(), results
             finally:
@@ -1133,16 +1131,6 @@ def device_sensitivity(scale: str = "quick") -> ExperimentResult:
     )
 
 
-def _drive(protocol, requests: list[Request]) -> list:
-    """Serve ``requests`` one submit + drain at a time; the served results."""
-    served = []
-    for request in requests:
-        entry = protocol.submit(request)
-        protocol.drain()
-        served.append(entry.result)
-    return served
-
-
 def conformance(scale: str = "quick") -> ExperimentResult:
     """Differential conformance matrix + seeded fault shrink demo.
 
@@ -1290,7 +1278,7 @@ def durability(scale: str = "quick") -> ExperimentResult:
                 # Hot-area sizing from the first stack (the single-instance
                 # H-ORAM config); every config serves the same stream.
                 requests = _workload(n_blocks, request_count, _hot_blocks(twin), seed=29)
-            twin_results = _drive(twin, requests)
+            twin_results = drive(twin, requests)
             twin_digest = twin.served_digest
             twin_metrics = twin.metrics.to_dict()
             twin_clock = twin.hierarchy.clock.now_us
@@ -1298,7 +1286,7 @@ def durability(scale: str = "quick") -> ExperimentResult:
 
             # Crashed + recovered run.
             victim = build(os.path.join(work_dir, "victim"))
-            results = _drive(victim, requests[:cut])
+            results = drive(victim, requests[:cut])
             started = _time.perf_counter()
             save_checkpoint(victim, ckpt_dir)
             snapshot_s = _time.perf_counter() - started
@@ -1307,7 +1295,7 @@ def durability(scale: str = "quick") -> ExperimentResult:
             restored = recover(ckpt_dir)
             restore_s = _time.perf_counter() - started
             started = _time.perf_counter()
-            results.extend(_drive(restored, requests[cut:]))
+            results.extend(drive(restored, requests[cut:]))
             warm_tail_s = _time.perf_counter() - started
 
             identical = (
@@ -1321,7 +1309,7 @@ def durability(scale: str = "quick") -> ExperimentResult:
             # Cold restart: rebuild from zero and replay everything.
             started = _time.perf_counter()
             cold = build(os.path.join(work_dir, "cold"))
-            _drive(cold, requests)
+            drive(cold, requests)
             cold_replay_s = _time.perf_counter() - started
             cold.close()
 
@@ -1448,10 +1436,9 @@ def _long_horizon(build, n_blocks: int, hot_blocks: int, request_count: int) -> 
                 control_bytes, save_ms = [], []
                 while served < mark:
                     batch = [next(requests) for _ in range(min(drain, mark - served))]
-                    entries = [supervisor.submit(request) for request in batch]
-                    supervisor.drain()
                     wrong += sum(
-                        entry.result != pad(initial_payload(entry.addr)) for entry in entries
+                        result != pad(initial_payload(request.addr))
+                        for request, result in zip(batch, drive(supervisor, batch, drain))
                     )
                     served += len(batch)
                     if mark - served < drain * _SOAK_WINDOW:
@@ -1542,7 +1529,7 @@ def resilience(scale: str = "quick") -> ExperimentResult:
             if plan is not None:
                 supervisor.install_fault_plan(plan)
             started = _time.perf_counter()
-            results = _drive(supervisor, requests)
+            results = drive(supervisor, requests)
             wall_s = _time.perf_counter() - started
             return results, supervisor.recovery_report(), supervisor.event_trace(), wall_s
         finally:
@@ -1555,7 +1542,7 @@ def resilience(scale: str = "quick") -> ExperimentResult:
         n_blocks, request_count, _hot_blocks(twin.shards[0]) * n_shards, seed=31
     )
     started = _time.perf_counter()
-    twin_results = _drive(twin, requests)
+    twin_results = drive(twin, requests)
     bare_wall_s = _time.perf_counter() - started
 
     rows = []

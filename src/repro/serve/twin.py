@@ -5,9 +5,10 @@ program order (``seq``).  Served payloads are a pure function of that
 order -- the scheduler's cycle batching, the round-robin feed and the
 asyncio interleaving all collapse away once the order requests reached
 ``stack.submit`` is fixed.  So a *twin* -- a second stack built from the
-same spec, driven one-at-a-time ``submit``/``drain`` straight from the
-journal -- must serve bit-identical bytes for every seq the server
-served.
+same spec, fed the journal one request per drain by
+:func:`~repro.sim.engine.drive` -- must serve bit-identical bytes for
+every seq the server served.  The twin reproduces bytes, not cycles: the
+server pumps 32-cycle quanta the journal does not record.
 
 Rejected requests (overload, quota, rate, ACL, fenced stripe) never
 enter the journal, so they are excluded from the comparison by design;
@@ -21,35 +22,28 @@ from dataclasses import dataclass, field
 
 from repro.oram.base import Request
 from repro.serve.server import JournalRecord
+from repro.sim.engine import drive
+
+
+def journal_requests(journal: "list[JournalRecord]") -> "list[Request]":
+    """The journal's records as the requests the backend accepted."""
+    return [
+        Request.read(record.addr, user=record.tenant)
+        if record.op == "read"
+        else Request.write(record.addr, record.data, user=record.tenant)
+        for record in journal
+    ]
 
 
 def replay_direct(journal: "list[JournalRecord]", stack) -> "dict[int, bytes | None]":
     """Drive ``stack`` straight from the journal; payload by seq.
 
-    One ``submit`` + ``drain`` per record: the strictest in-order
-    interpretation of the journal, with no batching the server might
-    have benefited from.
+    One request per drain: the strictest in-order interpretation of the
+    journal, with no batching the server might have benefited from.  A
+    record the twin could not serve maps to ``None``.
     """
-    served: dict[int, bytes | None] = {}
-    for record in journal:
-        if record.op == "read":
-            request = Request.read(record.addr, user=record.tenant)
-        else:
-            request = Request.write(record.addr, record.data, user=record.tenant)
-        stack.submit(request)
-        retired = stack.drain()
-        if len(retired) != 1:
-            raise AssertionError(
-                f"twin replay of seq {record.seq} retired {len(retired)} "
-                "entries (expected exactly 1)"
-            )
-        entry = retired[0]
-        if entry.error is not None:
-            raise AssertionError(
-                f"twin replay of seq {record.seq} errored: {entry.error}"
-            )
-        served[record.seq] = entry.result
-    return served
+    results = drive(stack, journal_requests(journal))
+    return {record.seq: result for record, result in zip(journal, results)}
 
 
 @dataclass

@@ -10,8 +10,10 @@ package provides *simulated* time:
   reads are conducted simultaneously").
 * :mod:`repro.sim.metrics` -- the counters every experiment reports
   (I/O count, per-tier time, shuffle time, dummy ratios...).
-* :mod:`repro.sim.engine` -- drives a workload through any ORAM front end
-  and collects a :class:`~repro.sim.metrics.Metrics`.
+* :mod:`repro.sim.engine` -- :func:`~repro.sim.engine.drive`, the one
+  loop that feeds a request stream to any stack, and the engine that
+  runs a workload through it and collects a
+  :class:`~repro.sim.metrics.Metrics`.
 
 Device models (:mod:`repro.storage.device`) convert byte movement into
 durations; protocols compose those durations (serially for Path ORAM,
@@ -20,6 +22,6 @@ overlapped for H-ORAM cycles) and advance the clock.
 
 from repro.sim.clock import Channel, SimClock
 from repro.sim.metrics import Metrics
-from repro.sim.engine import SimulationEngine, run_workload
+from repro.sim.engine import SimulationEngine, drive
 
-__all__ = ["SimClock", "Channel", "Metrics", "SimulationEngine", "run_workload"]
+__all__ = ["SimClock", "Channel", "Metrics", "SimulationEngine", "drive"]

@@ -1,17 +1,25 @@
 """Drives workloads through ORAM protocols and assembles final metrics.
 
-The engine is the one place that understands both API styles:
+:func:`drive` is the one feed loop: every caller that pushes a request
+stream into a stack -- the engine, the conformance harness, the bench
+experiments, the serving twin -- goes through it.  It understands both
+API styles:
 
-* batch protocols (H-ORAM): ``submit`` everything, then ``drain`` -- the
-  ROB window stays full so the scheduler can do its job;
-* synchronous protocols (the two baselines): one ``access`` per request.
+* batch protocols (H-ORAM, fleets, the supervisor): ``submit`` ``batch``
+  requests, then ``drain`` -- how full the ROB window is when the
+  scheduler plans decides the cycle schedule, so the batch is the one
+  knob a caller turns;
+* synchronous protocols (the two baselines): one ``read``/``write`` per
+  request.
 
-It also owns the bookkeeping split: protocol objects update their own
-:class:`~repro.sim.metrics.Metrics` for protocol-level events (cycles,
-dummies, shuffles), while tier I/O counts and times come from the store
-counters, with the shuffle-attributed share subtracted so the "I/O
-latency" rows match the paper's definition (average over access-period
-loads, shuffle reported separately).
+:class:`SimulationEngine` runs a stream as one batch (the ROB window stays
+full so the scheduler can do its job) and owns the bookkeeping split:
+protocol objects update their own :class:`~repro.sim.metrics.Metrics`
+for protocol-level events (cycles, dummies, shuffles), while tier I/O
+counts and times come from the store counters, with the
+shuffle-attributed share subtracted so the "I/O latency" rows match the
+paper's definition (average over access-period loads, shuffle reported
+separately).
 
 With ``verify=True`` the engine shadows every write in a reference dict
 and checks every read -- the integration-level correctness oracle.
@@ -31,6 +39,50 @@ class VerificationError(AssertionError):
     """A read returned different bytes than the reference model expects."""
 
 
+def is_batched(stack) -> bool:
+    """True for the ``submit``/``drain`` API style."""
+    return hasattr(stack, "submit") and hasattr(stack, "drain")
+
+
+def drive(stack, requests: Iterable[Request], batch: int = 1) -> "list[bytes | None]":
+    """Serve ``requests`` in stream order; one result per request.
+
+    A batched stack gets ``batch`` submits per ``drain``; a synchronous
+    one a ``read`` or ``write`` per request.  A result is the served
+    bytes of a read, the written record of a batched write (``None`` for
+    a synchronous write, whose API returns nothing), and ``None`` for a
+    request a fenced stripe refused at submit or failed in flight.  A
+    batch whose every submit was refused is not drained: a supervisor's
+    drain also saves the checkpoints that are due.
+    """
+    results: list[bytes | None] = []
+    if not is_batched(stack):
+        for request in requests:
+            if request.op is OpKind.READ:
+                results.append(stack.read(request.addr))
+            else:
+                stack.write(request.addr, request.data)
+                results.append(None)
+        return results
+
+    from repro.core.sharding import ShardUnavailableError  # core imports sim
+
+    requests = list(requests)
+    batch = max(1, batch)
+    for start in range(0, len(requests), batch):
+        entries = []
+        for request in requests[start : start + batch]:
+            try:
+                entries.append(stack.submit(request))
+            except ShardUnavailableError:
+                entries.append(None)
+        if any(entry is not None for entry in entries):
+            stack.drain()
+        # An entry fenced in flight carries ``error`` and never a result.
+        results.extend(None if entry is None else entry.result for entry in entries)
+    return results
+
+
 class SimulationEngine:
     """Runs request streams and produces per-run metric deltas."""
 
@@ -39,17 +91,14 @@ class SimulationEngine:
         protocol: ORAMProtocol,
         hierarchy: StorageHierarchy | None = None,
         verify: bool = False,
-        record_results: bool = False,
     ):
         self.protocol = protocol
         self.hierarchy = hierarchy if hierarchy is not None else getattr(protocol, "hierarchy", None)
         if self.hierarchy is None:
             raise ValueError("engine needs the protocol's hierarchy for timing/IO accounting")
         self.verify = verify
-        self.record_results = record_results
-        #: per-request served payloads in stream order (``record_results``
-        #: only); synchronous writes record ``None`` -- their protocols
-        #: return nothing -- while batched entries carry the written value.
+        #: the last run's per-request results in stream order, as
+        #: :func:`drive` returns them; replaced on every run.
         self.results: list[bytes | None] = []
         self._reference: dict[int, bytes] = {}
 
@@ -63,10 +112,13 @@ class SimulationEngine:
         proto_metrics = getattr(self.protocol, "metrics", Metrics())
         proto_before = proto_metrics.copy()
 
-        if hasattr(self.protocol, "submit") and hasattr(self.protocol, "drain"):
-            self._run_batched(requests)
-        else:
-            self._run_synchronous(requests)
+        # Expectations come before this run's writes fold into the
+        # reference, so a read that precedes a write in *this* stream still
+        # sees the value left by earlier runs.
+        expected = self._expected_sequence(requests) if self.verify else None
+        self.results = drive(self.protocol, requests, batch=len(requests))
+        if expected is not None:
+            self._check(requests, expected)
 
         metrics = getattr(self.protocol, "metrics", Metrics()).diff(proto_before)
         metrics.requests_submitted = len(requests)
@@ -85,50 +137,16 @@ class SimulationEngine:
         metrics.total_time_us = self.hierarchy.clock.now_us - clock_before
         return metrics
 
-    # ------------------------------------------------------------ plumbing
-    def _run_batched(self, requests: Sequence[Request]) -> None:
-        entries = [self.protocol.submit(request) for request in requests]
-        if self.verify:
-            # Compute expectations before folding this run's writes into the
-            # reference, so reads that precede a write in *this* stream still
-            # see the value left by earlier runs.
-            expected = self._expected_sequence(requests)
-            for request in requests:
-                self._shadow_write(request)
-        self.protocol.drain()
-        if self.record_results:
-            self.results.extend(entry.result for entry in entries)
-        if self.verify:
-            # Replay the stream order against the shadow history.
-            for entry, want in zip(entries, expected):
-                if want is None:
-                    continue
-                if entry.result != want:
-                    raise VerificationError(
-                        f"addr {entry.addr}: got {entry.result!r}, want {want!r}"
-                    )
-
-    def _run_synchronous(self, requests: Sequence[Request]) -> None:
-        for request in requests:
-            if request.op is OpKind.READ:
-                result = self.protocol.read(request.addr)
-                if self.record_results:
-                    self.results.append(result)
-                if self.verify:
-                    want = self._reference.get(request.addr, self._initial(request.addr))
-                    if result != want:
-                        raise VerificationError(
-                            f"addr {request.addr}: got {result!r}, want {want!r}"
-                        )
-            else:
-                assert request.data is not None
-                self.protocol.write(request.addr, request.data)
-                if self.record_results:
-                    self.results.append(None)
-                if self.verify:
-                    self._shadow_write(request)
-
     # -------------------------------------------------------- verification
+    def _check(self, requests: Sequence[Request], expected: Sequence[bytes]) -> None:
+        """Hold this run's results to the shadow history, in stream order."""
+        synchronous = not is_batched(self.protocol)
+        for request, got, want in zip(requests, self.results, expected):
+            if synchronous and request.op is OpKind.WRITE:
+                continue  # synchronous APIs return nothing for writes
+            if got != want:
+                raise VerificationError(f"addr {request.addr}: got {got!r}, want {want!r}")
+
     def _initial(self, addr: int) -> bytes:
         codec = getattr(self.protocol, "codec", None)
         payload = initial_payload(addr)
@@ -138,20 +156,16 @@ class SimulationEngine:
         codec = getattr(self.protocol, "codec", None)
         return codec.pad(data) if codec is not None else data
 
-    def _shadow_write(self, request: Request) -> None:
-        if request.op is OpKind.WRITE and request.data is not None:
-            self._reference[request.addr] = self._pad(request.data)
-
-    def _expected_sequence(self, requests: Sequence[Request]) -> list[bytes | None]:
+    def _expected_sequence(self, requests: Sequence[Request]) -> list[bytes]:
         """Expected result per request, replaying writes in program order.
 
         The replay starts from ``self._reference`` -- the shadow state left
-        by earlier :meth:`run` calls on this engine -- so a second batched
-        run that reads an address written in an earlier run verifies against
-        that earlier write, exactly like the synchronous path does.
+        by earlier :meth:`run` calls on this engine -- and leaves this
+        run's writes in it, so a later run that reads an address written
+        here verifies against that write.
         """
-        state: dict[int, bytes] = dict(self._reference)
-        expected: list[bytes | None] = []
+        state = self._reference
+        expected: list[bytes] = []
         for request in requests:
             if request.op is OpKind.WRITE:
                 assert request.data is not None
@@ -160,12 +174,3 @@ class SimulationEngine:
             else:
                 expected.append(state.get(request.addr, self._initial(request.addr)))
         return expected
-
-
-def run_workload(
-    protocol: ORAMProtocol,
-    requests: Iterable[Request],
-    verify: bool = False,
-) -> Metrics:
-    """One-shot convenience wrapper around :class:`SimulationEngine`."""
-    return SimulationEngine(protocol, verify=verify).run(requests)

@@ -12,6 +12,11 @@ and differentially compares everything observable against the insecure
 * metrics invariants (nothing lost, nothing double-served, accounting
   sane).
 
+Requests reach every stack through :func:`repro.sim.engine.drive`, the
+one feed loop; crash, storm and serve scenarios also hold the run to a
+twin -- the same stack, unsupervised, driven one request per drain --
+through the one twin check, :func:`check_twin`.
+
 Failures are collected, not raised, so the caller can hand a failing
 spec to :mod:`repro.testing.shrinker` for minimization.
 """
@@ -20,13 +25,15 @@ from __future__ import annotations
 
 import json
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from dataclasses import replace as dc_replace
 
-from repro.core.sharding import ShardUnavailableError
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import OpKind, Request
 from repro.serve.chaos import ChaosSpec
-from repro.sim.engine import SimulationEngine
+from repro.serve.twin import journal_requests
+from repro.sim.engine import SimulationEngine, drive
 from repro.sim.metrics import Metrics
 from repro.storage.faults import CrashFault, FaultInjector, FaultPlan, FaultStats
 from repro.testing.oracle import ReferenceOracle
@@ -392,27 +399,108 @@ class ScenarioResult:
         return head
 
 
+def _capped(failures: list, lines, what: str) -> int:
+    """Report the first few ``lines``, then their total; return the count."""
+    lines = list(lines)
+    failures.extend(lines[:_MAX_REPORTED])
+    if len(lines) > _MAX_REPORTED:
+        failures.append(f"... {len(lines)} {what} total")
+    return len(lines)
+
+
+def check_twin(failures, requests, got, want, *, label="request", skip=None, exact=None):
+    """The one twin comparison: a run's served bytes against its twin's.
+
+    ``requests`` maps each key -- a stream index, or a journal seq -- to
+    its request, in program order; ``got`` and ``want`` map keys to the
+    bytes the run and the twin served.  A key missing from ``got`` was
+    accepted but never served, which fails the check.  Requests whose
+    address ``skip`` names (fenced stripes) are not compared.  ``exact``
+    is a ``(run, twin)`` pair of stacks that must also agree on
+    ``served_digest``, metrics and simulated clock -- given only where the
+    run was never recovered value-level, since a value-level replay may
+    batch cycles the original run interleaved.
+
+    Returns ``(compared, diverged)``.
+    """
+    unserved = [key for key in requests if key not in got]
+    if unserved:
+        failures.append(
+            f"{len(unserved)} accepted requests were never served "
+            f"({label}s {unserved[:_MAX_REPORTED]})"
+        )
+    compared, diverged = 0, []
+    for key, request in requests.items():
+        if key not in got or (skip is not None and skip(request.addr)):
+            continue
+        compared += 1
+        if got[key] != want.get(key):
+            diverged.append(
+                f"{label} {key} ({request.op.value} addr {request.addr}) diverges "
+                f"from the twin: got {got[key]!r}, want {want.get(key)!r}"
+            )
+    count = _capped(failures, diverged, "twin divergences")
+    if exact is not None:
+        run, twin = exact
+        if run.served_digest != twin.served_digest:
+            failures.append("served-order digest diverges from the twin's")
+        if run.metrics.to_dict() != twin.metrics.to_dict():
+            failures.append("metrics diverge from the twin's")
+        run_clock, twin_clock = run.hierarchy.clock.now_us, twin.hierarchy.clock.now_us
+        if run_clock != twin_clock:
+            failures.append(f"simulated clock {run_clock} != twin {twin_clock}")
+    return compared, count
+
+
+def _wire_message(index: int, request: Request, tenants: int) -> dict:
+    """The frame a client sends for stream request ``index``."""
+    message = {"op": request.op.value, "addr": request.addr, "tenant": index % tenants}
+    if request.data is not None:
+        message["data"] = request.data.hex()
+    return message
+
+
 class ScenarioRunner:
-    """Runs scenario specs; every run builds a fresh, isolated stack."""
+    """Runs scenario specs; every run builds a fresh, isolated stack.
+
+    Each kind of run -- plain, crash, storm, serve, serve-chaos -- keeps
+    its own pass criteria and shares the rest: requests reach the stack
+    through :func:`~repro.sim.engine.drive`, one twin check
+    (:meth:`_twin` + :func:`check_twin`), one final-state readback, one
+    capped mismatch report, and a run that raises becomes a failed
+    result here, whatever its kind.
+    """
 
     def run(self, spec: ScenarioSpec) -> ScenarioResult:
         requests = make_workload(spec.workload)
-        failures: list[str] = []
+        if spec.crash is not None and spec.crash.snapshot_at >= len(requests):
+            raise ValueError(
+                f"snapshot_at ({spec.crash.snapshot_at}) must fall inside the "
+                f"{len(requests)}-request workload"
+            )
+        if spec.crash is not None:
+            kind = self._run_crash
+        elif spec.storm is not None:
+            kind = self._run_storm
+        elif spec.serve is not None:
+            kind = self._run_serve_chaos if spec.serve.chaotic() else self._run_serve
+        else:
+            kind = self._run_built
+        result = ScenarioResult(spec=spec, ok=False, requests=len(requests))
         stack = build_stack(spec.stack)
         try:
-            if spec.crash is not None:
-                return self._run_crash(spec, stack, requests, failures)
-            if spec.storm is not None:
-                return self._run_storm(spec, stack, requests, failures)
-            if spec.serve is not None:
-                return self._run_serve(spec, stack, requests, failures)
-            return self._run_built(spec, stack, requests, failures)
+            kind(spec, stack, requests, result)
+        except Exception as error:  # noqa: BLE001 -- faults legitimately raise
+            result.error = f"{type(error).__name__}: {error}"
+            result.failures.append(f"run raised {result.error}")
         finally:
             # Failed comparisons, raising scenarios and crash phases all
             # end here: worker processes shut down, durable slabs removed.
             stack.cleanup()
+        result.ok = not result.failures
+        return result
 
-    def _run_built(self, spec, stack, requests, failures) -> ScenarioResult:
+    def _run_built(self, spec, stack, requests, result) -> None:
         injector = None
         if spec.faults is not None and spec.faults.active():
             if stack.storage_stores:
@@ -429,41 +517,40 @@ class ScenarioRunner:
 
         oracle = ReferenceOracle(stack.payload_bytes)
         expected = oracle.expect_all(requests)
-
-        metrics = None
         try:
             results, metrics = self._execute(stack, requests)
-        except Exception as error:  # noqa: BLE001 -- faults legitimately raise
-            return ScenarioResult(
-                spec=spec,
-                ok=False,
-                requests=len(requests),
-                failures=[f"run raised {type(error).__name__}: {error}"],
-                error=f"{type(error).__name__}: {error}",
-                fault_stats=fault_stats(),
-            )
+        finally:
+            result.fault_stats = fault_stats()  # a raising run reports them too
 
-        mismatches = self._compare_results(requests, results, expected, failures)
-        checked = self._check_final_state(
-            stack.driver, stack.spec.n_blocks, oracle, spec, failures
+        failures = result.failures
+        result.mismatches = self._compare_results(requests, results, expected, failures)
+        result.final_state_checked = self._check_final_state(
+            spec, sorted(oracle.state), stack.driver.read, oracle.value, failures
         )
         self._check_invariants(stack, metrics, len(requests), failures)
-        if metrics is not None:
-            metrics.absorb_fault_stats(fault_stats())
+        result.fault_stats = fault_stats()
+        metrics.absorb_fault_stats(result.fault_stats)
+        result.metrics = metrics
 
-        return ScenarioResult(
-            spec=spec,
-            ok=not failures,
-            requests=len(requests),
-            failures=failures,
-            mismatches=mismatches,
-            final_state_checked=checked,
-            metrics=metrics,
-            fault_stats=fault_stats(),
-        )
+    # ---------------------------------------------------------------- twin
+    @contextmanager
+    def _twin(self, spec, requests: dict):
+        """The scenario's twin, fed ``requests`` one per drain.
+
+        The twin is the spec's stack, unsupervised: replaying program
+        order needs no crash recovery, and bit-identity across that gap is
+        what the crash, storm and serve scenarios are for.  Yields the
+        twin and its results by key; tears the twin down on exit.
+        """
+        twin = build_stack(dc_replace(spec.stack, supervised=False))
+        try:
+            results = drive(twin.driver, requests.values())
+            yield twin, dict(zip(requests, results))
+        finally:
+            twin.cleanup()
 
     # -------------------------------------------------------------- serving
-    def _run_serve(self, spec, stack, requests, failures) -> ScenarioResult:
+    def _run_serve(self, spec, stack, requests, result) -> None:
         """Drive the workload through the asyncio front door over sockets.
 
         Pass criteria: every request is answered (served or typed
@@ -475,22 +562,8 @@ class ScenarioRunner:
         import asyncio
 
         serve = spec.serve
-        if serve.chaotic():
-            return self._run_serve_chaos(spec, stack, requests, failures)
-        try:
-            server, responses = asyncio.run(
-                self._serve_session(serve, stack, requests)
-            )
-        except Exception as error:  # noqa: BLE001 -- surface as a failed scenario
-            return ScenarioResult(
-                spec=spec,
-                ok=False,
-                requests=len(requests),
-                failures=[f"serve run raised {type(error).__name__}: {error}"],
-                error=f"{type(error).__name__}: {error}",
-            )
-
-        from repro.serve.twin import diff_served, replay_direct
+        failures = result.failures
+        server, responses = asyncio.run(self._serve_session(serve, stack, requests))
 
         rejections = {}
         served_count = 0
@@ -499,6 +572,7 @@ class ScenarioRunner:
             expected_codes.add("overloaded")
         if serve.quota is not None:
             expected_codes.add("quota_exhausted")
+        unexpected = []
         for index, response in enumerate(responses):
             if response.get("ok"):
                 served_count += 1
@@ -506,11 +580,11 @@ class ScenarioRunner:
             code = response.get("error", "internal")
             rejections[code] = rejections.get(code, 0) + 1
             if code not in expected_codes:
-                if len(failures) <= _MAX_REPORTED:
-                    failures.append(
-                        f"request {index} rejected with unexpected code "
-                        f"{code!r}: {response.get('message')}"
-                    )
+                unexpected.append(
+                    f"request {index} rejected with unexpected code "
+                    f"{code!r}: {response.get('message')}"
+                )
+        _capped(failures, unexpected, "unexpected rejections")
         if served_count != len(server.journal):
             failures.append(
                 f"served {served_count} responses but the journal holds "
@@ -538,46 +612,44 @@ class ScenarioRunner:
                         f"of {count} submitted; quota {serve.quota} implies {want}"
                     )
 
-        twin = build_stack(spec.stack)
-        try:
-            twin_served = replay_direct(server.journal, twin.driver)
-            diff = diff_served(server.journal, server.served_by_seq, twin_served)
-            checked = self._check_serve_final_state(spec, stack, twin, server, failures)
-        finally:
-            twin.cleanup()
-        if diff.unserved:
-            failures.append(
-                f"{len(diff.unserved)} accepted requests were never served "
-                f"(seqs {diff.unserved[:_MAX_REPORTED]})"
-            )
-        for mismatch in diff.mismatched:
-            failures.append(
-                f"seq {mismatch['seq']} ({mismatch['op']} addr {mismatch['addr']}) "
-                f"diverges from the direct-submit twin"
-            )
-
-        serve_info = {
+        compared = self._check_served(spec, stack, server, result)
+        result.serve_info = {
             "served": served_count,
             "rejections": rejections,
             "accepted": len(server.journal),
             "clients": serve.clients,
             "tenants": serve.tenants,
-            "twin_compared": diff.compared,
-            "twin_identical": diff.identical,
+            "twin_compared": compared,
+            "twin_identical": not result.mismatches,
         }
-        return ScenarioResult(
-            spec=spec,
-            ok=not failures,
-            requests=len(requests),
-            failures=failures,
-            mismatches=len(diff.mismatched),
-            final_state_checked=checked,
-            metrics=stack.driver.metrics.copy(),
-            serve_info=serve_info,
-        )
+
+    def _check_served(self, spec, stack, server, result) -> int:
+        """Twin check by journal seq, then both stacks' final state.
+
+        The external oracle cannot predict a concurrently-interleaved
+        run, but the twin replayed the server's exact backend order, so
+        every address -- sampled plus everything written -- must read
+        back identically from both stacks.  Returns how many seqs the
+        twin check compared.
+        """
+        journal = server.journal
+        requests = {
+            record.seq: request
+            for record, request in zip(journal, journal_requests(journal))
+        }
+        written = [record.addr for record in journal if record.op == "write"]
+        with self._twin(spec, requests) as (twin, want):
+            compared, result.mismatches = check_twin(
+                result.failures, requests, server.served_by_seq, want, label="seq"
+            )
+            result.final_state_checked = self._check_final_state(
+                spec, written, stack.driver.read, twin.driver.read, result.failures
+            )
+        result.metrics = stack.driver.metrics.copy()
+        return compared
 
     # ----------------------------------------------------------- chaos soak
-    def _run_serve_chaos(self, spec, stack, requests, failures) -> ScenarioResult:
+    def _run_serve_chaos(self, spec, stack, requests, result) -> None:
         """Soak the front door under network chaos, retries and drain.
 
         Pass criteria: every request resolves to a served result or an
@@ -591,11 +663,9 @@ class ScenarioRunner:
         deadline.
         """
         import asyncio
-        from dataclasses import replace as dc_replace
-
-        from repro.serve.twin import diff_served, replay_direct
 
         serve = spec.serve
+        failures = result.failures
         if serve.crash_ops or serve.hang_at_op:
             stack.install_faults(
                 FaultPlan(
@@ -607,29 +677,12 @@ class ScenarioRunner:
             )
         messages = []
         for index, request in enumerate(requests):
-            message = {
-                "op": request.op.value,
-                "addr": request.addr,
-                "tenant": index % serve.tenants,
-            }
-            if request.data is not None:
-                message["data"] = request.data.hex()
+            message = _wire_message(index, request, serve.tenants)
             if serve.deadline_ms is not None:
                 message["deadline_ms"] = serve.deadline_ms
             messages.append(message)
 
-        try:
-            server, report = asyncio.run(
-                self._chaos_session(serve, stack, messages)
-            )
-        except Exception as error:  # noqa: BLE001 -- surface as a failed scenario
-            return ScenarioResult(
-                spec=spec,
-                ok=False,
-                requests=len(requests),
-                failures=[f"chaos serve run raised {type(error).__name__}: {error}"],
-                error=f"{type(error).__name__}: {error}",
-            )
+        server, report = asyncio.run(self._chaos_session(serve, stack, messages))
 
         outcomes = report.outcome_counts()
         expected_codes = {"ok"}
@@ -692,35 +745,15 @@ class ScenarioRunner:
                 "fenced": fenced,
             }
 
-        # The twin is always unsupervised: replaying the journal in
-        # program order needs no crash recovery, and bit-identity across
-        # that gap is exactly what the soak is for.
-        twin = build_stack(dc_replace(spec.stack, supervised=False))
-        try:
-            twin_served = replay_direct(server.journal, twin.driver)
-            diff = diff_served(server.journal, server.served_by_seq, twin_served)
-            checked = self._check_serve_final_state(spec, stack, twin, server, failures)
-        finally:
-            twin.cleanup()
-        if diff.unserved:
-            failures.append(
-                f"{len(diff.unserved)} accepted requests were never served "
-                f"(seqs {diff.unserved[:_MAX_REPORTED]})"
-            )
-        for mismatch in diff.mismatched:
-            failures.append(
-                f"seq {mismatch['seq']} ({mismatch['op']} addr {mismatch['addr']}) "
-                f"diverges from the direct-submit twin"
-            )
-
-        serve_info = {
+        compared = self._check_served(spec, stack, server, result)
+        result.serve_info = {
             "served": outcomes.get("ok", 0),
             "rejections": {k: v for k, v in outcomes.items() if k != "ok"},
             "accepted": len(server.journal),
             "clients": serve.clients,
             "tenants": serve.tenants,
-            "twin_compared": diff.compared,
-            "twin_identical": diff.identical,
+            "twin_compared": compared,
+            "twin_identical": not result.mismatches,
             "outcomes": outcomes,
             "retry": asdict(report.retry),
             "chaos_injected": report.chaos.to_dict(),
@@ -728,16 +761,6 @@ class ScenarioRunner:
             "duplicate_executions": duplicates,
             "supervision": supervision,
         }
-        return ScenarioResult(
-            spec=spec,
-            ok=not failures,
-            requests=len(requests),
-            failures=failures,
-            mismatches=len(diff.mismatched),
-            final_state_checked=checked,
-            metrics=stack.driver.metrics.copy(),
-            serve_info=serve_info,
-        )
 
     async def _chaos_session(self, serve, stack, messages):
         """One asyncio chaos soak: server + retrying clients + drain."""
@@ -775,43 +798,9 @@ class ScenarioRunner:
             await server.close()
         return server, report
 
-    def _check_serve_final_state(self, spec, stack, twin, server, failures) -> int:
-        """Server stack and twin must agree on the final logical state.
-
-        The external oracle cannot predict a concurrently-interleaved
-        run, but the twin replayed the server's exact backend order, so
-        every address -- sampled plus everything written -- must read
-        back identically from both stacks.
-        """
-        if spec.final_state_sample <= 0:
-            return 0
-        rng = DeterministicRandom(f"final-state-{spec.stack.seed}")
-        sample = {
-            rng.randrange(spec.stack.n_blocks)
-            for _ in range(spec.final_state_sample)
-        }
-        for record in server.journal:
-            if len(sample) >= 2 * spec.final_state_sample:
-                break
-            if record.op == "write":
-                sample.add(record.addr)
-        bad = 0
-        for addr in sorted(sample):
-            got = stack.driver.read(addr)
-            want = twin.driver.read(addr)
-            if got != want:
-                bad += 1
-                if bad <= _MAX_REPORTED:
-                    failures.append(
-                        f"final state addr {addr}: served stack has {got!r}, "
-                        f"twin has {want!r}"
-                    )
-        if bad > _MAX_REPORTED:
-            failures.append(f"... {bad} final-state divergences total")
-        return len(sample)
-
     async def _serve_session(self, serve, stack, requests):
         """One asyncio session: server + clients over socketpairs."""
+        import asyncio
         import socket as socket_mod
         from collections import deque
 
@@ -838,14 +827,7 @@ class ScenarioRunner:
             outstanding = deque()
             for index, request in enumerate(requests):
                 client = clients[index % len(clients)]
-                message = {
-                    "op": request.op.value,
-                    "addr": request.addr,
-                    "tenant": index % serve.tenants,
-                }
-                if request.data is not None:
-                    message["data"] = request.data.hex()
-                future = client.send(message)
+                future = client.send(_wire_message(index, request, serve.tenants))
                 futures.append(future)
                 outstanding.append(future)
                 if throttle:
@@ -854,8 +836,6 @@ class ScenarioRunner:
                         await outstanding.popleft()
             for client in clients:
                 await client.drain()
-            import asyncio
-
             responses = await asyncio.gather(*futures)
         finally:
             for client in clients:
@@ -864,35 +844,24 @@ class ScenarioRunner:
         return server, responses
 
     # ------------------------------------------------------- crash/recovery
-    def _drive(self, protocol, requests) -> list:
-        """One-request-at-a-time submit/drain (quiesced between requests).
+    def _run_crash(self, spec, stack, requests, result) -> None:
+        """Checkpoint, crash, recover, finish the workload on the restored stack.
 
-        Crash scenarios use this driving pattern for every phase --
-        crashed, recovered and the uninterrupted twin -- so bit-identity
-        comparisons see the same schedule on both sides.
+        Every phase -- crashed, recovered and the uninterrupted twin -- is
+        driven one request per drain, so the bit-identity comparison sees
+        the same schedule on both sides.
         """
-        results = []
-        for request in requests:
-            entry = protocol.submit(request)
-            protocol.drain()
-            results.append(entry.result)
-        return results
-
-    def _run_crash(self, spec, stack, requests, failures) -> ScenarioResult:
         from repro.core.checkpoint import recover, save_checkpoint
 
         crash = spec.crash
-        if crash.snapshot_at >= len(requests):
-            raise ValueError(
-                f"snapshot_at ({crash.snapshot_at}) must fall inside the "
-                f"{len(requests)}-request workload"
-            )
+        failures = result.failures
         oracle = ReferenceOracle(stack.payload_bytes)
         expected = oracle.expect_all(requests)
         head, tail = requests[: crash.snapshot_at], requests[crash.snapshot_at :]
         crash_info = {"crashed": False, "recovered": False, "crash_op": None}
+        result.crash_info = crash_info
 
-        results = self._drive(stack.protocol, head)
+        results = drive(stack.protocol, head)
         restored = None
         try:
             with tempfile.TemporaryDirectory(prefix="horam-ckpt-") as ckpt_dir:
@@ -911,7 +880,7 @@ class ScenarioRunner:
                 else:
                     stack.install_faults(plan)
                 try:
-                    self._drive(stack.protocol, tail)
+                    drive(stack.protocol, tail)
                 except CrashFault as fault:
                     crash_info["crashed"] = True
                     crash_info["crash_op"] = f"{fault.op}#{fault.op_index}" + (
@@ -928,96 +897,34 @@ class ScenarioRunner:
                 restored = recover(ckpt_dir)
                 crash_info["recovered"] = True
 
-            results.extend(self._drive(restored, tail))
-            metrics = restored.metrics.copy()
-            mismatches = self._compare_results(requests, results, expected, failures)
-            if metrics.requests_served != len(requests):
+            results.extend(drive(restored, tail))
+            result.metrics = restored.metrics.copy()
+            result.mismatches = self._compare_results(requests, results, expected, failures)
+            if result.metrics.requests_served != len(requests):
                 failures.append(
-                    f"metrics.requests_served={metrics.requests_served} after "
-                    f"recovery, expected {len(requests)}"
+                    f"metrics.requests_served={result.metrics.requests_served} "
+                    f"after recovery, expected {len(requests)}"
                 )
             if crash.compare_uninterrupted:
                 # Before the final-state readback: those reads advance the
                 # restored stack's clock and digest, which the twin never sees.
-                self._compare_with_twin(spec, requests, results, restored, failures)
-            checked = self._check_final_state(
-                restored, stack.spec.n_blocks, oracle, spec, failures
-            )
-        except Exception as error:  # noqa: BLE001 -- surface as a failed scenario
-            return ScenarioResult(
-                spec=spec,
-                ok=False,
-                requests=len(requests),
-                failures=failures + [f"crash run raised {type(error).__name__}: {error}"],
-                error=f"{type(error).__name__}: {error}",
-                crash_info=crash_info,
+                keyed = dict(enumerate(requests))
+                with self._twin(spec, keyed) as (twin, want):
+                    check_twin(
+                        failures, keyed, dict(enumerate(results)), want,
+                        exact=(restored, twin.driver),
+                    )
+            result.final_state_checked = self._check_final_state(
+                spec, sorted(oracle.state), restored.read, oracle.value, failures
             )
         finally:
             if restored is not None:
                 close = getattr(restored, "close", None)
                 if close is not None:
                     close()
-        return ScenarioResult(
-            spec=spec,
-            ok=not failures,
-            requests=len(requests),
-            failures=failures,
-            mismatches=mismatches,
-            final_state_checked=checked,
-            metrics=metrics,
-            crash_info=crash_info,
-        )
-
-    def _compare_with_twin(self, spec, requests, results, restored, failures) -> None:
-        """Hold the recovered run bit-identical to an uninterrupted twin."""
-        twin = build_stack(spec.stack)
-        try:
-            twin_results = self._drive(twin.protocol, requests)
-            if twin_results != results:
-                diverged = sum(1 for a, b in zip(twin_results, results) if a != b)
-                failures.append(
-                    f"recovered run diverges from the uninterrupted twin on "
-                    f"{diverged} served results"
-                )
-            if restored.served_digest != twin.protocol.served_digest:
-                failures.append("recovered served-order digest diverges from the twin's")
-            if restored.metrics.to_dict() != twin.protocol.metrics.to_dict():
-                failures.append("recovered metrics diverge from the twin's")
-            restored_clock = restored.hierarchy.clock.now_us
-            twin_clock = twin.protocol.hierarchy.clock.now_us
-            if restored_clock != twin_clock:
-                failures.append(
-                    f"recovered simulated clock {restored_clock} != twin {twin_clock}"
-                )
-        finally:
-            twin.cleanup()
 
     # --------------------------------------------------------- crash storms
-    def _drive_supervised(self, supervisor, requests) -> "tuple[list, int]":
-        """One-at-a-time drive that tolerates fenced stripes.
-
-        Returns ``(results, failed_fast)``: a fenced request contributes
-        ``None`` (whether it failed at submit or while in flight) and
-        counts toward ``failed_fast``.
-        """
-        results: list = []
-        failed_fast = 0
-        for request in requests:
-            try:
-                entry = supervisor.submit(request)
-            except ShardUnavailableError:
-                results.append(None)
-                failed_fast += 1
-                continue
-            supervisor.drain()
-            if entry.error is not None:
-                results.append(None)
-                failed_fast += 1
-            else:
-                results.append(entry.result)
-        return results, failed_fast
-
-    def _run_storm(self, spec, stack, requests, failures) -> ScenarioResult:
+    def _run_storm(self, spec, stack, requests, result) -> None:
         """Drive a scheduled crash storm under supervision.
 
         Pass criteria: every incident ends in ``restored`` or (when
@@ -1028,7 +935,8 @@ class ScenarioRunner:
         """
         storm = spec.storm
         supervisor = stack.supervisor
-        protocol = stack.protocol
+        shard_of = stack.protocol.shard_of
+        failures = result.failures
         oracle = ReferenceOracle(stack.payload_bytes)
         expected = oracle.expect_all(requests)
         stack.install_faults(
@@ -1042,21 +950,14 @@ class ScenarioRunner:
             )
         )
 
-        try:
-            results, failed_fast = self._drive_supervised(supervisor, requests)
-        except Exception as error:  # noqa: BLE001 -- a storm must not escape
-            return ScenarioResult(
-                spec=spec,
-                ok=False,
-                requests=len(requests),
-                failures=[f"storm run raised {type(error).__name__}: {error}"],
-                error=f"{type(error).__name__}: {error}",
-                fault_stats=stack.fault_stats(),
-            )
+        # A fenced request -- refused at submit or failed in flight -- is
+        # the one kind of request a batched stack answers with None.
+        results = drive(supervisor, requests)
+        failed_fast = results.count(None)
 
         fenced = sorted(supervisor.fenced)
         report = supervisor.recovery_report()
-        storm_info = {
+        result.crash_info = {
             "crashes": report["crashes_detected"],
             "restores": report["restores"],
             "fenced": fenced,
@@ -1082,120 +983,36 @@ class ScenarioRunner:
         # a respawned parallel worker gets a fresh injector, so its mirror's
         # fault stats forget everything the dead process counted.
         kinds = [incident["kind"] for incident in report["incidents"]]
-        stats = stack.fault_stats()
+        result.fault_stats = stack.fault_stats()
         if storm.crash_ops and "crash" not in kinds:
             failures.append("the storm's crash schedule never fired")
         if storm.hang_at_op and "hung" not in kinds:
             failures.append("the storm's hang point never fired")
 
         # Value-identity on every never-fenced stripe (fenced requests
-        # legitimately return None).
-        mismatches = 0
-        for index, (request, got, want) in enumerate(zip(requests, results, expected)):
-            if protocol.shard_of(request.addr) in supervisor.fenced:
-                continue
-            if request.op is OpKind.WRITE and got is None:
-                continue
-            if got != want:
-                mismatches += 1
-                if mismatches <= _MAX_REPORTED:
-                    failures.append(
-                        f"request {index} ({request.op.value} addr {request.addr}): "
-                        f"got {got!r}, want {want!r}"
-                    )
-        if mismatches > _MAX_REPORTED:
-            failures.append(f"... {mismatches} result mismatches total")
+        # legitimately return None).  Recovery is value-level, so the twin
+        # check compares served bytes only.
+        def is_fenced(addr: int) -> bool:
+            return shard_of(addr) in supervisor.fenced
 
-        if storm.compare_uninterrupted:
-            self._compare_storm_twin(spec, requests, results, supervisor, failures)
-
-        checked = self._check_storm_final_state(spec, stack, oracle, failures)
-        metrics = supervisor.metrics
-        return ScenarioResult(
-            spec=spec,
-            ok=not failures,
-            requests=len(requests),
-            failures=failures,
-            mismatches=mismatches,
-            final_state_checked=checked,
-            metrics=metrics,
-            fault_stats=stats,
-            crash_info=storm_info,
+        result.mismatches = self._compare_results(
+            requests, results, expected, failures, skip=is_fenced
         )
-
-    def _compare_storm_twin(self, spec, requests, results, supervisor, failures) -> None:
-        """Non-fenced served results must match an uninterrupted twin's.
-
-        Recovery is value-level (replay may batch what the original run
-        interleaved), so unlike :meth:`_compare_with_twin` this compares
-        served bytes only -- not cycle counts, clocks or served digests.
-        """
-        from dataclasses import replace as dc_replace
-
-        twin_spec = dc_replace(spec.stack, supervised=False)
-        twin = build_stack(twin_spec)
-        try:
-            twin_results = self._drive(twin.protocol, requests)
-            diverged = 0
-            for index, (request, got, want) in enumerate(
-                zip(requests, results, twin_results)
-            ):
-                if twin.protocol.shard_of(request.addr) in supervisor.fenced:
-                    continue
-                if got != want:
-                    diverged += 1
-                    if diverged <= _MAX_REPORTED:
-                        failures.append(
-                            f"request {index} (addr {request.addr}) diverges from "
-                            f"the uninterrupted twin: got {got!r}, want {want!r}"
-                        )
-            if diverged > _MAX_REPORTED:
-                failures.append(f"... {diverged} twin divergences total")
-        finally:
-            twin.cleanup()
-
-    def _check_storm_final_state(self, spec, stack, oracle, failures) -> int:
-        """Oracle readback over never-fenced addresses only."""
-        if spec.final_state_sample <= 0:
-            return 0
-        supervisor = stack.supervisor
-        protocol = stack.protocol
-        rng = DeterministicRandom(f"final-state-{spec.stack.seed}")
-        sample = {rng.randrange(stack.spec.n_blocks) for _ in range(spec.final_state_sample)}
-        for addr in sorted(oracle.state):
-            if len(sample) >= 2 * spec.final_state_sample:
-                break
-            sample.add(addr)
-        live = [
-            addr for addr in sorted(sample)
-            if protocol.shard_of(addr) not in supervisor.fenced
-        ]
-        bad = 0
-        for addr in live:
-            try:
-                got = supervisor.read(addr)
-            except Exception as error:  # noqa: BLE001
-                failures.append(
-                    f"final-state read of addr {addr} raised "
-                    f"{type(error).__name__}: {error}"
-                )
-                return len(live)
-            want = oracle.value(addr)
-            if got != want:
-                bad += 1
-                if bad <= _MAX_REPORTED:
-                    failures.append(
-                        f"final state addr {addr}: got {got!r}, want {want!r}"
-                    )
-        if bad > _MAX_REPORTED:
-            failures.append(f"... {bad} final-state mismatches total")
-        return len(live)
+        if storm.compare_uninterrupted:
+            keyed = dict(enumerate(requests))
+            with self._twin(spec, keyed) as (_, want):
+                check_twin(failures, keyed, dict(enumerate(results)), want, skip=is_fenced)
+        result.final_state_checked = self._check_final_state(
+            spec, sorted(oracle.state), supervisor.read, oracle.value, failures,
+            skip=is_fenced,
+        )
+        result.metrics = supervisor.metrics
 
     # ------------------------------------------------------------ execution
     def _execute(self, stack: BuiltStack, requests) -> tuple[list, Metrics]:
         if stack.front is not None:
             return self._execute_multiuser(stack, requests)
-        engine = SimulationEngine(stack.driver, record_results=True)
+        engine = SimulationEngine(stack.driver)
         metrics = engine.run(requests)
         return engine.results, metrics
 
@@ -1217,68 +1034,69 @@ class ScenarioRunner:
         return results, metrics
 
     # ----------------------------------------------------------- comparison
-    def _compare_results(self, requests, results, expected, failures) -> int:
+    def _compare_results(self, requests, results, expected, failures, skip=None) -> int:
+        """Served results against the oracle; requests whose address
+        ``skip`` names (fenced stripes) are not compared."""
         if len(results) != len(requests):
             failures.append(
                 f"served {len(results)} results for {len(requests)} requests"
             )
             return abs(len(requests) - len(results))
-        mismatches = 0
+        mismatched = []
         for index, (request, got, want) in enumerate(zip(requests, results, expected)):
+            if skip is not None and skip(request.addr):
+                continue
             if request.op is OpKind.WRITE and got is None:
                 continue  # synchronous APIs return nothing for writes
             if got != want:
-                mismatches += 1
-                if mismatches <= _MAX_REPORTED:
-                    failures.append(
-                        f"request {index} ({request.op.value} addr {request.addr}): "
-                        f"got {got!r}, want {want!r}"
-                    )
-        if mismatches > _MAX_REPORTED:
-            failures.append(f"... {mismatches} result mismatches total")
-        return mismatches
+                mismatched.append(
+                    f"request {index} ({request.op.value} addr {request.addr}): "
+                    f"got {got!r}, want {want!r}"
+                )
+        return _capped(failures, mismatched, "result mismatches")
 
-    def _check_final_state(self, reader, n_blocks, oracle, spec, failures) -> int:
+    def _check_final_state(self, spec, written, got, want, failures, skip=None) -> int:
         """Read back a deterministic address sample after the run.
 
-        ``reader`` is the protocol that serves the reads (the front end
-        delegates reads to the back end; crash scenarios pass the
-        *restored* stack).
+        The sample is seeded by the stack's seed and topped up with
+        ``written`` addresses (bounded) -- where bugs live.  ``got`` reads
+        the run's stack (crash scenarios pass the *restored* one), ``want``
+        says what it must hold (the oracle, or the serving twin);
+        addresses ``skip`` names (fenced stripes) are left out.  Returns
+        how many addresses were read.
         """
         if spec.final_state_sample <= 0:
             return 0
         rng = DeterministicRandom(f"final-state-{spec.stack.seed}")
-        sample = {rng.randrange(n_blocks) for _ in range(spec.final_state_sample)}
-        # Always include written addresses (bounded) -- where bugs live.
-        for addr in sorted(oracle.state):
+        sample = {
+            rng.randrange(spec.stack.n_blocks)
+            for _ in range(spec.final_state_sample)
+        }
+        for addr in written:
             if len(sample) >= 2 * spec.final_state_sample:
                 break
             sample.add(addr)
-        bad = 0
-        for addr in sorted(sample):
+        live = [addr for addr in sorted(sample) if skip is None or not skip(addr)]
+        mismatched = []
+        for addr in live:
             try:
-                got = reader.read(addr)
+                value = got(addr)
             except Exception as error:  # noqa: BLE001
                 failures.append(
                     f"final-state read of addr {addr} raised "
                     f"{type(error).__name__}: {error}"
                 )
-                return len(sample)
-            want = oracle.value(addr)
-            if got != want:
-                bad += 1
-                if bad <= _MAX_REPORTED:
-                    failures.append(
-                        f"final state addr {addr}: got {got!r}, want {want!r}"
-                    )
-        if bad > _MAX_REPORTED:
-            failures.append(f"... {bad} final-state mismatches total")
-        return len(sample)
+                break
+            expected = want(addr)
+            if value != expected:
+                mismatched.append(
+                    f"final state addr {addr}: got {value!r}, want {expected!r}"
+                )
+        _capped(failures, mismatched, "final-state mismatches")
+        return len(live)
 
     def _check_invariants(self, stack, metrics, n_requests, failures) -> None:
         """Metrics sanity every conforming stack must uphold."""
-        if metrics is None:
-            return
         if stack.front is not None:
             total = stack.front.total_stats()
             if total.served != n_requests:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.multiuser import MultiUserFrontEnd
 from repro.core.recipe import DEVICES, PROTOCOLS, StackRecipe, build  # noqa: F401
+from repro.sim.engine import is_batched
 from repro.storage.backend import BlockStore
 
 #: A scenario's stack description is the stack recipe itself.
@@ -52,7 +53,7 @@ class BuiltStack:
 
     @property
     def batched(self) -> bool:
-        return hasattr(self.protocol, "submit") and hasattr(self.protocol, "drain")
+        return is_batched(self.protocol)
 
     @property
     def driver(self):

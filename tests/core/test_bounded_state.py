@@ -36,6 +36,7 @@ from repro.core.supervisor import FleetSupervisor, SupervisorConfig
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import OpKind, Request
 from repro.sim.engine import SimulationEngine
+from repro.sim.engine import drive
 from repro.sim.metrics import Histogram, percentile
 from repro.workload.generators import hotspot, uniform
 
@@ -74,16 +75,6 @@ def serve_order(entries) -> "list[tuple[int, int]]":
 def stream(count: int, n_blocks: int = 1024, seed: int = 5) -> "list[Request]":
     rng = DeterministicRandom(seed)
     return list(hotspot(n_blocks, count, rng, hot_blocks=24, write_ratio=0.25))
-
-
-def drive(stack, requests, batch: int = 16) -> list:
-    """Serve ``requests`` a bounded batch at a time (a server's queue depth)."""
-    results = []
-    for start in range(0, len(requests), batch):
-        entries = [stack.submit(request) for request in requests[start : start + batch]]
-        stack.drain()
-        results.extend(entry.result for entry in entries)
-    return results
 
 
 def _flatten(value, prefix: str = "") -> dict:
@@ -150,11 +141,11 @@ KERNELS = {
 
 def _shapes_at_r_and_4r(stack, take) -> "tuple[dict, dict]":
     requests = stream(4 * R)
-    drive(stack, requests[:R])
+    drive(stack, requests[:R], 16)
     stack.force_shuffle()
     assert stack.metrics.shuffle_count >= 3, "R must span two periods and more"
     small = manifest_shape(take(stack))
-    drive(stack, requests[R:])
+    drive(stack, requests[R:], 16)
     stack.force_shuffle()
     return small, manifest_shape(take(stack))
 
@@ -340,8 +331,8 @@ class TestServedDigest:
     def test_digest_tells_serve_orders_apart(self):
         a, requests = _kernel_case("full_shuffle")
         b, _ = _kernel_case("full_shuffle")
-        drive(a, requests)
-        drive(b, requests[:-1] + [Request.read((requests[-1].addr + 1) % 512)])
+        drive(a, requests, 16)
+        drive(b, requests[:-1] + [Request.read((requests[-1].addr + 1) % 512)], 16)
         assert a.served_digest != b.served_digest
 
 
@@ -367,7 +358,7 @@ class TestDerivedPools:
         requests = stream(900, seed=11)
         checked = 0
         for start in range(0, len(requests), 8):
-            drive(oram, requests[start : start + 8])
+            drive(oram, requests[start : start + 8], 16)
             scanned = _scanned_pool(layer)
             assert layer._derive_unread().tolist() == scanned, start
             # The live pool is the same set, in swap-remove order.
@@ -386,16 +377,16 @@ class TestDerivedPools:
 
         requests = stream(700, seed=13)
         twin = build()
-        expected = drive(twin, requests)
+        expected = drive(twin, requests, 16)
 
         victim = build()
         cut = 336  # a batch boundary of the twin's drive
-        head = drive(victim, requests[:cut])
+        head = drive(victim, requests[:cut], 16)
         assert victim.period_index >= 2 and victim._loads_this_period > 0
         snapshot_stack(victim).save(tmp_path / "ckpt")
         restored = restore_stack(Checkpoint.load(tmp_path / "ckpt"))
         assert restored.storage._unread == victim.storage._unread
-        tail = drive(restored, requests[cut:])
+        tail = drive(restored, requests[cut:], 16)
 
         assert head + tail == expected
         assert restored.served_digest == twin.served_digest
@@ -427,7 +418,7 @@ class TestRestoredPoolIsChecked:
     @pytest.mark.parametrize("fault", ["duplicate", "consumed"])
     def test_recover_refuses_a_forged_pool(self, backend, fault, tmp_path):
         oram = build_horam(n_blocks=1024, mem_tree_blocks=128, seed=7)
-        drive(oram, stream(336, seed=13))
+        drive(oram, stream(336, seed=13), 16)
         layer = oram.storage
         assert oram._loads_this_period > 0
         path = snapshot_stack(oram).save(tmp_path / "ckpt")
@@ -451,7 +442,7 @@ class TestRestoredPoolIsChecked:
 @pytest.mark.parametrize("old", [3, 4, 5, 6, 7])
 def test_older_manifest_is_refused(old, tmp_path):
     oram = build_horam(n_blocks=256, mem_tree_blocks=64, seed=2)
-    drive(oram, stream(40, n_blocks=256))
+    drive(oram, stream(40, n_blocks=256), 16)
     path = snapshot_stack(oram).save(tmp_path / "ckpt")
     manifest = path / "checkpoint.json"
     data = json.loads(manifest.read_text())
@@ -473,7 +464,7 @@ def test_control_tables_stay_within_nine_bytes_per_block(n_blocks, ratio):
     oram = build_horam(
         n_blocks=n_blocks, mem_tree_blocks=256, seed=4, shuffle_period_ratio=ratio
     )
-    drive(oram, list(uniform(n_blocks, 700, DeterministicRandom(9), write_ratio=0.25)))
+    drive(oram, list(uniform(n_blocks, 700, DeterministicRandom(9), write_ratio=0.25)), 16)
     assert oram.metrics.shuffle_count >= 4
     checkpoint = snapshot_stack(oram)
     size = len(json.dumps(checkpoint.state["stack"]["storage"])) + sum(

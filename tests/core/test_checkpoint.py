@@ -18,6 +18,7 @@ from repro.core.sharding import build_sharded_horam
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import OpKind, Request
 from repro.oram.factory import build_baseline
+from repro.sim.engine import drive
 from repro.storage.faults import CrashFault, FaultPlan
 from repro.workload.generators import hotspot
 
@@ -25,26 +26,6 @@ from repro.workload.generators import hotspot
 def workload(n_blocks=256, count=90, seed="ckpt", write_ratio=0.3):
     rng = DeterministicRandom(seed)
     return list(hotspot(n_blocks, count, rng, hot_blocks=20, write_ratio=write_ratio))
-
-
-def drive(protocol, requests):
-    results = []
-    for request in requests:
-        entry = protocol.submit(request)
-        protocol.drain()
-        results.append(entry.result)
-    return results
-
-
-def drive_sync(protocol, requests):
-    results = []
-    for request in requests:
-        if request.op is OpKind.READ:
-            results.append(protocol.read(request.addr))
-        else:
-            protocol.write(request.addr, request.data)
-            results.append(None)
-    return results
 
 
 def observables(protocol):
@@ -179,15 +160,15 @@ class TestBaselineCheckpoint:
         requests = workload(n_blocks=128, count=60)
         kwargs = {"memory_blocks": 32} if kind == "path" else {}
         golden = build_baseline(kind, 128, seed=2, **kwargs)
-        golden_results = drive_sync(golden, requests)
+        golden_results = drive(golden, requests)
 
         victim = build_baseline(kind, 128, seed=2, **kwargs)
-        head = drive_sync(victim, requests[:25])
+        head = drive(victim, requests[:25])
         save_checkpoint(victim, tmp_path / "ckpt")
-        drive_sync(victim, requests[25:40])
+        drive(victim, requests[25:40])
 
         restored = recover(tmp_path / "ckpt")
-        tail = drive_sync(restored, requests[25:])
+        tail = drive(restored, requests[25:])
         assert head + tail == golden_results
         assert restored.metrics.to_dict() == golden.metrics.to_dict()
         assert restored.hierarchy.clock.now_us == golden.hierarchy.clock.now_us

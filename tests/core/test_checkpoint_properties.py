@@ -20,8 +20,8 @@ from repro.core.checkpoint import restore_stack, snapshot_stack
 from repro.core.horam import build_horam
 from repro.core.sharding import build_sharded_horam
 from repro.crypto.random import DeterministicRandom
-from repro.oram.base import OpKind
 from repro.oram.factory import build_baseline
+from repro.sim.engine import drive
 from repro.workload.generators import hotspot
 
 #: protocol x shard-width x executor combinations the round-trip law covers.
@@ -48,23 +48,6 @@ def build(kind, options, seed):
         )
     kwargs = {"memory_blocks": 32} if kind in _MEMORY_BASELINES else {}
     return build_baseline(kind, 128, seed=seed, **kwargs)
-
-
-def drive(protocol, requests):
-    results = []
-    if hasattr(protocol, "submit"):
-        for request in requests:
-            entry = protocol.submit(request)
-            protocol.drain()
-            results.append(entry.result)
-        return results
-    for request in requests:
-        if request.op is OpKind.READ:
-            results.append(protocol.read(request.addr))
-        else:
-            protocol.write(request.addr, request.data)
-            results.append(None)
-    return results
 
 
 def close(protocol):

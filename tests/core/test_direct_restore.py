@@ -23,6 +23,7 @@ from repro.core.storage_layer import PermutedStorage
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import BlockCodec
 from repro.oram.path_oram import PathOramTree
+from repro.sim.engine import drive
 from repro.workload.generators import hotspot
 
 #: H-ORAM stacks by id: the default layout, and the partial shuffle
@@ -66,12 +67,6 @@ def requests(n_blocks: int, count: int, seed: int = 5):
     )
 
 
-def drive(stack, batch) -> list:
-    entries = [stack.submit(request) for request in batch]
-    stack.drain()
-    return [entry.result for entry in entries]
-
-
 def build_kernel(variant: str):
     return build(StackRecipe(n_blocks=512, mem_blocks=64, seed=3, **VARIANTS[variant]))
 
@@ -93,14 +88,14 @@ class TestNoRestoreRouteBuilds:
     def test_recover(self, variant, monkeypatch, tmp_path):
         stack = build_kernel(variant)
         head, tail = requests(512, 300)[:200], requests(512, 300)[200:]
-        drive(stack, head)
+        drive(stack, head, 16)
         path = save_checkpoint(stack, tmp_path / "ckpt")
         work = ImageWork(monkeypatch)
         restored = recover(path)
         assert work.calls == 0
         assert restored.state_dict() == stack.state_dict()
         monkeypatch.undo()
-        assert drive(restored, tail) == drive(stack, tail)
+        assert drive(restored, tail, 16) == drive(stack, tail, 16)
         assert restored.served_digest == stack.served_digest
         assert restored.state_dict() == stack.state_dict()
 
@@ -110,14 +105,14 @@ class TestNoRestoreRouteBuilds:
         restored = None
         try:
             batch = requests(1024, 300)
-            drive(fleet, batch[:200])
+            drive(fleet, batch[:200], 16)
             path = save_checkpoint(fleet, tmp_path / "ckpt")
             work = ImageWork(monkeypatch)
             restored = recover(path)
             assert restored.served_digest == fleet.served_digest
             assert work.calls == 0
             monkeypatch.undo()
-            assert drive(restored, batch[200:]) == drive(fleet, batch[200:])
+            assert drive(restored, batch[200:], 16) == drive(fleet, batch[200:], 16)
             assert restored.served_digest == fleet.served_digest
         finally:
             fleet.close()
@@ -128,7 +123,7 @@ class TestNoRestoreRouteBuilds:
     def test_recover_shard(self, variant, executor, monkeypatch):
         fleet = build_fleet(variant, executor)
         try:
-            drive(fleet, requests(1024, 200))
+            drive(fleet, requests(1024, 200), 16)
             payload = fleet.executor.shard_state(1)
             work = ImageWork(monkeypatch)
             fleet.executor.recover_shard(1, payload, [], ShardCrashed(1, "hung", None))
@@ -140,7 +135,7 @@ class TestNoRestoreRouteBuilds:
     def test_worker_load_in_process(self, variant, monkeypatch):
         fleet = build_fleet(variant, "parallel")
         try:
-            drive(fleet, requests(1024, 200))
+            drive(fleet, requests(1024, 200), 16)
             recipe = fleet.recipe
             payload = fleet.executor.shard_state(0)
         finally:
@@ -191,7 +186,7 @@ class TestHoramManifests:
 
     def _checkpoints(self, tmp_path):
         oram = build_horam(n_blocks=self.N_BLOCKS, mem_tree_blocks=256, seed=1)
-        drive(oram, requests(self.N_BLOCKS, 300))
+        drive(oram, requests(self.N_BLOCKS, 300), 16)
         yield snapshot_stack(oram)
         for executor in ("serial", "parallel"):
             fleet = build_sharded_horam(
@@ -199,7 +194,7 @@ class TestHoramManifests:
                 executor=executor,
             )
             try:
-                drive(fleet, requests(2 * self.N_BLOCKS, 300))
+                drive(fleet, requests(2 * self.N_BLOCKS, 300), 16)
                 yield snapshot_stack(fleet)
                 yield snapshot_shard(fleet, 1)
             finally:

@@ -79,7 +79,7 @@ def _observables(sharded, engine, metrics):
 def _run_fleet(executor, n_shards, requests=350, trace=True, lockstep=True):
     sharded = _build(executor, n_shards, trace=trace, lockstep=lockstep)
     try:
-        engine = SimulationEngine(sharded, verify=True, record_results=True)
+        engine = SimulationEngine(sharded, verify=True)
         metrics = engine.run(_stream(sharded.n_blocks, requests))
         return _observables(sharded, engine, metrics)
     finally:
@@ -106,12 +106,14 @@ class TestParallelEquivalence:
         for executor in ("serial", "parallel"):
             sharded = _build(executor, 2)
             try:
-                engine = SimulationEngine(sharded, verify=True, record_results=True)
-                engine.run(_stream(sharded.n_blocks, 200, seed=5))
-                engine.run(_stream(sharded.n_blocks, 200, seed=6))
+                engine = SimulationEngine(sharded, verify=True)
+                results = []
+                for seed in (5, 6):
+                    engine.run(_stream(sharded.n_blocks, 200, seed=seed))
+                    results += engine.results
                 sync = [sharded.read(addr) for addr in (0, 1, 7, 1023)]
                 outcomes[executor] = (
-                    list(engine.results),
+                    results,
                     sync,
                     sharded.metrics.to_dict(),
                 )
@@ -259,7 +261,7 @@ class TestParallelFaults:
             )
             try:
                 stack.protocol.executor.install_fault_plan(plan)
-                engine = SimulationEngine(stack.protocol, record_results=True)
+                engine = SimulationEngine(stack.protocol)
                 engine.run(_stream(1024, 200, seed=9))
                 outcomes[executor] = (
                     list(engine.results),

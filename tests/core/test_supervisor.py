@@ -18,6 +18,7 @@ from repro.core.checkpoint import CheckpointStore
 from repro.core.sharding import ShardUnavailableError, build_sharded_horam
 from repro.core.supervisor import FleetSupervisor, SupervisorConfig
 from repro.crypto.random import DeterministicRandom
+from repro.sim.engine import drive
 from repro.storage.faults import FaultPlan
 from repro.workload.generators import hotspot
 
@@ -30,21 +31,12 @@ def _workload(count, seed=31):
     return list(hotspot(N_BLOCKS, count, rng, hot_blocks=48))
 
 
-def _drive(protocol, requests):
-    served = []
-    for request in requests:
-        entry = protocol.submit(request)
-        protocol.drain()
-        served.append(entry.result)
-    return served
-
-
 def _twin_results(requests, n_shards):
     twin = build_sharded_horam(
         n_blocks=N_BLOCKS, mem_tree_blocks=MEM_BLOCKS, n_shards=n_shards, seed=0
     )
     try:
-        return _drive(twin, requests)
+        return drive(twin, requests)
     finally:
         twin.close()
 
@@ -78,7 +70,7 @@ class TestSerialStorm:
             supervisor.install_fault_plan(
                 FaultPlan(seed=0, crash_schedule=[40, 90], crash_op_kind="any")
             )
-            results = _drive(supervisor, requests)
+            results = drive(supervisor, requests)
             report = supervisor.recovery_report()
             assert report["crashes_detected"] == 2
             assert report["restores"] == 2
@@ -102,7 +94,7 @@ class TestSerialStorm:
             supervisor.install_fault_plan(
                 FaultPlan(seed=0, crash_schedule=[20, 50, 80], crash_op_kind="any")
             )
-            _drive(supervisor, _workload(120))
+            drive(supervisor, _workload(120))
             scanned = Counter(event.kind for event in supervisor.events)
             assert scanned["crash_detected"] == 3
             for kind in (*scanned, "fenced", "gave_up"):
@@ -132,7 +124,7 @@ class TestSerialStorm:
                 supervisor.install_fault_plan(
                     FaultPlan(seed=0, crash_schedule=[35], crash_op_kind="any")
                 )
-                payloads.append(_drive(supervisor, requests))
+                payloads.append(drive(supervisor, requests))
                 traces.append(supervisor.event_trace())
             finally:
                 supervisor.close()
@@ -147,7 +139,7 @@ class TestSerialStorm:
             supervisor.install_fault_plan(
                 FaultPlan(seed=0, crash_schedule=[20], crash_op_kind="any")
             )
-            _drive(supervisor, _workload(60))
+            drive(supervisor, _workload(60))
             extra = supervisor.metrics.extra
             assert extra["supervisor_crashes"] == 1
             assert extra["supervisor_restores"] == 1
@@ -195,7 +187,7 @@ class TestFencing:
             supervisor.install_fault_plan(
                 FaultPlan(seed=0, crash_schedule=[25], crash_op_kind="any")
             )
-            _drive_tolerant(supervisor, _workload(80))
+            drive(supervisor, _workload(80))
             (fenced_shard,) = supervisor.fenced
             addr = next(
                 a for a in range(N_BLOCKS)
@@ -215,7 +207,7 @@ class TestFencing:
             supervisor.install_fault_plan(
                 FaultPlan(seed=0, crash_schedule=[30], crash_op_kind="any")
             )
-            results = _drive_tolerant(supervisor, requests)
+            results = drive(supervisor, requests)
             (fenced_shard,) = supervisor.fenced
             checked = 0
             for request, mine, twin_value in zip(requests, results, twin):
@@ -228,27 +220,13 @@ class TestFencing:
             supervisor.close()
 
 
-def _drive_tolerant(supervisor, requests):
-    """Drive accepting fenced fail-fasts; returns result-or-None per request."""
-    results = []
-    for request in requests:
-        try:
-            entry = supervisor.submit(request)
-        except ShardUnavailableError:
-            results.append(None)
-            continue
-        supervisor.drain()
-        results.append(entry.result if entry.error is None else None)
-    return results
-
-
 class TestCheckpointFallback:
     def test_restore_falls_back_past_corrupted_newest(self, ckpt_dir):
         requests = _workload(140)
         twin = _twin_results(requests, 4)
         supervisor = _supervised(ckpt_dir, checkpoint_every_ops=12)
         try:
-            results = _drive(supervisor, requests[:100])
+            results = drive(supervisor, requests[:100])
             for store in supervisor.stores:
                 assert len(store.paths()) >= 2
                 manifest = store.paths()[-1] / "checkpoint.json"
@@ -256,7 +234,7 @@ class TestCheckpointFallback:
             supervisor.install_fault_plan(
                 FaultPlan(seed=0, crash_schedule=[5], crash_op_kind="any")
             )
-            results += _drive(supervisor, requests[100:])
+            results += drive(supervisor, requests[100:])
             report = supervisor.recovery_report()
             assert report["restores"] == report["crashes_detected"] == 1
             assert not supervisor.fenced
@@ -268,14 +246,14 @@ class TestCheckpointFallback:
         requests = _workload(90)
         supervisor = _supervised(ckpt_dir, checkpoint_every_ops=0, max_restarts=2)
         try:
-            _drive(supervisor, requests[:40])
+            drive(supervisor, requests[:40])
             for store in supervisor.stores:
                 for path in store.paths():
                     (path / "checkpoint.json").write_text("not json")
             supervisor.install_fault_plan(
                 FaultPlan(seed=0, crash_schedule=[5], crash_op_kind="any")
             )
-            _drive_tolerant(supervisor, requests[40:])
+            drive(supervisor, requests[40:])
             kinds = [kind for kind, _, _ in supervisor.event_trace()]
             assert kinds.count("restore_failed") == 2  # both attempts
             assert "fenced" in kinds
@@ -290,7 +268,7 @@ class TestCheckpointCadence:
             ckpt_dir, checkpoint_every_ops=8, keep_checkpoints=2
         )
         try:
-            _drive(supervisor, _workload(120))
+            drive(supervisor, _workload(120))
             report = supervisor.recovery_report()
             assert report["checkpoints"] > 4  # beyond the initial per-shard ones
             for store in supervisor.stores:
@@ -306,7 +284,7 @@ class TestCheckpointCadence:
     def test_zero_cadence_keeps_initial_checkpoint_only(self, ckpt_dir):
         supervisor = _supervised(ckpt_dir, checkpoint_every_ops=0)
         try:
-            _drive(supervisor, _workload(60))
+            drive(supervisor, _workload(60))
             assert supervisor.recovery_report()["checkpoints"] == 4
             for store in supervisor.stores:
                 assert len(store.paths()) == 1
@@ -331,7 +309,7 @@ class TestFacadeFollowsRecovery:
         supervisor = _supervised(ckpt_dir, executor=executor)
         try:
             supervisor.install_fault_plan(FaultPlan(seed=0, crash_schedule=[40]))
-            _drive(supervisor, _workload(200))
+            drive(supervisor, _workload(200))
             assert supervisor.recovery_report()["restores"] >= 1
             fleet = supervisor.fleet
             for tier in ("storage", "memory"):
@@ -351,7 +329,7 @@ class TestSerialHealth:
     def test_heartbeats_report_all_shards(self, ckpt_dir):
         supervisor = _supervised(ckpt_dir)
         try:
-            _drive(supervisor, _workload(20))
+            drive(supervisor, _workload(20))
             beats = supervisor.check_health()
             assert sorted(beats) == [0, 1, 2, 3]
             assert all(now >= 0 for now in beats.values())
@@ -369,7 +347,7 @@ class TestParallelSupervision:
             supervisor.install_fault_plan(
                 FaultPlan(seed=0, crash_schedule=[30], crash_op_kind="any")
             )
-            results = _drive(supervisor, requests)
+            results = drive(supervisor, requests)
             report = supervisor.recovery_report()
             assert report["crashes_detected"] >= 1
             assert report["restores"] == report["crashes_detected"]
@@ -388,7 +366,7 @@ class TestParallelSupervision:
             supervisor.install_fault_plan(
                 FaultPlan(seed=0, hang_at_op=25, hang_wall_s=3.0)
             )
-            results = _drive(supervisor, requests)
+            results = drive(supervisor, requests)
             report = supervisor.recovery_report()
             assert report["crashes_detected"] >= 1
             assert all(i["kind"] == "hung" for i in report["incidents"])
@@ -412,7 +390,7 @@ class TestParallelSupervision:
             heartbeat_timeout_s=0.5,
         )
         try:
-            results = _drive(supervisor, requests[:20])
+            results = drive(supervisor, requests[:20])
             supervisor.executor._settle()  # both workers idle in recv()
             mark = len(supervisor.events)
             saved = supervisor.recovery_report()["checkpoints"]
@@ -427,7 +405,7 @@ class TestParallelSupervision:
             ]
             assert supervisor.recovery_report()["checkpoints"] == saved + 2
             assert supervisor.executor._workers[0].pid != pid
-            results += _drive(supervisor, requests[20:])
+            results += drive(supervisor, requests[20:])
             assert results == twin
         finally:
             supervisor.close()

@@ -4,9 +4,11 @@ import pytest
 
 from repro.core.horam import build_horam
 from repro.crypto.random import DeterministicRandom
-from repro.oram.base import Request, initial_payload
+from repro.oram.base import OpKind, Request, initial_payload
 from repro.oram.factory import build_path_oram
-from repro.sim.engine import SimulationEngine, VerificationError, run_workload
+from repro.sim.engine import SimulationEngine, VerificationError, drive
+from repro.storage.faults import FaultPlan
+from repro.testing.stacks import StackSpec, build_stack
 from repro.workload.generators import hotspot, read_write_mix
 
 
@@ -49,7 +51,7 @@ class TestBatchedPath:
         oram = build_horam(n_blocks=256, mem_tree_blocks=64, seed=1)
         rng = DeterministicRandom(2)
         requests = list(read_write_mix(256, 200, rng, write_ratio=0.5, hot_blocks=30))
-        run_workload(oram, requests, verify=True)  # raises on any mismatch
+        SimulationEngine(oram, verify=True).run(requests)  # raises on any mismatch
 
     def test_second_run_reads_first_runs_writes(self):
         # Regression: the batched replay used to start from an empty
@@ -84,7 +86,7 @@ class TestSynchronousPath:
         oram = build_path_oram(n_blocks=128, memory_blocks=32, seed=1)
         rng = DeterministicRandom(3)
         requests = list(read_write_mix(128, 150, rng, write_ratio=0.4, hot_blocks=20))
-        metrics = run_workload(oram, requests, verify=True)
+        metrics = SimulationEngine(oram, verify=True).run(requests)
         assert metrics.requests_served == 150
         assert metrics.io_reads > 0 and metrics.io_writes > 0
 
@@ -125,3 +127,75 @@ class TestShuffleSeparation:
 
         with pytest.raises(ValueError):
             SimulationEngine(Bare())
+
+
+#: One stack of every shape ``drive`` feeds: both API styles, a fleet on
+#: each executor, and a supervised fleet.
+DRIVEN_STACKS = {
+    "horam": StackSpec(protocol="horam", n_blocks=256, mem_blocks=64, seed=3),
+    "sharded-serial": StackSpec(protocol="sharded", n_blocks=512, mem_blocks=64, n_shards=2, seed=3),
+    "sharded-parallel": StackSpec(
+        protocol="sharded", n_blocks=512, mem_blocks=64, n_shards=2, executor="parallel", seed=3
+    ),
+    "supervised": StackSpec(
+        protocol="sharded", n_blocks=512, mem_blocks=64, n_shards=2, supervised=True, seed=3
+    ),
+    "path": StackSpec(protocol="path", n_blocks=256, mem_blocks=64, seed=3),
+    "plain": StackSpec(protocol="plain", n_blocks=256, seed=3),
+}
+
+
+class TestDrive:
+    @pytest.mark.parametrize("name", sorted(DRIVEN_STACKS))
+    def test_batch_size_never_changes_the_served_bytes(self, name):
+        spec = DRIVEN_STACKS[name]
+        requests = list(
+            read_write_mix(256, 120, DeterministicRandom(8), write_ratio=0.3, hot_blocks=24)
+        )
+        served = {}
+        for batch in (1, 16, len(requests)):
+            stack = build_stack(spec)
+            try:
+                served[batch] = drive(stack.driver, requests, batch)
+                pad = stack.protocol.codec.pad
+            finally:
+                stack.cleanup()
+        assert served[1] == served[16] == served[len(requests)]
+        assert len(served[1]) == len(requests)
+        for request, result in zip(requests, served[1]):
+            if request.op is OpKind.READ:
+                assert result is not None
+            elif stack.batched:
+                assert result == pad(request.data)  # the written record
+            else:
+                assert result is None  # a synchronous write returns nothing
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_a_fenced_stripe_yields_none_and_does_not_raise(self, batch):
+        stack = build_stack(
+            StackSpec(
+                protocol="sharded", n_blocks=512, mem_blocks=128, n_shards=4,
+                supervised=True, max_restarts=0, seed=0,
+            )
+        )
+        try:
+            stack.install_faults(FaultPlan(seed=0, crash_schedule=[25], crash_op_kind="any"))
+            requests = list(hotspot(512, 80, DeterministicRandom(31), hot_blocks=48))
+            results = drive(stack.driver, requests, batch)
+            (fenced,) = stack.supervisor.fenced
+            on_stripe = [a for a in range(512) if stack.protocol.shard_of(a) == fenced][:3]
+            off_stripe = next(a for a in range(512) if stack.protocol.shard_of(a) != fenced)
+            assert None in results
+            later = drive(stack.driver, [Request.read(a) for a in on_stripe + [off_stripe]], batch)
+            assert later[:-1] == [None] * len(on_stripe)
+            assert later[-1] is not None
+        finally:
+            stack.cleanup()
+
+    def test_engine_results_hold_the_last_run_only(self):
+        oram = build_horam(n_blocks=256, mem_tree_blocks=64, seed=1)
+        engine = SimulationEngine(oram)
+        engine.run([Request.write(4, b"a"), Request.read(4)])
+        assert engine.results == [oram.codec.pad(b"a")] * 2
+        engine.run([Request.read(5)])
+        assert engine.results == [oram.codec.pad(initial_payload(5))]

@@ -21,6 +21,7 @@ from repro.core.checkpoint import (
 from repro.core.horam import build_horam
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import OpKind
+from repro.sim.engine import drive
 from repro.storage.faults import CrashFault, FaultInjector, FaultPlan
 from repro.workload.generators import hotspot
 
@@ -43,15 +44,6 @@ def build(tmp_path, label):
         storage_backend="file",
         storage_path=tmp_path / f"{label}.slab",
     )
-
-
-def drive(oram, requests):
-    results = []
-    for request in requests:
-        entry = oram.submit(request)
-        oram.drain()
-        results.append(entry.result)
-    return results
 
 
 @pytest.fixture(scope="module")

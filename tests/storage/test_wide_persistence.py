@@ -14,6 +14,7 @@ import pytest
 from repro.core.checkpoint import CheckpointError, recover, save_checkpoint
 from repro.core.horam import build_horam
 from repro.crypto.random import DeterministicRandom
+from repro.sim.engine import drive
 from repro.storage.durable import SlabError, slab_meta_path
 from repro.workload.generators import zipfian
 
@@ -44,15 +45,6 @@ def workload():
         if request.data is not None:  # full-width writes, like block1k_write
             request.data = (request.data * PAYLOAD_BYTES)[:PAYLOAD_BYTES]
     return requests
-
-
-def drive(oram, requests):
-    results = []
-    for request in requests:
-        entry = oram.submit(request)
-        oram.drain()
-        results.append(entry.result)
-    return results
 
 
 def restamp(path, version):

@@ -5,12 +5,17 @@ scenario, so a regression names the offending stack/workload/fault
 combination directly in the pytest report.
 """
 
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import pytest
 
+from repro.oram.base import Request
 from repro.sim.engine import SimulationEngine
 from repro.storage.faults import FaultPlan
 from repro.testing import (
     PROTOCOLS,
+    CrashSpec,
     ScenarioRunner,
     ScenarioSpec,
     StackSpec,
@@ -19,6 +24,7 @@ from repro.testing import (
     matrix_summary,
     run_matrix,
 )
+from repro.testing.scenario import check_twin
 from repro.workload.generators import WorkloadSpec
 
 MATRIX = default_matrix("quick")
@@ -163,8 +169,94 @@ class TestEngineResultRecording:
         from repro.oram.base import Request, initial_payload
 
         plain = build_plain(64)
-        engine = SimulationEngine(plain, record_results=True)
+        engine = SimulationEngine(plain)
         engine.run([Request.read(5), Request.write(6, b"x"), Request.read(6)])
         assert engine.results[0] == plain.codec.pad(initial_payload(5))
         assert engine.results[1] is None  # synchronous write returns nothing
         assert engine.results[2] == plain.codec.pad(b"x")
+
+
+def _stack_view(digest=b"d", metrics=None, clock_us=100.0):
+    """What the twin check reads off a stack: digest, metrics, clock."""
+    metrics = {"cycles": 7} if metrics is None else metrics
+    return SimpleNamespace(
+        served_digest=digest,
+        metrics=SimpleNamespace(to_dict=lambda: dict(metrics)),
+        hierarchy=SimpleNamespace(clock=SimpleNamespace(now_us=clock_us)),
+    )
+
+
+class TestTwinCheck:
+    """Each divergence class the one twin check gates on must fail it."""
+
+    REQUESTS = {0: Request.read(1), 1: Request.write(2, b"w"), 2: Request.read(3)}
+    SERVED = {0: b"one", 1: b"w", 2: b"three"}
+
+    def _check(self, got=None, want=None, **kwargs):
+        failures = []
+        verdict = check_twin(
+            failures, self.REQUESTS, self.SERVED if got is None else got,
+            dict(self.SERVED) if want is None else want, **kwargs,
+        )
+        return failures, verdict
+
+    def test_identical_runs_pass(self):
+        failures, verdict = self._check(exact=(_stack_view(), _stack_view()))
+        assert failures == [] and verdict == (3, 0)
+
+    def test_a_flipped_result_byte_fails(self):
+        failures, verdict = self._check(want={**self.SERVED, 2: b"thref"})
+        assert verdict == (3, 1)
+        assert len(failures) == 1 and "request 2 (read addr 3) diverges" in failures[0]
+
+    def test_a_different_served_digest_fails(self):
+        failures, _ = self._check(exact=(_stack_view(digest=b"a"), _stack_view(digest=b"b")))
+        assert failures == ["served-order digest diverges from the twin's"]
+
+    def test_different_metrics_fail(self):
+        failures, _ = self._check(
+            exact=(_stack_view(metrics={"cycles": 7}), _stack_view(metrics={"cycles": 8}))
+        )
+        assert failures == ["metrics diverge from the twin's"]
+
+    def test_a_clock_one_microsecond_off_fails(self):
+        failures, _ = self._check(
+            exact=(_stack_view(clock_us=100.0), _stack_view(clock_us=101.0))
+        )
+        assert failures == ["simulated clock 100.0 != twin 101.0"]
+
+    def test_an_unserved_journal_seq_fails(self):
+        served = {seq: payload for seq, payload in self.SERVED.items() if seq != 1}
+        failures, verdict = self._check(got=served, label="seq")
+        assert verdict == (2, 0)
+        assert failures == ["1 accepted requests were never served (seqs [1])"]
+
+    def test_a_mismatch_on_a_fenced_stripe_is_skipped(self):
+        failures, verdict = self._check(
+            want={**self.SERVED, 0: None}, skip=lambda addr: addr == 1
+        )
+        assert failures == [] and verdict == (2, 0)
+
+    def test_the_runner_reports_a_twin_that_diverges(self):
+        """Wired end to end: a crash scenario whose twin serves one
+        flipped byte fails on exactly that request."""
+
+        class FlippedTwin(ScenarioRunner):
+            @contextmanager
+            def _twin(self, spec, requests):
+                with super()._twin(spec, requests) as (twin, want):
+                    want[5] = bytes([want[5][0] ^ 1]) + want[5][1:]
+                    yield twin, want
+
+        spec = ScenarioSpec(
+            name="flipped-twin",
+            stack=StackSpec(n_blocks=256, mem_blocks=64, seed=3),
+            workload=WorkloadSpec(kind="hotspot", n_blocks=256, count=60, seed=9),
+            crash=CrashSpec(snapshot_at=20, crash_at_op=5),
+        )
+        assert _RUNNER.run(spec).ok
+        result = FlippedTwin().run(spec)
+        assert not result.ok
+        assert [f for f in result.failures if "diverges from the twin" in f] == [
+            next(f for f in result.failures if f.startswith("request 5 "))
+        ]

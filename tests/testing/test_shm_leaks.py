@@ -16,6 +16,7 @@ import pytest
 from repro.core.executor import ShardCrashed
 from repro.core.sharding import build_sharded_horam
 from repro.crypto.random import DeterministicRandom
+from repro.sim.engine import drive
 from repro.storage.faults import FaultPlan
 from repro.storage.shm import active_segments
 from repro.testing.scenario import CrashSpec, ScenarioRunner, ScenarioSpec
@@ -45,25 +46,17 @@ def _requests(count, seed=11):
     return list(hotspot(256, count, rng, hot_blocks=32))
 
 
-def _drive(fleet, count):
-    for request in _requests(count):
-        fleet.submit(request)
-        while fleet.has_work():
-            fleet.step()
-        fleet.retire()
-
-
 class TestExecutorTeardown:
     def test_close_unlinks_every_shard_slab(self, segments_before):
         fleet = _fleet()
-        _drive(fleet, 8)
+        drive(fleet, _requests(8))
         created = set(active_segments()) - segments_before
         assert created, "shm fleet created no segments?"
         fleet.close()
 
     def test_double_close_after_drain(self, segments_before):
         fleet = _fleet()
-        _drive(fleet, 4)
+        drive(fleet, _requests(4))
         fleet.close()
         fleet.close()
 
@@ -100,13 +93,13 @@ class TestExecutorTeardown:
             executor.fence_shard(1)
         elif teardown == "respawn":
             executor.recover_shard(1, blank, [], ShardCrashed(1, "hung", None))
-            _drive(fleet, 4)
+            drive(fleet, _requests(4))
         fleet.close()
 
     def test_fence_reaps_the_fenced_shards_slab(self, segments_before):
         fleet = _fleet()
         fleet.executor.monitored = True
-        _drive(fleet, 4)
+        drive(fleet, _requests(4))
         during = set(active_segments()) - segments_before
         fleet.executor.fence_shard(0)
         after_fence = set(active_segments()) - segments_before
@@ -116,11 +109,11 @@ class TestExecutorTeardown:
     def test_respawn_recreates_without_leaking(self, segments_before):
         fleet = _fleet()
         fleet.executor.monitored = True
-        _drive(fleet, 4)
+        drive(fleet, _requests(4))
         state = fleet.executor.shard_state(1)
         fleet.executor.fence_shard(1)
         fleet.executor.recover_shard(1, state, [], ShardCrashed(1, "hung", None))
-        _drive(fleet, 4)
+        drive(fleet, _requests(4))
         fleet.close()
 
     def test_crashed_worker_slab_reaped_on_close(self, segments_before):
@@ -131,7 +124,7 @@ class TestExecutorTeardown:
             FaultPlan(seed=0, crash_schedule=[5], crash_op_kind="any")
         )
         with pytest.raises(ShardCrashed):
-            _drive(fleet, 30)
+            drive(fleet, _requests(30))
         fleet.close()
 
     def test_sigkilled_idle_worker_then_close(self, segments_before):
@@ -141,13 +134,13 @@ class TestExecutorTeardown:
         import signal
 
         fleet = _fleet()
-        _drive(fleet, 4)
+        drive(fleet, _requests(4))
         os.kill(fleet.executor._workers[0].pid, signal.SIGKILL)
         fleet.close()
 
     def test_serial_shm_fleet_closes_clean(self, segments_before):
         fleet = _fleet(executor="serial")
-        _drive(fleet, 4)
+        drive(fleet, _requests(4))
         fleet.close()
 
 
