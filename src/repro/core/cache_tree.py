@@ -19,7 +19,7 @@ blocks sat in the tree.
 from __future__ import annotations
 
 from repro.crypto.random import DeterministicRandom
-from repro.oram.base import BlockCodec, CapacityError, OpKind
+from repro.oram.base import BlockCodec, CapacityError, OpKind, release
 from repro.oram.path_oram import PathOramTree
 from repro.oram.position_map import DictPositionMap
 from repro.oram.stash import Stash
@@ -176,6 +176,12 @@ class CacheTree:
                 self.stash.put(found_addr, found_leaf, payload)
         self.tree.write_path(leaf, self.stash, times)
         return times
+
+    def close(self) -> None:
+        """Drop the position map, the stash and the tree's tables (the owning
+        stack is closing)."""
+        release(self, "position_map", "stash")
+        self.tree.close()
 
     # ---------------------------------------------------------- checkpoint
     def state_dict(self) -> dict:

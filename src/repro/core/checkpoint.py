@@ -61,6 +61,7 @@ from base64 import b64decode, b64encode
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from repro.oram.base import StackClosedError
 from repro.sim.metrics import Metrics
 from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.trace import TraceEvent
@@ -447,6 +448,8 @@ def snapshot_stack(protocol) -> Checkpoint:
             f"{type(protocol).__name__} was not built by a stack factory "
             "(repro.core.recipe.build); only built stacks are checkpointable"
         )
+    if protocol.closed:
+        raise StackClosedError(f"{type(protocol).__name__} is closed; nothing to checkpoint")
     if isinstance(protocol, HybridORAM):
         stack, blobs = protocol.state_dict()
         state = {"stack": stack}

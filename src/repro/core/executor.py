@@ -54,7 +54,7 @@ from dataclasses import dataclass, field, fields, replace
 from repro.core.recipe import StackRecipe, build_kernel
 from repro.core.rob import EntryState, RobEntry
 from repro.core.worker_channel import FuturesTimeout, WorkerChannel, WorkerLost
-from repro.oram.base import OpKind, Request
+from repro.oram.base import OpKind, Request, StackClosedError
 from repro.sim.metrics import Histogram, Metrics
 from repro.storage.backend import StoreCounters
 from repro.storage.faults import CrashFault, FaultInjector, FaultPlan, FaultStats, HangFault
@@ -922,7 +922,7 @@ class ParallelExecutor(ShardExecutor):
                 "build a fresh one"
             )
         if self._closed:
-            raise RuntimeError("parallel shard fleet is closed")
+            raise StackClosedError("parallel shard fleet is closed")
 
     # ------------------------------------------------------------ execution
     def submit(self, shard_index: int, request: Request) -> RobEntry:

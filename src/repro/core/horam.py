@@ -72,6 +72,7 @@ class HybridORAM(ORAMProtocol):
         :func:`repro.core.recipe.build` makes the codec and the hierarchy.
         """
         self.config = config
+        self._address_limit = config.n_blocks
         self.hierarchy = hierarchy
         self.rng = DeterministicRandom(config.seed)
         if codec.slot_bytes != hierarchy.slot_bytes:
@@ -247,9 +248,13 @@ class HybridORAM(ORAMProtocol):
         """End the current period immediately (maintenance hook)."""
         self.run_shuffle_period()
 
-    def close(self) -> None:
-        """Release durable storage backings (flush + unmap); idempotent."""
-        self.hierarchy.close()
+    def _release_memory(self) -> None:
+        """Drop the ROB's entries, the cache tree's and the storage layer's
+        tables, and close both tiers (see :meth:`ORAMProtocol.close`)."""
+        self.rob.close()
+        self.cache.close()
+        self.storage.close()
+        super()._release_memory()
 
     # ------------------------------------------------------------ layer calls
     def serve_hits(self, items) -> "tuple[list[bytes], TierTimes]":

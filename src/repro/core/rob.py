@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.oram.base import Request
+from repro.oram.base import Request, release
 
 
 class EntryState(Enum):
@@ -112,6 +112,10 @@ class RobTable:
 
     def occupancy(self) -> int:
         return len(self._entries)
+
+    def close(self) -> None:
+        """Drop the entries (the owning stack is closing)."""
+        release(self, "_entries")
 
     # ---------------------------------------------------------- checkpoint
     def state_dict(self) -> dict:

@@ -48,7 +48,7 @@ from repro.core.recipe import (  # noqa: F401 -- shard_block_counts is re-export
     shard_block_counts,
 )
 from repro.core.rob import RobEntry
-from repro.oram.base import ORAMProtocol, Request
+from repro.oram.base import ORAMProtocol, Request, release
 from repro.sim.metrics import Histogram, Metrics
 from repro.storage.backend import StoreCounters
 
@@ -136,7 +136,7 @@ class ShardedHORAM(ORAMProtocol):
         self.executor = executor
         #: shard views: live instances (serial) or mirrors (parallel).
         self.shards = executor.shards
-        self._n_blocks = recipe.n_blocks
+        self._n_blocks = self._address_limit = recipe.n_blocks
         #: the per-shard configuration template (window sizing, stages).
         self.config = recipe.kernel_config(0)
         self.lockstep = recipe.lockstep
@@ -292,9 +292,12 @@ class ShardedHORAM(ORAMProtocol):
         """End every shard's current period immediately (maintenance hook)."""
         self.executor.force_shuffle()
 
-    def close(self) -> None:
-        """Release the runtime (worker processes in parallel mode)."""
+    def _release_memory(self) -> None:
+        """Close the runtime -- every in-process shard, or the worker
+        processes -- and drop the in-flight tables (see
+        :meth:`ORAMProtocol.close`)."""
         self.executor.close()
+        release(self, "_inflight", "_held", "_dead_seqs")
 
     def snapshot(self):
         """Fleet-wide checkpoint (see :mod:`repro.core.checkpoint`).

@@ -45,7 +45,7 @@ from typing import Callable
 
 from repro import accel as _accel
 from repro.crypto.random import DeterministicRandom
-from repro.oram.base import DUMMY_ADDR, BlockCodec, CapacityError
+from repro.oram.base import DUMMY_ADDR, BlockCodec, CapacityError, release
 from repro.oram.base import initial_payload
 from repro.shuffle.base import ShuffleAlgorithm
 from repro.sim.metrics import TierTimes
@@ -517,6 +517,12 @@ class PermutedStorage:
     def end_period(self) -> None:
         """Open the next access period's dummy-load pool."""
         self._rebuild_unread()
+
+    def close(self) -> None:
+        """Drop the control tables (the owning stack is closing)."""
+        release(
+            self, "location", "slot_addr", "consumed", "_unread", "_unread_pos", "_partitions"
+        )
 
     # ---------------------------------------------------------- checkpoint
     def state_dict(self) -> "tuple[dict, dict[str, bytes]]":

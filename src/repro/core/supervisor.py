@@ -207,6 +207,9 @@ class FleetSupervisor:
         self.close()
 
     def close(self) -> None:
+        """Close the wrapped fleet (see
+        :meth:`~repro.oram.base.ORAMProtocol.close`); the event ring, the
+        recovery report and the checkpoint stores stay readable."""
         self.fleet.close()
 
     # ------------------------------------------------------------- serving

@@ -25,6 +25,7 @@ from repro.oram.base import (
     ORAMProtocol,
     OpKind,
     Request,
+    StackClosedError,
     StashOverflowError,
 )
 from repro.oram.tree import TreeGeometry
@@ -40,6 +41,7 @@ __all__ = [
     "CapacityError",
     "IntegrityError",
     "StashOverflowError",
+    "StackClosedError",
     "ORAMProtocol",
     "OpKind",
     "Request",

@@ -74,6 +74,41 @@ class IntegrityError(ORAMError):
     """A record failed MAC verification (tampering or corruption)."""
 
 
+class StackClosedError(ORAMError, RuntimeError):
+    """A stack (or a store of one) was used after ``close()``.
+
+    Also a ``RuntimeError``, so a caller that catches a closed fleet's
+    error as one keeps working."""
+
+
+class Released:
+    """What ``close()`` leaves in place of a table or slab it gave back.
+
+    Any use of it -- an attribute, an index, ``len``, ``in``, iteration,
+    truth, ``bytes()`` -- raises :class:`StackClosedError`, so a
+    closed stack fails with one typed error wherever a request, drain or
+    checkpoint first touches what it released, and no hot path tests a
+    flag.
+    """
+
+    _what = "a table"  # a class default: an unset one must not recurse
+
+    def __init__(self, what: str):
+        self._what = what
+
+    def _closed(self, *args, **kwargs):
+        raise StackClosedError(f"{self._what} was released by close()")
+
+    __getattr__ = __getitem__ = __setitem__ = __delitem__ = _closed
+    __len__ = __iter__ = __contains__ = __bool__ = _closed
+
+
+def release(owner, *names: str) -> None:
+    """Replace each named attribute of ``owner`` with a :class:`Released`."""
+    for name in names:
+        setattr(owner, name, Released(f"{type(owner).__name__}.{name}"))
+
+
 class OpKind(Enum):
     READ = "read"
     WRITE = "write"
@@ -508,9 +543,21 @@ def initial_payload(addr: int) -> bytes:
 class ORAMProtocol(ABC):
     """The user-facing oblivious memory interface.
 
-    All three protocols in this repository (H-ORAM and the two baselines)
-    implement this; the simulation engine and the examples only talk to it.
+    Every stack in this repository (H-ORAM, the sharded fleet and the two
+    baselines) implements this; the simulation engine and the examples
+    only talk to it.  A subclass sets ``_address_limit`` to ``n_blocks``
+    when it is built.
     """
+
+    #: set by :meth:`close`.
+    closed = False
+    #: the :class:`~repro.storage.hierarchy.StorageHierarchy` the stack
+    #: runs on, or None (a baseline built outside the recipe).
+    hierarchy = None
+    #: addresses :meth:`check_addr` accepts: ``n_blocks`` while open, none
+    #: once closed, so the bounds check every request already passes is
+    #: also its closed check.
+    _address_limit = 0
 
     @property
     @abstractmethod
@@ -533,5 +580,27 @@ class ORAMProtocol(ABC):
         return None
 
     def check_addr(self, addr: int) -> None:
-        if not 0 <= addr < self.n_blocks:
+        if not 0 <= addr < self._address_limit:
+            if self.closed:
+                raise StackClosedError(f"{type(self).__name__} is closed")
             raise ORAMError(f"address {addr} outside [0, {self.n_blocks})")
+
+    def close(self) -> None:
+        """Give back the memory the stack's geometry sized; idempotent.
+
+        Drops the protocol's O(N) tables and closes both tiers of its
+        hierarchy (:meth:`_release_memory`).  Metrics, the recipe, the
+        served digest, the latency histogram and the store counters stay
+        readable; a read, write, submit, drain or ``snapshot_stack`` then
+        raises :class:`StackClosedError`.
+        """
+        if self.closed:
+            return
+        self.closed = True
+        self._address_limit = 0
+        self._release_memory()
+
+    def _release_memory(self) -> None:
+        """Drop what the geometry sized (tables, slabs, worker processes)."""
+        if self.hierarchy is not None:
+            self.hierarchy.close()

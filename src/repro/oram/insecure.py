@@ -46,7 +46,7 @@ class PlainStore(ORAMProtocol):
             raise CapacityError(
                 f"storage store has {storage_store.slots} slots, need {n_blocks}"
             )
-        self._n_blocks = n_blocks
+        self._n_blocks = self._address_limit = n_blocks
         self.codec = codec
         self.storage = storage_store
         self.clock = clock

@@ -28,6 +28,7 @@ from repro.oram.base import (
     OpKind,
     ORAMProtocol,
     initial_payload,
+    release,
 )
 from repro.oram.position_map import ArrayPositionMap
 from repro.oram.stash import Stash
@@ -306,6 +307,11 @@ class PathOramTree:
                 times.io_us += duration
         self._real[:] = bytes(len(self._real))
 
+    def close(self) -> None:
+        """Drop the real-slot map, the path cache and the leaf counts (the
+        owning stack is closing)."""
+        release(self, "_real", "_path_cache", "leaf_counts")
+
 
 class PathORAM(ORAMProtocol):
     """The tree-top-cached Path ORAM baseline of the paper's evaluation.
@@ -329,7 +335,7 @@ class PathORAM(ORAMProtocol):
     ):
         if n_blocks <= 0:
             raise ValueError("n_blocks must be positive")
-        self._n_blocks = n_blocks
+        self._n_blocks = self._address_limit = n_blocks
         self.rng = rng or DeterministicRandom(0)
         self.clock = clock
         geometry = TreeGeometry.for_real_blocks(n_blocks, bucket_size)
@@ -455,3 +461,10 @@ class PathORAM(ORAMProtocol):
 
     def write(self, addr: int, data: bytes) -> None:
         self._access(OpKind.WRITE, addr, data)
+
+    def _release_memory(self) -> None:
+        """Drop the position map, the stash and the tree's tables, and close
+        the hierarchy."""
+        release(self, "position_map", "stash")
+        self.tree.close()
+        super()._release_memory()

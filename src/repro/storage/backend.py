@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.oram.base import Released
 from repro.storage.device import MB, DeviceModel
 from repro.storage.trace import TraceEvent, TraceRecorder
 
@@ -64,6 +65,9 @@ class StoreCounters:
 
 class BlockStore:
     """A tier of fixed-size slots with simulated access timing."""
+
+    #: set by :meth:`close`.
+    closed = False
 
     def __init__(
         self,
@@ -114,6 +118,13 @@ class BlockStore:
         throwaway buffer of the full store size.
         """
         return bytearray(size)
+
+    def close(self) -> None:
+        """Drop the slot array; idempotent.  Counters stay readable, and any
+        later slot access raises
+        :class:`~repro.oram.base.StackClosedError`."""
+        self.closed = True
+        self._data = Released(f"{self.tier} store '{self.name}'")
 
     # --------------------------------------------------------------- sizing
     @property

@@ -73,7 +73,6 @@ class DurableBlockStore(BlockStore):
             # opened before the base constructor runs.
             raise ValueError("slots and slot_bytes must be positive")
         self.path = Path(path)
-        self.closed = False
         size = slots * slot_bytes
         meta_path = slab_meta_path(self.path)
         existed = self.path.exists() and not reset
@@ -165,10 +164,10 @@ class DurableBlockStore(BlockStore):
             self._mmap.close()
         except BufferError:  # exported memoryviews still alive; the OS
             pass             # reclaims the mapping at process exit
-        # After close any access is a bug either way: poison _data so the
+        # After close any access is a bug either way: drop _data so the
         # next use fails loudly instead of silently writing an unmapped
         # (or about-to-be-reclaimed) slab.
-        self._data = None
+        super().close()
         self._file.close()
 
     def delete(self) -> None:

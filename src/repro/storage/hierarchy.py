@@ -95,10 +95,12 @@ class StorageHierarchy:
         self.io_channel = Channel("io-bus")
 
     def close(self) -> None:
-        """Flush and release durable backings (no-op for in-memory tiers)."""
-        close = getattr(self.storage, "close", None)
-        if close is not None:
-            close()
+        """Close both tiers; idempotent.  Each drops its slot array (a
+        ``file`` slab is flushed and unmapped first, an ``shm`` segment
+        unmapped and unlinked); the clock, the trace and every store's
+        counters stay readable."""
+        self.memory.close()
+        self.storage.close()
 
     @property
     def slot_bytes(self) -> int:

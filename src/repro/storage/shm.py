@@ -55,9 +55,11 @@ def make_segment_name(label: str) -> str:
     Segment names are process-global on the host, so two concurrently
     running fleets must not guess each other's names; the pid plus a
     random token keeps independent builds apart while the fixed
-    :data:`SEGMENT_PREFIX` keeps them enumerable.
+    :data:`SEGMENT_PREFIX` keeps them enumerable.  The pid is padded to
+    eight hex digits, so a name's length -- and the size of every
+    checkpoint manifest that records it -- does not depend on the pid.
     """
-    return f"{SEGMENT_PREFIX}{os.getpid():x}-{os.urandom(4).hex()}-{label}"
+    return f"{SEGMENT_PREFIX}{os.getpid():08x}-{os.urandom(4).hex()}-{label}"
 
 
 def active_segments(prefix: str = SEGMENT_PREFIX) -> "list[str]":
@@ -123,7 +125,6 @@ class SharedMemoryBlockStore(BlockStore):
         if "/" in segment:
             raise SegmentError(f"segment name {segment!r} must not contain '/'")
         self.segment = segment
-        self.closed = False
         size = slots * slot_bytes
         self._shm = self._open_segment(segment, size)
         try:
@@ -169,9 +170,9 @@ class SharedMemoryBlockStore(BlockStore):
         if self.closed:
             return
         self.closed = True
-        # Poison _data first so any post-close access fails loudly instead
+        # Drop _data first so any post-close access fails loudly instead
         # of touching an unlinked segment.
-        self._data = None
+        super().close()
         try:
             self._shm.close()
         except BufferError:  # exported memoryviews still alive; the OS

@@ -919,9 +919,7 @@ class ScenarioRunner:
             )
         finally:
             if restored is not None:
-                close = getattr(restored, "close", None)
-                if close is not None:
-                    close()
+                restored.close()
 
     # --------------------------------------------------------- crash storms
     def _run_storm(self, spec, stack, requests, result) -> None:

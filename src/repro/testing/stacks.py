@@ -72,10 +72,10 @@ class BuiltStack:
         return executor.fault_stats() if executor is not None else None
 
     def close(self) -> None:
-        """Release stack resources (worker processes for parallel fleets)."""
-        close = getattr(self.protocol, "close", None)
-        if close is not None:
-            close()
+        """Close the stack: every stack gives back its slabs, tables and
+        worker processes (see :meth:`~repro.oram.base.ORAMProtocol.close`);
+        idempotent.  Its temporary directories stay until :meth:`cleanup`."""
+        self.protocol.close()
 
     def cleanup(self) -> None:
         """Close *and* remove the stack's on-disk directories (if any)."""
@@ -135,9 +135,7 @@ def build_stack(spec: StackSpec) -> BuiltStack:
     except Exception:
         # A half-built stack must not leak worker processes or slabs.
         if protocol is not None:
-            close = getattr(protocol, "close", None)
-            if close is not None:
-                close()
+            protocol.close()
         if storage_dir is not None:
             shutil.rmtree(storage_dir, ignore_errors=True)
         if checkpoint_dir is not None:

@@ -4,14 +4,19 @@ A checkpoint, a parallel worker's per-step snapshot and the kernel's
 latency and serve-order state are fixed in size: a stack that has served
 4x the traffic writes the same manifest keys at the same sizes.  Tests
 that need a served sequence record it from the entries ``submit``
-returned (see ``serve_order``), never from the stack.
+returned (see ``serve_order``), never from the stack.  A closed stack
+holds no slab and no table its geometry sized.
 """
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import hashlib
 import json
 import pickle
+import socket
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -34,10 +39,11 @@ from repro.core.sharding import build_sharded_horam
 from repro.core.storage_layer import _pack_table
 from repro.core.supervisor import FleetSupervisor, SupervisorConfig
 from repro.crypto.random import DeterministicRandom
-from repro.oram.base import OpKind, Request
-from repro.sim.engine import SimulationEngine
-from repro.sim.engine import drive
+from repro.oram.base import OpKind, Request, StackClosedError
+from repro.serve import ORAMServer, ServeClient, diff_served, replay_direct
+from repro.sim.engine import SimulationEngine, drive, is_batched
 from repro.sim.metrics import Histogram, percentile
+from repro.testing.stacks import build_stack
 from repro.workload.generators import hotspot, uniform
 
 #: requests before the first snapshot: more than two 62-load periods.
@@ -486,9 +492,6 @@ PEAK_BYTES_PER_SLOT = 160
 
 
 def test_build_memory_is_flat_tables_per_slot(backend):
-    import gc
-    import tracemalloc
-
     gc.collect()
     tracemalloc.start()
     try:
@@ -555,3 +558,138 @@ class TestSupervisorEvents:
             assert report["mttr_s"] == pytest.approx(report["recovery_wall_s"] / incidents)
         finally:
             supervisor.close()
+
+
+# ----------------------------------------------------------- closed stacks
+#: every stack kind ``recipe.build`` makes, by the name its cases carry.
+STACK_KINDS = {
+    "horam-memory": {},
+    "horam-file": {"storage_backend": "file"},
+    "horam-shm": {"storage_backend": "shm"},
+    "fleet-serial": {"protocol": "sharded", "n_shards": 2},
+    "fleet-parallel": {"protocol": "sharded", "n_shards": 2, "executor": "parallel"},
+    "fleet-supervised": {"protocol": "sharded", "n_shards": 2, "supervised": True},
+    "path": {"protocol": "path"},
+    "plain": {"protocol": "plain"},
+}
+#: Python heap bytes a closed stack may still hold (tracemalloc): its
+#: metrics, histogram, codec and geometry, whatever its size.  A closed
+#: 65 536-block H-ORAM holds about 20 KiB, a supervised fleet about 50;
+#: one that kept its slab and tables would hold megabytes.
+CLOSED_HELD_BYTES = 128 * 1024
+#: how much more a closed 65 536-block stack may hold than an 8 192-block one.
+CLOSED_GROWTH_BYTES = 4096
+
+
+def _build_kind(kind: str, n_blocks: int, mem_blocks: int):
+    return build_stack(
+        StackRecipe(n_blocks=n_blocks, mem_blocks=mem_blocks, seed=3, **STACK_KINDS[kind])
+    )
+
+
+def _drive_some(stack, n_blocks: int, count: int = 200) -> None:
+    requests = [
+        Request.write(addr, b"w%d" % addr) if addr % 4 == 0 else Request.read(addr)
+        for addr in (index * 37 % n_blocks for index in range(count))
+    ]
+    drive(stack, requests, 50)
+
+
+def _closed_heap(kind: str, n_blocks: int) -> int:
+    """Heap bytes a built, driven and closed stack still holds: what the
+    process frees once the last reference to it goes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        built = _build_kind(kind, n_blocks, 256)
+        _drive_some(built.driver, n_blocks)
+        built.cleanup()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+        del built
+        gc.collect()
+        return kept - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", sorted(STACK_KINDS))
+def test_closed_stacks_hold_no_slab(kind):
+    """What a closed stack keeps is a small constant, not its geometry."""
+    small, large = _closed_heap(kind, 8192), _closed_heap(kind, 65536)
+    assert large <= CLOSED_HELD_BYTES, large
+    assert large - small <= CLOSED_GROWTH_BYTES, (small, large)
+
+
+def _readable(built) -> dict:
+    """Everything a closed stack keeps readable, as one comparable dict."""
+    stack = built.driver
+    seen = {
+        "metrics": stack.metrics.to_dict(),
+        "recipe": built.protocol.recipe,
+        "storage": stack.hierarchy.storage.snapshot(),
+    }
+    if is_batched(stack):
+        seen.update(
+            digest=stack.served_digest, latency=stack.latency_percentiles((50, 99))
+        )
+    return seen
+
+
+@pytest.mark.parametrize("kind", sorted(STACK_KINDS))
+def test_a_closed_stack_raises_one_typed_error(kind):
+    built = _build_kind(kind, 512, 64)
+    stack = built.driver
+    try:
+        _drive_some(stack, 512, 60)
+        before = _readable(built)
+    finally:
+        built.cleanup()
+    assert stack.closed and built.protocol.closed
+    calls = [
+        lambda: stack.read(1),
+        lambda: stack.write(1, b"x"),
+        lambda: snapshot_stack(built.protocol),
+    ]
+    if is_batched(stack):
+        calls += [lambda: stack.submit(Request.read(1)), stack.drain]
+    for call in calls:
+        with pytest.raises(StackClosedError):
+            call()
+    built.close()  # a second close is a no-op
+    assert _readable(built) == before
+
+
+def test_a_closed_store_raises_the_typed_error():
+    oram = build_horam(n_blocks=512, mem_tree_blocks=64, seed=3)
+    oram.close()
+    with pytest.raises(StackClosedError):
+        oram.hierarchy.storage.peek_slot(0)
+    with pytest.raises(StackClosedError):
+        oram.hierarchy.memory.export_data()
+
+
+def test_a_closed_servers_journal_stays_readable():
+    """The twin gate reads ``journal`` and ``served_by_seq`` after both
+    the server and its stack have closed."""
+    stack = build_horam(n_blocks=256, mem_tree_blocks=64, seed=2)
+
+    async def serve() -> ORAMServer:
+        server = ORAMServer(stack)
+        server_end, client_end = socket.socketpair()
+        await server.attach(server_end)
+        server.add_tenant(0)
+        client = await ServeClient.from_socket(client_end)
+        for addr in range(12):
+            await client.write(addr, b"v%d" % addr, tenant=0)
+            await client.read(addr * 7 % 256, tenant=0)
+        await client.close()
+        await server.close()
+        return server
+
+    server = asyncio.run(serve())
+    stack.close()
+    assert len(server.journal) == len(server.served_by_seq) == 24
+    twin = build_horam(n_blocks=256, mem_tree_blocks=64, seed=2)
+    diff = diff_served(server.journal, server.served_by_seq, replay_direct(server.journal, twin))
+    assert diff.identical and diff.compared == 24

@@ -1,7 +1,13 @@
 """Unit tests for the shared-memory slab store."""
 
+import os
+from pathlib import Path
+
 import pytest
 
+from repro.core.checkpoint import save_checkpoint
+from repro.core.sharding import build_sharded_horam
+from repro.oram.base import StackClosedError
 from repro.storage.backend import BlockStore
 from repro.storage.device import hdd_paper
 from repro.storage.faults import FaultInjector, FaultPlan
@@ -50,7 +56,7 @@ class TestSharedMemoryBlockStore:
     def test_use_after_close_fails_loudly(self, segment):
         store = make_shm(segment)
         store.close()
-        with pytest.raises(TypeError):
+        with pytest.raises(StackClosedError):
             store.peek_slot(0)
 
     def test_reattach_preserves_contents(self, segment):
@@ -128,6 +134,33 @@ class TestSegmentHelpers:
         store.closed = True  # orphan the segment (dead-creator simulation)
         assert unlink_segment(segment) is True
         assert segment not in active_segments()
+
+    # A pid one hex digit longer than the last must not lengthen the name.
+    PIDS = (0xFFF, 0x1000)
+
+    def test_names_have_one_length_whatever_the_pid(self, monkeypatch):
+        lengths = set()
+        for pid in self.PIDS:
+            monkeypatch.setattr(os, "getpid", lambda pid=pid: pid)
+            lengths.add(len(make_segment_name("fleet")))
+        assert len(lengths) == 1
+
+    def test_same_seed_fleet_checkpoints_have_one_size_whatever_the_pid(
+        self, monkeypatch, tmp_path
+    ):
+        """The fleet's segment name is in its checkpoint manifest."""
+        sizes = []
+        for pid in self.PIDS:
+            monkeypatch.setattr(os, "getpid", lambda pid=pid: pid)
+            fleet = build_sharded_horam(
+                n_blocks=256, mem_tree_blocks=64, n_shards=2, seed=5, storage_backend="shm"
+            )
+            try:
+                path = save_checkpoint(fleet, tmp_path / f"pid-{pid:x}")
+            finally:
+                fleet.close()
+            sizes.append(sum(f.stat().st_size for f in Path(path).rglob("*") if f.is_file()))
+        assert sizes[0] == sizes[1]
 
 
 class TestHierarchyShmBackend:
