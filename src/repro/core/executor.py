@@ -921,6 +921,10 @@ class ParallelExecutor(ShardExecutor):
                 "parallel shard fleet is broken after a worker failure; "
                 "build a fresh one"
             )
+        self._check_open()
+
+    def _check_open(self) -> None:
+        """Refuse a closed fleet, as a serial one's released ROBs do."""
         if self._closed:
             raise StackClosedError("parallel shard fleet is closed")
 
@@ -1059,9 +1063,11 @@ class ParallelExecutor(ShardExecutor):
         self._pending[index].clear()
 
     def has_work(self) -> bool:
+        self._check_open()
         return self._outstanding > 0 or bool(self._pending_failures)
 
     def retire(self) -> list[RobEntry]:
+        self._check_open()
         # Workers retire everything inside step(); only retirements
         # stranded by an aborted monitored step wait here.
         retired, self._orphaned = self._orphaned, []

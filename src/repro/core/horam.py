@@ -58,7 +58,7 @@ class HybridORAM(ORAMProtocol):
         config: HORAMConfig,
         hierarchy: StorageHierarchy,
         codec: BlockCodec,
-        initial_addr_map=None,
+        stripe: "tuple[int, int]" = (1, 0),
         image: "tuple[dict, dict[str, bytes]] | None" = None,
     ):
         """Build the stack; ``image`` is a :meth:`state_dict` payload.
@@ -66,9 +66,9 @@ class HybridORAM(ORAMProtocol):
         Exactly one step writes the stack's image: a fresh build writes
         the initial one (sealed cache tree, initial permutation, sealed
         slab), a restore loads ``image`` in its place, so restoring seals
-        nothing and draws no initial permutation.  ``initial_addr_map``
-        renames local block ``i`` to the global identity whose initial
-        content it holds (sharded fleets), or is None.
+        nothing and draws no initial permutation.  On a sharded fleet,
+        ``stripe = (n_shards, index)`` says local block ``i`` holds the
+        initial content of global block ``i * n_shards + index``.
         :func:`repro.core.recipe.build` makes the codec and the hierarchy.
         """
         self.config = config
@@ -117,7 +117,7 @@ class HybridORAM(ORAMProtocol):
         )
         if image is None:
             self.cache.tree.fill_empty()
-            self.storage._initialize(initial_addr_map)
+            self.storage._initialize(stripe)
         else:
             self.load_state(*image)
 

@@ -340,13 +340,9 @@ def build_kernel(recipe: StackRecipe, index: "int | None" = None, image=None):
     from repro.core.horam import HybridORAM
 
     if index is None:
-        storage_path, addr_map = recipe.storage_path, None
+        storage_path, stripe = recipe.storage_path, (1, 0)
     else:
-        storage_path = recipe.shard_storage_path(index)
-        n_shards = recipe.n_shards
-
-        def addr_map(local: int) -> int:
-            return local * n_shards + index
+        storage_path, stripe = recipe.shard_storage_path(index), (recipe.n_shards, index)
 
     config = recipe.kernel_config(index)
     codec = _make_codec(config.payload_bytes, config.seed, integrity=recipe.integrity)
@@ -357,7 +353,7 @@ def build_kernel(recipe: StackRecipe, index: "int | None" = None, image=None):
         storage_slots=HybridORAM.required_storage_slots(config),
         storage_path=storage_path,
     )
-    return HybridORAM(config, hierarchy, codec=codec, initial_addr_map=addr_map, image=image)
+    return HybridORAM(config, hierarchy, codec=codec, stripe=stripe, image=image)
 
 
 def _hierarchy(recipe, codec, memory_slots, storage_slots, storage_path=None):

@@ -48,7 +48,7 @@ from repro.core.recipe import (  # noqa: F401 -- shard_block_counts is re-export
     shard_block_counts,
 )
 from repro.core.rob import RobEntry
-from repro.oram.base import ORAMProtocol, Request, release
+from repro.oram.base import ORAMProtocol, Request, StackClosedError, release
 from repro.sim.metrics import Histogram, Metrics
 from repro.storage.backend import StoreCounters
 
@@ -269,6 +269,8 @@ class ShardedHORAM(ORAMProtocol):
     def feed_quantum(self) -> int | None:
         """One kernel window per shard when a ``step`` is one cycle on every
         shard; ``None`` (everything queued) when a ``step`` drains."""
+        if self.closed:
+            raise StackClosedError(f"{type(self).__name__} is closed")
         if self.executor.step_drains:
             return None
         return self.n_shards * max(2, self.config.window_for(self.current_c))

@@ -41,18 +41,28 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import compress, zip_longest
-from typing import Callable
 
 from repro import accel as _accel
 from repro.crypto.random import DeterministicRandom
-from repro.oram.base import DUMMY_ADDR, BlockCodec, CapacityError, release
-from repro.oram.base import initial_payload
+from repro.oram.base import (
+    DUMMY_ADDR,
+    BlockCodec,
+    CapacityError,
+    initial_payloads,
+    payload_matrix,
+    release,
+)
 from repro.shuffle.base import ShuffleAlgorithm
 from repro.sim.metrics import TierTimes
 from repro.storage.backend import BlockStore
 
 #: permutation-list value meaning "block is cached in the memory layer".
 IN_MEMORY = -1
+
+#: Bytes of sealed records the initial image seals per kernel call at
+#: most (a single base region may exceed it): few calls, and no
+#: slab-sized payload matrix or sealed buffer in the peak resident set.
+_IMAGE_RUN_BYTES = 1 << 18
 
 #: flag bytes to and from ASCII binary digits (for bit packing)
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -219,18 +229,21 @@ class PermutedStorage:
         self._unread_pos = array(position_type, [-1]) * self.total_slots
 
     # ----------------------------------------------------------- plumbing
-    def _initialize(self, initial_addr_map: Callable[[int], int] | None = None) -> None:
+    def _initialize(self, stripe: "tuple[int, int]" = (1, 0)) -> None:
         """Write the initial image: permute the N blocks over the first
-        ``fill`` slots of every base region, then write each partition's
-        image in turn (setup, no charge).
+        ``fill`` slots of every base region, then seal the base regions
+        straight from ``slot_addr`` (setup, no charge).
 
         A new layer is blank until either this or :meth:`load_state` runs;
         the owning kernel calls exactly one of them.  Sharded deployments
-        stripe a global address space across instances: the map renames
-        local block i to its global identity so the *initial content* of
-        block i is ``initial_payload(global i)``.  Everything else
-        (permutation list, sealed headers, shuffles) stays in local
-        coordinates.
+        stripe a global address space across instances: with ``stripe =
+        (n_shards, index)`` local block i holds the initial content of
+        global block ``i * n_shards + index``, ``initial_payload`` of that
+        id.  Everything else (permutation list, sealed headers, shuffles)
+        stays in local coordinates.  The rows go to
+        :meth:`~repro.oram.base.BlockCodec.seal_columns` as an address
+        column and a payload matrix, a run of base regions at a time, in
+        slot order (so the clear nonces rise with the slot).
         """
         # A list shuffles faster than an array (no boxing per swap); drop it before sealing.
         slots = [
@@ -242,13 +255,36 @@ class PermutedStorage:
         self.location[:] = array("q", slots)
         del slots
         self._derive_slot_addr()
-        pad = self.codec.pad
-        rename = initial_addr_map or (lambda addr: addr)
-        for partition in self._partitions:
-            addrs = self.slot_addr[partition.base : partition.base + partition.fill]
-            items = [(addr, pad(initial_payload(rename(addr)))) for addr in addrs]
-            self._write_image(partition, items, self.storage.poke_run)
+        n_shards, index = stripe
+        payload_bytes = self.codec.payload_bytes
+        np = _accel.np
+        for start, count in self._image_runs():
+            column = self.slot_addr[start : start + count]
+            # A dummy row's payload is all zero: initial_payload(0).
+            if np is not None:
+                ids = np.frombuffer(column, dtype=np.uint64)
+                ids = np.where(ids != DUMMY_ADDR, ids * n_shards + index, 0)
+            else:
+                ids = [addr * n_shards + index if addr != DUMMY_ADDR else 0 for addr in column]
+            payloads = initial_payloads(ids, payload_bytes)
+            self.storage.poke_run(start, self.codec.seal_columns(column, payloads))
         self._rebuild_unread()
+
+    def _image_runs(self) -> "list[tuple[int, int]]":
+        """``(start, count)`` slot runs covering every base region once, in
+        slot order: adjacent regions (no overflow between them) merge up to
+        :data:`_IMAGE_RUN_BYTES` of records, so the initial image is sealed
+        in few kernel calls without a slab-sized temporary."""
+        limit = max(1, _IMAGE_RUN_BYTES // self.codec.slot_bytes)
+        runs: list[tuple[int, int]] = []
+        for partition in self._partitions:
+            if runs:
+                start, count = runs[-1]
+                if start + count == partition.base and count + partition.size <= limit:
+                    runs[-1] = (start, count + partition.size)
+                    continue
+            runs.append((partition.base, partition.size))
+        return runs
 
     def _rebuild_unread(self) -> None:
         """Open a period's dummy-load pool (see :meth:`_derive_unread`)."""
@@ -347,7 +383,8 @@ class PermutedStorage:
 
         ``evicted`` must already be in oblivious order (the cache tree's
         eviction guarantees it); sequential chunking onto partitions is
-        then equivalent to a random assignment.
+        then equivalent to a random assignment.  Its payloads are whole
+        ``payload_bytes`` rows, as the cache tree opened them.
         """
         stats = ShuffleStats(times=TierTimes())
         shuffled_this_period = [
@@ -383,7 +420,15 @@ class PermutedStorage:
         pending: list[tuple[int, bytes]],
         stats: ShuffleStats,
     ) -> list[tuple[int, bytes]]:
-        """Stream partition ``index`` (+overflow) in, merge, permute, write."""
+        """Stream partition ``index`` (+overflow) in, merge, permute, write.
+
+        The partition moves as columns, an address column and a payload
+        matrix, from :meth:`~repro.oram.base.BlockCodec.open_columns` to
+        :meth:`_write_image`: the survivors' rows are gathered, the chunk
+        of evicted blocks appended, and the shuffle algorithm permutes row
+        indices (no algorithm inspects its items).  Only rows it pushes past
+        the fill become ``(addr, payload)`` pairs again.
+        """
         partition = self._partitions[index]
         base = partition.base
         size = partition.size
@@ -395,37 +440,63 @@ class PermutedStorage:
         # Survivors: blocks whose permutation-list entry still points here.
         offsets, addrs = self._survivors(base, span)
         codec = self.codec
+        slot_bytes = codec.slot_bytes
+        np = _accel.np
         if codec.mac_key is None:
-            # One open over the whole run; records that are not survivors
+            # One open over the whole run; rows that are not survivors
             # decrypt to values nobody reads.
-            opened = codec.open_run(view)
-            survivors = [(addr, opened[offset][1]) for offset, addr in zip(offsets, addrs)]
+            _, opened = codec.open_columns(view)
+            if np is not None:
+                payloads = payload_matrix(np, opened, codec.payload_bytes)[offsets]
+            else:
+                payloads = [opened[offset] for offset in offsets]
         else:
             # MACed records are verified one by one, survivors only, so a
             # corrupt record nobody needs never raises.
-            slot_bytes = codec.slot_bytes
-            opened = codec.open_many(
-                [view[offset * slot_bytes : (offset + 1) * slot_bytes] for offset in offsets]
-            )
-            survivors = [(addr, payload) for addr, (_, payload) in zip(addrs, opened)]
+            if np is not None:
+                survivors = np.frombuffer(view, dtype=np.uint8).reshape(span, slot_bytes)[offsets]
+            else:
+                survivors = b"".join(
+                    [view[offset * slot_bytes : (offset + 1) * slot_bytes] for offset in offsets]
+                )
+            _, payloads = codec.open_columns(survivors)
+            if np is not None:
+                payloads = payload_matrix(np, payloads, codec.payload_bytes)
 
         # Take the next chunk of evicted data that fills the base region.
         # (With partial shuffle, survivors from the overflow region can
         # exceed the fill; the excess is re-queued for placement in a
         # later partition or overflow group.)
         fill = partition.fill
-        room = max(0, fill - len(survivors))
+        room = max(0, fill - len(offsets))
         chunk, pending = pending[:room], pending[room:]
         stats.blocks_replaced += len(chunk)
+        chunk_addrs = [addr for addr, _ in chunk]
+        chunk_payloads = [payload for _, payload in chunk]
+        if np is not None and chunk:
+            addrs = np.concatenate([addrs, np.array(chunk_addrs, dtype=np.intp)])
+            payloads = np.concatenate(
+                [payloads, payload_matrix(np, chunk_payloads, codec.payload_bytes)]
+            )
+        elif np is None:
+            addrs += chunk_addrs
+            payloads += chunk_payloads
 
-        content = survivors + chunk
-        result = self.shuffle_algorithm.shuffle(content, self.rng)
+        result = self.shuffle_algorithm.shuffle(range(len(addrs)), self.rng)
         stats.moves += result.moves
         stats.times.mem_us += result.moves * self.memory.device.transfer_us(
             self.memory.modeled_slot_bytes, write=False
         )
-        requeued = result.items[fill:]
-        written = self._write_image(partition, result.items[:fill], self.storage.write_run)
+        order = result.items
+        if np is not None:
+            kept = np.array(order[:fill], dtype=np.intp)
+            kept_addrs, kept_payloads = addrs[kept], payloads[kept]
+            requeued = [(int(addrs[row]), payloads[row].tobytes()) for row in order[fill:]]
+        else:
+            kept_addrs = [addrs[row] for row in order[:fill]]
+            kept_payloads = [payloads[row] for row in order[:fill]]
+            requeued = [(addrs[row], payloads[row]) for row in order[fill:]]
+        written = self._write_image(partition, kept_addrs, kept_payloads, self.storage.write_run)
         stats.times.io_us += written
 
         # Fresh epoch for the whole span: base rewritten, overflow released.
@@ -437,8 +508,9 @@ class PermutedStorage:
         stats.partitions_shuffled += 1
         return requeued + pending
 
-    def _survivors(self, base: int, span: int) -> tuple[list[int], list[int]]:
-        """``(offsets, addrs)`` of the live records in slots ``[base, base+span)``.
+    def _survivors(self, base: int, span: int):
+        """``(offsets, addrs)`` of the live records in slots ``[base, base+span)``:
+        two intp arrays with numpy, two lists without.
 
         A record is live when its permutation-list entry still points at
         its slot; stale overflow copies and dummies are not.
@@ -449,7 +521,7 @@ class PermutedStorage:
             offsets = np.flatnonzero(held != DUMMY_ADDR)
             addrs = held[offsets].astype(np.intp)
             live = np.frombuffer(self.location, dtype=np.int64)[addrs] == offsets + base
-            return offsets[live].tolist(), addrs[live].tolist()
+            return offsets[live], addrs[live]
         slot_addr = self.slot_addr
         location = self.location
         offsets, addrs = [], []
@@ -460,31 +532,32 @@ class PermutedStorage:
                 addrs.append(addr)
         return offsets, addrs
 
-    def _write_image(self, partition: _Partition, items: "list[tuple[int, bytes]]", write):
-        """Lay out ``partition``'s base region: ``items`` in its first
-        slots, dummies after them, sealed in slot order (so the clear
-        nonces rise with the slot) and handed to ``write(base, records)``;
-        returns what ``write`` returns."""
-        base, dummies = partition.base, partition.size - len(items)
-        self._place(base, [addr for addr, _ in items])
-        self.slot_addr[base + len(items) : base + partition.size] = (
-            array("Q", [DUMMY_ADDR]) * dummies
+    def _write_image(self, partition: _Partition, addrs, payloads, write):
+        """Lay out ``partition``'s base region: the blocks of the ``addrs``
+        column in its first slots, dummies after them; seal the region's
+        address column with the ``payloads`` matrix (one row per block; the
+        dummy rows are zero) in slot order, so the clear nonces rise with
+        the slot, and hand it to ``write(base, records)``; returns what
+        ``write`` returns."""
+        base, size = partition.base, partition.size
+        self._place(base, addrs)
+        self.slot_addr[base + len(addrs) : base + size] = array("Q", [DUMMY_ADDR]) * (
+            size - len(addrs)
         )
-        return write(base, self.codec.seal_many(items, dummy_tail=dummies))
+        return write(base, self.codec.seal_columns(self.slot_addr[base : base + size], payloads))
 
-    def _place(self, start: int, addrs: list[int]) -> None:
-        """Record ``addrs`` at slots ``start, start+1, ...``."""
-        placed = array("Q", addrs)
-        end = start + len(placed)
-        self.slot_addr[start:end] = placed
+    def _place(self, start: int, addrs) -> None:
+        """Record the ``addrs`` column at slots ``start, start+1, ...``."""
+        end = start + len(addrs)
         np = _accel.np
         if np is not None:
-            np.frombuffer(self.location, dtype=np.int64)[
-                np.frombuffer(placed, dtype=np.uint64).astype(np.intp)
-            ] = np.arange(start, end)
+            placed = np.asarray(addrs, dtype=np.intp)
+            np.frombuffer(self.slot_addr, dtype=np.uint64)[start:end] = placed
+            np.frombuffer(self.location, dtype=np.int64)[placed] = np.arange(start, end)
         else:
+            self.slot_addr[start:end] = array("Q", addrs)
             location = self.location
-            for slot, addr in enumerate(placed, start):
+            for slot, addr in enumerate(addrs, start):
                 location[addr] = slot
 
     def _append_overflow(
@@ -505,8 +578,9 @@ class PermutedStorage:
                 continue
             group, remaining = remaining[:take], remaining[take:]
             start = partition.overflow_base + partition.overflow_used
-            buffer = self.codec.seal_many(group)
-            self._place(start, [addr for addr, _ in group])
+            addrs = [addr for addr, _ in group]
+            buffer = self.codec.seal_columns(addrs, [payload for _, payload in group])
+            self._place(start, addrs)
             count = len(group)
             self.consumed[start : start + count] = bytes(count)
             stats.times.io_us += self.storage.write_run(start, buffer)

@@ -9,6 +9,14 @@ yields a new ciphertext (the re-encryption ORAM requires).  ``addr`` is the
 logical block address inside the ciphertext; the reserved value
 :data:`DUMMY_ADDR` marks dummy records, indistinguishable from real ones
 from the outside because the flag sits under encryption.
+
+Slot runs move through one image kernel, :meth:`BlockCodec.seal_columns` /
+:meth:`BlockCodec.open_columns`: an address column (dummy rows included)
+and a payload matrix in, one flat buffer of sealed records out, and back.
+Initial images (:func:`initial_payloads` builds their matrix) and the
+storage layer's partition rewrites use it directly; the pairwise
+:meth:`BlockCodec.seal_many` / :meth:`BlockCodec.open_run` are adapters
+over it.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import count
 from typing import Iterable
 
@@ -156,12 +165,13 @@ class BlockCodec:
     the trusted-hardware setting the paper's threat model assumes (the
     enclave detects tampering with off-chip data).
 
-    Batch variants (:meth:`seal_many`, :meth:`open_run`, :meth:`open_many`)
-    move whole slot runs through the cipher with one call, producing or
-    consuming the flat buffers the :class:`~repro.storage.backend.BlockStore`
-    bulk APIs speak.  They are exactly equivalent to a loop of single-record
-    calls -- same nonce sequence, same bytes -- just without the per-record
-    Python overhead.
+    The image kernel (:meth:`seal_columns`, :meth:`open_columns`) moves
+    whole slot runs through the cipher as columns, producing or consuming
+    the flat buffers the :class:`~repro.storage.backend.BlockStore` bulk
+    APIs speak; :meth:`seal_many`, :meth:`open_run` and :meth:`open_many`
+    adapt ``(addr, payload)`` pairs to it.  All are exactly equivalent to a
+    loop of single-record calls -- same nonce sequence, same bytes -- just
+    without the per-record Python overhead.
     """
 
     def __init__(self, payload_bytes: int, cipher: StreamCipher, mac_key: bytes | None = None):
@@ -179,8 +189,7 @@ class BlockCodec:
             else None
         )
         # The codec XORs records with the cipher's keystream itself (fresh
-        # nonce per record as always), and the constant dummy plaintext is
-        # precomputed as an integer.  keystream_block is the single-call
+        # nonce per record as always).  keystream_block is the single-call
         # variant for records that fit one 64-byte keystream block -- the
         # common ORAM slot size.
         self._plain_bytes = _ADDR_BYTES + payload_bytes
@@ -189,8 +198,6 @@ class BlockCodec:
         # Bulk keystream for the batch kernels, whatever the record width.
         self._keystream_many = cipher.keystream_many
         self._kernel_records = max(1, _KERNEL_MAX_BYTES // self.slot_bytes)
-        self._dummy_plain = _PACK_Q(DUMMY_ADDR) + b"\x00" * payload_bytes
-        self._dummy_plain_int = int.from_bytes(self._dummy_plain, "little")
 
     def _tag(self, body: bytes) -> bytes:
         assert self._mac_hasher is not None
@@ -232,155 +239,145 @@ class BlockCodec:
         """A dummy record, outwardly indistinguishable from a real one."""
         return self.seal(DUMMY_ADDR, b"\x00" * self.payload_bytes)
 
+    def seal_columns(self, addrs, payloads) -> bytearray:
+        """Seal one record per row of an address column into one flat
+        buffer: the image kernel every bulk write goes through.
+
+        ``addrs`` is the address column (a list, ``array('Q')``, range or
+        numpy integer array; :data:`DUMMY_ADDR` marks a dummy row) and
+        ``payloads`` the payload matrix of the first ``k`` rows: a list of
+        ``payload_bytes``-wide rows, or any C-contiguous buffer holding
+        them back to back.  Rows past ``k`` have all-zero payloads, the
+        dummy rows of a region.  Nonces are drawn in row order, so the
+        bytes are those of a loop of :meth:`seal` calls, in one of two
+        forms: numpy matrix operations, or one big-integer XOR per run
+        (small runs, and the fallback without numpy).  The result is sized
+        for :meth:`~repro.storage.backend.BlockStore.write_run` /
+        ``poke_run``.
+        """
+        n = len(addrs)
+        np = _accel.np
+        if n >= _BATCH_MIN and self._mac_hasher is None and np is not None and (
+            n * self.slot_bytes >= _NP_MIN_BYTES
+        ):
+            payloads = payload_matrix(np, payloads, self.payload_bytes)
+            kernel = partial(self._seal_batch, np)
+        else:
+            payloads = self._rows(payloads)
+            kernel = self._seal_batch_bytes
+        if len(payloads) > n:
+            raise ValueError(f"{len(payloads)} payload rows for {n} addresses")
+        if n < _BATCH_MIN or self._mac_hasher is not None:
+            # MACed records are tagged one by one; tiny runs do not repay
+            # the batch setup.
+            seal = self.seal
+            zero = bytes(self.payload_bytes)
+            rows = len(payloads)
+            out = bytearray()
+            for index, addr in enumerate(addrs):
+                out += seal(addr, payloads[index] if index < rows else zero)
+            return out
+        step = self._kernel_records
+        if n <= step:
+            return kernel(addrs, payloads)
+        # Piece by piece, in nonce order, so the bytes are those of one call.
+        out = bytearray()
+        for start in range(0, n, step):
+            out += kernel(addrs[start : start + step], payloads[start : start + step])
+        return out
+
+    def _rows(self, payloads) -> "list[bytes]":
+        """``payloads`` (rows, or a buffer of them) as a list of rows."""
+        if type(payloads) is list:
+            return payloads
+        data = memoryview(payloads).cast("B").tobytes()
+        width = self.payload_bytes
+        if len(data) % width:
+            raise ValueError(
+                f"payload matrix of {len(data)} bytes is not whole {width}-byte rows"
+            )
+        return [data[start : start + width] for start in range(0, len(data), width)]
+
     def seal_many(
         self, entries: "Iterable[tuple[int, bytes]]", dummy_tail: int = 0
     ) -> bytearray:
-        """Seal a run of records into one flat buffer (bulk write path).
+        """Seal ``(addr, payload)`` entries, then ``dummy_tail`` dummy
+        records, into one flat buffer (bulk write path).
 
-        Nonces are drawn in entry order, then for each of the ``dummy_tail``
-        trailing dummy records -- byte-identical to the equivalent loop of
-        :meth:`seal` / :meth:`seal_dummy` calls.  The result is sized for
-        :meth:`~repro.storage.backend.BlockStore.write_run` /
-        ``poke_run`` flat-buffer input.
+        An adapter over :meth:`seal_columns`: the entries become its
+        address column and payload rows (short payloads padded), so the
+        bytes and nonces are those of the equivalent loop of :meth:`seal`
+        / :meth:`seal_dummy` calls.
         """
         if type(entries) is not list:
             entries = list(entries)
-        n = len(entries) + dummy_tail
-        if n >= _BATCH_MIN and self._mac_hasher is None:
-            step = self._kernel_records
-            if n > step:
-                # More than one kernel call may hold: piece by piece, in
-                # nonce order, so the bytes are those of a single call.
-                out = bytearray()
-                for start in range(0, n, step):
-                    piece = entries[start : start + step]
-                    out += self.seal_many(piece, min(step, n - start) - len(piece))
-                return out
-            np = _accel.np
-            if np is not None and n * self.slot_bytes >= _NP_MIN_BYTES:
-                return self._seal_batch(np, entries, dummy_tail)
-            return self._seal_batch_bytes(entries, dummy_tail)
-        out = bytearray()
-        seal = self.seal
-        for addr, payload in entries:
-            out += seal(addr, payload)
+        payload_bytes = self.payload_bytes
+        pad = self.pad
+        addrs = [addr for addr, _ in entries]
         if dummy_tail > 0:
-            # Same bytes as seal_dummy(), minus the per-record plaintext
-            # assembly: XOR the constant dummy plaintext with each
-            # record's fresh keystream directly.
-            length = self._plain_bytes
-            dummy_int = self._dummy_plain_int
-            nonce = self._nonce_counter
-            mac = self._mac_hasher
-            keystream_block = self._keystream_block
-            if keystream_block is not None and mac is None:
-                # Tightest loop: the overwhelmingly common shape (narrow
-                # records, no MAC).
-                for _ in range(dummy_tail):
-                    nonce += 1
-                    out += _PACK_Q(nonce)
-                    out += (
-                        dummy_int
-                        ^ int.from_bytes(keystream_block(nonce)[:length], "little")
-                    ).to_bytes(length, "little")
-            else:
-                keystream = self._keystream
-                for _ in range(dummy_tail):
-                    nonce += 1
-                    stream = keystream(nonce, length)
-                    if len(stream) != length:
-                        stream = stream[:length]
-                    body = _PACK_Q(nonce) + (
-                        dummy_int ^ int.from_bytes(stream, "little")
-                    ).to_bytes(length, "little")
-                    if mac is not None:
-                        h = mac.copy()
-                        h.update(body)
-                        body += h.digest()
-                    out += body
-            self._nonce_counter = nonce
-        return out
+            addrs += [DUMMY_ADDR] * dummy_tail
+        rows = [
+            payload if len(payload) == payload_bytes else pad(payload) for _, payload in entries
+        ]
+        return self.seal_columns(addrs, rows)
 
-    def _seal_batch(self, np, entries: "list[tuple[int, bytes]]", dummy_tail: int) -> bytearray:
-        """Vectorized :meth:`seal_many` (no MAC).
+    def _seal_batch(self, np, addrs, payloads) -> bytearray:
+        """Vectorized :meth:`seal_columns` piece (no MAC).
 
         The per-record keystream digests still run one hash call each (the
         nonce sequence pins them); what vectorizes is everything around
-        them -- header packing, padding, the XOR, and record assembly run
-        as whole-matrix operations instead of per-record int conversions.
+        them -- the nonce and address columns, the payload rows and the
+        XOR run as whole-matrix operations on the output buffer itself.
         """
-        k = len(entries)
-        n = k + dummy_tail
+        n = len(addrs)
         length = self._plain_bytes
-        payload_bytes = self.payload_bytes
         nonce0 = self._nonce_counter
         stream = np.frombuffer(
             b"".join(self._keystream_many(range(nonce0 + 1, nonce0 + n + 1), length)),
             dtype=np.uint8,
         ).reshape(n, -1)[:, :length]
         self._nonce_counter = nonce0 + n
-        plain = np.zeros((n, length), dtype=np.uint8)
-        if k:
-            plain[:k, :_ADDR_BYTES] = (
-                np.array([addr for addr, _ in entries], dtype="<u8")
-                .view(np.uint8)
-                .reshape(k, _ADDR_BYTES)
-            )
-            payloads = b"".join(
-                payload if len(payload) == payload_bytes else self.pad(payload)
-                for _, payload in entries
-            )
-            plain[:k, _ADDR_BYTES:] = np.frombuffer(payloads, dtype=np.uint8).reshape(
-                k, payload_bytes
-            )
-        if dummy_tail:
-            plain[k:, :_ADDR_BYTES] = 0xFF  # DUMMY_ADDR header; payload stays zero
-        out = np.empty((n, self.slot_bytes), dtype=np.uint8)
-        out[:, :_NONCE_BYTES] = (
-            np.arange(nonce0 + 1, nonce0 + n + 1, dtype="<u8")
-            .view(np.uint8)
-            .reshape(n, _NONCE_BYTES)
+        out = bytearray(n * self.slot_bytes)  # rows past the matrix keep zero payloads
+        records = np.frombuffer(out, dtype=np.uint8).reshape(n, self.slot_bytes)
+        records[:, :_NONCE_BYTES] = (
+            np.arange(nonce0 + 1, nonce0 + n + 1, dtype="<u8").view(np.uint8).reshape(n, -1)
         )
-        out[:, _NONCE_BYTES:] = plain ^ stream
-        return bytearray(out)
+        records[:, _NONCE_BYTES:RECORD_OVERHEAD] = (
+            np.asarray(addrs, dtype="<u8").view(np.uint8).reshape(n, -1)
+        )
+        records[: len(payloads), RECORD_OVERHEAD:] = payloads
+        records[:, _NONCE_BYTES:] ^= stream
+        return out
 
-    def _seal_batch_bytes(self, entries: "list[tuple[int, bytes]]", dummy_tail: int) -> bytearray:
-        """Big-integer :meth:`seal_many` batch (no MAC).
+    def _seal_batch_bytes(self, addrs, payloads: "list[bytes]") -> bytearray:
+        """Big-integer :meth:`seal_columns` piece (no MAC).
 
         The path-write batch shape -- a few dozen records -- is too small
         for numpy's per-op dispatch to pay off, but not for batching as
         such: the whole run is XORed as one arbitrary-precision integer
         (one C operation), with the clear nonce column surviving under a
         zero keystream hole.  Also the numpy-absent fallback for large
-        runs; byte-identical to the equivalent loop of :meth:`seal` /
-        :meth:`seal_dummy` calls either way.
+        runs.
         """
-        k = len(entries)
-        n = k + dummy_tail
+        n = len(addrs)
         length = self._plain_bytes
-        payload_bytes = self.payload_bytes
         nonce0 = self._nonce_counter
         self._nonce_counter = nonce0 + n
+        nonces = range(nonce0 + 1, nonce0 + n + 1)
         stream = b"".join(
-            [
-                _ZERO8 + block[:length]
-                for block in self._keystream_many(range(nonce0 + 1, nonce0 + n + 1), length)
-            ]
+            [_ZERO8 + block[:length] for block in self._keystream_many(nonces, length)]
         )
         pack_qq = _PACK_QQ
-        pad = self.pad
-        parts = [
-            pack_qq(nonce, addr)
-            + (payload if len(payload) == payload_bytes else pad(payload))
-            for nonce, (addr, payload) in enumerate(entries, nonce0 + 1)
-        ]
-        if dummy_tail:
-            pack_q = _PACK_Q
-            dummy = self._dummy_plain
-            parts.extend(
-                [pack_q(nonce) + dummy for nonce in range(nonce0 + k + 1, nonce0 + n + 1)]
-            )
+        parts = [pack_qq(nonce, addr) + row for nonce, addr, row in zip(nonces, addrs, payloads)]
+        rows = len(payloads)
+        if rows < n:
+            zero = bytes(self.payload_bytes)
+            parts += [
+                pack_qq(nonce, addr) + zero for nonce, addr in zip(nonces[rows:], addrs[rows:])
+            ]
         plain = b"".join(parts)
+        if len(plain) != n * self.slot_bytes:
+            raise ValueError(f"payload rows are not {self.payload_bytes} bytes wide")
         return bytearray(
             (int.from_bytes(plain, "little") ^ int.from_bytes(stream, "little")).to_bytes(
                 n * self.slot_bytes, "little"
@@ -428,89 +425,102 @@ class BlockCodec:
         return [open_one(record) for record in records]
 
     def open_run(self, buffer: bytes | bytearray | memoryview) -> list[tuple[int, bytes]]:
-        """Open every record in a flat slot-run buffer.
+        """Open every record in a flat slot-run buffer into ``(addr,
+        payload)`` pairs.
 
         Accepts the memoryview returned by
         :meth:`~repro.storage.backend.BlockStore.peek_run` /
-        ``read_run_view`` without copying individual records first.
+        ``read_run_view`` without copying individual records first.  An
+        adapter over :meth:`open_columns` that pairs its columns up.
         """
-        view = memoryview(buffer)
+        addrs, payloads = self.open_columns(buffer)
+        if type(payloads) is list:
+            return list(zip(addrs, payloads))
+        # A void view turns each row into one bytes object in C.
+        return list(zip(addrs.tolist(), payloads.view(f"V{self.payload_bytes}").ravel().tolist()))
+
+    def open_columns(self, buffer):
+        """Open every record in a flat slot-run buffer into the columns
+        :meth:`seal_columns` takes: ``(addrs, payloads)``.
+
+        The numpy form returns a uint64 address array and an ``(n,
+        payload_bytes)`` uint8 payload matrix, the big-integer form (and a
+        run too short to batch) a list of ints and a list of rows; either
+        is valid :meth:`seal_columns` input.  MACed records are verified
+        one by one, in run order (:class:`IntegrityError` on the first
+        that fails).
+        """
+        view = memoryview(buffer).cast("B")
         size = self.slot_bytes
         if view.nbytes % size:
             raise ValueError(
                 f"buffer of {view.nbytes} bytes is not a whole number of "
                 f"{size}-byte records"
             )
-        if view.nbytes >= _BATCH_MIN * size and self._mac_hasher is None:
-            step = self._kernel_records * size
-            if view.nbytes > step:
-                out = []
-                for offset in range(0, view.nbytes, step):
-                    out += self.open_run(view[offset : offset + step])
-                return out
-            np = _accel.np
-            if np is not None and view.nbytes >= _NP_MIN_BYTES:
-                return self._open_batch(np, view, view.nbytes // size)
-            return self._open_batch_bytes(view, view.nbytes // size)
-        open_one = self.open
-        return [open_one(view[offset : offset + size]) for offset in range(0, view.nbytes, size)]
+        if view.nbytes < _BATCH_MIN * size or self._mac_hasher is not None:
+            open_one = self.open
+            opened = [
+                open_one(view[offset : offset + size]) for offset in range(0, view.nbytes, size)
+            ]
+            return [addr for addr, _ in opened], [payload for _, payload in opened]
+        np = _accel.np
+        if np is not None and view.nbytes >= _NP_MIN_BYTES:
+            kernel = partial(self._open_batch, np)
+        else:
+            np, kernel = None, self._open_batch_bytes
+        step = self._kernel_records * size
+        if view.nbytes <= step:
+            return kernel(view, view.nbytes // size)
+        pieces = [
+            kernel(view[offset : offset + step], min(step, view.nbytes - offset) // size)
+            for offset in range(0, view.nbytes, step)
+        ]
+        if np is not None:
+            return (
+                np.concatenate([addrs for addrs, _ in pieces]),
+                np.concatenate([payloads for _, payloads in pieces]),
+            )
+        return (
+            [addr for addrs, _ in pieces for addr in addrs],
+            [row for _, payloads in pieces for row in payloads],
+        )
 
-    def _open_batch(
-        self, np, view: memoryview, n: int
-    ) -> list[tuple[int, bytes]]:
-        """Vectorized :meth:`open_run` (no MAC)."""
+    def _open_batch(self, np, view: memoryview, n: int):
+        """Vectorized :meth:`open_columns` piece (no MAC)."""
         length = self._plain_bytes
         records = np.frombuffer(view, dtype=np.uint8).reshape(n, self.slot_bytes)
         nonces = records[:, :_NONCE_BYTES].copy().view("<u8").ravel().tolist()
         stream = np.frombuffer(
             b"".join(self._keystream_many(nonces, length)), dtype=np.uint8
         ).reshape(n, -1)[:, :length]
-        plain = records[:, _NONCE_BYTES:] ^ stream
-        addrs = plain[:, :_ADDR_BYTES].copy().view("<u8").ravel().tolist()
-        # A void view turns each row into one bytes object in C.
-        payloads = (
-            np.ascontiguousarray(plain[:, _ADDR_BYTES:])
-            .view(f"V{self.payload_bytes}")
-            .ravel()
-            .tolist()
-        )
-        return list(zip(addrs, payloads))
+        addrs = records[:, _NONCE_BYTES:RECORD_OVERHEAD] ^ stream[:, :_ADDR_BYTES]
+        payloads = records[:, RECORD_OVERHEAD:] ^ stream[:, _ADDR_BYTES:]
+        return addrs.view("<u8").ravel(), payloads
 
-    def _open_batch_bytes(self, view: memoryview, n: int) -> list[tuple[int, bytes]]:
-        """Big-integer :meth:`open_run` batch (no MAC).
+    def _open_batch_bytes(self, view: memoryview, n: int) -> "tuple[list[int], list[bytes]]":
+        """Big-integer :meth:`open_columns` piece (no MAC).
 
         Mirror of :meth:`_seal_batch_bytes`: one whole-run XOR under a
         zero keystream hole over each clear nonce, then per-record header
-        splits on the decrypted buffer.
+        and payload splits on the decrypted buffer.
         """
         size = self.slot_bytes
         length = self._plain_bytes
         buf = bytes(view)
         from_bytes = int.from_bytes
-        nonces = [
-            from_bytes(buf[offset : offset + _NONCE_BYTES], "little")
-            for offset in range(0, n * size, size)
-        ]
+        offsets = range(0, n * size, size)
+        nonces = [from_bytes(buf[offset : offset + _NONCE_BYTES], "little") for offset in offsets]
         stream = b"".join(
             [_ZERO8 + block[:length] for block in self._keystream_many(nonces, length)]
         )
         plain = (from_bytes(buf, "little") ^ from_bytes(stream, "little")).to_bytes(
             n * size, "little"
         )
-        addr_at = _NONCE_BYTES
-        payload_at = _NONCE_BYTES + _ADDR_BYTES
-        out = []
-        append = out.append
-        offset = 0
-        for _ in range(n):
-            append(
-                (
-                    from_bytes(plain[offset + addr_at : offset + payload_at], "little"),
-                    plain[offset + payload_at : offset + size],
-                )
-            )
-            offset += size
-        return out
+        addrs = [
+            from_bytes(plain[offset + _NONCE_BYTES : offset + RECORD_OVERHEAD], "little")
+            for offset in offsets
+        ]
+        return addrs, [plain[offset + RECORD_OVERHEAD : offset + size] for offset in offsets]
 
     def is_dummy(self, record: bytes) -> bool:
         addr, _ = self.open(record)
@@ -538,6 +548,42 @@ def initial_payload(addr: int) -> bytes:
     Kept to 8 bytes so it fits any payload size the codec allows.
     """
     return struct.pack("<Q", addr)
+
+
+def payload_matrix(np, payloads, payload_bytes: int):
+    """A payload matrix -- a list of rows, or a C-contiguous buffer holding
+    them back to back -- as a ``(k, payload_bytes)`` uint8 numpy array."""
+    rows = len(payloads) if type(payloads) is list else None
+    if rows is not None:
+        payloads = b"".join(payloads)
+    matrix = np.frombuffer(payloads, dtype=np.uint8)
+    if matrix.size % payload_bytes or rows not in (None, matrix.size // payload_bytes):
+        raise ValueError(
+            f"payload matrix of {matrix.size} bytes is not whole {payload_bytes}-byte rows"
+        )
+    return matrix.reshape(-1, payload_bytes)
+
+
+def initial_payloads(addrs, payload_bytes: int) -> bytearray:
+    """The payload matrix of ``initial_payload(addr)`` for every address of
+    the column ``addrs`` (a sequence of ints or a numpy integer array),
+    each row zero-padded to ``payload_bytes``: what
+    :meth:`BlockCodec.seal_columns` takes to seal a block's initial
+    content, with no bytes object per record."""
+    if payload_bytes < _ADDR_BYTES:
+        raise ValueError(
+            f"payload of {_ADDR_BYTES} bytes exceeds block payload size {payload_bytes}"
+        )
+    np = _accel.np
+    if np is not None:
+        packed = np.asarray(addrs, dtype="<u8").tobytes()
+    else:
+        packed = struct.pack(f"<{len(addrs)}Q", *addrs)
+    rows = bytearray(len(addrs) * payload_bytes)
+    # Byte j of every row at once: the rows are a strided view of the matrix.
+    for byte in range(_ADDR_BYTES):
+        rows[byte::payload_bytes] = packed[byte::_ADDR_BYTES]
+    return rows
 
 
 class ORAMProtocol(ABC):

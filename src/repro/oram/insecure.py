@@ -24,7 +24,7 @@ from repro.oram.base import (
     CapacityError,
     OpKind,
     ORAMProtocol,
-    initial_payload,
+    initial_payloads,
 )
 from repro.sim.metrics import Metrics
 from repro.storage.backend import BlockStore
@@ -51,9 +51,9 @@ class PlainStore(ORAMProtocol):
         self.storage = storage_store
         self.clock = clock
         self.metrics = Metrics()
-        for addr in range(n_blocks):
-            record = codec.seal(addr, codec.pad(initial_payload(addr)))
-            storage_store.poke_slot(addr, record)
+        addrs = range(n_blocks)
+        payloads = initial_payloads(addrs, codec.payload_bytes)
+        storage_store.poke_run(0, codec.seal_columns(addrs, payloads))
 
     @property
     def n_blocks(self) -> int:

@@ -27,7 +27,7 @@ from repro.oram.base import (
     CapacityError,
     OpKind,
     ORAMProtocol,
-    initial_payload,
+    initial_payloads,
     release,
 )
 from repro.oram.position_map import ArrayPositionMap
@@ -181,8 +181,8 @@ class PathOramTree:
     def write_path(self, leaf: int, stash: Stash, times: TierTimes) -> None:
         """Greedy write-back: deepest buckets first, fill from the stash.
 
-        The whole path is sealed with one :meth:`BlockCodec.seal_many`
-        call (bucket dummies as explicit entries -- ``seal(DUMMY_ADDR,
+        The whole path is sealed with one :meth:`BlockCodec.seal_columns`
+        call (bucket dummies as explicit rows -- ``seal(DUMMY_ADDR,
         zeros)`` is byte-identical to ``seal_dummy()``), then sliced back
         into per-bucket writes, so each bucket still costs exactly one
         ``write_run`` while the crypto amortizes over the full path.
@@ -190,16 +190,20 @@ class PathOramTree:
         z = self.geometry.bucket_size
         real = self._real
         path = self._path(leaf)
-        dummy_entry = (DUMMY_ADDR, b"\x00" * self.codec.payload_bytes)
-        entries: list[tuple[int, bytes]] = []
+        zero = bytes(self.codec.payload_bytes)
+        addrs: list[int] = []
+        rows: list[bytes] = []
         buckets: list[tuple[int, int]] = []  # (bucket, real count), deepest first
         per_level = stash.select_for_path(self.geometry, leaf, z)
         for level, selected in zip(range(self.geometry.levels - 1, -1, -1), per_level):
             if selected:
-                entries.extend([(entry.addr, entry.payload) for entry in selected])
-            entries.extend([dummy_entry] * (z - len(selected)))
+                addrs.extend([entry.addr for entry in selected])
+                rows.extend([entry.payload for entry in selected])
+            dummies = z - len(selected)
+            addrs.extend([DUMMY_ADDR] * dummies)
+            rows.extend([zero] * dummies)
             buckets.append((path[level], len(selected)))
-        sealed = memoryview(self.codec.seal_many(entries))
+        sealed = memoryview(self.codec.seal_columns(addrs, rows))
         bucket_bytes = z * self.codec.slot_bytes
         mem_buckets = self._mem_buckets
         memory_store = self.memory_store
@@ -223,20 +227,21 @@ class PathOramTree:
             offset += bucket_bytes
 
     # ------------------------------------------------------------- bulk ops
-    def poke_bucket(self, bucket: int, entries: list[tuple[int, bytes]]) -> None:
-        """Seal real (addr, payload) entries into a bucket's first slots.
+    def poke_bucket(self, bucket: int, records: "bytes | bytearray | memoryview") -> None:
+        """Store sealed real records (one flat buffer) in a bucket's first
+        slots.
 
         Initialization only (no timing or trace); keeps the real-slot map
-        in sync, which direct ``poke_slot`` calls would not.
+        in sync, which direct ``poke_run`` calls would not.
         """
         z = self.geometry.bucket_size
-        if len(entries) > z:
-            raise ValueError(f"bucket holds {z} records, got {len(entries)}")
+        count = len(records) // self.codec.slot_bytes
+        if count > z:
+            raise ValueError(f"bucket holds {z} records, got {count}")
         store, base = self.bucket_location(bucket)
+        store.poke_run(base, records)
         bucket_slot = bucket * z
-        for index, (addr, payload) in enumerate(entries):
-            store.poke_slot(base + index, self.codec.seal(addr, payload))
-            self._real[bucket_slot + index] = 1
+        self._real[bucket_slot : bucket_slot + count] = b"\x01" * count
 
     def fill_empty(self) -> None:
         """Initialize every slot with a dummy record (no simulated time)."""
@@ -400,25 +405,30 @@ class PathORAM(ORAMProtocol):
         Blocks are pushed from their leaf bucket upward; anything that
         finds no space lands in the stash (rare at 50% utilization).
         Initial payloads encode the address so tests can verify reads
-        before any write.
+        before any write.  The placed blocks are sealed as one address
+        column, bucket by bucket in placement order, after the dummies
+        that fill the tree.
         """
         z = self.geometry.bucket_size
-        occupancy: dict[int, list[tuple[int, bytes]]] = {}
+        payload_bytes = self.codec.payload_bytes
+        occupancy: dict[int, list[int]] = {}
         for addr in range(self._n_blocks):
             leaf = self.position_map.get(addr)
-            payload = self.codec.pad(initial_payload(addr))
-            placed = False
             for bucket in reversed(self.geometry.path_buckets(leaf)):
                 content = occupancy.setdefault(bucket, [])
                 if len(content) < z:
-                    content.append((addr, payload))
-                    placed = True
+                    content.append(addr)
                     break
-            if not placed:
-                self.stash.put(addr, leaf, payload)
+            else:
+                self.stash.put(addr, leaf, bytes(initial_payloads([addr], payload_bytes)))
         self.tree.fill_empty()
+        addrs = [addr for content in occupancy.values() for addr in content]
+        sealed = memoryview(self.codec.seal_columns(addrs, initial_payloads(addrs, payload_bytes)))
+        offset = 0
         for bucket, content in occupancy.items():
-            self.tree.poke_bucket(bucket, content)
+            end = offset + len(content) * self.codec.slot_bytes
+            self.tree.poke_bucket(bucket, sealed[offset:end])
+            offset = end
 
     # --------------------------------------------------------------- access
     def _access(self, op: OpKind, addr: int, data: bytes | None) -> bytes:

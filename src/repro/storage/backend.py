@@ -278,7 +278,7 @@ class BlockStore:
 
         ``records`` is either a list of slot-sized records or one flat
         buffer holding a whole number of records (the output of
-        :meth:`~repro.oram.base.BlockCodec.seal_many`); both are charged
+        :meth:`~repro.oram.base.BlockCodec.seal_columns`); both are charged
         identically.
         """
         if isinstance(records, (bytes, bytearray, memoryview)):
@@ -336,7 +336,7 @@ class BlockStore:
 
         ``data`` must hold a positive whole number of slot records
         (e.g. the buffer built by
-        :meth:`~repro.oram.base.BlockCodec.seal_many`); initialization only.
+        :meth:`~repro.oram.base.BlockCodec.seal_columns`); initialization only.
         """
         view = memoryview(data)
         if view.nbytes == 0 or view.nbytes % self.slot_bytes:

@@ -3,8 +3,9 @@
 A fresh H-ORAM stack writes its initial image (initial permutation, sealed
 slab, sealed cache tree) in one step; every restore route loads the
 checkpoint in that step's place.  These tests count the initial-image
-work -- ``_initialize``, ``fill_empty``, ``seal_many`` -- on each route,
-in this process and in forked shard workers, and require none of it.
+work -- ``_initialize``, ``fill_empty``, ``seal_many``, ``seal_columns``
+-- on each route, in this process and in forked shard workers, and
+require none of it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ IMAGE_WORK = [
     (PermutedStorage, "_initialize"),
     (PathOramTree, "fill_empty"),
     (BlockCodec, "seal_many"),
+    (BlockCodec, "seal_columns"),
 ]
 
 

@@ -11,7 +11,7 @@ import pytest
 from repro.core.executor import ShardCrashed
 from repro.core.sharding import build_sharded_horam
 from repro.crypto.random import DeterministicRandom
-from repro.oram.base import Request
+from repro.oram.base import Request, StackClosedError
 from repro.storage.faults import FaultPlan
 from repro.workload.generators import hotspot
 
@@ -255,3 +255,28 @@ class TestSupervisedClose:
         supervisor.drain()
         supervisor.close()
         supervisor.close()
+
+
+@pytest.mark.parametrize("executor", ["serial", "parallel"])
+class TestClosedFleetRefuses:
+    """A closed fleet raises one typed error wherever a drain loop asks it
+    for work, whichever executor runs it."""
+
+    def test_has_work_retire_and_feed_quantum_raise(self, executor):
+        fleet = _fleet(executor=executor)
+        fleet.close()
+        for call in (fleet.has_work, fleet.retire, fleet.feed_quantum):
+            with pytest.raises(StackClosedError):
+                call()
+        for call in (fleet.executor.has_work, fleet.executor.retire):
+            with pytest.raises(StackClosedError):
+                call()
+
+    def test_a_closed_fleet_refuses_after_serving(self, executor):
+        fleet = _fleet(executor=executor)
+        for request in _requests(8):
+            fleet.submit(request)
+        fleet.drain()
+        fleet.close()
+        with pytest.raises(StackClosedError):
+            fleet.drain()

@@ -1,7 +1,12 @@
-"""Block codec tests: sealing, dummies, padding."""
+"""Block codec tests: sealing, dummies, padding, the column kernel."""
+
+import random
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import accel
 from repro.crypto.ctr import StreamCipher
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import (
@@ -12,6 +17,7 @@ from repro.oram.base import (
     IntegrityError,
     _make_codec,
     initial_payload,
+    initial_payloads,
 )
 from repro.oram.factory import BASELINES, build_baseline
 
@@ -139,6 +145,134 @@ class TestBatchCodec:
         assert payload == codec.pad(b"view")
 
 
+@contextmanager
+def kernel_form(numpy: bool):
+    """Run the body on the numpy kernels (when importable) or the big-integer ones."""
+    saved = accel.np
+    accel.np = saved if numpy else None
+    try:
+        yield
+    finally:
+        accel.np = saved
+
+
+def as_pairs(codec, columns):
+    """``open_columns`` output as ``(addr, payload)`` pairs of plain ints and bytes."""
+    addrs, payloads = columns
+    if not isinstance(payloads, list):
+        payloads = [bytes(row) for row in payloads.reshape(-1, codec.payload_bytes)]
+    return list(zip([int(addr) for addr in addrs], payloads))
+
+
+@st.composite
+def column_runs(draw):
+    """A codec shape, a nonce offset and an address column with its payload rows.
+
+    Widths: 1, the default 16, 56 (the widest one keystream digest
+    covers), 57 (the first wide one) and 1024.  Run lengths cross the
+    batch and numpy thresholds for every width.
+    """
+    payload_bytes = draw(st.sampled_from([1, 16, 56, 57, 1024]))
+    n = draw(st.integers(min_value=0, max_value=120 if payload_bytes < 1024 else 12))
+    addrs = draw(
+        st.lists(
+            st.one_of(st.just(DUMMY_ADDR), st.integers(min_value=0, max_value=DUMMY_ADDR - 1)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    rows = draw(st.integers(min_value=0, max_value=n))
+    payloads = random.Random(draw(st.integers(0, 2**32))).randbytes(rows * payload_bytes)
+    return payload_bytes, addrs, payloads, draw(st.integers(0, 3)), draw(st.booleans()), draw(
+        st.booleans()
+    )
+
+
+class TestColumnKernel:
+    """``seal_columns`` / ``open_columns`` against the per-record loop."""
+
+    @staticmethod
+    def codec(payload_bytes, mac, nonce=0):
+        codec = BlockCodec(
+            payload_bytes, StreamCipher(b"column-key"), mac_key=b"column-mac" if mac else None
+        )
+        for _ in range(nonce):
+            codec.seal_dummy()
+        return codec
+
+    @staticmethod
+    def loop_seal(codec, addrs, payloads):
+        width = codec.payload_bytes
+        out = b""
+        for index, addr in enumerate(addrs):
+            row = payloads[index * width : (index + 1) * width]
+            if row:
+                out += codec.seal(addr, row)
+            elif addr == DUMMY_ADDR:
+                out += codec.seal_dummy()
+            else:
+                out += codec.seal(addr, bytes(width))
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(column_runs())
+    def test_column_seal_is_the_seal_loop(self, run):
+        payload_bytes, addrs, payloads, nonce, mac, numpy = run
+        loop = self.codec(payload_bytes, mac, nonce)
+        expected = self.loop_seal(loop, addrs, payloads)
+        rows = [
+            payloads[start : start + payload_bytes]
+            for start in range(0, len(payloads), payload_bytes)
+        ]
+        with kernel_form(numpy):
+            for given_payloads in (payloads, rows):
+                column = self.codec(payload_bytes, mac, nonce)
+                assert bytes(column.seal_columns(addrs, given_payloads)) == expected
+                assert column._nonce_counter == loop._nonce_counter == nonce + len(addrs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(column_runs())
+    def test_column_open_is_open_of_every_record(self, run):
+        payload_bytes, addrs, payloads, nonce, mac, numpy = run
+        codec = self.codec(payload_bytes, mac, nonce)
+        buffer = self.loop_seal(codec, addrs, payloads)
+        size = codec.slot_bytes
+        expected = [
+            codec.open(buffer[start : start + size]) for start in range(0, len(buffer), size)
+        ]
+        with kernel_form(numpy):
+            assert as_pairs(codec, codec.open_columns(memoryview(buffer))) == expected
+            assert codec.open_run(buffer) == expected
+
+    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "bigint"])
+    def test_columns_round_trip_through_a_second_seal(self, numpy):
+        codec = self.codec(16, mac=False)
+        addrs = list(range(100)) + [DUMMY_ADDR] * 4
+        with kernel_form(numpy):
+            sealed = codec.seal_columns(addrs, initial_payloads(range(100), 16))
+            opened = codec.open_columns(sealed)
+            assert bytes(codec.seal_columns(*opened)) != bytes(sealed)  # fresh nonces
+            assert as_pairs(codec, codec.open_columns(codec.seal_columns(*opened))) == as_pairs(
+                codec, opened
+            )
+
+    def test_misshapen_payload_matrices_are_refused(self):
+        codec = self.codec(16, mac=False)
+        with pytest.raises(ValueError):
+            codec.seal_columns([1, 2], bytes(17))
+        with pytest.raises(ValueError):
+            codec.seal_columns([1, 2], bytes(48))
+        with pytest.raises(ValueError):
+            codec.open_columns(bytes(codec.slot_bytes + 1))
+
+    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "bigint"])
+    def test_rows_of_the_wrong_width_are_refused(self, numpy):
+        codec = self.codec(16, mac=False)
+        rows = [bytes(16)] * 59 + [bytes(15)]
+        with kernel_form(numpy), pytest.raises(ValueError):
+            codec.seal_columns(list(range(60)), rows)
+
+
 class TestDummies:
     def test_dummy_roundtrip(self, codec):
         record = codec.seal_dummy()
@@ -171,6 +305,19 @@ class TestInitialPayload:
     def test_fits_minimum_payload(self):
         assert len(initial_payload(0)) == 8
         assert len(initial_payload(2**63)) == 8
+
+    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "bigint"])
+    @pytest.mark.parametrize("payload_bytes", [8, 16, 1024])
+    def test_matrix_rows_are_padded_initial_payloads(self, numpy, payload_bytes):
+        addrs = [0, 1, 2**40 + 3, DUMMY_ADDR - 1, 77]
+        codec = BlockCodec(payload_bytes, StreamCipher(b"k"))
+        with kernel_form(numpy):
+            matrix = initial_payloads(addrs, payload_bytes)
+        assert bytes(matrix) == b"".join(codec.pad(initial_payload(addr)) for addr in addrs)
+
+    def test_matrix_needs_room_for_the_id(self):
+        with pytest.raises(ValueError):
+            initial_payloads([1], 4)
 
     def test_distinct_per_addr(self):
         assert initial_payload(1) != initial_payload(2)

@@ -81,8 +81,8 @@ def spy_on_kernels(monkeypatch, codec: BlockCodec) -> "list[tuple[str, int]]":
 
         monkeypatch.setattr(codec, name, spied)
 
-    wrap("_seal_batch", lambda np, entries, tail: len(entries) + tail)
-    wrap("_seal_batch_bytes", lambda entries, tail: len(entries) + tail)
+    wrap("_seal_batch", lambda np, addrs, payloads: len(addrs))
+    wrap("_seal_batch_bytes", lambda addrs, payloads: len(addrs))
     wrap("_open_batch", lambda np, view, n: n)
     wrap("_open_batch_bytes", lambda view, n: n)
     return calls

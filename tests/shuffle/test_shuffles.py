@@ -142,3 +142,20 @@ class TestRegistry:
         assert get_shuffle("melbourne").oblivious
         assert get_shuffle("bitonic").oblivious
         assert not get_shuffle("fisher-yates").oblivious
+
+
+class TestIndexShuffle:
+    """The storage layer shuffles row indices and gathers its columns: for
+    every registered algorithm that must be the order (and the RNG
+    position) shuffling the items themselves gives."""
+
+    @pytest.mark.parametrize("name", shuffle_names())
+    @pytest.mark.parametrize("n", [0, 1, 2, 37, 256, 300])
+    def test_shuffling_indices_then_gathering_is_shuffling_items(self, name, n):
+        items = [(n - index, f"record-{index}".encode()) for index in range(n)]
+        by_items, by_index = DeterministicRandom(n + 5), DeterministicRandom(n + 5)
+        expected = get_shuffle(name).shuffle(items, by_items)
+        result = get_shuffle(name).shuffle(range(n), by_index)
+        assert [items[row] for row in result.items] == expected.items
+        assert result.moves == expected.moves
+        assert by_index.state_dict() == by_items.state_dict()
