@@ -330,6 +330,12 @@ class ShardExecutor(ABC):
     def force_shuffle(self) -> None:
         """End every shard's current period immediately."""
 
+    @abstractmethod
+    def write_back(self, limit: int | None = None) -> int:
+        """Write back up to ``limit`` pending partition rewrites across the
+        live shards (all when ``None``); returns how many are left that
+        this process can write."""
+
     @property
     @abstractmethod
     def codec(self):
@@ -435,6 +441,18 @@ class SerialExecutor(ShardExecutor):
         for index, shard in enumerate(self.shards):
             if index not in self.fenced:
                 shard.force_shuffle()
+
+    def write_back(self, limit: int | None = None) -> int:
+        left = 0
+        for index, shard in enumerate(self.shards):
+            if index in self.fenced:
+                continue
+            budget = shard.hierarchy.storage.pending_regions
+            if limit is not None:
+                budget = min(limit, budget)
+                limit -= budget
+            left += shard.write_back(budget)
+        return left
 
     @property
     def codec(self):
@@ -611,6 +629,17 @@ def _worker_finish(target_cycles: int | None) -> ShardSnapshot:
 def _worker_force_shuffle() -> ShardSnapshot:
     _WORKER["shard"].force_shuffle()
     return _worker_snapshot()
+
+
+def _worker_write_back() -> int:
+    return _WORKER["shard"].write_back()
+
+
+def _worker_idle() -> bool:
+    """Between calls: write back one pending partition rewrite; whether
+    another is left."""
+    shard = _WORKER.get("shard")
+    return shard is not None and shard.write_back(1) > 0
 
 
 def _worker_install_faults(plan: FaultPlan) -> None:
@@ -899,6 +928,7 @@ class ParallelExecutor(ShardExecutor):
             self._context,
             _worker_init,
             (self.recipe, index, scratch.name if scratch is not None else None, image),
+            idle=_worker_idle,
         )
 
     def _broadcast(self, fn, *args) -> list:
@@ -1083,6 +1113,25 @@ class ParallelExecutor(ShardExecutor):
             raise
         for mirror, snapshot in zip(self.shards, snapshots):
             mirror.apply(snapshot)
+
+    def write_back(self, limit: int | None = None) -> int:
+        """Workers write back between calls on their own, so a bounded
+        call has nothing to do here; ``None`` waits until every live
+        worker has written back all it holds."""
+        if limit is not None:
+            return 0
+        self._check_usable()
+        self._sync()
+        _, failures = self._gather(
+            {
+                index: worker.submit(_worker_write_back)
+                for index, worker in enumerate(self._workers)
+                if index not in self.fenced
+            }
+        )
+        if failures:
+            self._fail(failures)
+        return 0
 
     @property
     def codec(self):

@@ -159,7 +159,14 @@ class HybridORAM(ORAMProtocol):
         return self.rob.push(request, self._cycle_index)
 
     def step(self) -> list[RobEntry]:
-        """Run one scheduler cycle; returns requests retired this cycle."""
+        """Run one scheduler cycle; returns requests retired this cycle.
+
+        The cycle that makes a period's last load also runs the shuffle
+        period's plan (:meth:`run_shuffle_period`) before it returns, so
+        its caller waits for the eviction and the permutation draws, but
+        not for sealing the new partition images: those are written back
+        later (:meth:`~repro.oram.base.ORAMProtocol.write_back`).
+        """
         # Loads complete within their cycle (the I/O overlaps the c memory
         # reads and both finish by the cycle barrier), so no address is
         # ever in flight across cycles.
@@ -282,7 +289,17 @@ class HybridORAM(ORAMProtocol):
         return times
 
     def run_shuffle_period(self) -> None:
-        """Evict + group/partition shuffle + fresh period (Section 4.3)."""
+        """Evict + group/partition shuffle + fresh period (Section 4.3).
+
+        Runs the period's plan: the cache tree's oblivious eviction, each
+        partition's read, survivor scan and permutation draws, the new
+        permutation list, the nonces and every I/O charge, in the
+        paper's order, so the simulated clock and every counter move
+        here.  Each rewritten partition's records are sealed later, when
+        the storage tier writes the region back (idle time, or the first
+        access that needs it); that is wall-clock work only, and leaves
+        the same bytes.
+        """
         hierarchy, metrics = self.hierarchy, self.metrics
         hierarchy.mark("shuffle-start")
         start_us = hierarchy.clock.now_us

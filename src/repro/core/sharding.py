@@ -294,6 +294,12 @@ class ShardedHORAM(ORAMProtocol):
         """End every shard's current period immediately (maintenance hook)."""
         self.executor.force_shuffle()
 
+    def write_back(self, limit: int | None = None) -> int:
+        """Write back pending partition rewrites across the live shards
+        (see :meth:`ORAMProtocol.write_back`); returns how many are left
+        in this process."""
+        return self.executor.write_back(limit)
+
     def _release_memory(self) -> None:
         """Close the runtime -- every in-process shard, or the worker
         processes -- and drop the in-flight tables (see

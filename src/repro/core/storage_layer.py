@@ -25,7 +25,10 @@ The *group and partition shuffle* (Figure 4-4) streams one partition in,
 concatenates the next chunk of (already obliviously shuffled) evicted hot
 data, permutes in memory, and streams the partition back -- all sequential
 I/O, which is what makes H-ORAM's maintenance 10-20x cheaper per byte than
-the baseline's scattered bucket writes.
+the baseline's scattered bucket writes.  Each rewrite is planned (draws,
+placement, nonces, charges) inside the shuffle period and sealed when the
+storage store writes it back, in idle time or before anything reads those
+slots (:meth:`PermutedStorage._shuffle_partition`).
 
 With ``shuffle_period_ratio = r > 1`` the Section 5.3.1 *partial shuffle*
 is enabled: only partitions ``i`` with ``i % r == period % r`` are
@@ -40,6 +43,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, zip_longest
 
 from repro import accel as _accel
@@ -54,7 +58,7 @@ from repro.oram.base import (
 )
 from repro.shuffle.base import ShuffleAlgorithm
 from repro.sim.metrics import TierTimes
-from repro.storage.backend import BlockStore
+from repro.storage.backend import BlockStore, DeferredRun
 
 #: permutation-list value meaning "block is cached in the memory layer".
 IN_MEMORY = -1
@@ -422,12 +426,18 @@ class PermutedStorage:
     ) -> list[tuple[int, bytes]]:
         """Stream partition ``index`` (+overflow) in, merge, permute, write.
 
-        The partition moves as columns, an address column and a payload
-        matrix, from :meth:`~repro.oram.base.BlockCodec.open_columns` to
-        :meth:`_write_image`: the survivors' rows are gathered, the chunk
-        of evicted blocks appended, and the shuffle algorithm permutes row
-        indices (no algorithm inspects its items).  Only rows it pushes past
-        the fill become ``(addr, payload)`` pairs again.
+        Split into a *plan*, run here, and a *write-back* the store runs
+        later.  The plan makes every decision and every charge in order:
+        the run read, the survivor scan, the chunk of evicted blocks, the
+        shuffle algorithm's draws (it permutes row indices; no algorithm
+        inspects its items), the new ``slot_addr``/``location`` entries,
+        the nonce range and the run write.  The write-back opens the old
+        rows from the held read view (:meth:`_open_survivors`), gathers
+        the new image's rows and seals them (see :meth:`_write_image`).
+        Rows are opened here instead when they are needed at once: MACed
+        records, so a corrupt survivor raises inside the shuffle, and a
+        partition whose survivors exceed its fill (partial shuffle), whose
+        excess rows go back to ``pending`` as ``(addr, payload)`` pairs.
         """
         partition = self._partitions[index]
         base = partition.base
@@ -440,34 +450,17 @@ class PermutedStorage:
         # Survivors: blocks whose permutation-list entry still points here.
         offsets, addrs = self._survivors(base, span)
         codec = self.codec
-        slot_bytes = codec.slot_bytes
         np = _accel.np
-        if codec.mac_key is None:
-            # One open over the whole run; rows that are not survivors
-            # decrypt to values nobody reads.
-            _, opened = codec.open_columns(view)
-            if np is not None:
-                payloads = payload_matrix(np, opened, codec.payload_bytes)[offsets]
-            else:
-                payloads = [opened[offset] for offset in offsets]
-        else:
-            # MACed records are verified one by one, survivors only, so a
-            # corrupt record nobody needs never raises.
-            if np is not None:
-                survivors = np.frombuffer(view, dtype=np.uint8).reshape(span, slot_bytes)[offsets]
-            else:
-                survivors = b"".join(
-                    [view[offset * slot_bytes : (offset + 1) * slot_bytes] for offset in offsets]
-                )
-            _, payloads = codec.open_columns(survivors)
-            if np is not None:
-                payloads = payload_matrix(np, payloads, codec.payload_bytes)
+        fill = partition.fill
+        # Rows needed at once are opened as they are read (see above).
+        payloads = None
+        if codec.mac_key is not None or len(offsets) > fill:
+            payloads = self._open_survivors(view, offsets)
 
         # Take the next chunk of evicted data that fills the base region.
         # (With partial shuffle, survivors from the overflow region can
         # exceed the fill; the excess is re-queued for placement in a
         # later partition or overflow group.)
-        fill = partition.fill
         room = max(0, fill - len(offsets))
         chunk, pending = pending[:room], pending[room:]
         stats.blocks_replaced += len(chunk)
@@ -475,12 +468,8 @@ class PermutedStorage:
         chunk_payloads = [payload for _, payload in chunk]
         if np is not None and chunk:
             addrs = np.concatenate([addrs, np.array(chunk_addrs, dtype=np.intp)])
-            payloads = np.concatenate(
-                [payloads, payload_matrix(np, chunk_payloads, codec.payload_bytes)]
-            )
         elif np is None:
             addrs += chunk_addrs
-            payloads += chunk_payloads
 
         result = self.shuffle_algorithm.shuffle(range(len(addrs)), self.rng)
         stats.moves += result.moves
@@ -490,13 +479,41 @@ class PermutedStorage:
         order = result.items
         if np is not None:
             kept = np.array(order[:fill], dtype=np.intp)
-            kept_addrs, kept_payloads = addrs[kept], payloads[kept]
-            requeued = [(int(addrs[row]), payloads[row].tobytes()) for row in order[fill:]]
+            kept_addrs = addrs[kept]
         else:
-            kept_addrs = [addrs[row] for row in order[:fill]]
-            kept_payloads = [payloads[row] for row in order[:fill]]
-            requeued = [(addrs[row], payloads[row]) for row in order[fill:]]
-        written = self._write_image(partition, kept_addrs, kept_payloads, self.storage.write_run)
+            kept = order[:fill]
+            kept_addrs = [addrs[row] for row in kept]
+
+        def kept_rows(payloads):
+            """The new image's payload rows: the survivors' ``payloads``,
+            then the chunk's, in ``kept`` order."""
+            if np is None:
+                payloads = payloads + chunk_payloads
+                return [payloads[row] for row in kept]
+            if chunk:
+                payloads = np.concatenate(
+                    [payloads, payload_matrix(np, chunk_payloads, codec.payload_bytes)]
+                )
+            return payloads[kept]
+
+        if payloads is None:
+            requeued = []
+            reads = (base, base + span)
+
+            def rows():
+                return kept_rows(self._open_survivors(view, offsets))
+
+        else:
+            # Rows past the fill can only be survivors (no chunk joined
+            # them); they go back to ``pending``.
+            if np is not None:
+                requeued = [(int(addrs[row]), payloads[row].tobytes()) for row in order[fill:]]
+            else:
+                requeued = [(addrs[row], payloads[row]) for row in order[fill:]]
+            reads = None
+            rows = partial(kept_rows, payloads)
+
+        written = self._write_image(partition, kept_addrs, rows, reads)
         stats.times.io_us += written
 
         # Fresh epoch for the whole span: base rewritten, overflow released.
@@ -532,19 +549,61 @@ class PermutedStorage:
                 addrs.append(addr)
         return offsets, addrs
 
-    def _write_image(self, partition: _Partition, addrs, payloads, write):
-        """Lay out ``partition``'s base region: the blocks of the ``addrs``
-        column in its first slots, dummies after them; seal the region's
-        address column with the ``payloads`` matrix (one row per block; the
-        dummy rows are zero) in slot order, so the clear nonces rise with
-        the slot, and hand it to ``write(base, records)``; returns what
-        ``write`` returns."""
+    def _open_survivors(self, view, offsets):
+        """The payload rows of the records at ``offsets`` in the slot-run
+        ``view``: a matrix with numpy, a list of rows without.
+
+        Unauthenticated records are opened with one call over the whole
+        run (rows that are not survivors decrypt to values nobody reads);
+        MACed ones are verified one by one, survivors only, so a corrupt
+        record nobody needs never raises.
+        """
+        codec = self.codec
+        slot_bytes = codec.slot_bytes
+        np = _accel.np
+        if codec.mac_key is None:
+            _, opened = codec.open_columns(view)
+            if np is not None:
+                return payload_matrix(np, opened, codec.payload_bytes)[offsets]
+            return [opened[offset] for offset in offsets]
+        if np is not None:
+            survivors = np.frombuffer(view, dtype=np.uint8).reshape(-1, slot_bytes)[offsets]
+        else:
+            survivors = b"".join(
+                [view[offset * slot_bytes : (offset + 1) * slot_bytes] for offset in offsets]
+            )
+        _, payloads = codec.open_columns(survivors)
+        if np is not None:
+            payloads = payload_matrix(np, payloads, codec.payload_bytes)
+        return payloads
+
+    def _write_image(self, partition: _Partition, addrs, rows, reads=None) -> float:
+        """Lay out ``partition``'s base region -- the blocks of the
+        ``addrs`` column in its first slots, dummies after them -- and
+        write it as one run; returns the write's duration.
+
+        The run is a :class:`~repro.storage.backend.DeferredRun`: the
+        region's nonces are reserved here, and the store charges the write
+        here, but the region is sealed when the store writes it back.
+        Then ``rows()`` makes the payload matrix (one row per block; the
+        dummy rows are zero) from the slots ``reads`` if it needs them,
+        and the address column is sealed with it in slot order under the
+        reserved nonces, so the clear nonces rise with the slot and the
+        bytes are those an eager seal here would have written.
+        """
         base, size = partition.base, partition.size
         self._place(base, addrs)
         self.slot_addr[base + len(addrs) : base + size] = array("Q", [DUMMY_ADDR]) * (
             size - len(addrs)
         )
-        return write(base, self.codec.seal_columns(self.slot_addr[base : base + size], payloads))
+        column = self.slot_addr[base : base + size]
+        codec = self.codec
+        nonce0 = codec.reserve_nonces(size)
+
+        def build() -> bytearray:
+            return codec.seal_columns(column, rows(), nonce0)
+
+        return self.storage.write_run(base, DeferredRun(size, build, reads))
 
     def _place(self, start: int, addrs) -> None:
         """Record the ``addrs`` column at slots ``start, start+1, ...``."""

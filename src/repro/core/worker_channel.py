@@ -41,16 +41,28 @@ class _RemoteTraceback(Exception):
         return f"\n'''\n{self.args[0]}'''"
 
 
-def _serve(conn, initializer, initargs) -> None:
+def _serve(conn, initializer, initargs, idle=None) -> None:
     """Worker main loop.  A failing ``initializer`` does not kill the
     worker: its error answers every call, so the caller sees the real
-    exception instead of a bare lost pipe."""
+    exception instead of a bare lost pipe.
+
+    Between calls the worker runs ``idle()`` while no call is waiting,
+    one unit of work at a time, until it returns False; a call that
+    arrives meanwhile waits for one unit at most.  An ``idle`` that
+    raises is not run again: the call that next needs its work does it
+    and reports the error where it belongs."""
     broken = None
     try:
         initializer(*initargs)
     except Exception as error:
         broken = (error, traceback.format_exc())
+        idle = None
     while True:
+        try:
+            while idle is not None and not conn.poll(0) and idle():
+                pass
+        except Exception:
+            idle = None
         try:
             call = conn.recv()
         except (EOFError, OSError):
@@ -113,13 +125,14 @@ class Reply:
 
 class WorkerChannel:
     """A worker process that runs ``initializer(*initargs)`` once and then
-    answers :meth:`submit` calls in order.  Forked eagerly; ``pid`` and
-    ``process`` are the worker's."""
+    answers :meth:`submit` calls in order, running ``idle()`` between
+    them (see :func:`_serve`).  Forked eagerly; ``pid`` and ``process``
+    are the worker's."""
 
-    def __init__(self, context, initializer, initargs=()):
+    def __init__(self, context, initializer, initargs=(), idle=None):
         self._conn, child = context.Pipe()
         self.process = context.Process(
-            target=_serve, args=(child, initializer, initargs), daemon=True
+            target=_serve, args=(child, initializer, initargs, idle), daemon=True
         )
         self.process.start()
         child.close()

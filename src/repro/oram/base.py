@@ -235,11 +235,18 @@ class BlockCodec:
             body += self._tag(body)
         return body
 
+    def reserve_nonces(self, n: int) -> int:
+        """Set the next ``n`` nonces aside for a later :meth:`seal_columns`
+        call that passes the returned ``nonce0``; later seals draw past them."""
+        nonce0 = self._nonce_counter
+        self._nonce_counter = nonce0 + n
+        return nonce0
+
     def seal_dummy(self) -> bytes:
         """A dummy record, outwardly indistinguishable from a real one."""
         return self.seal(DUMMY_ADDR, b"\x00" * self.payload_bytes)
 
-    def seal_columns(self, addrs, payloads) -> bytearray:
+    def seal_columns(self, addrs, payloads, nonce0: int | None = None) -> bytearray:
         """Seal one record per row of an address column into one flat
         buffer: the image kernel every bulk write goes through.
 
@@ -253,8 +260,19 @@ class BlockCodec:
         forms: numpy matrix operations, or one big-integer XOR per run
         (small runs, and the fallback without numpy).  The result is sized
         for :meth:`~repro.storage.backend.BlockStore.write_run` /
-        ``poke_run``.
+        ``poke_run``.  With ``nonce0`` (from :meth:`reserve_nonces`) the
+        rows take the reserved nonces ``nonce0 + 1, ...`` instead of fresh
+        ones, so a run sealed late has the bytes it would have had when its
+        nonces were reserved.
         """
+        if nonce0 is not None:
+            # Run the kernel from the reserved range, then put the counter
+            # back where later seals left it.
+            counter, self._nonce_counter = self._nonce_counter, nonce0
+            try:
+                return self.seal_columns(addrs, payloads)
+            finally:
+                self._nonce_counter = counter
         n = len(addrs)
         np = _accel.np
         if n >= _BATCH_MIN and self._mac_hasher is None and np is not None and (
@@ -630,6 +648,22 @@ class ORAMProtocol(ABC):
             if self.closed:
                 raise StackClosedError(f"{type(self).__name__} is closed")
             raise ORAMError(f"address {addr} outside [0, {self.n_blocks})")
+
+    def write_back(self, limit: int | None = None) -> int:
+        """Write back up to ``limit`` of the storage tier's pending regions
+        (all when ``None``), oldest first; returns how many are left.
+
+        A pending region is a partition rewrite whose shuffle period has
+        run -- draws, placement, nonces and charges -- but whose records
+        are not sealed yet (see
+        :class:`~repro.storage.backend.DeferredRun`).  The store writes
+        one back by itself before anything touches its slots, so calling
+        this only moves that work into time nobody waits on: a server
+        with nothing to serve, or the end of an engine run.
+        """
+        if self.hierarchy is None:
+            return 0
+        return self.hierarchy.storage.write_back(limit)
 
     def close(self) -> None:
         """Give back the memory the stack's geometry sized; idempotent.

@@ -5,8 +5,14 @@ harness can build -- :class:`~repro.core.horam.HybridORAM`, a
 :class:`~repro.core.sharding.ShardedHORAM` under either executor, or a
 :class:`~repro.core.supervisor.FleetSupervisor` -- so concurrent clients
 reach the oblivious engine through the same cacheable interface the
-paper measures: client-visible latency is the access period; shuffles
-stay off the critical path inside the pump.
+paper measures.  A request waits for the steps the pump runs before it
+is served, and the step that ends an access period runs that period's
+shuffle *plan* -- the cache-tree eviction and the permutation draws --
+so a request arriving meanwhile waits for it.  It does not wait for the
+period's write-back (opening, gathering and sealing the new partition
+images): the pump runs it one partition per turn while nothing is
+pending, and a request that needs a partition first writes back that
+one alone.
 
 Layers, outermost first:
 
@@ -28,9 +34,10 @@ Layers, outermost first:
   token-bucket *rate limits* on top, each with its own typed rejection.
 * **the pump** -- a single task that feeds admitted requests through the
   front end's round-robin scheduler and steps the engine, answering each
-  retired request's waiting connections.  The stack never runs
-  concurrently with itself; asyncio interleaves I/O with the pump, not
-  inside it.
+  retired request's waiting connections; with nothing pending it writes
+  back the stack's pending partition rewrites, one per turn.  The stack
+  never runs concurrently with itself; asyncio interleaves I/O with the
+  pump, not inside it.
 
 Every request the backend accepts is journaled in backend program order
 (``seq``).  Served values are a pure function of that order, so a
@@ -713,9 +720,14 @@ class ORAMServer:
         scheduler a bounded quantum at a time.  Each quantum's answers
         leave in one write per connection; then the pump yields, so
         connections can admit (or reject) concurrently arriving frames
-        before the next quantum.
+        before the next quantum.  With nothing to serve it writes back the
+        stack's pending partition rewrites, one per turn, and stops as
+        soon as new work arrives, which then waits for one at most.
         """
         while not self._closing:
+            if not self._work.is_set() and self.stack.write_back(1):
+                await asyncio.sleep(0)
+                continue
             await self._work.wait()
             self._work.clear()
             while self._pending and not self._closing:

@@ -15,6 +15,12 @@ reads and writes.  It provides:
   ``read_run``, returns one memoryview), ``peek_run``/``poke_run``
   (uncharged bulk peeks/pokes for initialization and survivor scans), and
   flat-buffer input to ``write_run``,
+* write-behind runs: a :class:`DeferredRun` handed to ``write_run`` is
+  charged (timing, counters, trace event) at once, but its bytes are made
+  and stored later, as a *pending region* written back by
+  :meth:`BlockStore.write_back` in idle time, or before any read, peek,
+  overlapping write, ``export_data`` or flush touches it -- so nothing
+  ever sees an unsettled slot,
 * an optional :class:`~repro.storage.trace.TraceRecorder` hook so the
   security analyzers see what a bus adversary sees,
 * decoupled *modeled* and *stored* slot sizes: simulations can store a
@@ -27,6 +33,7 @@ the protocol layer decides what overlaps (see :mod:`repro.sim.clock`).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 from repro.oram.base import Released
@@ -63,6 +70,25 @@ class StoreCounters:
         )
 
 
+class DeferredRun:
+    """A :meth:`BlockStore.write_run` buffer whose bytes are made later.
+
+    ``count`` records go to the run's slots; ``build()`` returns them as
+    one flat buffer.  ``reads`` is the ``(start, stop)`` slot range whose
+    current bytes ``build`` reads (through a view it holds), or ``None``.
+    The store keeps the run pending over the smallest slot range holding
+    both, so the bytes ``build`` reads are still there when it runs, and
+    nothing reads the run's slots before it has.
+    """
+
+    __slots__ = ("count", "reads", "build")
+
+    def __init__(self, count: int, build, reads: "tuple[int, int] | None" = None):
+        self.count = count
+        self.build = build
+        self.reads = reads
+
+
 class BlockStore:
     """A tier of fixed-size slots with simulated access timing."""
 
@@ -96,6 +122,11 @@ class BlockStore:
         self._next_seq_slot = -1
         self._last_op = ""
         self.counters = StoreCounters()
+        # Pending regions (see DeferredRun): first slot -> (stop, run
+        # start, run), oldest first, and the first slots sorted.  Regions
+        # never overlap: a run that would overlap one writes it back first.
+        self._pending: "dict[int, tuple[int, int, DeferredRun]]" = {}
+        self._pending_starts: list[int] = []
         # Cached device constants so the run hot path skips two call hops;
         # the arithmetic in _charge_run mirrors DeviceModel.run_us exactly
         # (same expression, same float results).  Subclasses that override
@@ -120,11 +151,69 @@ class BlockStore:
         return bytearray(size)
 
     def close(self) -> None:
-        """Drop the slot array; idempotent.  Counters stay readable, and any
+        """Drop the slot array and every pending region (with the views
+        they hold) unwritten; idempotent.  Counters stay readable, and any
         later slot access raises
         :class:`~repro.oram.base.StackClosedError`."""
         self.closed = True
+        self._drop_pending()
         self._data = Released(f"{self.tier} store '{self.name}'")
+
+    # --------------------------------------------------------- write-behind
+    @property
+    def pending_regions(self) -> int:
+        """How many deferred runs are charged but not yet written back."""
+        return len(self._pending)
+
+    def write_back(self, limit: int | None = None) -> int:
+        """Write back up to ``limit`` pending regions, oldest first (all
+        of them when ``None``); returns how many are still pending."""
+        pending = self._pending
+        while pending and (limit is None or limit > 0):
+            self._write_back_region(next(iter(pending)))
+            if limit is not None:
+                limit -= 1
+        return len(pending)
+
+    def _write_back_range(self, start: int, stop: int) -> None:
+        """Write back every pending region overlapping slots [start, stop)."""
+        starts = self._pending_starts
+        index = max(0, bisect_right(starts, start) - 1)
+        while index < len(starts) and starts[index] < stop:
+            first = starts[index]
+            if self._pending[first][0] > start:
+                self._write_back_region(first)  # drops it from ``starts``
+            else:
+                index += 1
+
+    def _write_back_region(self, first: int) -> None:
+        _, run_start, run = self._pending.pop(first)
+        del self._pending_starts[bisect_left(self._pending_starts, first)]
+        data = memoryview(run.build())
+        if data.nbytes != run.count * self.slot_bytes:
+            raise ValueError(
+                f"deferred run built {data.nbytes} bytes for {run.count} "
+                f"{self.slot_bytes}-byte slots"
+            )
+        offset = run_start * self.slot_bytes
+        self._data[offset : offset + data.nbytes] = data
+
+    def _defer(self, start: int, run: DeferredRun) -> None:
+        """Make ``run`` pending at ``start`` (already charged)."""
+        first, stop = start, start + run.count
+        if run.reads is not None:
+            low, high = run.reads
+            if not 0 <= low < high <= self.slots:
+                raise IndexError(f"deferred run reads slots {run.reads} outside the store")
+            first, stop = min(first, low), max(stop, high)
+        if self._pending:
+            self._write_back_range(first, stop)
+        self._pending[first] = (stop, start, run)
+        insort(self._pending_starts, first)
+
+    def _drop_pending(self) -> None:
+        self._pending.clear()
+        self._pending_starts.clear()
 
     # --------------------------------------------------------------- sizing
     @property
@@ -174,6 +263,8 @@ class BlockStore:
 
     def read_slot(self, slot: int) -> tuple[bytes, float]:
         """Read one slot; returns (record bytes, simulated duration in us)."""
+        if self._pending:
+            self._write_back_range(slot, slot + 1)
         duration = self._charge_slot("read", slot, write=False)
         offset = slot * self.slot_bytes
         return bytes(self._data[offset : offset + self.slot_bytes]), duration
@@ -186,6 +277,8 @@ class BlockStore:
         is skipped.  The view aliases live storage -- consume it before any
         subsequent write to the slot.
         """
+        if self._pending:
+            self._write_back_range(slot, slot + 1)
         duration = self._charge_slot("read", slot, write=False)
         offset = slot * self.slot_bytes
         return memoryview(self._data)[offset : offset + self.slot_bytes], duration
@@ -196,6 +289,8 @@ class BlockStore:
             raise ValueError(
                 f"record is {len(record)} bytes, store '{self.name}' slots are {self.slot_bytes}"
             )
+        if self._pending:
+            self._write_back_range(slot, slot + 1)
         duration = self._charge_slot("write", slot, write=True)
         offset = slot * self.slot_bytes
         self._data[offset : offset + self.slot_bytes] = record
@@ -248,6 +343,8 @@ class BlockStore:
 
     def read_run(self, start: int, count: int) -> tuple[list[bytes], float]:
         """Stream ``count`` consecutive slots: one positioning + transfer."""
+        if self._pending:
+            self._write_back_range(start, start + count)
         duration = self._charge_run("read", start, count, write=False)
         slot_bytes = self.slot_bytes
         data = self._data
@@ -266,6 +363,8 @@ class BlockStore:
         skipped.  The view aliases live storage -- slice it before any
         subsequent write to the same slots.
         """
+        if self._pending:
+            self._write_back_range(start, start + count)
         duration = self._charge_run("read", start, count, write=False)
         slot_bytes = self.slot_bytes
         return (
@@ -273,14 +372,23 @@ class BlockStore:
             duration,
         )
 
-    def write_run(self, start: int, records: "list[bytes] | bytes | bytearray | memoryview") -> float:
+    def write_run(
+        self, start: int, records: "list[bytes] | bytes | bytearray | memoryview | DeferredRun"
+    ) -> float:
         """Stream consecutive slots out: one positioning + transfer.
 
-        ``records`` is either a list of slot-sized records or one flat
-        buffer holding a whole number of records (the output of
-        :meth:`~repro.oram.base.BlockCodec.seal_columns`); both are charged
-        identically.
+        ``records`` is a list of slot-sized records, one flat buffer
+        holding a whole number of records (the output of
+        :meth:`~repro.oram.base.BlockCodec.seal_columns`), or a
+        :class:`DeferredRun`; all are charged identically, at once.  A
+        deferred run's bytes land when the region is written back: by
+        :meth:`write_back`, or first thing in whichever call reads or
+        writes its slots next.
         """
+        if type(records) is DeferredRun:
+            duration = self._charge_run("write", start, records.count, write=True)
+            self._defer(start, records)
+            return duration
         if isinstance(records, (bytes, bytearray, memoryview)):
             view = memoryview(records)
             if view.nbytes == 0 or view.nbytes % self.slot_bytes:
@@ -289,10 +397,14 @@ class BlockStore:
                     f"positive multiple of the {self.slot_bytes}-byte slot size"
                 )
             count = view.nbytes // self.slot_bytes
+            if self._pending:
+                self._write_back_range(start, start + count)
             duration = self._charge_run("write", start, count, write=True)
             offset = start * self.slot_bytes
             self._data[offset : offset + view.nbytes] = view
             return duration
+        if self._pending:
+            self._write_back_range(start, start + len(records))
         duration = self._charge_run("write", start, len(records), write=True)
         slot_bytes = self.slot_bytes
         data = self._data
@@ -307,12 +419,16 @@ class BlockStore:
     def peek_slot(self, slot: int) -> bytes:
         """Read without timing or trace (tests and debugging only)."""
         self._check_slot(slot)
+        if self._pending:
+            self._write_back_range(slot, slot + 1)
         offset = slot * self.slot_bytes
         return bytes(self._data[offset : offset + self.slot_bytes])
 
     def poke_slot(self, slot: int, record: bytes) -> None:
         """Write without timing or trace (initialization only)."""
         self._check_slot(slot)
+        if self._pending:
+            self._write_back_range(slot, slot + 1)
         if len(record) != self.slot_bytes:
             raise ValueError("record size mismatch in poke_slot")
         offset = slot * self.slot_bytes
@@ -328,6 +444,8 @@ class BlockStore:
             raise ValueError("count must be positive")
         self._check_slot(start)
         self._check_slot(start + count - 1)
+        if self._pending:
+            self._write_back_range(start, start + count)
         slot_bytes = self.slot_bytes
         return memoryview(self._data)[start * slot_bytes : (start + count) * slot_bytes]
 
@@ -347,6 +465,8 @@ class BlockStore:
         count = view.nbytes // self.slot_bytes
         self._check_slot(start)
         self._check_slot(start + count - 1)
+        if self._pending:
+            self._write_back_range(start, start + count)
         offset = start * self.slot_bytes
         self._data[offset : offset + view.nbytes] = view
 
@@ -375,15 +495,20 @@ class BlockStore:
         self.counters = StoreCounters(**state["counters"])
 
     def export_data(self) -> bytes:
-        """A copy of the full slot array (checkpoint blob)."""
+        """A copy of the full slot array (checkpoint blob), every pending
+        region written back first."""
+        self.write_back()
         return bytes(self._data)
 
     def import_data(self, data: bytes | bytearray | memoryview) -> None:
-        """Overwrite the full slot array (checkpoint restore / slab rollback)."""
+        """Overwrite the full slot array (checkpoint restore / slab
+        rollback); pending regions belong to the image it replaces and
+        are dropped unwritten."""
         view = memoryview(data)
         expected = self.slots * self.slot_bytes
         if view.nbytes != expected:
             raise ValueError(
                 f"store '{self.name}' holds {expected} bytes, got {view.nbytes}"
             )
+        self._drop_pending()
         self._data[:] = view

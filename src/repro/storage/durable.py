@@ -145,12 +145,15 @@ class DurableBlockStore(BlockStore):
 
     # ------------------------------------------------------------ durability
     def flush(self) -> None:
-        """Push dirty pages to the file (the slab's durability point)."""
+        """Write back every pending region, then push dirty pages to the
+        file (the slab's durability point)."""
         if not self.closed:
+            self.write_back()
             self._mmap.flush()
 
     def close(self) -> None:
-        """Flush and release the mapping; idempotent.
+        """Write back every pending region, flush and release the mapping;
+        idempotent.
 
         If zero-copy views of the map are still alive the mapping cannot
         be unmapped; the flush still happens and the OS reclaims the
@@ -158,6 +161,7 @@ class DurableBlockStore(BlockStore):
         """
         if self.closed:
             return
+        self.write_back()
         self.closed = True
         self._mmap.flush()
         try:

@@ -20,7 +20,10 @@ Semantics (the contract the conformance scenarios assert):
 * **torn bulk writes** -- a ``write_run`` is interrupted partway: only a
   prefix of the run lands, the tear is detected (write-verify), and the
   whole run is re-issued.  The final stored bytes are correct; the store
-  pays for the partial attempt plus the full retry.
+  pays for the partial attempt plus the full retry.  A deferred run
+  (:class:`~repro.storage.backend.DeferredRun`) is written back as it
+  arrives, so a tear, or a crash's torn prefix, cuts the same bytes it
+  would cut from the eager buffer.
 * **silent read corruption** -- a read returns bit-flipped bytes with no
   error signalled.  This one is deliberately *not* recovered: it models
   the failure class ORAM integrity checking exists for, and the harness
@@ -44,7 +47,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from repro.crypto.random import DeterministicRandom
-from repro.storage.backend import BlockStore
+from repro.storage.backend import BlockStore, DeferredRun
 from repro.storage.device import DeviceModel
 
 
@@ -427,6 +430,8 @@ class FaultInjector:
             return injector._perturb_write(store, duration)
 
         def write_run(start, records):
+            if type(records) is DeferredRun:
+                records = records.build()
             if isinstance(records, (bytes, bytearray, memoryview)):
                 count = memoryview(records).nbytes // store.slot_bytes
             else:

@@ -160,18 +160,21 @@ class SharedMemoryBlockStore(BlockStore):
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release the mapping and unlink the segment; idempotent.
+        """Drop pending regions unwritten (a shm slab outlives no close, so
+        nobody could read them), release the mapping and unlink the
+        segment; idempotent.
 
-        If zero-copy views of the buffer are still alive the mapping
-        cannot be released; the unlink still happens (the name disappears
-        now, the pages when the last mapping goes) and the OS reclaims
-        the rest at process exit.
+        The regions go first, with the views of the buffer they hold, so
+        they never keep the mapping alive.  If other zero-copy views of
+        the buffer are still alive the mapping cannot be released; the
+        unlink still happens (the name disappears now, the pages when the
+        last mapping goes) and the OS reclaims the rest at process exit.
         """
         if self.closed:
             return
         self.closed = True
-        # Drop _data first so any post-close access fails loudly instead
-        # of touching an unlinked segment.
+        # Drop _data (and the pending regions) first so any post-close
+        # access fails loudly instead of touching an unlinked segment.
         super().close()
         try:
             self._shm.close()
