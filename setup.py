@@ -1,4 +1,4 @@
-"""Packaging for the H-ORAM reproduction (src layout, no runtime deps)."""
+"""Packaging for the H-ORAM reproduction (src layout; numpy is its one runtime dependency)."""
 
 from pathlib import Path
 
@@ -21,13 +21,14 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
+    install_requires=["numpy"],
     entry_points={
         "console_scripts": [
             "horam-bench=repro.bench.runner:main",
         ],
     },
     extras_require={
-        "test": ["pytest", "hypothesis"],
+        "test": ["pytest", "hypothesis", "pytest-cov"],
     },
     classifiers=[
         "Development Status :: 4 - Beta",

@@ -28,6 +28,8 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy
+
 from repro.bench.experiments import EXPERIMENTS, ExperimentResult, get_experiment
 from repro.bench.tables import render_kv
 from repro.storage.device import hdd_paper
@@ -51,16 +53,10 @@ def _print_header() -> None:
 
 
 def machine() -> dict:
-    try:
-        import numpy
-
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = None
     return {
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
         "platform": platform.platform(),
     }
 

@@ -44,9 +44,10 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, zip_longest
+from itertools import zip_longest
 
-from repro import accel as _accel
+import numpy as np
+
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import (
     DUMMY_ADDR,
@@ -261,15 +262,11 @@ class PermutedStorage:
         self._derive_slot_addr()
         n_shards, index = stripe
         payload_bytes = self.codec.payload_bytes
-        np = _accel.np
         for start, count in self._image_runs():
             column = self.slot_addr[start : start + count]
             # A dummy row's payload is all zero: initial_payload(0).
-            if np is not None:
-                ids = np.frombuffer(column, dtype=np.uint64)
-                ids = np.where(ids != DUMMY_ADDR, ids * n_shards + index, 0)
-            else:
-                ids = [addr * n_shards + index if addr != DUMMY_ADDR else 0 for addr in column]
+            ids = np.frombuffer(column, dtype=np.uint64)
+            ids = np.where(ids != DUMMY_ADDR, ids * n_shards + index, 0)
             payloads = initial_payloads(ids, payload_bytes)
             self.storage.poke_run(start, self.codec.seal_columns(column, payloads))
         self._rebuild_unread()
@@ -301,33 +298,19 @@ class PermutedStorage:
         the pool is a function of ``location`` and is never maintained.
         """
         pool = array(self._unread.typecode)
-        np = _accel.np
-        if np is not None:
-            location = np.frombuffer(self.location, dtype=np.int64)
-            stored = np.zeros(self.total_slots, dtype=bool)
-            stored[location[location != IN_MEMORY]] = True
-            pool.frombytes(np.flatnonzero(stored).astype(pool.typecode).tobytes())
-        else:
-            stored = bytearray(self.total_slots)
-            for slot in self.location:
-                if slot != IN_MEMORY:
-                    stored[slot] = 1
-            pool.extend(compress(range(self.total_slots), stored))
+        location = np.frombuffer(self.location, dtype=np.int64)
+        stored = np.zeros(self.total_slots, dtype=bool)
+        stored[location[location != IN_MEMORY]] = True
+        pool.frombytes(np.flatnonzero(stored).astype(pool.typecode).tobytes())
         return pool
 
     def _set_unread(self, unread) -> None:
         """Install the slot sequence ``unread`` as the pool; index its slots."""
         self._unread = unread = array(self._unread.typecode, unread)
         positions = self._unread_pos
-        np = _accel.np
-        if np is not None:
-            view = np.frombuffer(positions, dtype=positions.typecode)
-            view.fill(-1)
-            view[np.frombuffer(unread, dtype=unread.typecode)] = np.arange(len(unread))
-        else:
-            positions[:] = array(positions.typecode, [-1]) * len(positions)
-            for index, slot in enumerate(unread):
-                positions[slot] = index
+        view = np.frombuffer(positions, dtype=positions.typecode)
+        view.fill(-1)
+        view[np.frombuffer(unread, dtype=unread.typecode)] = np.arange(len(unread))
 
     def _consume(self, slot: int) -> None:
         if self.consumed[slot]:
@@ -450,7 +433,6 @@ class PermutedStorage:
         # Survivors: blocks whose permutation-list entry still points here.
         offsets, addrs = self._survivors(base, span)
         codec = self.codec
-        np = _accel.np
         fill = partition.fill
         # Rows needed at once are opened as they are read (see above).
         payloads = None
@@ -466,10 +448,8 @@ class PermutedStorage:
         stats.blocks_replaced += len(chunk)
         chunk_addrs = [addr for addr, _ in chunk]
         chunk_payloads = [payload for _, payload in chunk]
-        if np is not None and chunk:
+        if chunk:
             addrs = np.concatenate([addrs, np.array(chunk_addrs, dtype=np.intp)])
-        elif np is None:
-            addrs += chunk_addrs
 
         result = self.shuffle_algorithm.shuffle(range(len(addrs)), self.rng)
         stats.moves += result.moves
@@ -477,22 +457,15 @@ class PermutedStorage:
             self.memory.modeled_slot_bytes, write=False
         )
         order = result.items
-        if np is not None:
-            kept = np.array(order[:fill], dtype=np.intp)
-            kept_addrs = addrs[kept]
-        else:
-            kept = order[:fill]
-            kept_addrs = [addrs[row] for row in kept]
+        kept = np.array(order[:fill], dtype=np.intp)
+        kept_addrs = addrs[kept]
 
         def kept_rows(payloads):
             """The new image's payload rows: the survivors' ``payloads``,
             then the chunk's, in ``kept`` order."""
-            if np is None:
-                payloads = payloads + chunk_payloads
-                return [payloads[row] for row in kept]
             if chunk:
                 payloads = np.concatenate(
-                    [payloads, payload_matrix(np, chunk_payloads, codec.payload_bytes)]
+                    [payloads, payload_matrix(chunk_payloads, codec.payload_bytes)]
                 )
             return payloads[kept]
 
@@ -506,10 +479,7 @@ class PermutedStorage:
         else:
             # Rows past the fill can only be survivors (no chunk joined
             # them); they go back to ``pending``.
-            if np is not None:
-                requeued = [(int(addrs[row]), payloads[row].tobytes()) for row in order[fill:]]
-            else:
-                requeued = [(addrs[row], payloads[row]) for row in order[fill:]]
+            requeued = [(int(addrs[row]), payloads[row].tobytes()) for row in order[fill:]]
             reads = None
             rows = partial(kept_rows, payloads)
 
@@ -526,32 +496,21 @@ class PermutedStorage:
         return requeued + pending
 
     def _survivors(self, base: int, span: int):
-        """``(offsets, addrs)`` of the live records in slots ``[base, base+span)``:
-        two intp arrays with numpy, two lists without.
+        """``(offsets, addrs)`` of the live records in slots ``[base, base+span)``,
+        as two intp arrays.
 
         A record is live when its permutation-list entry still points at
         its slot; stale overflow copies and dummies are not.
         """
-        np = _accel.np
-        if np is not None:
-            held = np.frombuffer(self.slot_addr, dtype=np.uint64)[base : base + span]
-            offsets = np.flatnonzero(held != DUMMY_ADDR)
-            addrs = held[offsets].astype(np.intp)
-            live = np.frombuffer(self.location, dtype=np.int64)[addrs] == offsets + base
-            return offsets[live], addrs[live]
-        slot_addr = self.slot_addr
-        location = self.location
-        offsets, addrs = [], []
-        for offset in range(span):
-            addr = slot_addr[base + offset]
-            if addr != DUMMY_ADDR and location[addr] == base + offset:
-                offsets.append(offset)
-                addrs.append(addr)
-        return offsets, addrs
+        held = np.frombuffer(self.slot_addr, dtype=np.uint64)[base : base + span]
+        offsets = np.flatnonzero(held != DUMMY_ADDR)
+        addrs = held[offsets].astype(np.intp)
+        live = np.frombuffer(self.location, dtype=np.int64)[addrs] == offsets + base
+        return offsets[live], addrs[live]
 
     def _open_survivors(self, view, offsets):
-        """The payload rows of the records at ``offsets`` in the slot-run
-        ``view``: a matrix with numpy, a list of rows without.
+        """The payload matrix of the records at ``offsets`` in the slot-run
+        ``view``.
 
         Unauthenticated records are opened with one call over the whole
         run (rows that are not survivors decrypt to values nobody reads);
@@ -559,23 +518,12 @@ class PermutedStorage:
         record nobody needs never raises.
         """
         codec = self.codec
-        slot_bytes = codec.slot_bytes
-        np = _accel.np
         if codec.mac_key is None:
             _, opened = codec.open_columns(view)
-            if np is not None:
-                return payload_matrix(np, opened, codec.payload_bytes)[offsets]
-            return [opened[offset] for offset in offsets]
-        if np is not None:
-            survivors = np.frombuffer(view, dtype=np.uint8).reshape(-1, slot_bytes)[offsets]
-        else:
-            survivors = b"".join(
-                [view[offset * slot_bytes : (offset + 1) * slot_bytes] for offset in offsets]
-            )
+            return payload_matrix(opened, codec.payload_bytes)[offsets]
+        survivors = np.frombuffer(view, dtype=np.uint8).reshape(-1, codec.slot_bytes)[offsets]
         _, payloads = codec.open_columns(survivors)
-        if np is not None:
-            payloads = payload_matrix(np, payloads, codec.payload_bytes)
-        return payloads
+        return payload_matrix(payloads, codec.payload_bytes)
 
     def _write_image(self, partition: _Partition, addrs, rows, reads=None) -> float:
         """Lay out ``partition``'s base region -- the blocks of the
@@ -608,16 +556,9 @@ class PermutedStorage:
     def _place(self, start: int, addrs) -> None:
         """Record the ``addrs`` column at slots ``start, start+1, ...``."""
         end = start + len(addrs)
-        np = _accel.np
-        if np is not None:
-            placed = np.asarray(addrs, dtype=np.intp)
-            np.frombuffer(self.slot_addr, dtype=np.uint64)[start:end] = placed
-            np.frombuffer(self.location, dtype=np.int64)[placed] = np.arange(start, end)
-        else:
-            self.slot_addr[start:end] = array("Q", addrs)
-            location = self.location
-            for slot, addr in enumerate(addrs, start):
-                location[addr] = slot
+        placed = np.asarray(addrs, dtype=np.intp)
+        np.frombuffer(self.slot_addr, dtype=np.uint64)[start:end] = placed
+        np.frombuffer(self.location, dtype=np.int64)[placed] = np.arange(start, end)
 
     def _append_overflow(
         self, pending: list[tuple[int, bytes]], stats: ShuffleStats
@@ -729,15 +670,9 @@ class PermutedStorage:
         """
         slot_addr = self.slot_addr
         slot_addr[:] = array("Q", [DUMMY_ADDR]) * self.total_slots
-        np = _accel.np
-        if np is not None:
-            location = np.frombuffer(self.location, dtype=np.int64)
-            stored = np.flatnonzero(location != IN_MEMORY)
-            np.frombuffer(slot_addr, dtype=np.uint64)[location[stored]] = stored
-            return
-        for addr, slot in enumerate(self.location):
-            if slot != IN_MEMORY:
-                slot_addr[slot] = addr
+        location = np.frombuffer(self.location, dtype=np.int64)
+        stored = np.flatnonzero(location != IN_MEMORY)
+        np.frombuffer(slot_addr, dtype=np.uint64)[location[stored]] = stored
 
     # ------------------------------------------------------------- queries
     def resident_blocks(self) -> int:

@@ -10,6 +10,10 @@ protocols need (``randrange`` and its batched ``randrange_many``,
 The construction is the standard hash-counter DRBG: ``block_i =
 BLAKE2b(key=seed, data=i)``; 64-bit words are consumed from successive
 blocks.  Rejection sampling keeps ``randrange`` unbiased.
+``randrange_many`` picks its form by the batch size: under
+:data:`_NP_MIN_DRAWS` draws it runs the one-frame rejection loop, from
+there on the vectorized numpy test; both consume the words ``randrange``
+would.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 import struct
 from typing import Iterable, MutableSequence, Sequence, TypeVar
 
-from repro import accel as _accel
+import numpy as np
 
 T = TypeVar("T")
 
@@ -144,9 +148,8 @@ class DeterministicRandom:
             return [randrange(bound) for _ in range(count)]
         shift = 64 - bits
         rate = bound / (1 << bits)  # acceptance probability, >= 1/2
-        np = _accel.np
-        if np is not None and count >= _NP_MIN_DRAWS:
-            return self._randrange_many_np(np, bound, count, shift, rate)
+        if count >= _NP_MIN_DRAWS:
+            return self._randrange_many_np(bound, count, shift, rate)
         out: list[int] = []
         append = out.append
         buffer = self._buffer
@@ -161,9 +164,7 @@ class DeterministicRandom:
                     break
         return out
 
-    def _randrange_many_np(
-        self, np, bound: int, count: int, shift: int, rate: float
-    ) -> list[int]:
+    def _randrange_many_np(self, bound: int, count: int, shift: int, rate: float) -> list[int]:
         """Vectorized :meth:`randrange_many` (bounds under 64 bits)."""
         buffer = self._buffer
         held = len(buffer)

@@ -17,6 +17,13 @@ Initial images (:func:`initial_payloads` builds their matrix) and the
 storage layer's partition rewrites use it directly; the pairwise
 :meth:`BlockCodec.seal_many` / :meth:`BlockCodec.open_run` are adapters
 over it.
+
+The kernel picks its form by the run's size alone: a loop of single
+records under :data:`_BATCH_MIN` records, one big-integer XOR over the
+run under :data:`_NP_MIN_BYTES` (the few dozen records of a tree-path
+write on narrow blocks), and numpy matrix operations from there on
+(partition images, and every batch of wide records).  All three produce
+the bytes of the single-record loop.
 """
 
 from __future__ import annotations
@@ -26,11 +33,11 @@ import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from itertools import count
 from typing import Iterable
 
-from repro import accel as _accel
+import numpy as np
+
 from repro.crypto.ctr import StreamCipher
 from repro.crypto.random import DeterministicRandom
 
@@ -49,10 +56,11 @@ _BATCH_MIN = 8
 #: records are not.
 _NP_MIN_BYTES = 48 * 32
 
-#: Bytes of sealed records one batch-kernel call handles; longer runs go
-#: through the kernels in pieces.  A kernel holds several whole-run
-#: temporaries (keystream, plaintext, XOR result), which on a store-sized
-#: run of wide records would otherwise show up in the peak resident set.
+#: Bytes of sealed records one numpy kernel call handles; longer runs go
+#: through it in pieces.  The kernel holds several whole-run temporaries
+#: (keystream, plaintext, XOR result), which on a store-sized run of wide
+#: records would otherwise show up in the peak resident set.  The
+#: big-integer kernel only sees runs under :data:`_NP_MIN_BYTES`.
 _KERNEL_MAX_BYTES = 1 << 18
 
 _HEADER_FMT = "<Q"  # addr inside the ciphertext
@@ -256,9 +264,8 @@ class BlockCodec:
         ``payload_bytes``-wide rows, or any C-contiguous buffer holding
         them back to back.  Rows past ``k`` have all-zero payloads, the
         dummy rows of a region.  Nonces are drawn in row order, so the
-        bytes are those of a loop of :meth:`seal` calls, in one of two
-        forms: numpy matrix operations, or one big-integer XOR per run
-        (small runs, and the fallback without numpy).  The result is sized
+        bytes are those of a loop of :meth:`seal` calls, in the form the
+        run's size picks (see the module docstring).  The result is sized
         for :meth:`~repro.storage.backend.BlockStore.write_run` /
         ``poke_run``.  With ``nonce0`` (from :meth:`reserve_nonces`) the
         rows take the reserved nonces ``nonce0 + 1, ...`` instead of fresh
@@ -274,18 +281,15 @@ class BlockCodec:
             finally:
                 self._nonce_counter = counter
         n = len(addrs)
-        np = _accel.np
-        if n >= _BATCH_MIN and self._mac_hasher is None and np is not None and (
-            n * self.slot_bytes >= _NP_MIN_BYTES
-        ):
-            payloads = payload_matrix(np, payloads, self.payload_bytes)
-            kernel = partial(self._seal_batch, np)
+        batch = n >= _BATCH_MIN and self._mac_hasher is None
+        matrix = batch and n * self.slot_bytes >= _NP_MIN_BYTES
+        if matrix:
+            payloads = payload_matrix(payloads, self.payload_bytes)
         else:
             payloads = self._rows(payloads)
-            kernel = self._seal_batch_bytes
         if len(payloads) > n:
             raise ValueError(f"{len(payloads)} payload rows for {n} addresses")
-        if n < _BATCH_MIN or self._mac_hasher is not None:
+        if not batch:
             # MACed records are tagged one by one; tiny runs do not repay
             # the batch setup.
             seal = self.seal
@@ -295,13 +299,15 @@ class BlockCodec:
             for index, addr in enumerate(addrs):
                 out += seal(addr, payloads[index] if index < rows else zero)
             return out
+        if not matrix:
+            return self._seal_batch_bytes(addrs, payloads)
         step = self._kernel_records
         if n <= step:
-            return kernel(addrs, payloads)
+            return self._seal_batch(addrs, payloads)
         # Piece by piece, in nonce order, so the bytes are those of one call.
         out = bytearray()
         for start in range(0, n, step):
-            out += kernel(addrs[start : start + step], payloads[start : start + step])
+            out += self._seal_batch(addrs[start : start + step], payloads[start : start + step])
         return out
 
     def _rows(self, payloads) -> "list[bytes]":
@@ -339,7 +345,7 @@ class BlockCodec:
         ]
         return self.seal_columns(addrs, rows)
 
-    def _seal_batch(self, np, addrs, payloads) -> bytearray:
+    def _seal_batch(self, addrs, payloads) -> bytearray:
         """Vectorized :meth:`seal_columns` piece (no MAC).
 
         The per-record keystream digests still run one hash call each (the
@@ -374,8 +380,7 @@ class BlockCodec:
         for numpy's per-op dispatch to pay off, but not for batching as
         such: the whole run is XORed as one arbitrary-precision integer
         (one C operation), with the clear nonce column surviving under a
-        zero keystream hole.  Also the numpy-absent fallback for large
-        runs.
+        zero keystream hole.
         """
         n = len(addrs)
         length = self._plain_bytes
@@ -461,10 +466,10 @@ class BlockCodec:
         """Open every record in a flat slot-run buffer into the columns
         :meth:`seal_columns` takes: ``(addrs, payloads)``.
 
-        The numpy form returns a uint64 address array and an ``(n,
-        payload_bytes)`` uint8 payload matrix, the big-integer form (and a
-        run too short to batch) a list of ints and a list of rows; either
-        is valid :meth:`seal_columns` input.  MACed records are verified
+        An unauthenticated run of :data:`_NP_MIN_BYTES` or more opens into
+        a uint64 address array and an ``(n, payload_bytes)`` uint8 payload
+        matrix, any other run into a list of ints and a list of rows;
+        either is valid :meth:`seal_columns` input.  MACed records are verified
         one by one, in run order (:class:`IntegrityError` on the first
         that fails).
         """
@@ -481,29 +486,21 @@ class BlockCodec:
                 open_one(view[offset : offset + size]) for offset in range(0, view.nbytes, size)
             ]
             return [addr for addr, _ in opened], [payload for _, payload in opened]
-        np = _accel.np
-        if np is not None and view.nbytes >= _NP_MIN_BYTES:
-            kernel = partial(self._open_batch, np)
-        else:
-            np, kernel = None, self._open_batch_bytes
+        if view.nbytes < _NP_MIN_BYTES:
+            return self._open_batch_bytes(view, view.nbytes // size)
         step = self._kernel_records * size
         if view.nbytes <= step:
-            return kernel(view, view.nbytes // size)
+            return self._open_batch(view, view.nbytes // size)
         pieces = [
-            kernel(view[offset : offset + step], min(step, view.nbytes - offset) // size)
+            self._open_batch(view[offset : offset + step], min(step, view.nbytes - offset) // size)
             for offset in range(0, view.nbytes, step)
         ]
-        if np is not None:
-            return (
-                np.concatenate([addrs for addrs, _ in pieces]),
-                np.concatenate([payloads for _, payloads in pieces]),
-            )
         return (
-            [addr for addrs, _ in pieces for addr in addrs],
-            [row for _, payloads in pieces for row in payloads],
+            np.concatenate([addrs for addrs, _ in pieces]),
+            np.concatenate([payloads for _, payloads in pieces]),
         )
 
-    def _open_batch(self, np, view: memoryview, n: int):
+    def _open_batch(self, view: memoryview, n: int):
         """Vectorized :meth:`open_columns` piece (no MAC)."""
         length = self._plain_bytes
         records = np.frombuffer(view, dtype=np.uint8).reshape(n, self.slot_bytes)
@@ -568,7 +565,7 @@ def initial_payload(addr: int) -> bytes:
     return struct.pack("<Q", addr)
 
 
-def payload_matrix(np, payloads, payload_bytes: int):
+def payload_matrix(payloads, payload_bytes: int):
     """A payload matrix -- a list of rows, or a C-contiguous buffer holding
     them back to back -- as a ``(k, payload_bytes)`` uint8 numpy array."""
     rows = len(payloads) if type(payloads) is list else None
@@ -592,11 +589,7 @@ def initial_payloads(addrs, payload_bytes: int) -> bytearray:
         raise ValueError(
             f"payload of {_ADDR_BYTES} bytes exceeds block payload size {payload_bytes}"
         )
-    np = _accel.np
-    if np is not None:
-        packed = np.asarray(addrs, dtype="<u8").tobytes()
-    else:
-        packed = struct.pack(f"<{len(addrs)}Q", *addrs)
+    packed = np.asarray(addrs, dtype="<u8").tobytes()
     rows = bytearray(len(addrs) * payload_bytes)
     # Byte j of every row at once: the rows are a strided view of the matrix.
     for byte in range(_ADDR_BYTES):

@@ -6,8 +6,7 @@ partition by partition every shuffle period.  These pins hold what those
 writes leave behind -- the storage and memory slabs, the ``control.*``
 tables, every RNG ``state_dict`` and the codec's nonce counter -- as one
 sha256 per stack, after the build and after three rounds of traffic (each
-ended by ``force_shuffle()`` on H-ORAM stacks), on the numpy and the
-big-integer kernels alike.  A change to how images are sealed, opened or
+ended by ``force_shuffle()`` on H-ORAM stacks).  A change to how images are sealed, opened or
 permuted that moves any byte, nonce or draw fails here, whatever the
 goldens (which never fingerprint ciphertext) say.
 """
@@ -19,7 +18,6 @@ import json
 
 import pytest
 
-from repro import accel
 from repro.core.checkpoint import snapshot_stack
 from repro.core.recipe import StackRecipe, build
 from repro.crypto.random import DeterministicRandom
@@ -121,13 +119,8 @@ def digests(name: str) -> "tuple[str, str]":
         stack.close()
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "bigint"])
 @pytest.mark.parametrize("name", sorted(STACKS))
-def test_image_bytes_are_pinned(name, kernel, monkeypatch):
-    if kernel == "bigint":
-        monkeypatch.setattr(accel, "np", None)
-    elif accel.np is None:
-        pytest.skip("numpy is not importable or is gated off")
+def test_image_bytes_are_pinned(name):
     assert digests(name) == PINS[name]
 
 

@@ -1,10 +1,8 @@
-"""Bit-identity of the vectorized kernels against their pure-Python twins.
+"""Known answers for the record cipher's keystream.
 
-Every numpy batch path in the repository must produce exactly the bytes
-of the scalar loop it replaces -- the golden fingerprints depend on it.
-These tests run each kernel twice, once per backend (monkeypatching
-``repro.accel.np``), and compare byte-for-byte.  The CI fallback leg
-additionally runs the whole suite with ``REPRO_NO_NUMPY=1``.
+Narrow records (at most 64 bytes of plaintext) take one keyed BLAKE2b
+digest per nonce; wider ones one SHAKE-256 squeeze.  Stored ciphertext
+depends on both, so their bytes are pinned here.
 """
 
 from __future__ import annotations
@@ -13,39 +11,7 @@ import hashlib
 
 import pytest
 
-from repro import accel
 from repro.crypto.ctr import StreamCipher
-from repro.oram.base import DUMMY_ADDR, BlockCodec
-
-KEY16 = bytes(range(16))
-
-needs_numpy = pytest.mark.skipif(
-    accel.np is None, reason="numpy unavailable; the scalar path is the only path"
-)
-
-
-@pytest.fixture
-def no_numpy(monkeypatch):
-    """Force the pure-Python fallback for the duration of one call."""
-
-    def off():
-        monkeypatch.setattr(accel, "np", None)
-
-    def on(np=accel.np):
-        monkeypatch.setattr(accel, "np", np)
-
-    return off, on
-
-
-def both_backends(no_numpy, fn):
-    """Run ``fn`` with numpy on and off; return (vectorized, fallback)."""
-    off, on = no_numpy
-    on()
-    vectorized = fn()
-    off()
-    fallback = fn()
-    on()
-    return vectorized, fallback
 
 
 #: ``StreamCipher(b"key-material").keystream(7, length)`` for wide lengths.
@@ -147,100 +113,3 @@ class TestStreamCipherKeystream:
         streams = cipher.keystream_many(iter(nonces), length)
         assert streams == [cipher.keystream(nonce, length) for nonce in nonces]
         assert len({len(stream) for stream in streams}) == 1
-
-
-@needs_numpy
-class TestCodecBatchParity:
-    def codec(self, cipher=None, payload_bytes=24, mac_key=None):
-        return BlockCodec(
-            payload_bytes, cipher if cipher is not None else StreamCipher(b"k"), mac_key=mac_key
-        )
-
-    def entries(self, count, payload_bytes=24):
-        return [
-            (index, bytes([(index * 7 + offset) % 251 for offset in range(payload_bytes)]))
-            for index in range(count)
-        ]
-
-    @pytest.mark.parametrize("count,dummy_tail", [(0, 20), (20, 0), (13, 9), (3, 2)])
-    def test_seal_many_identical_across_backends(self, no_numpy, count, dummy_tail):
-        entries = self.entries(count)
-        vectorized, fallback = both_backends(
-            no_numpy, lambda: bytes(self.codec().seal_many(entries, dummy_tail=dummy_tail))
-        )
-        assert vectorized == fallback
-
-    def test_seal_many_pads_short_payloads(self, no_numpy):
-        entries = [(1, b"short"), (2, b"x" * 24)] + self.entries(10)
-        vectorized, fallback = both_backends(
-            no_numpy, lambda: bytes(self.codec().seal_many(entries))
-        )
-        assert vectorized == fallback
-
-    def test_seal_many_matches_loop_of_seal_calls(self):
-        batch, loop = self.codec(), self.codec()
-        entries = self.entries(16)
-        sealed = bytes(batch.seal_many(entries, dummy_tail=4))
-        expected = b"".join(loop.seal(addr, payload) for addr, payload in entries)
-        expected += b"".join(loop.seal_dummy() for _ in range(4))
-        assert sealed == expected
-        assert batch._nonce_counter == loop._nonce_counter
-
-    def test_open_run_identical_across_backends(self, no_numpy):
-        codec = self.codec()
-        buffer = codec.seal_many(self.entries(17), dummy_tail=3)
-        vectorized, fallback = both_backends(no_numpy, lambda: codec.open_run(buffer))
-        assert vectorized == fallback
-        assert vectorized[0] == self.entries(1)[0]
-        assert vectorized[-1][0] == DUMMY_ADDR
-
-    def test_open_many_identical_across_backends(self, no_numpy):
-        codec = self.codec()
-        buffer = bytes(codec.seal_many(self.entries(12)))
-        size = codec.slot_bytes
-        records = [buffer[offset : offset + size] for offset in range(0, len(buffer), size)]
-        vectorized, fallback = both_backends(no_numpy, lambda: codec.open_many(records))
-        assert vectorized == fallback == self.entries(12)
-
-    def test_mac_codec_stays_correct(self, no_numpy):
-        """MACed codecs take the scalar path; results must still agree."""
-
-        def run():
-            codec = self.codec(mac_key=b"mac")
-            sealed = bytes(codec.seal_many(self.entries(10), dummy_tail=2))
-            return sealed, codec.open_run(sealed)
-
-        vectorized, fallback = both_backends(no_numpy, run)
-        assert vectorized == fallback
-
-    def test_wide_record_codec_unaffected(self, no_numpy):
-        """Records past one digest batch through the SHAKE-256 keystream."""
-
-        def run():
-            codec = self.codec(payload_bytes=200)
-            sealed = bytes(codec.seal_many(self.entries(9, payload_bytes=200), dummy_tail=1))
-            return sealed, codec.open_run(sealed)
-
-        vectorized, fallback = both_backends(no_numpy, run)
-        assert vectorized == fallback
-
-
-@needs_numpy
-class TestProtocolParity:
-    def test_horam_fingerprint_identical_without_numpy(self, no_numpy):
-        """End-to-end: a full H-ORAM run must not notice the backend."""
-        from repro.core.horam import build_horam
-        from repro.crypto.random import DeterministicRandom
-        from repro.workload.generators import hotspot
-
-        def run():
-            horam = build_horam(n_blocks=256, mem_tree_blocks=64, seed=5)
-            rng = DeterministicRandom(9)
-            served = [
-                horam.access(request)
-                for request in hotspot(256, 120, rng, hot_blocks=16)
-            ]
-            return served, horam.hierarchy.clock.now_us, horam.metrics.requests_served
-
-        vectorized, fallback = both_backends(no_numpy, run)
-        assert vectorized == fallback

@@ -1,12 +1,10 @@
 """Block codec tests: sealing, dummies, padding, the column kernel."""
 
 import random
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import accel
 from repro.crypto.ctr import StreamCipher
 from repro.crypto.random import DeterministicRandom
 from repro.oram.base import (
@@ -145,17 +143,6 @@ class TestBatchCodec:
         assert payload == codec.pad(b"view")
 
 
-@contextmanager
-def kernel_form(numpy: bool):
-    """Run the body on the numpy kernels (when importable) or the big-integer ones."""
-    saved = accel.np
-    accel.np = saved if numpy else None
-    try:
-        yield
-    finally:
-        accel.np = saved
-
-
 def as_pairs(codec, columns):
     """``open_columns`` output as ``(addr, payload)`` pairs of plain ints and bytes."""
     addrs, payloads = columns
@@ -170,7 +157,7 @@ def column_runs(draw):
 
     Widths: 1, the default 16, 56 (the widest one keystream digest
     covers), 57 (the first wide one) and 1024.  Run lengths cross the
-    batch and numpy thresholds for every width.
+    batch and numpy thresholds for every width that has both.
     """
     payload_bytes = draw(st.sampled_from([1, 16, 56, 57, 1024]))
     n = draw(st.integers(min_value=0, max_value=120 if payload_bytes < 1024 else 12))
@@ -183,9 +170,7 @@ def column_runs(draw):
     )
     rows = draw(st.integers(min_value=0, max_value=n))
     payloads = random.Random(draw(st.integers(0, 2**32))).randbytes(rows * payload_bytes)
-    return payload_bytes, addrs, payloads, draw(st.integers(0, 3)), draw(st.booleans()), draw(
-        st.booleans()
-    )
+    return payload_bytes, addrs, payloads, draw(st.integers(0, 3)), draw(st.booleans())
 
 
 class TestColumnKernel:
@@ -217,44 +202,45 @@ class TestColumnKernel:
     @settings(max_examples=150, deadline=None)
     @given(column_runs())
     def test_column_seal_is_the_seal_loop(self, run):
-        payload_bytes, addrs, payloads, nonce, mac, numpy = run
+        payload_bytes, addrs, payloads, nonce, mac = run
         loop = self.codec(payload_bytes, mac, nonce)
         expected = self.loop_seal(loop, addrs, payloads)
         rows = [
             payloads[start : start + payload_bytes]
             for start in range(0, len(payloads), payload_bytes)
         ]
-        with kernel_form(numpy):
-            for given_payloads in (payloads, rows):
-                column = self.codec(payload_bytes, mac, nonce)
-                assert bytes(column.seal_columns(addrs, given_payloads)) == expected
-                assert column._nonce_counter == loop._nonce_counter == nonce + len(addrs)
+        for given_payloads in (payloads, rows):
+            column = self.codec(payload_bytes, mac, nonce)
+            assert bytes(column.seal_columns(addrs, given_payloads)) == expected
+            assert column._nonce_counter == loop._nonce_counter == nonce + len(addrs)
 
     @settings(max_examples=150, deadline=None)
     @given(column_runs())
     def test_column_open_is_open_of_every_record(self, run):
-        payload_bytes, addrs, payloads, nonce, mac, numpy = run
+        payload_bytes, addrs, payloads, nonce, mac = run
         codec = self.codec(payload_bytes, mac, nonce)
         buffer = self.loop_seal(codec, addrs, payloads)
         size = codec.slot_bytes
         expected = [
             codec.open(buffer[start : start + size]) for start in range(0, len(buffer), size)
         ]
-        with kernel_form(numpy):
-            assert as_pairs(codec, codec.open_columns(memoryview(buffer))) == expected
-            assert codec.open_run(buffer) == expected
+        assert as_pairs(codec, codec.open_columns(memoryview(buffer))) == expected
+        assert codec.open_run(buffer) == expected
 
-    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "bigint"])
-    def test_columns_round_trip_through_a_second_seal(self, numpy):
+    #: 16-byte payloads make 32-byte records: a run of about 100 (over 3 KiB)
+    #: takes the numpy kernel, one of about 20 (under 1 KiB) the big-integer one.
+    KERNEL_RUNS = pytest.mark.parametrize("blocks", [100, 20], ids=["numpy", "bigint"])
+
+    @KERNEL_RUNS
+    def test_columns_round_trip_through_a_second_seal(self, blocks):
         codec = self.codec(16, mac=False)
-        addrs = list(range(100)) + [DUMMY_ADDR] * 4
-        with kernel_form(numpy):
-            sealed = codec.seal_columns(addrs, initial_payloads(range(100), 16))
-            opened = codec.open_columns(sealed)
-            assert bytes(codec.seal_columns(*opened)) != bytes(sealed)  # fresh nonces
-            assert as_pairs(codec, codec.open_columns(codec.seal_columns(*opened))) == as_pairs(
-                codec, opened
-            )
+        addrs = list(range(blocks)) + [DUMMY_ADDR] * 4
+        sealed = codec.seal_columns(addrs, initial_payloads(range(blocks), 16))
+        opened = codec.open_columns(sealed)
+        assert bytes(codec.seal_columns(*opened)) != bytes(sealed)  # fresh nonces
+        assert as_pairs(codec, codec.open_columns(codec.seal_columns(*opened))) == as_pairs(
+            codec, opened
+        )
 
     def test_misshapen_payload_matrices_are_refused(self):
         codec = self.codec(16, mac=False)
@@ -265,12 +251,12 @@ class TestColumnKernel:
         with pytest.raises(ValueError):
             codec.open_columns(bytes(codec.slot_bytes + 1))
 
-    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "bigint"])
-    def test_rows_of_the_wrong_width_are_refused(self, numpy):
+    @KERNEL_RUNS
+    def test_rows_of_the_wrong_width_are_refused(self, blocks):
         codec = self.codec(16, mac=False)
-        rows = [bytes(16)] * 59 + [bytes(15)]
-        with kernel_form(numpy), pytest.raises(ValueError):
-            codec.seal_columns(list(range(60)), rows)
+        rows = [bytes(16)] * (blocks - 1) + [bytes(15)]
+        with pytest.raises(ValueError):
+            codec.seal_columns(list(range(blocks)), rows)
 
 
 class TestDummies:
@@ -306,13 +292,11 @@ class TestInitialPayload:
         assert len(initial_payload(0)) == 8
         assert len(initial_payload(2**63)) == 8
 
-    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "bigint"])
     @pytest.mark.parametrize("payload_bytes", [8, 16, 1024])
-    def test_matrix_rows_are_padded_initial_payloads(self, numpy, payload_bytes):
+    def test_matrix_rows_are_padded_initial_payloads(self, payload_bytes):
         addrs = [0, 1, 2**40 + 3, DUMMY_ADDR - 1, 77]
         codec = BlockCodec(payload_bytes, StreamCipher(b"k"))
-        with kernel_form(numpy):
-            matrix = initial_payloads(addrs, payload_bytes)
+        matrix = initial_payloads(addrs, payload_bytes)
         assert bytes(matrix) == b"".join(codec.pad(initial_payload(addr)) for addr in addrs)
 
     def test_matrix_needs_room_for_the_id(self):

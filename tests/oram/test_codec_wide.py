@@ -1,12 +1,12 @@
 """Batch kernels on records wider than one keystream digest.
 
 A codec whose plaintext (8-byte address + payload) exceeds 64 bytes takes
-the same four batch kernels as a narrow one.  Each must produce exactly
-the bytes of the scalar ``seal`` / ``open`` loop, with numpy and without
-(``REPRO_NO_NUMPY=1`` runs this file with the big-integer kernels only),
-however a run is cut into kernel calls.  A MACed codec skips the batch
-kernels for per-record loops, which must match the same scalar loop at
-every width.
+the same batch kernels as a narrow one: the big-integer pair under
+``_NP_MIN_BYTES`` of records (a range wide records never reach), the
+numpy pair from there on.  Each must produce exactly the bytes of the
+scalar ``seal`` / ``open`` loop, however a run is cut into kernel calls.
+A MACed codec skips the batch kernels for per-record loops, which must
+match the same scalar loop at every width.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import accel
 from repro.crypto.ctr import StreamCipher
 from repro.oram import base
 from repro.oram.base import DUMMY_ADDR, BlockCodec
@@ -22,22 +21,6 @@ from repro.oram.base import DUMMY_ADDR, BlockCodec
 #: 16 is the default payload; 56 is the widest payload one digest still
 #: covers; 57 is the first wide one.
 PAYLOADS = [16, 56, 57, 200, 1024]
-
-BACKENDS = [
-    "bigint",
-    pytest.param(
-        "numpy", marks=pytest.mark.skipif(accel.np is None, reason="numpy unavailable")
-    ),
-]
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    """Pin which kernel pair the size thresholds choose between."""
-    if request.param == "bigint":
-        monkeypatch.setattr(accel, "np", None)
-    return request.param
-
 
 def make_codec(payload_bytes: int, mac: bool = False) -> BlockCodec:
     mac_key = b"wide-codec-mac" if mac else None
@@ -81,9 +64,9 @@ def spy_on_kernels(monkeypatch, codec: BlockCodec) -> "list[tuple[str, int]]":
 
         monkeypatch.setattr(codec, name, spied)
 
-    wrap("_seal_batch", lambda np, addrs, payloads: len(addrs))
+    wrap("_seal_batch", lambda addrs, payloads: len(addrs))
     wrap("_seal_batch_bytes", lambda addrs, payloads: len(addrs))
-    wrap("_open_batch", lambda np, view, n: n)
+    wrap("_open_batch", lambda view, n: n)
     wrap("_open_batch_bytes", lambda view, n: n)
     return calls
 
@@ -91,7 +74,7 @@ def spy_on_kernels(monkeypatch, codec: BlockCodec) -> "list[tuple[str, int]]":
 @pytest.mark.parametrize("mac", [False, True], ids=["no-mac", "mac"])
 @pytest.mark.parametrize("payload_bytes", PAYLOADS)
 class TestWideBatchParity:
-    def test_seal_many_matches_the_scalar_loop(self, backend, payload_bytes, mac):
+    def test_seal_many_matches_the_scalar_loop(self, payload_bytes, mac):
         for count in threshold_counts(make_codec(payload_bytes, mac)):
             for dummy_tail in (0, count // 3, count):
                 batch, loop = make_codec(payload_bytes, mac), make_codec(payload_bytes, mac)
@@ -100,7 +83,7 @@ class TestWideBatchParity:
                 assert sealed == scalar_seal(loop, entries, dummy_tail), (count, dummy_tail)
                 assert batch._nonce_counter == loop._nonce_counter == count
 
-    def test_open_run_and_open_many_match_the_scalar_loop(self, backend, payload_bytes, mac):
+    def test_open_run_and_open_many_match_the_scalar_loop(self, payload_bytes, mac):
         codec = make_codec(payload_bytes, mac)
         size = codec.slot_bytes
         for count in threshold_counts(codec):
@@ -113,35 +96,34 @@ class TestWideBatchParity:
             records = [buffer[offset : offset + size] for offset in range(0, len(buffer), size)]
             assert codec.open_many(records) == expected, count
 
-    def test_short_payloads_are_padded_alike(self, backend, payload_bytes, mac):
+    def test_short_payloads_are_padded_alike(self, payload_bytes, mac):
         batch, loop = make_codec(payload_bytes, mac), make_codec(payload_bytes, mac)
         entries = [(index, b"short-%d" % index) for index in range(base._BATCH_MIN + 2)]
         assert bytes(batch.seal_many(entries)) == scalar_seal(loop, entries, 0)
 
-    def test_runs_past_the_threshold_take_a_batch_kernel(
-        self, backend, payload_bytes, mac, monkeypatch
-    ):
+    def test_runs_past_the_threshold_take_a_batch_kernel(self, payload_bytes, mac, monkeypatch):
         codec = make_codec(payload_bytes, mac)
         calls = spy_on_kernels(monkeypatch, codec)
-        count = threshold_counts(codec)[-1]
-        buffer = codec.seal_many(make_entries(count, payload_bytes))
-        codec.open_run(buffer)
-        suffix = "" if backend == "numpy" else "_bytes"
-        # A MACed codec tags and checks each record, so it never batches.
-        expected = [] if mac else ["_seal_batch" + suffix, "_open_batch" + suffix]
-        assert [name for name, _ in calls] == expected
-        calls.clear()
-        few = base._BATCH_MIN - 1
-        codec.open_run(codec.seal_many(make_entries(few, payload_bytes)))
-        assert calls == []
+        for count in threshold_counts(codec):
+            calls.clear()
+            codec.open_run(codec.seal_many(make_entries(count, payload_bytes)))
+            # A MACed codec tags and checks each record, so it never batches.
+            if mac or count < base._BATCH_MIN:
+                expected = []
+            elif count * codec.slot_bytes < base._NP_MIN_BYTES:
+                expected = ["_seal_batch_bytes", "_open_batch_bytes"]
+            else:
+                expected = ["_seal_batch", "_open_batch"]
+            assert [name for name, _ in calls] == expected, count
 
 
 class TestKernelByteCap:
-    """No kernel call handles more than ``_KERNEL_MAX_BYTES`` of records."""
+    """No numpy kernel call handles more than ``_KERNEL_MAX_BYTES`` of
+    records; the big-integer kernel only sees runs under ``_NP_MIN_BYTES``."""
 
     @pytest.mark.parametrize("payload_bytes", [16, 1024])
     def test_a_run_larger_than_the_cap_is_chunked_into_identical_output(
-        self, backend, payload_bytes, monkeypatch
+        self, payload_bytes, monkeypatch
     ):
         capped, loop = make_codec(payload_bytes), make_codec(payload_bytes)
         size = capped.slot_bytes
@@ -165,13 +147,28 @@ class TestKernelByteCap:
         assert opened[: len(entries)] == entries
         assert all(addr == DUMMY_ADDR for addr, _ in opened[len(entries) :])
 
-    def test_a_cap_below_one_record_still_makes_progress(self, backend, monkeypatch):
+    def test_a_cap_below_one_record_still_makes_progress(self, monkeypatch):
         monkeypatch.setattr(base, "_KERNEL_MAX_BYTES", 100)
         batch, loop = make_codec(200), make_codec(200)
         entries = make_entries(9, 200)
         sealed = batch.seal_many(entries, dummy_tail=2)
         assert bytes(sealed) == scalar_seal(loop, entries, 2)
         assert batch.open_run(sealed)[:9] == entries
+
+    def test_a_big_integer_run_is_one_call_under_any_cap(self, monkeypatch):
+        """The cap bounds the numpy kernel's temporaries; a run under
+        ``_NP_MIN_BYTES`` goes through the big-integer kernel whole."""
+        monkeypatch.setattr(base, "_KERNEL_MAX_BYTES", 100)
+        batch, loop = make_codec(16), make_codec(16)
+        count = base._NP_MIN_BYTES // batch.slot_bytes - 1
+        entries = make_entries(count - 3, 16)
+        calls = spy_on_kernels(monkeypatch, batch)
+        sealed = batch.seal_many(entries, dummy_tail=3)
+        opened = batch.open_run(sealed)
+        handled = count * batch.slot_bytes
+        assert calls == [("_seal_batch_bytes", handled), ("_open_batch_bytes", handled)]
+        assert bytes(sealed) == scalar_seal(loop, entries, 3)
+        assert opened == scalar_open(loop, bytes(sealed))
 
 
 @st.composite
