@@ -2,13 +2,30 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.core.horam import HybridORAM, build_horam
+from repro.crypto import random as drbg
 from repro.crypto.ctr import StreamCipher
 from repro.crypto.random import DeterministicRandom
+from repro.oram import base
 from repro.oram.base import BlockCodec
 from repro.oram.factory import build_path_oram
+
+
+@pytest.fixture(params=["by-size", "small"])
+def kernel_form(request, monkeypatch):
+    """Run the test once with the size selections as shipped, then with
+    the small-run forms forced at every size: the DRBG's rejection loop
+    (past ``_NP_MIN_DRAWS``) and the codec's big-integer batch (past
+    ``_NP_MIN_BYTES``).  A selection picks a form for speed only, so both
+    runs must see the same bytes, draws and stream positions."""
+    if request.param == "small":
+        monkeypatch.setattr(drbg, "_NP_MIN_DRAWS", sys.maxsize)
+        monkeypatch.setattr(base, "_NP_MIN_BYTES", sys.maxsize)
+    return request.param
 
 
 @pytest.fixture

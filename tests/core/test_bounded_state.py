@@ -356,7 +356,7 @@ def _scanned_pool(layer) -> "list[int]":
 
 class TestDerivedPools:
     @pytest.mark.parametrize("ratio", [1, 4])
-    def test_derived_pool_equals_a_slot_scan(self, ratio):
+    def test_derived_pool_equals_a_slot_scan(self, kernel_form, ratio):
         oram = build_horam(
             n_blocks=1024, mem_tree_blocks=128, seed=7, shuffle_period_ratio=ratio
         )
@@ -375,7 +375,7 @@ class TestDerivedPools:
             assert oram.metrics.extra.get("blocks_appended", 0) > 0, "overflow never used"
 
     @pytest.mark.parametrize("ratio", [1, 4])
-    def test_mid_period_checkpoint_serves_like_its_twin(self, ratio, tmp_path):
+    def test_mid_period_checkpoint_serves_like_its_twin(self, kernel_form, ratio, tmp_path):
         def build():
             return build_horam(
                 n_blocks=1024, mem_tree_blocks=128, seed=7, shuffle_period_ratio=ratio
@@ -422,7 +422,7 @@ class TestRestoredPoolIsChecked:
     """A restored pool must hold exactly the occupied, unconsumed slots, once each."""
 
     @pytest.mark.parametrize("fault", ["duplicate", "consumed"])
-    def test_recover_refuses_a_forged_pool(self, fault, tmp_path):
+    def test_recover_refuses_a_forged_pool(self, kernel_form, fault, tmp_path):
         oram = build_horam(n_blocks=1024, mem_tree_blocks=128, seed=7)
         drive(oram, stream(336, seed=13), 16)
         layer = oram.storage
@@ -491,7 +491,7 @@ HELD_BYTES_PER_SLOT = 64
 PEAK_BYTES_PER_SLOT = 160
 
 
-def test_build_memory_is_flat_tables_per_slot():
+def test_build_memory_is_flat_tables_per_slot(kernel_form):
     gc.collect()
     tracemalloc.start()
     try:

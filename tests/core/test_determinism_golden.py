@@ -163,11 +163,11 @@ def run_sharded_case(n_shards, n_blocks=1024, mem=128, requests=400):
 
 
 class TestGoldenFingerprints:
-    def test_full_shuffle_matches_prebatch_engine(self):
+    def test_full_shuffle_matches_prebatch_engine(self, kernel_form):
         """Seeded full-shuffle run is bit-identical to the single-record path."""
         assert run_case(512, 128, 600) == GOLDEN["full_shuffle"]
 
-    def test_partial_shuffle_matches_prebatch_engine(self):
+    def test_partial_shuffle_matches_prebatch_engine(self, kernel_form):
         """Ratio-4 partial shuffle (overflow appends) is bit-identical too."""
         assert run_case(1024, 128, 900, ratio=4) == GOLDEN["partial_shuffle"]
 
@@ -177,12 +177,12 @@ class TestGoldenFingerprints:
 
 
 class TestGoldenShardedFingerprints:
-    def test_two_shards_match_golden(self):
+    def test_two_shards_match_golden(self, kernel_form):
         """Seeded 2-shard run is pinned: refactors of the shard layer must
         preserve routing, lockstep padding and retirement bit-for-bit."""
         assert run_sharded_case(2) == GOLDEN_SHARDED[2]
 
-    def test_four_shards_match_golden(self):
+    def test_four_shards_match_golden(self, kernel_form):
         assert run_sharded_case(4) == GOLDEN_SHARDED[4]
 
     def test_repeat_sharded_runs_are_identical(self):

@@ -6,7 +6,9 @@ partition by partition every shuffle period.  These pins hold what those
 writes leave behind -- the storage and memory slabs, the ``control.*``
 tables, every RNG ``state_dict`` and the codec's nonce counter -- as one
 sha256 per stack, after the build and after three rounds of traffic (each
-ended by ``force_shuffle()`` on H-ORAM stacks).  A change to how images are sealed, opened or
+ended by ``force_shuffle()`` on H-ORAM stacks), with the kernel size
+selections as shipped and with the small-run forms forced at every size
+(the ``kernel_form`` fixture).  A change to how images are sealed, opened or
 permuted that moves any byte, nonce or draw fails here, whatever the
 goldens (which never fingerprint ciphertext) say.
 """
@@ -120,7 +122,7 @@ def digests(name: str) -> "tuple[str, str]":
 
 
 @pytest.mark.parametrize("name", sorted(STACKS))
-def test_image_bytes_are_pinned(name):
+def test_image_bytes_are_pinned(name, kernel_form):
     assert digests(name) == PINS[name]
 
 

@@ -253,7 +253,7 @@ class TestDerivedUnreadPool:
     def brute_force_unread(layer):
         return sorted(slot for slot in layer.location if slot != IN_MEMORY)
 
-    def test_pool_matches_full_scan_across_periods(self):
+    def test_pool_matches_full_scan_across_periods(self, kernel_form):
         layer, _ = make_layer(n_blocks=64)
         assert list(layer._unread) == self.brute_force_unread(layer)
         evicted = []
@@ -266,7 +266,7 @@ class TestDerivedUnreadPool:
         layer.end_period()
         assert list(layer._unread) == self.brute_force_unread(layer)
 
-    def test_pool_matches_full_scan_with_overflow_appends(self):
+    def test_pool_matches_full_scan_with_overflow_appends(self, kernel_form):
         layer, _ = make_layer(n_blocks=100, ratio=4, period_capacity=16)
         for period in range(4):
             evicted = []
@@ -334,13 +334,13 @@ class TestSlotOrderSeal:
     """The initial image must not give away the permutation or the dummies."""
 
     @pytest.mark.parametrize("n_blocks,dummies", [(512, 16), (8192, 88)])
-    def test_clear_nonces_rise_with_the_slot(self, n_blocks, dummies):
+    def test_clear_nonces_rise_with_the_slot(self, kernel_form, n_blocks, dummies):
         oram = build_horam(n_blocks=n_blocks, mem_tree_blocks=64, seed=3)
         assert oram.storage.slot_addr.count(DUMMY_ADDR) == dummies
         nonces = clear_nonces(oram)
         assert all(a < b for a, b in zip(nonces, nonces[1:]))
 
-    def test_overflow_regions_stay_empty(self):
+    def test_overflow_regions_stay_empty(self, kernel_form):
         oram = build_horam(n_blocks=512, mem_tree_blocks=64, seed=3, shuffle_period_ratio=4)
         layer = oram.storage
         nonces = clear_nonces(oram)
@@ -389,10 +389,10 @@ def blank_twin(layer, period_capacity, rng):
 
 class TestControlStatePin:
     @pytest.mark.parametrize("ratio", [1, 4])
-    def test_state_dict_bytes_are_pinned(self, ratio):
+    def test_state_dict_bytes_are_pinned(self, kernel_form, ratio):
         assert control_state_digest(ratio) == CONTROL_STATE[ratio]
 
-    def test_state_round_trip_keeps_the_tables(self):
+    def test_state_round_trip_keeps_the_tables(self, kernel_form):
         layer, _ = make_layer(n_blocks=100, ratio=4, period_capacity=16)
         evicted = []
         for addr in range(12):
@@ -421,7 +421,7 @@ class TestLosslessReencoding:
     """Format 5 is format 4's control state re-encoded, minus derived tables."""
 
     @pytest.mark.parametrize("ratio", [1, 4])
-    def test_restored_layer_renders_the_format4_state(self, ratio):
+    def test_restored_layer_renders_the_format4_state(self, kernel_form, ratio):
         oram = control_state_run(ratio)
         layer = oram.storage
         state, tables = layer.state_dict()

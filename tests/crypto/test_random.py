@@ -214,7 +214,7 @@ class TestRandrangeManyParity:
     @pytest.mark.parametrize("held", [0, 3])
     @pytest.mark.parametrize("count", COUNTS)
     @pytest.mark.parametrize("bound", BOUNDS)
-    def test_equals_scalar_loop(self, bound, count, held):
+    def test_equals_scalar_loop(self, kernel_form, bound, count, held):
         batched, scalar = twins(held=held)
         assert batched.randrange_many(bound, count) == scalar_randrange_many(scalar, bound, count)
         assert batched.state_dict() == scalar.state_dict()
@@ -222,7 +222,7 @@ class TestRandrangeManyParity:
         assert batched.next_word() == scalar.next_word()
 
     @pytest.mark.parametrize("bound", [16, 91, 2**33 + 5])
-    def test_state_round_trip_in_the_middle_of_a_batch(self, bound):
+    def test_state_round_trip_in_the_middle_of_a_batch(self, kernel_form, bound):
         whole = DeterministicRandom(5)
         expected = whole.randrange_many(bound, 500)
         first = DeterministicRandom(5)
@@ -233,11 +233,11 @@ class TestRandrangeManyParity:
         assert head + tail == expected
         assert resumed.state_dict() == whole.state_dict()
 
-    def test_rejects_nonpositive_bound(self):
+    def test_rejects_nonpositive_bound(self, kernel_form):
         with pytest.raises(ValueError):
             DeterministicRandom(1).randrange_many(0, 5)
 
-    def test_between_calls_the_buffer_holds_less_than_a_block(self):
+    def test_between_calls_the_buffer_holds_less_than_a_block(self, kernel_form):
         rng = DeterministicRandom(8)
         for count in (1, 64, 500, 3):
             rng.randrange_many(17, count)
@@ -286,7 +286,7 @@ class TestShuffleParity:
 
 class TestShuffleAlgorithmParity:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 63, 64, 256, 530])
-    def test_cache_shuffle_equals_reference(self, n):
+    def test_cache_shuffle_equals_reference(self, kernel_form, n):
         items = [(addr, bytes([addr % 251])) for addr in range(n)]
         fast, reference = twins(seed=n)
         got = CacheShuffle().shuffle(items, fast)
@@ -294,7 +294,7 @@ class TestShuffleAlgorithmParity:
         assert (got.items, got.moves) == (want.items, want.moves)
         assert fast.state_dict() == reference.state_dict()
 
-    def test_cache_shuffle_fixed_buckets_equals_reference(self):
+    def test_cache_shuffle_fixed_buckets_equals_reference(self, kernel_form):
         items = list(range(300))
         fast, reference = twins(held=1)
         got = CacheShuffle(buckets=7).shuffle(items, fast)
@@ -303,7 +303,7 @@ class TestShuffleAlgorithmParity:
         assert fast.state_dict() == reference.state_dict()
 
     @pytest.mark.parametrize("n", [0, 2, 30, 200])
-    def test_melbourne_equals_reference(self, n):
+    def test_melbourne_equals_reference(self, kernel_form, n):
         items = list(range(n))
         fast, reference = twins(seed=n + 1)
         got = MelbourneShuffle().shuffle(items, fast)
@@ -311,7 +311,7 @@ class TestShuffleAlgorithmParity:
         assert (got.items, got.moves, got.retries) == (want.items, want.moves, want.retries)
         assert fast.state_dict() == reference.state_dict()
 
-    def test_melbourne_retries_equal_reference(self):
+    def test_melbourne_retries_equal_reference(self, kernel_form):
         # A tight pad factor forces redraws of the whole assignment.
         items = list(range(400))
         for seed in range(6):

@@ -4,12 +4,16 @@ A codec whose plaintext (8-byte address + payload) exceeds 64 bytes takes
 the same batch kernels as a narrow one: the big-integer pair under
 ``_NP_MIN_BYTES`` of records (a range wide records never reach), the
 numpy pair from there on.  Each must produce exactly the bytes of the
-scalar ``seal`` / ``open`` loop, however a run is cut into kernel calls.
+scalar ``seal`` / ``open`` loop, however a run is cut into kernel calls,
+and the big-integer pair must do so at every size, not only under the
+threshold (the ``small`` form of the ``kernel_form`` fixture).
 A MACed codec skips the batch kernels for per-record loops, which must
 match the same scalar loop at every width.
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +25,10 @@ from repro.oram.base import DUMMY_ADDR, BlockCodec
 #: 16 is the default payload; 56 is the widest payload one digest still
 #: covers; 57 is the first wide one.
 PAYLOADS = [16, 56, 57, 200, 1024]
+
+#: The shipped threshold, read before ``kernel_form`` may lift it.
+NP_MIN_BYTES = base._NP_MIN_BYTES
+
 
 def make_codec(payload_bytes: int, mac: bool = False) -> BlockCodec:
     mac_key = b"wide-codec-mac" if mac else None
@@ -46,7 +54,7 @@ def scalar_open(codec: BlockCodec, buffer: bytes) -> "list[tuple[int, bytes]]":
 
 def threshold_counts(codec: BlockCodec) -> "list[int]":
     """Record counts on both sides of the batch and numpy thresholds."""
-    np_min = -(-base._NP_MIN_BYTES // codec.slot_bytes)
+    np_min = -(-NP_MIN_BYTES // codec.slot_bytes)
     counts = {base._BATCH_MIN - 1, base._BATCH_MIN, np_min - 1, np_min, np_min + 5}
     return sorted(count for count in counts if count > 0)
 
@@ -74,7 +82,7 @@ def spy_on_kernels(monkeypatch, codec: BlockCodec) -> "list[tuple[str, int]]":
 @pytest.mark.parametrize("mac", [False, True], ids=["no-mac", "mac"])
 @pytest.mark.parametrize("payload_bytes", PAYLOADS)
 class TestWideBatchParity:
-    def test_seal_many_matches_the_scalar_loop(self, payload_bytes, mac):
+    def test_seal_many_matches_the_scalar_loop(self, kernel_form, payload_bytes, mac):
         for count in threshold_counts(make_codec(payload_bytes, mac)):
             for dummy_tail in (0, count // 3, count):
                 batch, loop = make_codec(payload_bytes, mac), make_codec(payload_bytes, mac)
@@ -83,7 +91,9 @@ class TestWideBatchParity:
                 assert sealed == scalar_seal(loop, entries, dummy_tail), (count, dummy_tail)
                 assert batch._nonce_counter == loop._nonce_counter == count
 
-    def test_open_run_and_open_many_match_the_scalar_loop(self, payload_bytes, mac):
+    def test_open_run_and_open_many_match_the_scalar_loop(
+        self, kernel_form, payload_bytes, mac
+    ):
         codec = make_codec(payload_bytes, mac)
         size = codec.slot_bytes
         for count in threshold_counts(codec):
@@ -96,12 +106,14 @@ class TestWideBatchParity:
             records = [buffer[offset : offset + size] for offset in range(0, len(buffer), size)]
             assert codec.open_many(records) == expected, count
 
-    def test_short_payloads_are_padded_alike(self, payload_bytes, mac):
+    def test_short_payloads_are_padded_alike(self, kernel_form, payload_bytes, mac):
         batch, loop = make_codec(payload_bytes, mac), make_codec(payload_bytes, mac)
         entries = [(index, b"short-%d" % index) for index in range(base._BATCH_MIN + 2)]
         assert bytes(batch.seal_many(entries)) == scalar_seal(loop, entries, 0)
 
-    def test_runs_past_the_threshold_take_a_batch_kernel(self, payload_bytes, mac, monkeypatch):
+    def test_runs_past_the_threshold_take_a_batch_kernel(
+        self, kernel_form, payload_bytes, mac, monkeypatch
+    ):
         codec = make_codec(payload_bytes, mac)
         calls = spy_on_kernels(monkeypatch, codec)
         for count in threshold_counts(codec):
@@ -110,7 +122,7 @@ class TestWideBatchParity:
             # A MACed codec tags and checks each record, so it never batches.
             if mac or count < base._BATCH_MIN:
                 expected = []
-            elif count * codec.slot_bytes < base._NP_MIN_BYTES:
+            elif kernel_form == "small" or count * codec.slot_bytes < NP_MIN_BYTES:
                 expected = ["_seal_batch_bytes", "_open_batch_bytes"]
             else:
                 expected = ["_seal_batch", "_open_batch"]
@@ -147,7 +159,26 @@ class TestKernelByteCap:
         assert opened[: len(entries)] == entries
         assert all(addr == DUMMY_ADDR for addr, _ in opened[len(entries) :])
 
-    def test_a_cap_below_one_record_still_makes_progress(self, monkeypatch):
+    @pytest.mark.parametrize("payload_bytes", [16, 1024])
+    def test_a_forced_big_integer_run_past_the_cap_is_one_call(self, payload_bytes, monkeypatch):
+        """Forced past its threshold, the big-integer kernel takes a run
+        over the cap whole, with the bytes of the capped numpy pieces."""
+        capped, forced, loop = (make_codec(payload_bytes) for _ in range(3))
+        size = capped.slot_bytes
+        count = 2 * (base._KERNEL_MAX_BYTES // size) + 11
+        entries = make_entries(count - 40, payload_bytes)
+        sealed = capped.seal_many(entries, dummy_tail=40)
+
+        monkeypatch.setattr(base, "_NP_MIN_BYTES", sys.maxsize)
+        calls = spy_on_kernels(monkeypatch, forced)
+        assert bytes(forced.seal_many(entries, dummy_tail=40)) == bytes(sealed)
+        opened = forced.open_run(sealed)
+        handled = count * size
+        assert calls == [("_seal_batch_bytes", handled), ("_open_batch_bytes", handled)]
+        assert opened == scalar_open(loop, bytes(sealed))
+        assert opened[: len(entries)] == entries
+
+    def test_a_cap_below_one_record_still_makes_progress(self, kernel_form, monkeypatch):
         monkeypatch.setattr(base, "_KERNEL_MAX_BYTES", 100)
         batch, loop = make_codec(200), make_codec(200)
         entries = make_entries(9, 200)

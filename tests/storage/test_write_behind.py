@@ -413,7 +413,7 @@ TWIN_SETTINGS = settings(
 @pytest.mark.parametrize(
     "machine", [WriteBehindTwin, WriteBehindTwinPartial], ids=["ratio1", "ratio4"]
 )
-def test_a_lazy_stack_matches_its_eager_twin(machine):
+def test_a_lazy_stack_matches_its_eager_twin(machine, kernel_form):
     run_state_machine_as_test(machine, settings=TWIN_SETTINGS)
 
 
