@@ -22,7 +22,7 @@ from typing import Iterable
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _PACK_Q = struct.Struct("<Q").pack
-_PACK_QQ = struct.Struct("<QQ").pack
+_PACK_NONCE_BLOCK = struct.Struct("<QQ").pack  # nonce || block index (digest input)
 
 #: Domain separator absorbed ahead of the key into the wide-record XOF.
 _XOF_DOMAIN = b"repro.crypto.ctr.StreamCipher/shake256/v1"
@@ -58,7 +58,7 @@ class StreamCipher:
         that fit one digest (see :class:`~repro.oram.base.BlockCodec`).
         """
         h = self._hasher.copy()
-        h.update(_PACK_QQ(nonce & _MASK64, 0))
+        h.update(_PACK_NONCE_BLOCK(nonce & _MASK64, 0))
         return h.digest()
 
     def keystream_blocks(self, nonces: "Iterable[int]") -> list[bytes]:
@@ -93,7 +93,7 @@ class StreamCipher:
         append = out.append
         if length <= 64:
             hasher = self._hasher
-            pack = _PACK_QQ
+            pack = _PACK_NONCE_BLOCK
             for nonce in nonces:
                 h = hasher.copy()
                 h.update(pack(nonce & _MASK64, 0))

@@ -18,12 +18,11 @@ storage layer's partition rewrites use it directly; the pairwise
 :meth:`BlockCodec.seal_many` / :meth:`BlockCodec.open_run` are adapters
 over it.
 
-The kernel picks its form by the run's size alone: a loop of single
-records under :data:`_BATCH_MIN` records, one big-integer XOR over the
-run under :data:`_NP_MIN_BYTES` (the few dozen records of a tree-path
-write on narrow blocks), and numpy matrix operations from there on
-(partition images, and every batch of wide records).  All three produce
-the bytes of the single-record loop.
+The kernel has two forms, picked by the run's record count alone: the
+single-record loop under :data:`_BATCH_MIN` records (the reference form,
+and the only one MACed records take), and numpy matrix operations from
+there on (tree paths, partition images, initial images).  Both produce
+the same bytes.
 """
 
 from __future__ import annotations
@@ -44,31 +43,21 @@ from repro.crypto.random import DeterministicRandom
 #: Logical address reserved for dummy records.
 DUMMY_ADDR = 0xFFFFFFFFFFFFFFFF
 
-#: Records per batch below which the scalar loop beats the batched paths
-#: (setup costs more than it saves on tiny batches).
+#: Records per batch below which the single-record loop beats the numpy
+#: kernel (numpy's per-op dispatch costs more than it saves on tiny
+#: batches).
 _BATCH_MIN = 8
-
-#: Bytes of sealed records per batch above which the numpy kernel beats
-#: the big-integer batch: 48 of the default 32-byte records.  Below it
-#: numpy's per-op dispatch overhead eats the win.  What repays that
-#: overhead is bytes moved, not records: a 28-record path write of 1 KiB
-#: blocks is 35 % faster per record through numpy, where 28 default
-#: records are not.
-_NP_MIN_BYTES = 48 * 32
 
 #: Bytes of sealed records one numpy kernel call handles; longer runs go
 #: through it in pieces.  The kernel holds several whole-run temporaries
 #: (keystream, plaintext, XOR result), which on a store-sized run of wide
-#: records would otherwise show up in the peak resident set.  The
-#: big-integer kernel only sees runs under :data:`_NP_MIN_BYTES`.
+#: records would otherwise show up in the peak resident set.
 _KERNEL_MAX_BYTES = 1 << 18
 
 _HEADER_FMT = "<Q"  # addr inside the ciphertext
 _NONCE_BYTES = 8
 _ADDR_BYTES = 8
 _PACK_Q = struct.Struct("<Q").pack  # pre-compiled header packer (hot path)
-_PACK_QQ = struct.Struct("<QQ").pack  # nonce || addr in one call (batch path)
-_ZERO8 = b"\x00" * 8  # keystream hole over the clear nonce (batch path)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 #: Bytes of overhead a sealed record adds on top of the payload.
@@ -177,9 +166,12 @@ class BlockCodec:
     whole slot runs through the cipher as columns, producing or consuming
     the flat buffers the :class:`~repro.storage.backend.BlockStore` bulk
     APIs speak; :meth:`seal_many`, :meth:`open_run` and :meth:`open_many`
-    adapt ``(addr, payload)`` pairs to it.  All are exactly equivalent to a
-    loop of single-record calls -- same nonce sequence, same bytes -- just
-    without the per-record Python overhead.
+    adapt ``(addr, payload)`` pairs to it.  Each side has two forms: the
+    loop of :meth:`seal` / :meth:`open` calls under :data:`_BATCH_MIN`
+    records (and for every MACed run), and one numpy kernel
+    (:meth:`_seal_batch`, :meth:`_open_batch`) from there on.  The kernel
+    is exactly equivalent to the loop -- same nonce sequence, same bytes --
+    just without the per-record Python overhead.
     """
 
     def __init__(self, payload_bytes: int, cipher: StreamCipher, mac_key: bytes | None = None):
@@ -265,7 +257,9 @@ class BlockCodec:
         them back to back.  Rows past ``k`` have all-zero payloads, the
         dummy rows of a region.  Nonces are drawn in row order, so the
         bytes are those of a loop of :meth:`seal` calls, in the form the
-        run's size picks (see the module docstring).  The result is sized
+        run's size picks (see the module docstring).  A list row of any
+        other width raises ``ValueError`` in either form (:meth:`seal_many`
+        pads short payloads before it gets here).  The result is sized
         for :meth:`~repro.storage.backend.BlockStore.write_run` /
         ``poke_run``.  With ``nonce0`` (from :meth:`reserve_nonces`) the
         rows take the reserved nonces ``nonce0 + 1, ...`` instead of fresh
@@ -281,26 +275,23 @@ class BlockCodec:
             finally:
                 self._nonce_counter = counter
         n = len(addrs)
+        width = self.payload_bytes
+        if type(payloads) is list and any(len(row) != width for row in payloads):
+            raise ValueError(f"payload rows are not all {width} bytes wide")
         batch = n >= _BATCH_MIN and self._mac_hasher is None
-        matrix = batch and n * self.slot_bytes >= _NP_MIN_BYTES
-        if matrix:
-            payloads = payload_matrix(payloads, self.payload_bytes)
-        else:
-            payloads = self._rows(payloads)
+        payloads = payload_matrix(payloads, width) if batch else self._rows(payloads)
         if len(payloads) > n:
             raise ValueError(f"{len(payloads)} payload rows for {n} addresses")
         if not batch:
-            # MACed records are tagged one by one; tiny runs do not repay
-            # the batch setup.
+            # The reference form: MACed records are tagged one by one, and
+            # tiny runs do not repay the numpy kernel's setup.
             seal = self.seal
-            zero = bytes(self.payload_bytes)
+            zero = bytes(width)
             rows = len(payloads)
             out = bytearray()
             for index, addr in enumerate(addrs):
                 out += seal(addr, payloads[index] if index < rows else zero)
             return out
-        if not matrix:
-            return self._seal_batch_bytes(addrs, payloads)
         step = self._kernel_records
         if n <= step:
             return self._seal_batch(addrs, payloads)
@@ -373,40 +364,6 @@ class BlockCodec:
         records[:, _NONCE_BYTES:] ^= stream
         return out
 
-    def _seal_batch_bytes(self, addrs, payloads: "list[bytes]") -> bytearray:
-        """Big-integer :meth:`seal_columns` piece (no MAC).
-
-        The path-write batch shape -- a few dozen records -- is too small
-        for numpy's per-op dispatch to pay off, but not for batching as
-        such: the whole run is XORed as one arbitrary-precision integer
-        (one C operation), with the clear nonce column surviving under a
-        zero keystream hole.
-        """
-        n = len(addrs)
-        length = self._plain_bytes
-        nonce0 = self._nonce_counter
-        self._nonce_counter = nonce0 + n
-        nonces = range(nonce0 + 1, nonce0 + n + 1)
-        stream = b"".join(
-            [_ZERO8 + block[:length] for block in self._keystream_many(nonces, length)]
-        )
-        pack_qq = _PACK_QQ
-        parts = [pack_qq(nonce, addr) + row for nonce, addr, row in zip(nonces, addrs, payloads)]
-        rows = len(payloads)
-        if rows < n:
-            zero = bytes(self.payload_bytes)
-            parts += [
-                pack_qq(nonce, addr) + zero for nonce, addr in zip(nonces[rows:], addrs[rows:])
-            ]
-        plain = b"".join(parts)
-        if len(plain) != n * self.slot_bytes:
-            raise ValueError(f"payload rows are not {self.payload_bytes} bytes wide")
-        return bytearray(
-            (int.from_bytes(plain, "little") ^ int.from_bytes(stream, "little")).to_bytes(
-                n * self.slot_bytes, "little"
-            )
-        )
-
     def open(self, record: bytes | memoryview) -> tuple[int, bytes]:
         """Decrypt (and verify, when MACed) a slot record into (addr, payload)."""
         if len(record) != self.slot_bytes:
@@ -466,12 +423,13 @@ class BlockCodec:
         """Open every record in a flat slot-run buffer into the columns
         :meth:`seal_columns` takes: ``(addrs, payloads)``.
 
-        An unauthenticated run of :data:`_NP_MIN_BYTES` or more opens into
-        a uint64 address array and an ``(n, payload_bytes)`` uint8 payload
-        matrix, any other run into a list of ints and a list of rows;
-        either is valid :meth:`seal_columns` input.  MACed records are verified
-        one by one, in run order (:class:`IntegrityError` on the first
-        that fails).
+        An unauthenticated run of :data:`_BATCH_MIN` records or more opens
+        through the numpy kernel into a uint64 address array and an ``(n,
+        payload_bytes)`` uint8 payload matrix; any other run goes through
+        the single-record loop into a list of ints and a list of rows.
+        Either is valid :meth:`seal_columns` input.  MACed records are
+        verified one by one, in run order (:class:`IntegrityError` on the
+        first that fails).
         """
         view = memoryview(buffer).cast("B")
         size = self.slot_bytes
@@ -486,8 +444,6 @@ class BlockCodec:
                 open_one(view[offset : offset + size]) for offset in range(0, view.nbytes, size)
             ]
             return [addr for addr, _ in opened], [payload for _, payload in opened]
-        if view.nbytes < _NP_MIN_BYTES:
-            return self._open_batch_bytes(view, view.nbytes // size)
         step = self._kernel_records * size
         if view.nbytes <= step:
             return self._open_batch(view, view.nbytes // size)
@@ -511,35 +467,6 @@ class BlockCodec:
         addrs = records[:, _NONCE_BYTES:RECORD_OVERHEAD] ^ stream[:, :_ADDR_BYTES]
         payloads = records[:, RECORD_OVERHEAD:] ^ stream[:, _ADDR_BYTES:]
         return addrs.view("<u8").ravel(), payloads
-
-    def _open_batch_bytes(self, view: memoryview, n: int) -> "tuple[list[int], list[bytes]]":
-        """Big-integer :meth:`open_columns` piece (no MAC).
-
-        Mirror of :meth:`_seal_batch_bytes`: one whole-run XOR under a
-        zero keystream hole over each clear nonce, then per-record header
-        and payload splits on the decrypted buffer.
-        """
-        size = self.slot_bytes
-        length = self._plain_bytes
-        buf = bytes(view)
-        from_bytes = int.from_bytes
-        offsets = range(0, n * size, size)
-        nonces = [from_bytes(buf[offset : offset + _NONCE_BYTES], "little") for offset in offsets]
-        stream = b"".join(
-            [_ZERO8 + block[:length] for block in self._keystream_many(nonces, length)]
-        )
-        plain = (from_bytes(buf, "little") ^ from_bytes(stream, "little")).to_bytes(
-            n * size, "little"
-        )
-        addrs = [
-            from_bytes(plain[offset + _NONCE_BYTES : offset + RECORD_OVERHEAD], "little")
-            for offset in offsets
-        ]
-        return addrs, [plain[offset + RECORD_OVERHEAD : offset + size] for offset in offsets]
-
-    def is_dummy(self, record: bytes) -> bool:
-        addr, _ = self.open(record)
-        return addr == DUMMY_ADDR
 
 
 def _make_codec(payload_bytes: int, seed: int, integrity: bool = False) -> BlockCodec:

@@ -19,12 +19,13 @@ from repro.oram.factory import build_path_oram
 def kernel_form(request, monkeypatch):
     """Run the test once with the size selections as shipped, then with
     the small-run forms forced at every size: the DRBG's rejection loop
-    (past ``_NP_MIN_DRAWS``) and the codec's big-integer batch (past
-    ``_NP_MIN_BYTES``).  A selection picks a form for speed only, so both
-    runs must see the same bytes, draws and stream positions."""
+    (past ``_NP_MIN_DRAWS``) and the codec's single-record loop, the
+    reference form (past ``_BATCH_MIN``).  A selection picks a form for
+    speed only, so both runs must see the same bytes, draws and stream
+    positions."""
     if request.param == "small":
         monkeypatch.setattr(drbg, "_NP_MIN_DRAWS", sys.maxsize)
-        monkeypatch.setattr(base, "_NP_MIN_BYTES", sys.maxsize)
+        monkeypatch.setattr(base, "_BATCH_MIN", sys.maxsize)
     return request.param
 
 

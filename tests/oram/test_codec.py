@@ -11,6 +11,7 @@ from repro.oram.base import (
     DUMMY_ADDR,
     MAC_BYTES,
     RECORD_OVERHEAD,
+    _BATCH_MIN,
     BlockCodec,
     IntegrityError,
     _make_codec,
@@ -157,7 +158,7 @@ def column_runs(draw):
 
     Widths: 1, the default 16, 56 (the widest one keystream digest
     covers), 57 (the first wide one) and 1024.  Run lengths cross the
-    batch and numpy thresholds for every width that has both.
+    batch threshold for every width.
     """
     payload_bytes = draw(st.sampled_from([1, 16, 56, 57, 1024]))
     n = draw(st.integers(min_value=0, max_value=120 if payload_bytes < 1024 else 12))
@@ -227,11 +228,9 @@ class TestColumnKernel:
         assert as_pairs(codec, codec.open_columns(memoryview(buffer))) == expected
         assert codec.open_run(buffer) == expected
 
-    #: 16-byte payloads make 32-byte records: a run of about 100 (over 3 KiB)
-    #: takes the numpy kernel, one of about 20 (under 1 KiB) the big-integer one.
-    KERNEL_RUNS = pytest.mark.parametrize("blocks", [100, 20], ids=["numpy", "bigint"])
-
-    @KERNEL_RUNS
+    #: A run of about 100 records takes the numpy kernel; one of 3 blocks
+    #: and 4 dummies, under ``_BATCH_MIN``, the single-record loop.
+    @pytest.mark.parametrize("blocks", [100, 3], ids=["numpy", "loop"])
     def test_columns_round_trip_through_a_second_seal(self, blocks):
         codec = self.codec(16, mac=False)
         addrs = list(range(blocks)) + [DUMMY_ADDR] * 4
@@ -251,23 +250,26 @@ class TestColumnKernel:
         with pytest.raises(ValueError):
             codec.open_columns(bytes(codec.slot_bytes + 1))
 
-    @KERNEL_RUNS
-    def test_rows_of_the_wrong_width_are_refused(self, blocks):
-        codec = self.codec(16, mac=False)
-        rows = [bytes(16)] * (blocks - 1) + [bytes(15)]
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("blocks", [_BATCH_MIN - 1, _BATCH_MIN, 20, 100])
+    @pytest.mark.parametrize("widths", [[15], [15, 17]], ids=["short", "short-and-long"])
+    @pytest.mark.parametrize("mac", [False, True], ids=["no-mac", "mac"])
+    def test_rows_of_the_wrong_width_are_refused(self, blocks, widths, mac):
+        """Every list row must be ``payload_bytes`` wide in either form,
+        also where the rows' total is whole rows (15 + 17 bytes)."""
+        codec = self.codec(16, mac)
+        rows = [bytes(range(width)) for width in widths] + [bytes(16)] * (blocks - len(widths))
+        with pytest.raises(ValueError, match="16 bytes wide"):
             codec.seal_columns(list(range(blocks)), rows)
+        assert codec._nonce_counter == 0
 
 
 class TestDummies:
     def test_dummy_roundtrip(self, codec):
         record = codec.seal_dummy()
-        assert codec.is_dummy(record)
-        addr, _ = codec.open(record)
-        assert addr == DUMMY_ADDR
+        assert codec.open(record)[0] == DUMMY_ADDR
 
     def test_real_record_not_dummy(self, codec):
-        assert not codec.is_dummy(codec.seal(3, b"\x00" * 16))
+        assert codec.open(codec.seal(3, b"\x00" * 16))[0] != DUMMY_ADDR
 
     def test_dummies_outwardly_distinct(self, codec):
         # Fresh nonces: two dummies never share ciphertext.

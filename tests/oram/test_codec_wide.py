@@ -1,19 +1,15 @@
 """Batch kernels on records wider than one keystream digest.
 
 A codec whose plaintext (8-byte address + payload) exceeds 64 bytes takes
-the same batch kernels as a narrow one: the big-integer pair under
-``_NP_MIN_BYTES`` of records (a range wide records never reach), the
-numpy pair from there on.  Each must produce exactly the bytes of the
-scalar ``seal`` / ``open`` loop, however a run is cut into kernel calls,
-and the big-integer pair must do so at every size, not only under the
-threshold (the ``small`` form of the ``kernel_form`` fixture).
-A MACed codec skips the batch kernels for per-record loops, which must
-match the same scalar loop at every width.
+the same two forms as a narrow one: the single-record loop under
+``_BATCH_MIN`` records, the numpy pair from there on.  The numpy pair
+must produce exactly the bytes of the scalar ``seal`` / ``open`` loop,
+however a run is cut into kernel calls (pieces of at most
+``_KERNEL_MAX_BYTES``).  A MACed codec takes the loop at every size,
+which must match the same scalar loop at every width.
 """
 
 from __future__ import annotations
-
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +23,7 @@ from repro.oram.base import DUMMY_ADDR, BlockCodec
 PAYLOADS = [16, 56, 57, 200, 1024]
 
 #: The shipped threshold, read before ``kernel_form`` may lift it.
-NP_MIN_BYTES = base._NP_MIN_BYTES
+BATCH_MIN = base._BATCH_MIN
 
 
 def make_codec(payload_bytes: int, mac: bool = False) -> BlockCodec:
@@ -53,10 +49,13 @@ def scalar_open(codec: BlockCodec, buffer: bytes) -> "list[tuple[int, bytes]]":
 
 
 def threshold_counts(codec: BlockCodec) -> "list[int]":
-    """Record counts on both sides of the batch and numpy thresholds."""
-    np_min = -(-NP_MIN_BYTES // codec.slot_bytes)
-    counts = {base._BATCH_MIN - 1, base._BATCH_MIN, np_min - 1, np_min, np_min + 5}
-    return sorted(count for count in counts if count > 0)
+    """Record counts on both sides of the batch threshold, and for wide
+    records one count past ``_KERNEL_MAX_BYTES``, which the numpy kernel
+    takes in two pieces."""
+    counts = [BATCH_MIN - 1, BATCH_MIN, BATCH_MIN + 5]
+    if codec.payload_bytes > 56:
+        counts.append(base._KERNEL_MAX_BYTES // codec.slot_bytes + 1)
+    return counts
 
 
 def spy_on_kernels(monkeypatch, codec: BlockCodec) -> "list[tuple[str, int]]":
@@ -73,9 +72,7 @@ def spy_on_kernels(monkeypatch, codec: BlockCodec) -> "list[tuple[str, int]]":
         monkeypatch.setattr(codec, name, spied)
 
     wrap("_seal_batch", lambda addrs, payloads: len(addrs))
-    wrap("_seal_batch_bytes", lambda addrs, payloads: len(addrs))
     wrap("_open_batch", lambda view, n: n)
-    wrap("_open_batch_bytes", lambda view, n: n)
     return calls
 
 
@@ -108,7 +105,7 @@ class TestWideBatchParity:
 
     def test_short_payloads_are_padded_alike(self, kernel_form, payload_bytes, mac):
         batch, loop = make_codec(payload_bytes, mac), make_codec(payload_bytes, mac)
-        entries = [(index, b"short-%d" % index) for index in range(base._BATCH_MIN + 2)]
+        entries = [(index, b"short-%d" % index) for index in range(BATCH_MIN + 2)]
         assert bytes(batch.seal_many(entries)) == scalar_seal(loop, entries, 0)
 
     def test_runs_past_the_threshold_take_a_batch_kernel(
@@ -120,18 +117,17 @@ class TestWideBatchParity:
             calls.clear()
             codec.open_run(codec.seal_many(make_entries(count, payload_bytes)))
             # A MACed codec tags and checks each record, so it never batches.
-            if mac or count < base._BATCH_MIN:
+            if mac or kernel_form == "small" or count < BATCH_MIN:
                 expected = []
-            elif kernel_form == "small" or count * codec.slot_bytes < NP_MIN_BYTES:
-                expected = ["_seal_batch_bytes", "_open_batch_bytes"]
             else:
-                expected = ["_seal_batch", "_open_batch"]
+                pieces = -(-count // codec._kernel_records)
+                expected = ["_seal_batch"] * pieces + ["_open_batch"] * pieces
             assert [name for name, _ in calls] == expected, count
 
 
 class TestKernelByteCap:
     """No numpy kernel call handles more than ``_KERNEL_MAX_BYTES`` of
-    records; the big-integer kernel only sees runs under ``_NP_MIN_BYTES``."""
+    records."""
 
     @pytest.mark.parametrize("payload_bytes", [16, 1024])
     def test_a_run_larger_than_the_cap_is_chunked_into_identical_output(
@@ -159,25 +155,6 @@ class TestKernelByteCap:
         assert opened[: len(entries)] == entries
         assert all(addr == DUMMY_ADDR for addr, _ in opened[len(entries) :])
 
-    @pytest.mark.parametrize("payload_bytes", [16, 1024])
-    def test_a_forced_big_integer_run_past_the_cap_is_one_call(self, payload_bytes, monkeypatch):
-        """Forced past its threshold, the big-integer kernel takes a run
-        over the cap whole, with the bytes of the capped numpy pieces."""
-        capped, forced, loop = (make_codec(payload_bytes) for _ in range(3))
-        size = capped.slot_bytes
-        count = 2 * (base._KERNEL_MAX_BYTES // size) + 11
-        entries = make_entries(count - 40, payload_bytes)
-        sealed = capped.seal_many(entries, dummy_tail=40)
-
-        monkeypatch.setattr(base, "_NP_MIN_BYTES", sys.maxsize)
-        calls = spy_on_kernels(monkeypatch, forced)
-        assert bytes(forced.seal_many(entries, dummy_tail=40)) == bytes(sealed)
-        opened = forced.open_run(sealed)
-        handled = count * size
-        assert calls == [("_seal_batch_bytes", handled), ("_open_batch_bytes", handled)]
-        assert opened == scalar_open(loop, bytes(sealed))
-        assert opened[: len(entries)] == entries
-
     def test_a_cap_below_one_record_still_makes_progress(self, kernel_form, monkeypatch):
         monkeypatch.setattr(base, "_KERNEL_MAX_BYTES", 100)
         batch, loop = make_codec(200), make_codec(200)
@@ -185,21 +162,6 @@ class TestKernelByteCap:
         sealed = batch.seal_many(entries, dummy_tail=2)
         assert bytes(sealed) == scalar_seal(loop, entries, 2)
         assert batch.open_run(sealed)[:9] == entries
-
-    def test_a_big_integer_run_is_one_call_under_any_cap(self, monkeypatch):
-        """The cap bounds the numpy kernel's temporaries; a run under
-        ``_NP_MIN_BYTES`` goes through the big-integer kernel whole."""
-        monkeypatch.setattr(base, "_KERNEL_MAX_BYTES", 100)
-        batch, loop = make_codec(16), make_codec(16)
-        count = base._NP_MIN_BYTES // batch.slot_bytes - 1
-        entries = make_entries(count - 3, 16)
-        calls = spy_on_kernels(monkeypatch, batch)
-        sealed = batch.seal_many(entries, dummy_tail=3)
-        opened = batch.open_run(sealed)
-        handled = count * batch.slot_bytes
-        assert calls == [("_seal_batch_bytes", handled), ("_open_batch_bytes", handled)]
-        assert bytes(sealed) == scalar_seal(loop, entries, 3)
-        assert opened == scalar_open(loop, bytes(sealed))
 
 
 @st.composite

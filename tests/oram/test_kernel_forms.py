@@ -1,13 +1,14 @@
 """The size selections never change a byte.
 
-The codec picks its batch kernel by run size (the big-integer XOR under
-``_NP_MIN_BYTES``, numpy from there on) and the DRBG its draw kernel by
-draw count (the rejection loop under ``_NP_MIN_DRAWS``).  Each run below
-goes once through the shipped selections and once with the small-run
-forms forced at every size; both must give the same bytes, the same
-opened records and the same simulated run.  The sizes are chosen so the
-shipped selection takes the numpy kernel, which the tests check, so no
-comparison is of a form against itself.
+The codec picks its form by run size (the single-record loop under
+``_BATCH_MIN`` records, the numpy kernel from there on) and the DRBG its
+draw kernel by draw count (the rejection loop under ``_NP_MIN_DRAWS``).
+Each run below goes once through the shipped selections and once with
+the small-run forms forced at every size, so the numpy kernel is held to
+the loop; both must give the same bytes, the same opened records and the
+same simulated run.  The sizes are chosen so the shipped selection takes
+the numpy kernel, which the tests check, so no comparison is of a form
+against itself.
 """
 
 from __future__ import annotations
@@ -27,18 +28,16 @@ from repro.oram import base
 from repro.oram.base import DUMMY_ADDR, BlockCodec
 from repro.workload.generators import hotspot
 
-PAYLOAD = 24  # 40-byte records: 39 or more take the numpy kernel
+PAYLOAD = 24  # 40-byte records; runs of _BATCH_MIN or more take the numpy kernel
 
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """Count calls of each codec batch kernel and of the numpy draw kernel."""
+    """Count calls of the codec's numpy kernels and of the numpy draw kernel."""
     calls: Counter = Counter()
     for owner, name in [
         (BlockCodec, "_seal_batch"),
-        (BlockCodec, "_seal_batch_bytes"),
         (BlockCodec, "_open_batch"),
-        (BlockCodec, "_open_batch_bytes"),
         (DeterministicRandom, "_randrange_many_np"),
     ]:
         kernel = getattr(owner, name)
@@ -56,7 +55,7 @@ def both_forms(monkeypatch, fn):
     shipped = fn()
     with monkeypatch.context() as forced:
         forced.setattr(drbg, "_NP_MIN_DRAWS", sys.maxsize)
-        forced.setattr(base, "_NP_MIN_BYTES", sys.maxsize)
+        forced.setattr(base, "_BATCH_MIN", sys.maxsize)
         small = fn()
     return shipped, small
 
@@ -80,13 +79,13 @@ class TestCodecForms:
             monkeypatch, lambda: bytes(make_codec().seal_many(entries, dummy_tail=dummy_tail))
         )
         assert shipped == small
-        assert kernels == {"_seal_batch": 1, "_seal_batch_bytes": 1}
+        assert kernels == {"_seal_batch": 1}
 
     def test_short_payloads_are_padded_alike_in_both_forms(self, monkeypatch, kernels):
         entries = [(1, b"short"), (2, b"x" * PAYLOAD)] + make_entries(50)
         shipped, small = both_forms(monkeypatch, lambda: bytes(make_codec().seal_many(entries)))
         assert shipped == small
-        assert kernels == {"_seal_batch": 1, "_seal_batch_bytes": 1}
+        assert kernels == {"_seal_batch": 1}
 
     def test_open_run_is_the_same_in_both_forms(self, monkeypatch, kernels):
         codec = make_codec()
@@ -96,7 +95,7 @@ class TestCodecForms:
         assert shipped == small
         assert shipped[:57] == make_entries(57)
         assert all(addr == DUMMY_ADDR for addr, _ in shipped[57:])
-        assert kernels == {"_open_batch": 1, "_open_batch_bytes": 1}
+        assert kernels == {"_open_batch": 1}
 
     def test_open_many_is_the_same_in_both_forms(self, monkeypatch, kernels):
         codec = make_codec()
@@ -106,7 +105,7 @@ class TestCodecForms:
         kernels.clear()
         shipped, small = both_forms(monkeypatch, lambda: codec.open_many(records))
         assert shipped == small == make_entries(48)
-        assert kernels == {"_open_batch": 1, "_open_batch_bytes": 1}
+        assert kernels == {"_open_batch": 1}
 
     def test_wide_records_are_the_same_in_both_forms(self, monkeypatch, kernels):
         """Records past one digest batch through the SHAKE-256 keystream."""
@@ -118,12 +117,7 @@ class TestCodecForms:
 
         shipped, small = both_forms(monkeypatch, run)
         assert shipped == small
-        assert kernels == {
-            "_seal_batch": 1,
-            "_open_batch": 1,
-            "_seal_batch_bytes": 1,
-            "_open_batch_bytes": 1,
-        }
+        assert kernels == {"_seal_batch": 1, "_open_batch": 1}
 
     def test_a_mac_codec_takes_neither_batch_kernel(self, monkeypatch, kernels):
         """MACed records are tagged and checked one by one at any size."""
